@@ -318,11 +318,6 @@ def sharp2(F: KForm) -> Endo:
     return Endo(n, tuple(tuple(row) for row in mat), ring)
 
 
-@lru_cache(maxsize=None)
-def _minor_columns(n: int, k: int) -> tuple:
-    return blades(n, k)
-
-
 def pullback(A: Endo, a: KForm) -> KForm:
     """(A* a)(v_1..v_k) = a(A v_1, .., A v_k).
 
@@ -354,27 +349,40 @@ def pullback(A: Endo, a: KForm) -> KForm:
 
 
 def _det_rows(rows, ring):
-    """Determinant by cofactor expansion over the first column; fine at k <= 7."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    """Exact determinant of a square matrix given as rows (any ring).
+
+    Row-by-row DP over used-column masks: n 2^(n-1) ring multiplications,
+    against n! for cofactor expansion.  Placing row i into free column j
+    flips the permutation parity once per already-used column above j,
+    hence the descending scan.
+    """
+    n = len(rows)
     zero = ring.is_zero
-    acc = ring.zero
-    for r in range(m):
-        c = rows[r][0]
-        if zero(c):
-            continue
-        minor = [row[1:] for i, row in enumerate(rows) if i != r]
-        term = c * _det_rows(minor, ring)
-        acc = acc + (term if r % 2 == 0 else -term)
-    return acc
+    states = {1 << j: c for j, c in enumerate(rows[0]) if not zero(c)}
+    for row in rows[1:]:
+        nxt: dict = {}
+        for mask, acc in states.items():
+            odd = False
+            for j in range(n - 1, -1, -1):
+                bit = 1 << j
+                if mask & bit:
+                    odd = not odd
+                    continue
+                entry = row[j]
+                if zero(entry):
+                    continue
+                term = acc * entry
+                if odd:
+                    term = -term
+                key = mask | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        states = nxt
+    return states.get((1 << n) - 1, ring.zero)
 
 
 def det_endo(A: Endo):
     """Exact determinant of the matrix of A (any backend)."""
-    return _det_rows([list(row) for row in A.mat], A.ring)
+    return _det_rows(A.mat, A.ring)
 
 
 def flat(v: Vector) -> KForm:

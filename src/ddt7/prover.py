@@ -35,13 +35,14 @@ polynomial, so no constant in its tree can break it) and rejects mutation.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .scalars import FLOAT, RATIONAL, MultiPoly, PolyRing, frac, intval, rational
 from . import g2
 from .exalg import (Endo, KForm, Vector, blades, contract, det_endo, hodge,
@@ -181,107 +182,154 @@ def _build_a3f(ring, val, consts):
     return [("elimination", lhs, rhs)]
 
 
-def _det_poly(A: Endo):
-    """Determinant via row-by-row DP over used-column masks (exact, any ring).
-
-    Placing row i into free column j flips the permutation parity once per
-    already-used column above j, hence the descending scan.
-    """
-    ring = A.ring
-    n = A.n
-    states = {0: intval(ring, 1)}
-    for i in range(n):
-        nxt: dict = {}
-        row = A.mat[i]
-        for mask, acc in states.items():
-            sign_toggle = 0
-            for j in range(n - 1, -1, -1):
-                bit = 1 << j
-                if mask & bit:
-                    sign_toggle ^= 1
-                    continue
-                entry = row[j]
-                if ring.is_zero(entry):
-                    continue
-                term = acc * entry
-                if sign_toggle:
-                    term = -term
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        states = nxt
-    return states[(1 << n) - 1]
-
-
 # DET expands to ~4*10^5 monomials per side, far too many for the generic
-# sparse-dict polynomials to stay inside the runtime budget.  Both sides
-# have integer coefficients and per-variable degree at most 4, so monomials
-# pack losslessly into uint64 (21 variables * 3 bits, variable 0 in the top
-# field so unsigned key order equals lexicographic exponent order) and the
-# same column-mask DP runs on numpy arrays instead.
+# sparse-dict polynomials to stay inside the runtime budget.  Both sides have
+# integer coefficients, so they are built and decided in packed form (after
+# Monagan & Pearce): a monomial over the 21 variables F_ij is one uint64 key
+# with 3 bits per exponent, variable 0 in the top field, so unsigned key
+# order equals lexicographic exponent order and multiplying monomials adds
+# keys.  The column-mask DP of ``exalg`` runs on sorted numpy (key, int64
+# coefficient) arrays.
+# * No key addition carries between fields: before the DP runs, the
+#   per-variable degree of every (partial) product is bounded over all
+#   permutations and checked to be at most 7 (4 for both sides here).
+# * Coefficients stay exact: every product and every per-key sum of
+#   |coeff| is checked to stay below 2^62.
+# * The sides are compared as arrays, q*lhs against p*rhs for the scale
+#   p/q, and only the witness key is ever unpacked.
 
 _DET_SHIFTS = tuple(3 * (20 - v) for v in range(21))
+_DET_FIELD_MAX = 7
+_DET_SUM_LIMIT = 2 ** 62
+
+
+@dataclass(frozen=True)
+class _Packed:
+    """Packed polynomial times a rational scale: sorted unique uint64 keys
+    with nonzero int64 coefficients.  Only a right-hand side is scaled."""
+
+    keys: np.ndarray
+    coeffs: np.ndarray
+    scale: Fraction = Fraction(1)
+
+
+def _det_unpack(key) -> tuple:
+    """Exponent tuple of one packed monomial key."""
+    key = int(key)
+    return tuple((key >> s) & _DET_FIELD_MAX for s in _DET_SHIFTS)
+
+
+def _det_np_degree_bound(entries) -> np.ndarray:
+    """Per-variable bound on the exponent of any product of entries along a
+    (partial) permutation: the max over permutations of the summed per-entry
+    degrees.  Every partial product extends to a full permutation."""
+    n = len(entries)
+    deg = np.zeros((n, n, len(_DET_SHIFTS)), dtype=np.int64)
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            if e:
+                deg[i, j] = np.max([_det_unpack(k) for k in e], axis=0)
+    perms = np.array(list(itertools.permutations(range(n))))
+    return deg[np.arange(n), perms].sum(axis=1).max(axis=0)
+
+
+def _det_np_check_bound(bound) -> None:
+    if int(np.max(bound)) > _DET_FIELD_MAX:
+        raise NumericalError(f"packed exponent bound {int(np.max(bound))} exceeds "
+                             f"{_DET_FIELD_MAX}: monomials would carry between fields")
 
 
 def _det_np_combine(keys, coeffs):
-    uk, inv = np.unique(keys, return_inverse=True)
-    tot = np.bincount(inv, weights=coeffs.astype(np.float64), minlength=len(uk))
-    if np.max(np.abs(tot), initial=0.0) >= 2.0 ** 52:
-        raise AssertionError("determinant coefficient overflow")
-    out = tot.astype(np.int64)
-    nz = out != 0
-    return uk[nz], out[nz]
+    """Sum coefficients of equal keys exactly; returns sorted unique keys
+    with their nonzero int64 totals.  Raises once a per-key sum of |coeff|
+    reaches 2^62.  That sum is taken in float64 and only decides whether to
+    raise: its rounding is far inside the factor 2 to int64 overflow, so no
+    int64 partial sum can wrap."""
+    if keys.size == 0:
+        return keys, coeffs
+    order = np.argsort(keys)
+    keys = keys[order]
+    coeffs = coeffs[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    mags = np.add.reduceat(np.abs(coeffs).astype(np.float64), starts)
+    if mags.max() >= _DET_SUM_LIMIT:
+        raise NumericalError("determinant coefficient overflow")
+    tot = np.add.reduceat(coeffs, starts)
+    nz = tot != 0
+    return keys[starts][nz], tot[nz]
+
+
+def _det_np_product(ak, ac, ek, ec):
+    """All pairwise products of two packed polynomials, uncombined."""
+    if float(np.max(np.abs(ac))) * float(np.max(np.abs(ec))) >= _DET_SUM_LIMIT:
+        raise NumericalError("determinant coefficient overflow")
+    return (ak[:, None] + ek).ravel(), (ac[:, None] * ec).ravel()
 
 
 def _det_np_dp(entries):
-    """entries[i][j]: packed {uint64 key: int coeff} dict, or None if zero."""
+    """The column-mask DP of ``exalg._det_rows`` on packed polynomials.
+
+    entries[i][j]: packed {uint64 key: int coeff} dict, empty if zero.
+    Returns the determinant as (sorted keys, int64 coefficients).
+    """
+    _det_np_check_bound(_det_np_degree_bound(entries))
     n = len(entries)
-    one = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64))
-    states = {0: one}
-    for i in range(n):
+    packed = [[(np.fromiter(e.keys(), dtype=np.uint64, count=len(e)),
+                np.fromiter(e.values(), dtype=np.int64, count=len(e))) if e else None
+               for e in row] for row in entries]
+    states = {0: (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.int64))}
+    for row in packed:
         buckets: dict = {}
         for mask, (ak, ac) in states.items():
-            sign_toggle = 0
+            odd = False
             for j in range(n - 1, -1, -1):
                 bit = 1 << j
                 if mask & bit:
-                    sign_toggle ^= 1
+                    odd = not odd
                     continue
-                e = entries[i][j]
-                if not e:
+                if row[j] is None:
                     continue
-                ek = np.fromiter(e.keys(), dtype=np.uint64, count=len(e))
-                ec = np.fromiter(e.values(), dtype=np.int64, count=len(e))
-                tk = (ak[:, None] + ek[None, :]).ravel()
-                tc = (ac[:, None] * ec[None, :]).ravel()
-                if sign_toggle:
-                    tc = -tc
-                buckets.setdefault(mask | bit, []).append((tk, tc))
-        states = {}
-        for mask, parts in buckets.items():
-            keys = np.concatenate([p[0] for p in parts])
-            coeffs = np.concatenate([p[1] for p in parts])
-            states[mask] = _det_np_combine(keys, coeffs)
-    return states[(1 << n) - 1]
+                tk, tc = _det_np_product(ak, ac, *row[j])
+                buckets.setdefault(mask | bit, []).append((tk, -tc if odd else tc))
+        states = {mask: _det_np_combine(np.concatenate([p[0] for p in parts]),
+                                        np.concatenate([p[1] for p in parts]))
+                  for mask, parts in buckets.items()}
+    full = states.get((1 << n) - 1)
+    if full is None:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+    return full
 
 
 def _det_np_square(poly):
-    k, c = poly
-    tk = (k[:, None] + k[None, :]).ravel()
-    tc = (c[:, None] * c[None, :]).ravel()
-    return _det_np_combine(tk, tc)
+    return _det_np_combine(*_det_np_product(*poly, *poly))
 
 
-def _det_unpack(poly, ring) -> MultiPoly:
-    keys, coeffs = poly
-    cols = [((keys >> np.uint64(s)) & np.uint64(7)).astype(np.int64).tolist()
-            for s in _DET_SHIFTS]
-    terms = {}
-    for idx, c in enumerate(coeffs.tolist()):
-        terms[tuple(col[idx] for col in cols)] = rational(c)
-    return MultiPoly(ring, terms)
+def _packed_witness(label: str, lhs: _Packed, rhs: _Packed, ring) -> dict | None:
+    """Witness of lhs - rhs, decided without unpacking: with rhs = (p/q) R
+    the sides agree iff q*L == p*R, and the first differing key is the
+    lexicographically first monomial of the difference."""
+    p, q = rhs.scale.numerator, rhs.scale.denominator
+    # bounds |q*L - p*R| and |p|, |q| themselves; beyond int64, exact objects
+    big = abs(q) * (1 + int(np.max(np.abs(lhs.coeffs), initial=0))) \
+        + abs(p) * (1 + int(np.max(np.abs(rhs.coeffs), initial=0)))
+    dtype = np.int64 if big < _DET_SUM_LIMIT else object
+    lc, rc = lhs.coeffs.astype(dtype), rhs.coeffs.astype(dtype)
+    if np.array_equal(lhs.keys, rhs.keys):
+        keys, diff = lhs.keys, lc * q - rc * p
+    else:
+        keys = np.concatenate([lhs.keys, rhs.keys])
+        diff = np.concatenate([lc * q, rc * -p])
+        order = np.argsort(keys)
+        keys, diff = keys[order], diff[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, diff = keys[starts], np.add.reduceat(diff, starts)
+    nz = np.flatnonzero(diff)
+    if nz.size == 0:
+        return None
+    first = nz[0]
+    return {"component": label, "blade": "scalar",
+            "monomial": ring.monomial_str(_det_unpack(keys[first])),
+            "coefficient": str(Fraction(int(diff[first]), q))}
 
 
 def _build_det(ring, val, consts):
@@ -289,41 +337,35 @@ def _build_det(ring, val, consts):
         F = _form(ring, val, _F_NAMES)
         Fs = sharp2(F)
         eye = Endo.identity(7, ring)
-        lhs = _det_poly(eye - (Fs @ Fs))
-        d = _det_poly(eye + Fs)
+        d = det_endo(eye + Fs)
         rhs = d * d * _c(ring, consts, "rhs-scale")
-        return [("factorization", lhs, rhs)]
-    # packed fast path; sharp2 convention inlined: blade (i,j) coefficient c
-    # lands at [j-1][i-1] with +c and [i-1][j-1] with -c
+        return [("factorization", det_endo(eye - (Fs @ Fs)), rhs)]
+    # sharp2 convention inlined: blade (i,j) coefficient c lands at
+    # [j-1][i-1] with +c and [i-1][j-1] with -c
     sharp = [[None] * 7 for _ in range(7)]
     for v, (i, j) in enumerate(blades(7, 2)):
-        key = np.uint64(1 << _DET_SHIFTS[v])
-        sharp[j - 1][i - 1] = {key: 1}
-        sharp[i - 1][j - 1] = {key: -1}
-    lin = [[dict(sharp[i][j]) if sharp[i][j] else {} for j in range(7)] for i in range(7)]
+        key = 1 << _DET_SHIFTS[v]
+        sharp[j - 1][i - 1] = (key, 1)
+        sharp[i - 1][j - 1] = (key, -1)
+    lin = [[dict([sharp[i][j]]) if sharp[i][j] else {} for j in range(7)] for i in range(7)]
     quad = [[{} for _ in range(7)] for _ in range(7)]
     for i in range(7):
-        lin[i][i][np.uint64(0)] = 1
+        lin[i][i][0] = 1
+        quad[i][i][0] = 1
         for j in range(7):
             acc = quad[i][j]
-            if i == j:
-                acc[np.uint64(0)] = 1
             for m in range(7):
-                a = sharp[i][m]
-                b = sharp[m][j]
-                if a is None or b is None:
+                if sharp[i][m] is None or sharp[m][j] is None:
                     continue
-                (ka, ca), = a.items()
-                (kb, cb), = b.items()
-                k = ka + kb
-                nv = acc.get(k, 0) - ca * cb
+                (ka, ca), (kb, cb) = sharp[i][m], sharp[m][j]
+                nv = acc.get(ka + kb, 0) - ca * cb
                 if nv:
-                    acc[k] = nv
+                    acc[ka + kb] = nv
                 else:
-                    acc.pop(k, None)
-    lhs = _det_unpack(_det_np_dp(quad), ring)
-    d2 = _det_np_square(_det_np_dp(lin))
-    rhs = _det_unpack(d2, ring) * _c(ring, consts, "rhs-scale")
+                    acc.pop(ka + kb, None)
+    _det_np_check_bound(2 * _det_np_degree_bound(lin))  # rhs squares det(lin)
+    lhs = _Packed(*_det_np_dp(quad))
+    rhs = _Packed(*_det_np_square(_det_np_dp(lin)), scale=consts["rhs-scale"])
     return [("factorization", lhs, rhs)]
 
 
@@ -470,6 +512,8 @@ def mutate(identity_id: str, site: str, new_coefficient) -> str:
 
 
 def _count_monomials(x) -> int:
+    if isinstance(x, _Packed):
+        return len(x.keys) if x.scale else 0
     if isinstance(x, KForm):
         return sum(c.nterms() if isinstance(c, MultiPoly) else (0 if c == 0 else 1)
                    for c in x.coeffs)
@@ -517,7 +561,8 @@ def verify(identity_id: str) -> IdentityReport:
     for label, lhs, rhs in components:
         count += _count_monomials(lhs) + _count_monomials(rhs)
         if witness is None:
-            witness = _first_witness(label, lhs - rhs)
+            witness = (_packed_witness(label, lhs, rhs, ring) if isinstance(lhs, _Packed)
+                       else _first_witness(label, lhs - rhs))
     return IdentityReport(identity=identity_id, reduced_to_zero=witness is None,
                           witness=witness,
                           monomial_count_before_cancellation=count,

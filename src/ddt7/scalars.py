@@ -136,21 +136,35 @@ class MultiPoly:
     def __rsub__(self, other):
         return MultiPoly.const(self.ring, other) + (-self)
 
+    def _scaled(self, c) -> "MultiPoly":
+        if isinstance(c, int):
+            c = rational(c)
+        elif isinstance(c, Fraction):
+            c = rational(c.numerator, c.denominator)
+        if c == 0:
+            return MultiPoly(self.ring, {})
+        return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+
+    def constant_value(self):
+        """The coefficient of a one-term constant (only the all-zero
+        exponent), else None."""
+        if len(self.terms) != 1:
+            return None
+        (e, c), = self.terms.items()
+        return None if any(e) else c
+
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = other
-            if isinstance(c, int):
-                if c == 0:
-                    return MultiPoly(self.ring, {})
-                c = rational(c)
-            elif isinstance(c, Fraction):
-                c = rational(c.numerator, c.denominator)
-            if c == 0:
-                return MultiPoly(self.ring, {})
-            return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
         if not self.terms or not other.terms:
             return MultiPoly(self.ring, {})
+        c = other.constant_value()
+        if c is not None:
+            return self._scaled(c)
+        c = self.constant_value()
+        if c is not None:
+            return other._scaled(c)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -170,9 +184,8 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if isinstance(other, MultiPoly):
-            if len(other.terms) == 1 and set(next(iter(other.terms))) == {0}:
-                other = next(iter(other.terms.values()))
-            else:
+            other = other.constant_value()
+            if other is None:
                 raise InputError("polynomial division only by nonzero constants")
         if isinstance(other, int):
             other = rational(other)
@@ -225,9 +238,7 @@ class MultiPoly:
         return total
 
     def monomial_str(self, e) -> str:
-        parts = [f"{self.ring.names[i]}^{p}" if p > 1 else self.ring.names[i]
-                 for i, p in enumerate(e) if p]
-        return "*".join(parts) if parts else "1"
+        return self.ring.monomial_str(e)
 
     def __repr__(self):
         if not self.terms:
@@ -275,6 +286,12 @@ class PolyRing:
 
     def const(self, c) -> MultiPoly:
         return MultiPoly.const(self, c)
+
+    def monomial_str(self, e) -> str:
+        """Print an exponent tuple as a product of named powers."""
+        parts = [f"{self.names[i]}^{p}" if p > 1 else self.names[i]
+                 for i, p in enumerate(e) if p]
+        return "*".join(parts) if parts else "1"
 
     def coerce(self, x) -> MultiPoly:
         if isinstance(x, MultiPoly):

@@ -12,7 +12,7 @@ from ddt7.errors import InputError
 from ddt7.exalg import (Endo, KForm, Vector, blades, contract, det_endo,
                         flat, hodge, inner, pullback, sharp1, sharp2,
                         solve_endo, wedge)
-from ddt7.scalars import RATIONAL
+from ddt7.scalars import FLOAT, RATIONAL
 
 
 def _sort_sign(seq):
@@ -185,6 +185,16 @@ def test_det_endo_matches_elimination():
                 for _ in range(7)]
         A = Endo.from_rows(7, rows, RATIONAL)
         assert det_endo(A) == _det_fraction(rows)
+
+
+def test_det_endo_singular_and_float():
+    rng = np.random.default_rng(13)
+    rows = [[Fraction(int(rng.integers(-4, 5))) for _ in range(7)] for _ in range(7)]
+    rows[4] = [Fraction(0)] * 7
+    assert det_endo(Endo.from_rows(7, rows, RATIONAL)) == 0
+    M = rng.uniform(-1.0, 1.0, (7, 7))
+    got = det_endo(Endo.from_rows(7, M.tolist(), FLOAT))
+    assert abs(got - np.linalg.det(M)) <= 1e-12 * max(1.0, abs(got))
 
 
 def test_solve_endo_inverts_pullback():

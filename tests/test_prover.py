@@ -2,12 +2,15 @@
 single-site mutation is caught with a concrete witness monomial."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ddt7 import prover
-from ddt7.errors import InputError
+from ddt7.errors import InputError, NumericalError
+from ddt7.exalg import Endo, det_endo
+from ddt7.scalars import MultiPoly, PolyRing
 
 ALL_IDS = ("A1", "A2a", "A2b", "A4", "A5", "A3F", "DET", "EIG7", "EIG14",
            "W3", "SF", "CYL")
@@ -113,3 +116,102 @@ def test_reports_are_deterministic():
     assert "elapsed_s" not in a
     assert "elapsed_s" in prover.verify("A1").to_dict()
     assert prover.float_suite(4, seed=9) == prover.float_suite(4, seed=9)
+
+
+def test_det_monomial_count_frozen():
+    rep = prover.verify("DET")
+    assert rep.reduced_to_zero
+    assert rep.monomial_count_before_cancellation == 807326
+
+
+@pytest.mark.parametrize("scale, coefficient", [
+    (Fraction(1, 2), "1/2"), (Fraction(3, 2), "-1/2"), (Fraction(-1), "2"),
+    (Fraction(2), "-1")])
+def test_det_mutation_witness_under_scale(scale, coefficient):
+    # both sides have constant term 1, so lhs - scale*rhs leaves 1 - scale
+    rep = prover.verify(prover.mutate("DET", "rhs-scale", scale))
+    assert rep.witness == {"component": "factorization", "blade": "scalar",
+                           "monomial": "1", "coefficient": coefficient}
+    assert rep.monomial_count_before_cancellation == 807326
+
+
+def _packed_entry(rng, nvars):
+    out = {}
+    for _ in range(int(rng.integers(0, 4))):
+        e = rng.integers(0, 2, nvars)
+        key = sum(int(x) << prover._DET_SHIFTS[v] for v, x in enumerate(e))
+        c = out.get(key, 0) + int(rng.integers(-3, 4))
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _as_poly(ring, keys, coeffs):
+    return MultiPoly(ring, {prover._det_unpack(k): Fraction(int(c))
+                            for k, c in zip(keys, coeffs)})
+
+
+def test_packed_dp_matches_generic_mask_dp():
+    ring = PolyRing(prover._F_NAMES)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        entries = [[_packed_entry(rng, 4) for _ in range(4)] for _ in range(4)]
+        rows = [[_as_poly(ring, list(e), list(e.values())) for e in row]
+                for row in entries]
+        want = det_endo(Endo.from_rows(4, rows, ring))
+        keys, coeffs = prover._det_np_dp(entries)
+        assert np.all(keys[:-1] < keys[1:])
+        assert _as_poly(ring, keys, coeffs).terms == want.terms
+
+
+def _packed(entry, scale=Fraction(1)):
+    keys = sorted(entry)
+    return prover._Packed(np.array(keys, dtype=np.uint64),
+                          np.array([entry[k] for k in keys], dtype=np.int64), scale)
+
+
+def test_packed_witness_is_lexicographically_first():
+    ring = PolyRing(prover._F_NAMES)
+    rng = np.random.default_rng(4)
+    cases = [({}, {}, Fraction(1))]
+    for _ in range(20):
+        a, b = _packed_entry(rng, 5), _packed_entry(rng, 5)
+        scale = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        cases += [(a, b, scale), (a, {k: 2 * c for k, c in a.items()}, Fraction(1, 2))]
+    for a, b, scale in cases:
+        lhs, rhs = _packed(a), _packed(b, scale)
+        got = prover._packed_witness("c", lhs, rhs, ring)
+        diff = _as_poly(ring, lhs.keys, lhs.coeffs) - _as_poly(ring, rhs.keys, rhs.coeffs) * scale
+        if diff.is_zero():
+            assert got is None
+        else:
+            e, coef = diff.leading()
+            assert got == {"component": "c", "blade": "scalar",
+                           "monomial": diff.monomial_str(e), "coefficient": str(coef)}
+
+
+def test_packed_combine_guards_per_key_magnitude():
+    keys = np.array([5, 9, 5], dtype=np.uint64)
+    k, c = prover._det_np_combine(keys, np.array([2 ** 61, 1, 2 ** 60 + 3], dtype=np.int64))
+    assert k.tolist() == [5, 9] and c.tolist() == [2 ** 61 + 2 ** 60 + 3, 1]
+    # the totals would fit (one even cancels), but the per-key sum of
+    # |coeff| reaches 2^62
+    for c5 in ([2 ** 61, 2 ** 61], [2 ** 61, -2 ** 61]):
+        with pytest.raises(NumericalError):
+            prover._det_np_combine(keys[[0, 2]], np.array(c5, dtype=np.int64))
+
+
+def test_packing_bound_is_checked():
+    x_squared = 2 << prover._DET_SHIFTS[0]
+    entries = [[{x_squared: 1} if i == j else {} for j in range(4)] for i in range(4)]
+    assert prover._det_np_degree_bound(entries)[0] == 8
+    with pytest.raises(NumericalError):
+        prover._det_np_dp(entries)
+    # degree 7 still packs: det = x^7 in the top field, no carry
+    entries[3][3] = {1 << prover._DET_SHIFTS[0]: 1}
+    assert prover._det_np_degree_bound(entries)[0] == 7
+    keys, coeffs = prover._det_np_dp(entries)
+    assert [prover._det_unpack(k) for k in keys] == [(7,) + (0,) * 20]
+    assert coeffs.tolist() == [1]
