@@ -142,17 +142,11 @@ def _jsonable(x):
 
 
 def _versions() -> dict:
-    try:
-        import numba
-        numba_version = numba.__version__
-    except Exception:
-        numba_version = None
     from . import __version__
     return {
         "ddt7": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
-        "numba": numba_version,
         "backend": backend_name(),
     }
 

@@ -17,12 +17,12 @@ import numpy as np
 from . import g2, tables
 from .errors import DegenerateMetricError, InputError, NumericalError, ObstructionError
 from .exalg import blades, wedge
-from .kernels import backend_name, bareiss_ranks
+from .kernels import backend_name, bareiss_ranks, wedge_fields
 from .scalars import FLOAT, RATIONAL
 from .torus import (Flux, FormField, GaugePotential, TorusGrid, codiff,
-                    curvature, d, field_inner, field_l2, field_mean,
-                    hodge_field, kl_functional, residual_field, scalar_times,
-                    wedge_const, wedge_field, zero_potential)
+                    curvature, curvature_residual, d, field_inner, field_l2,
+                    field_mean, hodge_field, kl_segment_integral,
+                    scalar_times, wedge_const, wedge_field, zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
@@ -149,9 +149,12 @@ def flow_step(pot: GaugePotential, dt: float, scheme: str = "euler",
 
 
 def _diagnostics(pot: GaugePotential):
-    _, rnorm = residual_field(pot, 1.0)
-    tmin = float(np.min(theta_field(curvature(pot))))
-    return kl_functional(pot), rnorm, tmin
+    """(kl_functional, residual L2 norm, min theta), sharing one d(a)."""
+    background = pot.flux.background(pot.grid)
+    D = d(pot.a)
+    E = background + D
+    return (kl_segment_integral(background, D, pot.a),
+            field_l2(curvature_residual(E)), float(np.min(theta_field(E))))
 
 
 def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
@@ -310,9 +313,7 @@ class _ScaledSystem:
 
     def residual(self, a: FormField):
         E = curvature(GaugePotential(a, self.flux))
-        w6 = (self.s ** 4 / 6.0) * wedge_field(wedge_field(E, E), E) \
-            - wedge_const(E, _STAR_PHI)
-        return w6, codiff(a), field_mean(a)
+        return curvature_residual(E, self.s), codiff(a), field_mean(a)
 
     def res_norm(self, parts) -> float:
         w6, w0, mu = parts
@@ -342,11 +343,9 @@ class _ScaledSystem:
 
 def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
     """Adjoint of the pointwise map x (2-form) -> x ^ W, W a fixed 4-form."""
-    ii, jj, oo, ss = tables.wedge_arrays(7, 2, 4)
-    out = np.zeros((y.grid.npts, len(blades(7, 2))))
-    for e in range(len(ii)):
-        out[:, ii[e]] += ss[e] * y.values[:, oo[e]] * W.values[:, jj[e]]
-    return FormField(y.grid, 2, out)
+    table = tables.wedge_adjoint_arrays(7, 2, 4)
+    vals = wedge_fields(y.values, W.values, *table, len(blades(7, 2)))
+    return FormField(y.grid, 2, vals)
 
 
 def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,

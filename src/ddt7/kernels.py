@@ -1,52 +1,49 @@
-"""Batched grid kernels with a numba fast path and a pure-numpy fallback.
-
-Set ``DDT7_NO_NUMBA=1`` to force the fallback (useful on platforms where
-numba is unavailable or for A/B validation; the test suite exercises both
-paths directly).  The active path is chosen once at import.
-
-Kernel inputs are plain arrays: fields are (npts, ncoeffs) float64, C
-order; structure tables come from ``tables``.
+"""Batched grid kernels, numpy only.  Fields are (npts, ncoeffs) arrays and
+tables come from ``tables``.  ``wedge_fields`` is the one loop over wedge
+table entries: ``torus.wedge_field``, the spectral ``torus.d`` and the CG
+adjoint in ``flow`` all use it.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-NUMBA_REQUESTED = os.environ.get("DDT7_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-NUMBA_ACTIVE = False
-
-if NUMBA_REQUESTED:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ACTIVE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ACTIVE = False
+# bytes per gathered temporary; 256 KiB blocks ran slower end to end
+_BLOCK_BYTES = 1 << 17
 
 
-# --- pure numpy implementations --------------------------------------------
+def wedge_fields(A, B, ii, jj, oo, ss, dim_out):
+    """out[p, oo[e]] = sum_e ss[e] * A[p, ii[e]] * B[p, jj[e]].
 
-
-def wedge_fields_np(A, B, ii, jj, oo, ss, dim_out):
-    """Pointwise wedge of coefficient batches via the structure table."""
+    The table must be grouped by output: ``oo`` equal to
+    ``repeat(arange(dim_out), m)`` for some m, as ``tables.wedge_arrays``
+    guarantees; ``oo`` itself is not read.  Each block of points gathers the
+    entry products in coefficient-major layout and sums every output's m
+    products with their signs as one stacked (1 x m)(m x points) product.
+    The result dtype follows the inputs, so complex spectra work too.
+    """
     npts = A.shape[0]
-    out = np.zeros((npts, dim_out))
-    for e in range(len(ii)):
-        if ss[e] == 1:
-            out[:, oo[e]] += A[:, ii[e]] * B[:, jj[e]]
-        else:
-            out[:, oo[e]] -= A[:, ii[e]] * B[:, jj[e]]
+    m = len(ii) // dim_out
+    dtype = np.result_type(A, B)
+    At = np.ascontiguousarray(A.T, dtype=dtype)
+    Bt = np.ascontiguousarray(B.T)
+    signs = np.asarray(ss, dtype=dtype).reshape(dim_out, 1, m)
+    out = np.empty((npts, dim_out), dtype)
+    block = max(1, _BLOCK_BYTES // (len(ii) * out.itemsize))
+    for lo in range(0, npts, block):
+        prod = At[ii, lo:lo + block]
+        prod *= Bt[jj, lo:lo + block]
+        prod = prod.reshape(dim_out, m, -1)
+        out[lo:lo + block] = np.matmul(signs, prod)[:, 0].T
     return out
 
 
-def hodge_fields_np(A, tgt, sgn, dim_out):
+def hodge_fields(A, tgt, sgn, dim_out):
     out = np.empty((A.shape[0], dim_out))
     out[:, tgt] = A * sgn
     return out
 
 
-def bareiss_ranks_np(mats):
+def bareiss_ranks(mats):
     """Exact ranks of a batch of int64 matrices, fraction-free elimination.
 
     Vectorized over the batch with a per-matrix row pointer, since matrices
@@ -62,21 +59,15 @@ def bareiss_ranks_np(mats):
     batch = np.arange(nb)
     rows = np.arange(nr)
     for col in range(nc):
-        colvals = M[:, :, col]
-        cand = (colvals != 0) & (rows[None, :] >= r[:, None])
+        cand = (M[:, :, col] != 0) & (rows[None, :] >= r[:, None])
         piv = np.argmax(cand, axis=1)
         act = cand[batch, piv]
         if not act.any():
             continue
-        bi = batch[act]
-        need = piv[act] != r[act]
-        if need.any():
-            b2 = bi[need]
-            p2 = piv[act][need]
-            r2 = r[act][need]
-            tmp = M[b2, r2].copy()
-            M[b2, r2] = M[b2, p2]
-            M[b2, p2] = tmp
+        swap = act & (piv != r)
+        if swap.any():
+            b2, p2, r2 = batch[swap], piv[swap], r[swap]
+            M[b2, r2], M[b2, p2] = M[b2, p2], M[b2, r2]
         rsafe = np.minimum(r, nr - 1)
         pivot = M[batch, rsafe, col]
         pivrow = M[batch, rsafe, :]
@@ -90,84 +81,6 @@ def bareiss_ranks_np(mats):
     return r
 
 
-# --- numba implementations ---------------------------------------------------
-
-if NUMBA_ACTIVE:
-
-    @_njit(cache=True)
-    def _wedge_fields_nb(A, B, ii, jj, oo, ss, out):
-        npts = A.shape[0]
-        ne = ii.shape[0]
-        for p in range(npts):
-            for e in range(ne):
-                out[p, oo[e]] += ss[e] * A[p, ii[e]] * B[p, jj[e]]
-
-    def wedge_fields_nb(A, B, ii, jj, oo, ss, dim_out):
-        out = np.zeros((A.shape[0], dim_out))
-        _wedge_fields_nb(A, B, ii, jj, oo, ss, out)
-        return out
-
-    @_njit(cache=True)
-    def _hodge_fields_nb(A, tgt, sgn, out):
-        npts, nc = A.shape
-        for p in range(npts):
-            for c in range(nc):
-                out[p, tgt[c]] = sgn[c] * A[p, c]
-
-    def hodge_fields_nb(A, tgt, sgn, dim_out):
-        out = np.empty((A.shape[0], dim_out))
-        _hodge_fields_nb(A, tgt, sgn, out)
-        return out
-
-    @_njit(cache=True)
-    def _bareiss_rank_one(M):
-        nr, nc = M.shape
-        rank = 0
-        prev = np.int64(1)
-        row = 0
-        for col in range(nc):
-            if row >= nr:
-                break
-            piv = -1
-            for r in range(row, nr):
-                if M[r, col] != 0:
-                    piv = r
-                    break
-            if piv < 0:
-                continue
-            if piv != row:
-                for c in range(nc):
-                    t = M[row, c]
-                    M[row, c] = M[piv, c]
-                    M[piv, c] = t
-            pivot = M[row, col]
-            for r in range(row + 1, nr):
-                f = M[r, col]
-                for c in range(nc):
-                    M[r, c] = (M[r, c] * pivot - f * M[row, c]) // prev
-            prev = pivot
-            rank += 1
-            row += 1
-        return rank
-
-    @_njit(cache=True)
-    def bareiss_ranks_nb(mats):
-        nb = mats.shape[0]
-        ranks = np.zeros(nb, dtype=np.int64)
-        for b in range(nb):
-            ranks[b] = _bareiss_rank_one(mats[b].copy())
-        return ranks
-
-
-if NUMBA_ACTIVE:
-    wedge_fields = wedge_fields_nb
-    hodge_fields = hodge_fields_nb
-    bareiss_ranks = bareiss_ranks_nb
-else:
-    wedge_fields = wedge_fields_np
-    hodge_fields = hodge_fields_np
-    bareiss_ranks = bareiss_ranks_np
-
-
 def backend_name() -> str:
-    return "numba" if NUMBA_ACTIVE else "numpy"
+    """The kernel backend recorded in reports; numpy is the only one."""
+    return "numpy"

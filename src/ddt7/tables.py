@@ -17,12 +17,29 @@ from .scalars import FLOAT
 
 @lru_cache(maxsize=None)
 def wedge_arrays(n: int, p: int, q: int):
-    """(i, j, out, sign) columns of the wedge structure table, int64."""
-    t = np.asarray(wedge_table(n, p, q), dtype=np.int64)
-    if t.size == 0:
-        t = t.reshape(0, 4)
-    return (np.ascontiguousarray(t[:, 0]), np.ascontiguousarray(t[:, 1]),
-            np.ascontiguousarray(t[:, 2]), np.ascontiguousarray(t[:, 3]))
+    """(i, j, out, sign) columns of the wedge structure table, int64,
+    stably sorted by output blade.
+
+    Every output blade of degree p+q has exactly C(p+q, p) entries, so
+    ``out`` is ``repeat(arange(dim_out), C(p+q, p))``: the grouping
+    ``kernels.wedge_fields`` relies on.
+    """
+    t = np.asarray(wedge_table(n, p, q), dtype=np.int64).reshape(-1, 4)
+    t = t[np.argsort(t[:, 2], kind="stable")]
+    return tuple(np.ascontiguousarray(t[:, c]) for c in range(4))
+
+
+@lru_cache(maxsize=None)
+def wedge_adjoint_arrays(n: int, p: int, q: int):
+    """The p^q table regrouped for y, w -> x with <x ^ w, y> = <x, adj>.
+
+    Columns (out, j, i, sign), stably sorted by the p-form blade i, so that
+    ``wedge_fields(y, w, *wedge_adjoint_arrays(n, p, q), dim_p)`` is the
+    adjoint of x -> x ^ w.  Each p-blade meets C(n-p, q) q-blades.
+    """
+    ii, jj, oo, ss = wedge_arrays(n, p, q)
+    order = np.argsort(ii, kind="stable")
+    return tuple(np.ascontiguousarray(c[order]) for c in (oo, jj, ii, ss))
 
 
 @lru_cache(maxsize=None)
@@ -51,12 +68,9 @@ def wedge_const_matrix(n: int, p: int, q: int, const_coeffs: tuple) -> np.ndarra
     into one matmul over the whole grid.
     """
     ii, jj, oo, ss = wedge_arrays(n, p, q)
-    dim_p = len(blades(n, p))
-    dim_o = len(blades(n, p + q))
     c = np.asarray(const_coeffs, dtype=np.float64)
-    M = np.zeros((dim_o, dim_p))
-    for e in range(len(ii)):
-        M[oo[e], ii[e]] += ss[e] * c[jj[e]]
+    M = np.zeros((len(blades(n, p + q)), len(blades(n, p))))
+    M[oo, ii] = ss * c[jj]  # each (out, i) pair occurs once
     return M
 
 

@@ -35,7 +35,7 @@ __all__ = [
     "d", "codiff", "integrate", "field_inner", "field_l2",
     "wedge_field", "wedge_const", "hodge_field", "scalar_times",
     "curvature", "curvature_residual", "residual_field",
-    "kl_oneform", "kl_functional", "kl_segment",
+    "kl_oneform", "kl_functional", "kl_segment", "kl_segment_integral",
     "theta3", "dtheta4", "nu", "nu_derivative_check", "gauge_shift",
     "random_field", "random_potential", "random_coclosed_potential",
     "save_field", "load_field", "save_flux", "load_flux",
@@ -100,6 +100,8 @@ class FormField:
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.k, (int, np.integer)) or not 0 <= self.k <= 7:
+            raise InputError(f"form degree must be in 0..7, got {self.k!r}")
         dim = len(blades(7, self.k))
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.shape != (self.grid.npts, dim):
@@ -150,34 +152,37 @@ def _fft_grid(f: FormField) -> np.ndarray:
     return np.fft.fftn(cube, axes=tuple(range(na)))
 
 
-def _axis_derivatives(f: FormField) -> dict:
-    """{axis: (npts, n_blades) array of d/dx_axis f} via one forward FFT."""
-    spec = _fft_grid(f)
-    na = f.grid.n_active
-    kline = f.grid.wavenumbers()
-    out = {}
-    for i, axis in enumerate(f.grid.active_axes):
-        shape = [1] * (na + 1)
-        shape[i] = f.grid.N
-        sym = (2j * math.pi) * kline.reshape(shape)
-        der = np.fft.ifftn(spec * sym, axes=tuple(range(na))).real
-        out[axis] = der.reshape(f.values.shape)
-    return out
+@lru_cache(maxsize=None)
+def _d_symbol(grid: TorusGrid) -> np.ndarray:
+    """The 1-form 2*pi*i*k over the real-FFT spectrum, (nspec, 7) complex.
+
+    Zero on inactive axes and at the Nyquist frequency.  The real FFT
+    halves the last active axis, whose frequencies are 0..N/2.
+    """
+    kline = grid.wavenumbers()
+    lines = [kline] * (grid.n_active - 1) + [kline[:grid.N // 2 + 1]]
+    ks = np.meshgrid(*lines, indexing="ij")
+    sym = np.zeros(ks[0].shape + (7,), dtype=np.complex128)
+    for k, axis in zip(ks, grid.active_axes):
+        sym[..., axis - 1] = (2j * math.pi) * k
+    return sym.reshape(-1, 7)
 
 
 def d(f: FormField) -> FormField:
-    """Spectral exterior derivative."""
+    """Spectral exterior derivative: one real-FFT round trip, with the
+    symbol 1-form wedged onto the spectrum by the wedge kernel."""
     if f.k >= 7:
         raise InputError("d of a top-degree form")
-    ii, jj, oo, ss = tables.wedge_arrays(7, 1, f.k)
+    grid = f.grid
+    axes = tuple(range(grid.n_active))
+    spec = np.fft.rfftn(f.values.reshape(grid.shape + (-1,)), axes=axes)
+    sym = _d_symbol(grid)
     dim_out = len(blades(7, f.k + 1))
-    out = np.zeros((f.grid.npts, dim_out))
-    ders = _axis_derivatives(f)
-    for axis, der in ders.items():
-        sel = ii == (axis - 1)
-        for j, o, s in zip(jj[sel], oo[sel], ss[sel]):
-            out[:, o] += s * der[:, j]
-    return FormField(f.grid, f.k + 1, out)
+    dspec = wedge_fields(sym, spec.reshape(len(sym), -1),
+                         *tables.wedge_arrays(7, 1, f.k), dim_out)
+    vals = np.fft.irfftn(dspec.reshape(spec.shape[:-1] + (dim_out,)),
+                         s=grid.shape, axes=axes)
+    return FormField(grid, f.k + 1, vals.reshape(grid.npts, dim_out))
 
 
 def hodge_field(f: FormField) -> FormField:
@@ -321,17 +326,15 @@ def curvature(pot: GaugePotential) -> FormField:
     return pot.flux.background(pot.grid) + d(pot.a)
 
 
-def curvature_residual(E: FormField) -> FormField:
-    """The 6-form E^3/6 - E^*phi, pointwise over the grid."""
+def curvature_residual(E: FormField, s: float = 1.0) -> FormField:
+    """The 6-form s^4 E^3/6 - E^*phi, pointwise over the grid."""
     E3 = wedge_field(wedge_field(E, E), E)
-    return (1.0 / 6.0) * E3 - wedge_const(E, _STAR_PHI)
+    return (float(s) ** 4 / 6.0) * E3 - wedge_const(E, _STAR_PHI)
 
 
 def residual_field(pot: GaugePotential, s: float = 1.0):
     """Scaled residual field s^4 E^3/6 - E^*phi and its L2 norm."""
-    E = curvature(pot)
-    E3 = wedge_field(wedge_field(E, E), E)
-    res = (float(s) ** 4 / 6.0) * E3 - wedge_const(E, _STAR_PHI)
+    res = curvature_residual(curvature(pot), s)
     return res, field_l2(res)
 
 
@@ -347,28 +350,32 @@ def kl_oneform(pot: GaugePotential, b: FormField) -> float:
 
 
 def kl_segment(base: GaugePotential, delta: FormField) -> float:
-    """Integral of the one-form along the straight segment a -> a + delta.
+    """Integral of the one-form along the straight segment a -> a + delta."""
+    if delta.k != 1:
+        raise InputError("segment direction must be a 1-form field")
+    return kl_segment_integral(curvature(base), d(delta), delta)
+
+
+def kl_segment_integral(E0: FormField, D: FormField,
+                        delta: FormField) -> float:
+    """The segment integral from the start curvature E0 and D = d(delta).
 
     The integrand is cubic in the path parameter, so the t-integral is done
     in closed form from the four coefficient fields.
     """
-    if delta.k != 1:
-        raise InputError("segment direction must be a 1-form field")
-    E0 = curvature(base)
-    D = d(delta)
     E0sq = wedge_field(E0, E0)
-    star_phi = _STAR_PHI
-    r0 = (1.0 / 6.0) * wedge_field(E0sq, E0) - wedge_const(E0, star_phi)
-    r1 = 0.5 * wedge_field(E0sq, D) - wedge_const(D, star_phi)
-    r2 = 0.5 * wedge_field(E0, wedge_field(D, D))
-    r3 = (1.0 / 6.0) * wedge_field(wedge_field(D, D), D)
+    DD = wedge_field(D, D)
+    r0 = (1.0 / 6.0) * wedge_field(E0sq, E0) - wedge_const(E0, _STAR_PHI)
+    r1 = 0.5 * wedge_field(E0sq, D) - wedge_const(D, _STAR_PHI)
+    r2 = 0.5 * wedge_field(E0, DD)
+    r3 = (1.0 / 6.0) * wedge_field(DD, D)
     avg = r0 + 0.5 * r1 + (1.0 / 3.0) * r2 + 0.25 * r3
     return integrate(wedge_field(delta, avg))
 
 
 def kl_functional(pot: GaugePotential) -> float:
     """Potential of the one-form, normalized to 0 at a = 0."""
-    return kl_segment(zero_potential(pot.grid, pot.flux), pot.a)
+    return kl_segment_integral(pot.flux.background(pot.grid), d(pot.a), pot.a)
 
 
 def _calibration_four_form(pot: GaugePotential) -> FormField:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddt7.torus import load_field, load_flux
+from ddt7.torus import FormField, TorusGrid, load_field, load_flux, save_field
 
 E12 = [1.0] + [0.0] * 20
 
@@ -148,6 +148,22 @@ def test_continue_obstructed_exit_code(tmp_path):
     assert r.returncode == 3
     rep = read_report(out)
     assert "obstruction" in rep["termination"]
+
+
+def test_continue_rejects_snapshot_of_bad_degree(tmp_path):
+    grid = TorusGrid((1, 2), 4)
+    snap = tmp_path / "deg9.t7f"
+    save_field(snap, FormField.zero(grid, 1))
+    snap.write_bytes(snap.read_bytes()[:20] + bytes([9]))
+    cfg = write_config(tmp_path, "c.json", {
+        "flux": {"1,2": 1, "4,7": 1},
+        "grid": {"axes": [1, 2], "N": 4},
+        "initial_snapshot": str(snap),
+    })
+    r = run_cli("continue", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "degree" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_moment_checks_pass(tmp_path):

@@ -15,8 +15,9 @@ from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, ascent_field,
                        kernel_probe, spin7_residual_fields, theta_field)
 from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
                         coclosed_project, codiff, curvature, field_l2,
-                        field_mean, random_coclosed_potential, random_field,
-                        wedge_const, zero_potential)
+                        field_mean, kl_functional, random_coclosed_potential,
+                        random_field, residual_field, wedge_const,
+                        zero_potential)
 from ddt7.g2 import star_phi_for
 from ddt7.scalars import FLOAT
 
@@ -109,6 +110,24 @@ def test_flow_is_monotone_and_samples_line_up():
     assert traj.sample_times == tuple(0.01 * i for i in range(7))
     assert len(traj.samples) == 7
     assert np.all(traj.theta_min_per_step > 0)
+
+
+def test_flow_diagnostics_equal_the_public_functionals():
+    """The per-step scalars share one d(a) and must equal, bit for bit, the
+    public functionals evaluated on the stored samples."""
+    rng = np.random.default_rng(25)
+    pot0 = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.02)
+    traj = flow_run(pot0, FlowConfig(dt=1e-3, steps=12, scheme="rk4",
+                                     record_every=1))
+    assert traj.termination == "completed"
+    assert len(traj.samples) == len(traj.times) == 13
+    assert np.array_equal(traj.functional,
+                          [kl_functional(p) for p in traj.samples])
+    assert np.array_equal(traj.residual_l2,
+                          [residual_field(p)[1] for p in traj.samples])
+    assert np.array_equal(traj.theta_min_per_step,
+                          [np.min(theta_field(curvature(p)))
+                           for p in traj.samples])
 
 
 def test_spin7_residuals_vanish_along_ascent():
@@ -216,7 +235,7 @@ def test_kernel_probe_all_modes_once():
     assert out["image_rank_matches"] == out["modes"]
     assert out["image_all_match"]
     assert out["all_pass"]
-    assert out["backend"] in ("numba", "numpy")
+    assert out["backend"] == "numpy"
     with pytest.raises(InputError):
         kernel_probe(0)
     with pytest.raises(InputError):

@@ -236,6 +236,19 @@ def test_snapshot_roundtrip(tmp_path):
         load_field(trunc)
 
 
+def test_form_degree_out_of_range_is_rejected(tmp_path):
+    for k in (-1, 8, 9):
+        with pytest.raises(InputError):
+            FormField(GRID2, k, np.zeros((GRID2.npts, 0)))
+    # header degree byte 9 with an empty payload, which the payload-size
+    # check alone would accept as a (npts, 0) field
+    path = tmp_path / "deg9.t7f"
+    save_field(path, FormField.zero(GRID2, 1))
+    path.write_bytes(path.read_bytes()[:20] + bytes([9]))
+    with pytest.raises(InputError):
+        load_field(path)
+
+
 def test_flux_file_roundtrip(tmp_path):
     flux = Flux.from_entries({(1, 2): 1, (4, 7): 2, (5, 6): -1})
     path = tmp_path / "flux.txt"
