@@ -47,10 +47,14 @@ def bareiss_ranks(mats):
     """Exact ranks of a batch of int64 matrices, fraction-free elimination.
 
     Vectorized over the batch with a per-matrix row pointer, since matrices
-    may skip pivot columns independently.  Entries must stay below 2^63
-    throughout; the caller guarantees the Hadamard bound.  The update is
-    computed for every row and masked afterwards, so wrapped products can
-    appear in discarded lanes; only the masked-in lanes are exact.
+    may skip pivot columns independently.  Each step updates only columns
+    ``col:`` (in the rows still being eliminated, and in the pivot row,
+    every column left of ``col`` is already zero) and only rows below the
+    lowest row pointer among the matrices that found a pivot.  The
+    pre-division products ``M * pivot - colvals * pivrow`` must stay below
+    2^63; the caller bounds them.  Rows at or above a matrix's own pivot
+    are computed but not written, so wrapped products can appear in those
+    discarded lanes; only the written lanes are exact.
     """
     M = mats.astype(np.int64, copy=True)
     nb, nr, nc = M.shape
@@ -67,16 +71,18 @@ def bareiss_ranks(mats):
         swap = act & (piv != r)
         if swap.any():
             b2, p2, r2 = batch[swap], piv[swap], r[swap]
-            M[b2, r2], M[b2, p2] = M[b2, p2], M[b2, r2]
+            M[b2, r2, col:], M[b2, p2, col:] = M[b2, p2, col:], M[b2, r2, col:]
         rsafe = np.minimum(r, nr - 1)
-        pivot = M[batch, rsafe, col]
-        pivrow = M[batch, rsafe, :]
-        colvals = M[:, :, col]
-        upd = M * pivot[:, None, None] - colvals[:, :, None] * pivrow[:, None, :]
+        top = int(r[act].min()) + 1
+        pivrow = M[batch, rsafe, col:]
+        pivot = pivrow[:, :1, None]
+        sub = M[:, top:, col:]
+        upd = sub * pivot
+        upd -= sub[:, :, :1] * pivrow[:, None, :]
         upd //= prev[:, None, None]
-        elim = act[:, None] & (rows[None, :] > r[:, None])
-        M = np.where(elim[:, :, None], upd, M)
-        prev = np.where(act, pivot, prev)
+        elim = act[:, None] & (rows[None, top:] > r[:, None])
+        np.copyto(sub, upd, where=elim[:, :, None])
+        prev = np.where(act, pivrow[:, 0], prev)
         r = r + act
     return r
 

@@ -23,7 +23,7 @@ try:
         return _mpq(p, q)
 
     _RAT_TYPES = (int, Fraction, type(_mpq(0)))
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional (the ``fast`` extra)
     def rational(p, q=1):
         return Fraction(p, q)
 

@@ -165,6 +165,7 @@ def test_criterion_6_mode_kernel_census():
     out = kernel_probe(2)
     elapsed = time.perf_counter() - t0
     assert out["modes"] == 5 ** 7 - 1
+    assert out["representatives"] == 37969
     assert out["kernel_dim_histogram"] == {1: 5 ** 7 - 1}
     assert out["kernel_all_dim_one"]
     assert out["image_all_match"]

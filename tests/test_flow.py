@@ -1,12 +1,13 @@
 """Desk-scale dynamics: ascent flow, product-space consistency, the
 calibrated-background solve, scale continuation, and the per-mode probe."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ddt7 import flow, tables
+from ddt7 import flow, kernels, tables
 from ddt7.errors import (DegenerateMetricError, InputError, NumericalError,
                          ObstructionError)
 from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, ascent_field,
@@ -236,10 +237,116 @@ def test_kernel_probe_all_modes_once():
     assert out["image_all_match"]
     assert out["all_pass"]
     assert out["backend"] == "numpy"
+    assert out["representatives"] == 1093
     with pytest.raises(InputError):
         kernel_probe(0)
     with pytest.raises(InputError):
         kernel_probe(17)
+
+
+def _kernel_probe_all_modes(kmax):
+    """The census on every nonzero mode of the box, one elimination per
+    mode: the oracle for the census on representatives."""
+    T, U = tables.mode_kernel_tensors()
+    side = np.arange(-kmax, kmax + 1, dtype=np.int64)
+    modes = np.stack(np.meshgrid(*([side] * 7), indexing="ij"),
+                     axis=-1).reshape(-1, 7)
+    modes = modes[np.any(modes != 0, axis=1)]
+    n_modes = modes.shape[0]
+    kernel_dims = np.empty(n_modes, dtype=np.int64)
+    image_ok = np.empty(n_modes, dtype=bool)
+    chunk = 8192
+    for lo in range(0, n_modes, chunk):
+        K = modes[lo:lo + chunk]
+        A = np.einsum("mi,ijb->mjb", K, T)
+        B = np.einsum("mi,ijg->mjg", K, U)
+        rA = kernels.bareiss_ranks(A)
+        rB = kernels.bareiss_ranks(B)
+        rAB = kernels.bareiss_ranks(
+            np.ascontiguousarray(np.concatenate([A, B], axis=2)))
+        kernel_dims[lo:lo + chunk] = 7 - rA
+        image_ok[lo:lo + chunk] = (rA == rB) & (rB == rAB)
+    hist = {int(k): int(c) for k, c in
+            zip(*np.unique(kernel_dims, return_counts=True))}
+    return {
+        "modes": int(n_modes),
+        "kernel_dim_histogram": hist,
+        "image_rank_matches": int(np.count_nonzero(image_ok)),
+        "backend": kernels.backend_name(),
+        "all_pass": bool(np.all(kernel_dims == 1) and np.all(image_ok)),
+    }
+
+
+@pytest.mark.parametrize("kmax", [1, 2])
+def test_kernel_probe_matches_all_modes(kmax):
+    got = kernel_probe(kmax)
+    want = _kernel_probe_all_modes(kmax)
+    assert {key: got[key] for key in want} == want
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+def test_mode_representatives_partition_the_box(kmax):
+    # every nonzero mode of the box is c * rep for exactly one pair
+    reps, weights = flow._mode_representatives(kmax)
+    assert weights.sum() == (2 * kmax + 1) ** 7 - 1
+    multiples = []
+    for c in range(1, kmax + 1):
+        line = reps[c * np.abs(reps).max(axis=1) <= kmax]
+        multiples += [c * line, -c * line]
+    multiples = np.concatenate(multiples)
+    assert len(multiples) == weights.sum()
+    assert np.abs(multiples).max() <= kmax
+    codes = (multiples + kmax) @ (2 * kmax + 1) ** np.arange(7)
+    box = np.arange((2 * kmax + 1) ** 7)
+    zero = (kmax * (2 * kmax + 1) ** np.arange(7)).sum()
+    assert np.array_equal(np.sort(codes), box[box != zero])
+
+
+def _bareiss_exact(mat):
+    """Python-int Bareiss with the kernel's pivot choice (first nonzero at
+    or below the row pointer).  Returns the rank and the largest magnitude
+    among the two products and their difference, over every lane the
+    kernel writes, before the exact division."""
+    M = [[int(x) for x in row] for row in mat]
+    nr, nc = len(M), len(M[0])
+    r, prev, peak = 0, 1, 0
+    for col in range(nc):
+        piv = next((i for i in range(r, nr) if M[i][col] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        pivot = M[r][col]
+        for i in range(r + 1, nr):
+            lead = M[i][col]
+            for j in range(col, nc):
+                a, b = M[i][j] * pivot, lead * M[r][j]
+                peak = max(peak, abs(a), abs(b), abs(a - b))
+                assert (a - b) % prev == 0
+                M[i][j] = (a - b) // prev
+        prev = pivot
+        r += 1
+    return r, peak
+
+
+def test_census_int64_bound_at_kmax_16():
+    # the census refuses kmax > 16; at 16 every pre-division product of
+    # every matrix it eliminates must fit in int64.  Corner modes carry the
+    # largest entries; seeded modes on the outer shell cover the rest.
+    T, U = tables.mode_kernel_tensors()
+    signs = np.array(list(itertools.product((1, -1), repeat=6)))
+    corners = 16 * np.hstack([np.ones((64, 1), np.int64), signs])
+    rng = np.random.default_rng(16)
+    shell = rng.integers(-16, 17, size=(40, 7))
+    shell[np.arange(40), rng.integers(0, 7, 40)] = rng.choice((-16, 16), 40)
+    modes = np.concatenate([corners, shell]).astype(np.int64)
+    A = np.einsum("mi,ijb->mjb", modes, T)
+    B = np.einsum("mi,ijg->mjg", modes, U)
+    peak = 0
+    for mats in (A, B, np.concatenate([A, B], axis=2)):
+        exact = [_bareiss_exact(m) for m in mats]
+        assert kernels.bareiss_ranks(mats).tolist() == [e[0] for e in exact]
+        peak = max(peak, max(e[1] for e in exact))
+    assert peak < 2 ** 63
 
 
 def test_mode_symbol_kernel_is_pure_gauge():

@@ -56,6 +56,29 @@ def test_bareiss_rectangular_batches():
         assert got.tolist() == want
 
 
+def test_bareiss_leading_zero_columns_and_late_pivots():
+    # each step updates only columns col: and rows below the lowest row
+    # pointer of the batch; matrices whose pivots come late or skip columns
+    # keep nonzero entries left of col only in rows already pivoted
+    rng = np.random.default_rng(33)
+    for nc in (21, 28):
+        mats = rng.integers(-5, 6, size=(40, 7, nc)).astype(np.int64)
+        for b, m in enumerate(mats):
+            lead = b % 6  # leading zero columns, different per matrix
+            m[:, :lead] = 0
+            if b % 3 == 0:  # pivot rows found late: a swap at every step
+                m[:4, :lead + 4] = 0
+            if b % 4 == 1:  # a skipped pivot column mid-way
+                m[2:, lead + 2] = 0
+            if b % 5 == 2:  # rank deficiency from a repeated row
+                m[6] = m[1]
+        mats[7] = 0
+        got = kernels.bareiss_ranks(mats)
+        want = [_rank_fraction(m) for m in mats]
+        assert got.tolist() == want
+        assert len(set(want)) > 2
+
+
 def test_wedge_hodge_kernels_match_tables():
     rng = np.random.default_rng(32)
     ii, jj, oo, ss = tables.wedge_arrays(7, 2, 2)
