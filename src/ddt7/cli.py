@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import time
@@ -23,14 +24,16 @@ import time
 import numpy as np
 
 from . import flow, g2, prover, torus
-from .ddt import theta_weight
 from .errors import InputError, NumericalError, ObstructionError
-from .exalg import Endo, KForm, det_endo, hodge, inner, sharp2, wedge
+from .exalg import Endo, KForm, blades, det_endo, sharp2
 from .kernels import backend_name
 from .scalars import FLOAT
 from .torus import Flux, GaugePotential, TorusGrid
 
 __all__ = ["main"]
+
+# grid points x 35 blades of a 3- or 4-form, the widest field: 128 MiB each
+MAX_GRID_CELLS = 2 ** 24
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -72,10 +75,15 @@ def _as_int(cfg: dict, key: str) -> int:
     return v
 
 
+def _is_num(v) -> bool:
+    """A finite JSON number (json.load also reads NaN and Infinity)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _as_num(cfg: dict, key: str) -> float:
     v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"config key {key!r} must be a number")
+    if not _is_num(v):
+        raise InputError(f"config key {key!r} must be a finite number")
     return float(v)
 
 
@@ -123,7 +131,11 @@ def _grid_from(value: dict) -> TorusGrid:
         raise InputError("grid.axes must be a nonempty list of integers")
     if isinstance(n, bool) or not isinstance(n, int):
         raise InputError("grid.N must be an integer")
-    return TorusGrid(tuple(axes), n)
+    grid = TorusGrid(tuple(axes), n)
+    if grid.npts * len(blades(7, 3)) > MAX_GRID_CELLS:
+        raise InputError(f"a grid of {grid.npts} points exceeds the budget of "
+                         f"{MAX_GRID_CELLS} float64 cells per 3-form field")
+    return grid
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -217,43 +229,16 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
     if cfg["coefficients"] is not None:
         raw = cfg["coefficients"]
         if not isinstance(raw, list) or len(raw) != 21 \
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in raw):
-            raise InputError("coefficients must list 21 numbers "
+                or not all(_is_num(v) for v in raw):
+            raise InputError("coefficients must list 21 finite numbers "
                              "(upper triangle, row-major)")
         coeffs = [float(v) for v in raw]
     else:
         rng = np.random.default_rng(_as_int(cfg, "seed"))
         coeffs = [float(x) for x in rng.uniform(-1.0, 1.0, 21)]
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
-    dec = g2.decompose2(F)
-    star_phi = g2.star_phi_for(FLOAT)
-    scale = max(max(abs(c) for c in coeffs), 1.0)
-
-    def gap(a: KForm, b: KForm) -> float:
-        num = max(abs(float(x) - float(y)) for x, y in zip(a.coeffs, b.coeffs))
-        den = max(max(abs(float(c)) for c in a.coeffs),
-                  max(abs(float(c)) for c in b.coeffs), 1.0)
-        return num / den
-
-    u2 = sum(float(c) ** 2 for c in dec.u.comps)
-    f7sq = float(inner(dec.f7, dec.f7))
-    f14sq = float(inner(dec.f14, dec.f14))
-    th = float(theta_weight(F))
-    calib = float(hodge(wedge(g2.phi_for(FLOAT), wedge(F, F))).coeffs[0])
+    dec, norms, th, checks = prover.decomposition_checks(F)
     det = float(det_endo(Endo.identity(7, FLOAT) + sharp2(F)))
-    checks = {
-        "recompose": gap(dec.f7 + dec.f14, F),
-        "f14_annihilates": max(abs(float(c)) for c in
-                               wedge(dec.f14, star_phi).coeffs) / scale,
-        "f7_f14_orthogonal": abs(float(inner(dec.f7, dec.f14))) / scale,
-        "eig7": gap(g2.star_wedge_phi(dec.f7), 2.0 * dec.f7),
-        "eig14": gap(g2.star_wedge_phi(dec.f14), -1.0 * dec.f14),
-        "theta_split": abs(th - (1.0 - 3.0 * u2 + 0.5 * f14sq))
-        / max(abs(th), 1.0),
-        "calibration_split": abs(calib - (2.0 * f7sq - f14sq))
-        / max(abs(calib), 1.0),
-    }
     ok = all(v <= tol for v in checks.values()) and det > 0.0
     report = {
         "command": "decompose", "config": cfg, "versions": _versions(),
@@ -261,7 +246,7 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
         "u": [float(c) for c in dec.u.comps],
         "f7": [float(c) for c in dec.f7.coeffs],
         "f14": [float(c) for c in dec.f14.coeffs],
-        "norms": {"u_sq": u2, "f7_sq": f7sq, "f14_sq": f14sq},
+        "norms": norms,
         "theta": th,
         "det_metric": det,
         "checks": {k: {"residual": v, "pass": bool(v <= tol)}
@@ -270,8 +255,8 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
         "pass": bool(ok),
     }
     _write_report(out_dir, report)
-    print(f"|u|^2 = {u2:.6g}, |f7|^2 = {f7sq:.6g}, |f14|^2 = {f14sq:.6g}, "
-          f"theta = {th:.6g}")
+    print(f"|u|^2 = {norms['u_sq']:.6g}, |f7|^2 = {norms['f7_sq']:.6g}, "
+          f"|f14|^2 = {norms['f14_sq']:.6g}, theta = {th:.6g}")
     worst = max(checks.values())
     print(f"checks: max residual {worst:.3e}, det(I + F#) = {det:.6g} "
           f"({'pass' if ok else 'FAIL'})")
@@ -333,10 +318,8 @@ def cmd_continue(cfg: dict, out_dir: str) -> int:
         cfg = dict(cfg)
         cfg["schedule"] = [float(s) for s in flow.DEFAULT_SCHEDULE]
     schedule = cfg["schedule"]
-    if not isinstance(schedule, list) \
-            or not all(isinstance(s, (int, float)) and not isinstance(s, bool)
-                       for s in schedule):
-        raise InputError("schedule must be a list of numbers")
+    if not isinstance(schedule, list) or not all(_is_num(s) for s in schedule):
+        raise InputError("schedule must be a list of finite numbers")
     tol = _as_num(cfg, "tol")
     perturb = _as_num(cfg, "perturb_scale")
     report = {"command": "continue", "config": cfg, "versions": _versions(),

@@ -12,6 +12,12 @@ this substitution
 * the gradient direction of the curvature functional is eta(E)/theta(E) with
       eta(E) = *( R(E) + (1/2) * (phi ^ *E^2) ^ *E ).
 
+Each formula has one home per layer.  Exact and pointwise: ``_residual(E, c)``
+(c E^3 - E ^ *phi), ``g2.calibration_scalar`` (*(phi ^ E^2)), ``_correction``
+((phi ^ *E^2) ^ *E) and ``prover.decomposition_checks``.  Fields, from E and
+E2 = E ^ E: ``torus._residual`` (behind ``curvature_residual``), ``_theta``,
+``_correction`` and ``_residual_weight`` (s^4 E^2/2 - *phi, dR/dE).
+
 The two evolution residuals are evaluated literally from their displayed
 forms (not through the combined equation), so that the equivalence between
 the combined form and the pair is a checkable fact rather than an assumption.
@@ -21,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, InputError
-from .scalars import FLOAT, frac
+from .scalars import FLOAT, frac, intval
 from . import g2
-from .exalg import Endo, KForm, hodge, inner, pullback, sharp2, solve_endo, wedge
+from .exalg import Endo, KForm, hodge, inner, sharp2, solve_endo, wedge
 from .g2 import phi_for, star_phi_for
 
 __all__ = [
@@ -49,28 +55,32 @@ def _check_E(E: KForm):
         raise InputError("expected a 2-form on R^7")
 
 
+def _residual(E: KForm, cube) -> KForm:
+    """cube * E^3 - E ^ *phi, the residual body of the exact and pointwise layers."""
+    return wedge(E, wedge(E, E)) * cube - wedge(E, star_phi_for(E.ring))
+
+
+def _correction(E: KForm) -> KForm:
+    """(phi ^ *E^2) ^ *E as a 6-form, unscaled."""
+    return wedge(hodge(wedge(phi_for(E.ring), hodge(wedge(E, E)))), hodge(E))
+
+
 def ddt_residual(E: KForm) -> KForm:
     """R(E) = E^3/6 - E ^ *phi; zero iff the connection is dDT."""
     _check_E(E)
-    sixth = frac(E.ring, 1, 6)
-    return wedge(E, wedge(E, E)) * sixth - wedge(E, star_phi_for(E.ring))
+    return _residual(E, frac(E.ring, 1, 6))
 
 
 def scaled_residual(E: KForm, s) -> KForm:
     """s^4 E^3/6 - E ^ *phi; s=1 is the dDT residual, s=0 the instanton residual."""
     _check_E(E)
-    ring = E.ring
-    s = ring.coerce(s)
-    c = s * s * s * s * frac(ring, 1, 6)
-    return wedge(E, wedge(E, E)) * c - wedge(E, star_phi_for(ring))
+    s = E.ring.coerce(s)
+    return _residual(E, s * s * s * s * frac(E.ring, 1, 6))
 
 
 def _eta_correction(E: KForm) -> KForm:
     """(1/2) * (phi ^ *E^2) ^ *E as a 6-form."""
-    ring = E.ring
-    half = frac(ring, 1, 2)
-    star_E2 = hodge(wedge(E, E))
-    return wedge(hodge(wedge(phi_for(ring), star_E2)), hodge(E)) * half
+    return _correction(E) * frac(E.ring, 1, 2)
 
 
 def eta(E: KForm) -> KForm:
@@ -82,10 +92,7 @@ def eta(E: KForm) -> KForm:
 def theta_weight(E: KForm):
     """theta(E) = 1 - (1/2)*(phi ^ E^2); positive on the almost-calibrated set."""
     _check_E(E)
-    ring = E.ring
-    scalar = hodge(wedge(phi_for(ring), wedge(E, E))).coeffs[0]
-    one = ring.coerce(1) if ring is not FLOAT else 1.0
-    return one - scalar * frac(ring, 1, 2)
+    return intval(E.ring, 1) - g2.calibration_scalar(E) * frac(E.ring, 1, 2)
 
 
 def point_residual(E: KForm) -> PointResidual:
@@ -124,13 +131,8 @@ def grad_density(E: KForm, theta_tol: float = THETA_TOL) -> KForm:
 def spin7_res1(E: KForm, adot: KForm) -> KForm:
     """First evolution residual (6-form), literal:
     -*phi ^ E + E^3/6 - theta(E) * (*adot) + *(adot ^ E ^ phi) ^ *E."""
-    _check_E(E)
-    ring = E.ring
-    t1 = -wedge(star_phi_for(ring), E)
-    t2 = wedge(E, wedge(E, E)) * frac(ring, 1, 6)
-    t3 = hodge(adot) * theta_weight(E)
-    t4 = wedge(hodge(wedge(adot, wedge(E, phi_for(ring)))), hodge(E))
-    return t1 + t2 - t3 + t4
+    return ddt_residual(E) - hodge(adot) * theta_weight(E) \
+        + wedge(hodge(wedge(adot, wedge(E, phi_for(E.ring)))), hodge(E))
 
 
 def spin7_res2(E: KForm, adot: KForm) -> KForm:
@@ -147,10 +149,4 @@ def spin7_combined(E: KForm, adot: KForm) -> KForm:
     Zero iff theta(E)*adot equals eta(E); for theta != 0 this is equivalent
     to both literal residuals vanishing.
     """
-    _check_E(E)
-    ring = E.ring
-    t1 = -wedge(star_phi_for(ring), E)
-    t2 = wedge(E, wedge(E, E)) * frac(ring, 1, 6)
-    t3 = _eta_correction(E)
-    t4 = hodge(adot) * theta_weight(E)
-    return t1 + t2 + t3 - t4
+    return ddt_residual(E) + _eta_correction(E) - hodge(adot) * theta_weight(E)

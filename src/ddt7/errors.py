@@ -9,6 +9,10 @@ class InputError(ValueError):
     """Malformed or inconsistent input: wrong degree, dimension, backend, config."""
 
 
+class NonFiniteError(InputError):
+    """A form field holds inf or NaN; solvers re-raise their own as NumericalError."""
+
+
 class NumericalError(RuntimeError):
     """A numerical procedure could not complete (singular solve, divergence)."""
 

@@ -10,16 +10,19 @@ theta <= theta_min aborts the run with the offending point attached.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import g2, tables
-from .errors import DegenerateMetricError, InputError, NumericalError, ObstructionError
+from .errors import (DegenerateMetricError, InputError, NonFiniteError,
+                     NumericalError, ObstructionError)
 from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
-from .scalars import FLOAT, RATIONAL
-from .torus import (Flux, FormField, GaugePotential, TorusGrid, codiff,
+from .scalars import RATIONAL
+from .torus import (_PHI, _STAR_PHI, Flux, FormField, GaugePotential, TorusGrid,
+                    _correction, _residual, _residual_weight, _theta, codiff,
                     curvature, curvature_residual, d, field_inner, field_l2,
                     field_mean, hodge_field, kl_segment_integral,
                     scalar_times, wedge_const, wedge_field, zero_potential)
@@ -32,23 +35,19 @@ __all__ = [
     "instanton_solve", "continuation", "kernel_probe",
 ]
 
-_PHI = g2.phi_for(FLOAT)
-_STAR_PHI = g2.star_phi_for(FLOAT)
-
-
 def theta_field(E: FormField) -> np.ndarray:
     """Calibration weight 1 - (1/2)*(phi ^ E^2) per grid point."""
-    phiE2 = wedge_const(wedge_field(E, E), _PHI, left=True)
-    return 1.0 - 0.5 * hodge_field(phiE2).values[:, 0]
+    return _theta(wedge_field(E, E))
+
+
+def _eta(E: FormField, E2: FormField) -> FormField:
+    """*(R(E) + (1/2)*(phi^*E^2)^*E) from E and E2 = E ^ E."""
+    return hodge_field(_residual(E, E2) + 0.5 * _correction(E, E2))
 
 
 def eta_field(E: FormField) -> FormField:
     """The ascent 1-form *(E^3/6 - E^*phi + (1/2)*(phi^*E^2)^*E)."""
-    E2 = wedge_field(E, E)
-    R = (1.0 / 6.0) * wedge_field(E2, E) - wedge_const(E, _STAR_PHI)
-    z = hodge_field(wedge_const(hodge_field(E2), _PHI, left=True))
-    corr = 0.5 * wedge_field(z, hodge_field(E))
-    return hodge_field(R + corr)
+    return _eta(E, wedge_field(E, E))
 
 
 def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
@@ -64,10 +63,10 @@ def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
 def ascent_field(pot: GaugePotential, theta_min: float = 1e-3) -> FormField:
     """eta/theta over the grid; errors if any point leaves the guarded set."""
     E = curvature(pot)
-    theta = theta_field(E)
+    E2 = wedge_field(E, E)
+    theta = _theta(E2)
     _theta_guard(pot.grid, theta, theta_min)
-    eta = eta_field(E)
-    return FormField(pot.grid, 1, eta.values / theta[:, None])
+    return FormField(pot.grid, 1, _eta(E, E2).values / theta[:, None])
 
 
 def spin7_residual_fields(E: FormField, adot: FormField):
@@ -80,10 +79,8 @@ def spin7_residual_fields(E: FormField, adot: FormField):
     norms along a sampled trajectory measure the time-discretization error.
     """
     E2 = wedge_field(E, E)
-    theta = theta_field(E)
     aEphi = wedge_const(wedge_field(adot, E), _PHI)
-    res1 = (1.0 / 6.0) * wedge_field(E2, E) - wedge_const(E, _STAR_PHI) \
-        - scalar_times(theta, hodge_field(adot)) \
+    res1 = _residual(E, E2) - scalar_times(_theta(E2), hodge_field(adot)) \
         + wedge_field(hodge_field(aEphi), hodge_field(E))
     res2 = 0.5 * wedge_const(hodge_field(E2), _PHI, left=True) - aEphi
     return res1, res2
@@ -133,19 +130,31 @@ class Trajectory:
 def flow_step(pot: GaugePotential, dt: float, scheme: str = "euler",
               theta_min: float = 1e-3) -> GaugePotential:
     """One explicit time step of da/dt = eta/theta."""
-    if scheme == "euler":
-        v = ascent_field(pot, theta_min)
-        return GaugePotential(pot.a + dt * v, pot.flux)
-    if scheme == "rk4":
-        def vf(a: FormField) -> FormField:
-            return ascent_field(GaugePotential(a, pot.flux), theta_min)
-        k1 = vf(pot.a)
-        k2 = vf(pot.a + (0.5 * dt) * k1)
-        k3 = vf(pot.a + (0.5 * dt) * k2)
-        k4 = vf(pot.a + dt * k3)
-        incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return GaugePotential(pot.a + incr, pot.flux)
+    with _finite(f"{scheme} step of dt = {dt:g}"):
+        if scheme == "euler":
+            v = ascent_field(pot, theta_min)
+            return GaugePotential(pot.a + dt * v, pot.flux)
+        if scheme == "rk4":
+            def vf(a: FormField) -> FormField:
+                return ascent_field(GaugePotential(a, pot.flux), theta_min)
+            k1 = vf(pot.a)
+            k2 = vf(pot.a + (0.5 * dt) * k1)
+            k3 = vf(pot.a + (0.5 * dt) * k2)
+            k4 = vf(pot.a + dt * k3)
+            incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return GaugePotential(pot.a + incr, pot.flux)
     raise InputError("scheme must be euler or rk4")
+
+
+@contextmanager
+def _finite(where: str):
+    """Raise a non-finite field or float overflow inside a solver as a numerical
+    failure at ``where``; numpy's overflow warnings are off (FormField checks)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except (NonFiniteError, OverflowError) as e:
+        raise NumericalError(f"{where}: {e}") from None
 
 
 def _diagnostics(pot: GaugePotential):
@@ -153,8 +162,9 @@ def _diagnostics(pot: GaugePotential):
     background = pot.flux.background(pot.grid)
     D = d(pot.a)
     E = background + D
+    E2 = wedge_field(E, E)
     return (kl_segment_integral(background, D, pot.a),
-            field_l2(curvature_residual(E)), float(np.min(theta_field(E))))
+            field_l2(_residual(E, E2)), float(np.min(_theta(E2))))
 
 
 def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
@@ -163,33 +173,31 @@ def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
     Scalars (functional, unscaled residual norm, min theta) are recorded at
     every step; the potential itself is stored every record_every steps and
     at the endpoint.  A degenerate-metric error inside a step truncates the
-    trajectory and is reported in the termination string.
+    trajectory and is reported in the termination string.  Non-finite
+    values raise NumericalError naming the step.
     """
-    q0, r0, t0 = _diagnostics(pot0)
-    times = [0.0]
-    funcs = [q0]
-    resids = [r0]
-    thetas = [t0]
-    sample_times = [0.0]
-    samples = [pot0]
+    times, funcs, resids, thetas, sample_times, samples = [], [], [], [], [], []
     pot = pot0
     termination = "completed"
-    for step in range(1, cfg.steps + 1):
-        try:
-            pot = flow_step(pot, cfg.dt, cfg.scheme, cfg.theta_min)
-        except DegenerateMetricError as e:
-            termination = f"left almost-calibrated set at step {step}: {e}"
-            break
+    for step in range(cfg.steps + 1):
+        if step:
+            try:
+                pot = flow_step(pot, cfg.dt, cfg.scheme, cfg.theta_min)
+            except DegenerateMetricError as e:
+                termination = f"left almost-calibrated set at step {step}: {e}"
+                break
+            except NumericalError as e:
+                raise NumericalError(f"flow step {step}: {e}") from None
         t = step * cfg.dt
-        q, r, tmin = _diagnostics(pot)
+        with _finite(f"flow step {step}"):
+            q, r, tmin = _diagnostics(pot)
         times.append(t)
         funcs.append(q)
         resids.append(r)
         thetas.append(tmin)
         if step % cfg.record_every == 0 or step == cfg.steps:
-            if sample_times[-1] != t:
-                sample_times.append(t)
-                samples.append(pot)
+            sample_times.append(t)
+            samples.append(pot)
     return Trajectory(np.array(times), np.array(funcs), np.array(resids),
                       np.array(thetas), tuple(sample_times), tuple(samples),
                       termination, cfg)
@@ -261,7 +269,7 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
     if _flux_has_vector_part(flux):
         raise ObstructionError("no instanton in this Chern class on the torus")
     pot = zero_potential(grid, flux)
-    w = wedge_const(curvature(pot), g2.star_phi_for(FLOAT))
+    w = wedge_const(curvature(pot), _STAR_PHI)
     na = grid.n_active
     spec = np.fft.fftn(w.values.reshape(grid.shape + (7,)), axes=tuple(range(na)))
     flat = np.abs(spec.reshape(grid.npts, 7)).max(axis=1)
@@ -322,8 +330,7 @@ class _ScaledSystem:
 
     def lin_weight(self, a: FormField) -> FormField:
         E = curvature(GaugePotential(a, self.flux))
-        W = (self.s ** 4 / 2.0) * wedge_field(E, E)
-        return W - FormField.constant(self.grid, _STAR_PHI)
+        return _residual_weight(wedge_field(E, E), self.s)
 
     def apply_j(self, W: FormField, b: FormField):
         return wedge_field(d(b), W), codiff(b), field_mean(b)
@@ -446,20 +453,22 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     for s in schedule:
         system = _ScaledSystem(flux, grid, s)
         a = (current if warm_start else restart).a
-        parts = system.residual(a)
-        rnorm = system.res_norm(parts)
+        with _finite(f"continuation at s = {s:g}"):
+            parts = system.residual(a)
+            rnorm = system.res_norm(parts)
         history = [rnorm]
         iters = 0
         obstructed = False
         while rnorm > tol and iters < max_newton:
-            W = system.lin_weight(a)
-            if _mean_sector_obstructed(system, W, parts[0], tol):
-                obstructed = True
-                break
-            dx = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]))
-            a = a + dx
-            parts = system.residual(a)
-            rnorm = system.res_norm(parts)
+            with _finite(f"newton iteration {iters + 1} at s = {s:g}"):
+                W = system.lin_weight(a)
+                if _mean_sector_obstructed(system, W, parts[0], tol):
+                    obstructed = True
+                    break
+                dx = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]))
+                a = a + dx
+                parts = system.residual(a)
+                rnorm = system.res_norm(parts)
             history.append(rnorm)
             iters += 1
         pot = GaugePotential(a, flux)

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .scalars import FLOAT, RATIONAL, PolyRing, frac, intval, rational
-from . import exalg
+from .scalars import FLOAT, RATIONAL, PolyRing, frac, intval
 from .exalg import KForm, Vector, blade_index, blades, contract, hodge, inner, sharp1, wedge
 
 __all__ = [
     "G2Data", "standard", "phi_for", "star_phi_for", "TwoFormDecomp",
-    "decompose2", "star_wedge_phi", "spin7_pair1", "spin7_pair2",
+    "decompose2", "star_wedge_phi", "calibration_scalar", "spin7_pair1", "spin7_pair2",
     "embed_cylinder", "dt_wedge",
 ]
 
@@ -143,8 +142,7 @@ def decompose2(F: KForm) -> TwoFormDecomp:
     if F.k != 2 or F.n != 7:
         raise InputError("decompose2 requires a 2-form on R^7")
     ring = F.ring
-    third = ring.coerce(rational(1, 3)) if ring is not FLOAT else 1.0 / 3.0
-    u_flat = hodge(wedge(F, star_phi_for(ring))) * third
+    u_flat = hodge(wedge(F, star_phi_for(ring))) * frac(ring, 1, 3)
     u = sharp1(u_flat)
     f7 = contract(u, phi_for(ring))
     return TwoFormDecomp(u=u, f7=f7, f14=F - f7)
@@ -155,6 +153,13 @@ def star_wedge_phi(F: KForm) -> KForm:
     if F.k != 2:
         raise InputError("star_wedge_phi requires a 2-form")
     return hodge(wedge(phi_for(F.ring), F))
+
+
+def calibration_scalar(F: KForm):
+    """The scalar *(phi ^ F^2) of a 2-form: theta = 1 - (1/2) * this."""
+    if F.k != 2 or F.n != 7:
+        raise InputError("calibration_scalar requires a 2-form on R^7")
+    return hodge(wedge(phi_for(F.ring), wedge(F, F))).coeffs[0]
 
 
 def spin7_pair1(E: KForm, adot: KForm, b: KForm):

@@ -44,13 +44,13 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .scalars import FLOAT, RATIONAL, MultiPoly, PolyRing, frac, intval, rational
-from . import g2
+from . import ddt, g2
 from .exalg import (Endo, KForm, Vector, blades, contract, det_endo, hodge,
                     inner, pullback, sharp2, wedge)
 
 __all__ = ["IdentityReport", "verify", "verify_all", "mutate",
            "catalog_ids", "canonical_mutations", "identity_sites",
-           "evaluate_at_point", "evaluate_float", "float_suite"]
+           "evaluate_at_point", "evaluate_float", "float_suite", "decomposition_checks"]
 
 _F_NAMES = tuple(f"F_{i}{j}" for i, j in blades(7, 2))
 _U_NAMES = tuple(f"u_{i}" for i in range(1, 8))
@@ -124,12 +124,10 @@ def _c(ring, consts, site):
 
 def _build_a1(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    xi = wedge(F, wedge(F, F)) * _c(ring, consts, "cube-scale") \
-        - wedge(F, g2.star_phi_for(ring))
+    xi = ddt._residual(F, _c(ring, consts, "cube-scale"))
     Fs = sharp2(F)
     lhs = pullback(Endo.identity(7, ring) - (Fs @ Fs), hodge(xi))
-    corr = wedge(hodge(wedge(g2.phi_for(ring), hodge(wedge(F, F)))), hodge(F))
-    rhs = hodge(xi + corr * _c(ring, consts, "corr-scale"))
+    rhs = hodge(xi + ddt._correction(F) * _c(ring, consts, "corr-scale"))
     return [("transport", lhs, rhs)]
 
 
@@ -147,14 +145,18 @@ def _build_a2b(ring, val, consts):
 
 
 def _theta_poly(ring, F, inner_scale):
-    return intval(ring, 1) - hodge(wedge(g2.phi_for(ring), wedge(F, F))).coeffs[0] * inner_scale
+    return intval(ring, 1) - g2.calibration_scalar(F) * inner_scale
+
+
+def _corrected_residual(ring, F, consts):
+    """R(F) and G = R(F) + corr-scale * (phi ^ *F^2) ^ *F, for A4 and A3F."""
+    R = ddt.ddt_residual(F)
+    return R, R + ddt._correction(F) * _c(ring, consts, "corr-scale")
 
 
 def _build_a4(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    R = wedge(F, wedge(F, F)) * frac(ring, 1, 6) - wedge(F, g2.star_phi_for(ring))
-    corr = wedge(hodge(wedge(g2.phi_for(ring), hodge(wedge(F, F)))), hodge(F))
-    G = R + corr * _c(ring, consts, "corr-scale")
+    _, G = _corrected_residual(ring, F, consts)
     lhs = wedge(hodge(G), wedge(F, g2.phi_for(ring)))
     theta = _theta_poly(ring, F, _c(ring, consts, "theta-inner"))
     rhs = wedge(g2.phi_for(ring), hodge(wedge(F, F))) * (theta * _c(ring, consts, "rhs-scale"))
@@ -172,9 +174,7 @@ def _build_a5(ring, val, consts):
 
 def _build_a3f(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    R = wedge(F, wedge(F, F)) * frac(ring, 1, 6) - wedge(F, g2.star_phi_for(ring))
-    corr = wedge(hodge(wedge(g2.phi_for(ring), hodge(wedge(F, F)))), hodge(F))
-    G = R + corr * _c(ring, consts, "corr-scale")
+    R, G = _corrected_residual(ring, F, consts)
     theta = _theta_poly(ring, F, frac(ring, 1, 2))
     back = wedge(hodge(wedge(hodge(G), wedge(F, g2.phi_for(ring)))), hodge(F))
     lhs = R * theta + back
@@ -602,15 +602,9 @@ def evaluate_float(identity_id: str, rng, tol: float = 1e-10) -> dict:
     components = spec.build(FLOAT, lambda nm: point[nm], spec.consts)
     worst = 0.0
     for _, lhs, rhs in components:
-        if isinstance(lhs, KForm):
-            num = max(abs(float(a) - float(b))
-                      for a, b in zip(lhs.coeffs, rhs.coeffs))
-            den = max(max(abs(float(c)) for c in lhs.coeffs),
-                      max(abs(float(c)) for c in rhs.coeffs), 1.0)
-        else:
-            num = abs(float(lhs) - float(rhs))
-            den = max(abs(float(lhs)), abs(float(rhs)), 1.0)
-        worst = max(worst, num / den)
+        if not isinstance(lhs, KForm):  # DET compares scalars
+            lhs, rhs = (KForm(7, 0, (float(x),), FLOAT) for x in (lhs, rhs))
+        worst = max(worst, _rel_gap(lhs, rhs))
     return {"identity": identity_id, "max_rel_residual": worst,
             "pass": bool(worst <= tol)}
 
@@ -624,23 +618,44 @@ def _rel_gap(a: KForm, b: KForm) -> float:
     return num / max(_absmax(a), _absmax(b), 1.0)
 
 
-def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
-    """Random float sweep: every catalog identity, the 2-form decomposition
-    identities (reconstruction, annihilator, orthogonality, the two
-    eigenvalues, the theta and calibration splits), and positivity of
-    det(I + F#).  Deterministic for fixed (samples, seed)."""
-    from . import ddt
+def decomposition_checks(F: KForm):
+    """Split a float 2-form F and check the split seven ways.
 
+    Returns (decompose2(F), {u_sq, f7_sq, f14_sq}, theta(F), residuals).  Form
+    gaps are relative to the larger side, the annihilator and orthogonality
+    checks to max(|F|, 1), and the theta and calibration splits to
+    max(|direct value|, 1).
+    """
+    dec = g2.decompose2(F)
+    scale = max(_absmax(F), 1.0)
+    u2 = sum(float(c) * float(c) for c in dec.u.comps)
+    f7sq = float(inner(dec.f7, dec.f7))
+    f14sq = float(inner(dec.f14, dec.f14))
+    th = float(ddt.theta_weight(F))
+    calib = float(g2.calibration_scalar(F))
+    residuals = {
+        "recompose": _rel_gap(dec.f7 + dec.f14, F),
+        "f14_annihilates": _absmax(wedge(dec.f14, g2.star_phi_for(F.ring))) / scale,
+        "f7_f14_orthogonal": abs(float(inner(dec.f7, dec.f14))) / scale,
+        "eig7": _rel_gap(g2.star_wedge_phi(dec.f7), 2.0 * dec.f7),
+        "eig14": _rel_gap(g2.star_wedge_phi(dec.f14), -1.0 * dec.f14),
+        "theta_split": abs(th - (1.0 - 3.0 * u2 + 0.5 * f14sq)) / max(abs(th), 1.0),
+        "calibration_split": abs(calib - (2.0 * f7sq - f14sq)) / max(abs(calib), 1.0),
+    }
+    norms = {"u_sq": u2, "f7_sq": f7sq, "f14_sq": f14sq}
+    return dec, norms, th, residuals
+
+
+def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
+    """Random float sweep: every catalog identity, the seven 2-form
+    decomposition checks of ``decomposition_checks``, and positivity of
+    det(I + F#).  Deterministic for fixed (samples, seed)."""
     if samples < 1:
         raise InputError("float suite needs at least 1 sample")
     rng = np.random.default_rng(seed)
     ids = catalog_ids()
     worst = {i: 0.0 for i in ids}
-    deco_names = ("recompose", "f14_annihilates", "f7_f14_orthogonal",
-                  "eig7", "eig14", "theta_split", "calibration_split")
-    deco = {name: 0.0 for name in deco_names}
-    phi = g2.phi_for(FLOAT)
-    star_phi = g2.star_phi_for(FLOAT)
+    deco = {}
     ident = Endo.identity(7, FLOAT)
     det_min = None
     for _ in range(samples):
@@ -649,29 +664,8 @@ def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
             worst[i] = max(worst[i], r["max_rel_residual"])
         F = KForm.from_coeffs(7, 2, [float(x) for x in rng.uniform(-1.0, 1.0, 21)],
                               FLOAT)
-        scale = max(_absmax(F), 1.0)
-        dec = g2.decompose2(F)
-        u2 = sum(float(c) * float(c) for c in dec.u.comps)
-        f7sq = float(inner(dec.f7, dec.f7))
-        f14sq = float(inner(dec.f14, dec.f14))
-        deco["recompose"] = max(deco["recompose"], _rel_gap(dec.f7 + dec.f14, F))
-        deco["f14_annihilates"] = max(deco["f14_annihilates"],
-                                      _absmax(wedge(dec.f14, star_phi)) / scale)
-        deco["f7_f14_orthogonal"] = max(deco["f7_f14_orthogonal"],
-                                        abs(float(inner(dec.f7, dec.f14))) / scale)
-        deco["eig7"] = max(deco["eig7"],
-                           _rel_gap(g2.star_wedge_phi(dec.f7), 2.0 * dec.f7))
-        deco["eig14"] = max(deco["eig14"],
-                            _rel_gap(g2.star_wedge_phi(dec.f14), -1.0 * dec.f14))
-        th = float(ddt.theta_weight(F))
-        th_split = 1.0 - 3.0 * u2 + 0.5 * f14sq
-        deco["theta_split"] = max(deco["theta_split"],
-                                  abs(th - th_split) / max(abs(th), abs(th_split), 1.0))
-        calib = float(hodge(wedge(phi, wedge(F, F))).coeffs[0])
-        calib_split = 2.0 * f7sq - f14sq
-        deco["calibration_split"] = max(
-            deco["calibration_split"],
-            abs(calib - calib_split) / max(abs(calib), abs(calib_split), 1.0))
+        for name, v in decomposition_checks(F)[3].items():
+            deco[name] = max(deco.get(name, 0.0), v)
         det = float(det_endo(ident + sharp2(F)))
         det_min = det if det_min is None else min(det_min, det)
     n_fail = sum(1 for v in worst.values() if v > tol) \

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import g2
 from .exalg import KForm, blades, hodge_table, wedge, wedge_table
-from .scalars import FLOAT
 
 
 @lru_cache(maxsize=None)
@@ -47,17 +46,6 @@ def hodge_arrays(n: int, k: int):
     """(target, sign) per source blade, int64."""
     t = np.asarray(hodge_table(n, k), dtype=np.int64)
     return np.ascontiguousarray(t[:, 0]), np.ascontiguousarray(t[:, 1])
-
-
-@lru_cache(maxsize=None)
-def phi_coeffs() -> np.ndarray:
-    """Coefficients of the associative 3-form in blade order, float64."""
-    return np.array(g2.phi_for(FLOAT).coeffs, dtype=np.float64)
-
-
-@lru_cache(maxsize=None)
-def star_phi_coeffs() -> np.ndarray:
-    return np.array(g2.star_phi_for(FLOAT).coeffs, dtype=np.float64)
 
 
 @lru_cache(maxsize=None)

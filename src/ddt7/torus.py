@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import g2, tables
-from .errors import InputError
+from .errors import InputError, NonFiniteError
 from .exalg import KForm, blades
 from .kernels import hodge_fields, wedge_fields
 from .scalars import FLOAT, RATIONAL
@@ -43,6 +43,7 @@ __all__ = [
 
 _SNAPSHOT_MAGIC = b"T7FIELD1"
 
+_PHI = g2.phi_for(FLOAT)
 _STAR_PHI = g2.star_phi_for(FLOAT)
 
 
@@ -109,7 +110,7 @@ class FormField:
                 f"degree-{self.k} field on this grid needs shape "
                 f"({self.grid.npts}, {dim}), got {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise InputError("field contains non-finite values")
+            raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
     @staticmethod
@@ -326,10 +327,33 @@ def curvature(pot: GaugePotential) -> FormField:
     return pot.flux.background(pot.grid) + d(pot.a)
 
 
+# --- the field formulas, one home each (see ``ddt``); E2 is E ^ E ----------
+
+
+def _residual(E: FormField, E2: FormField, s: float = 1.0) -> FormField:
+    """s^4 E^3/6 - E ^ *phi from E and E2 = E ^ E."""
+    return (float(s) ** 4 / 6.0) * wedge_field(E2, E) - wedge_const(E, _STAR_PHI)
+
+
+def _residual_weight(E2: FormField, s: float = 1.0) -> FormField:
+    """W = s^4 E^2/2 - *phi, the derivative of the residual: dR(b) = b ^ W."""
+    return (float(s) ** 4 / 2.0) * E2 - FormField.constant(E2.grid, _STAR_PHI)
+
+
+def _theta(E2: FormField) -> np.ndarray:
+    """theta = 1 - (1/2) * (phi ^ E2) per grid point."""
+    return 1.0 - 0.5 * hodge_field(wedge_const(E2, _PHI, left=True)).values[:, 0]
+
+
+def _correction(E: FormField, E2: FormField) -> FormField:
+    """The 6-form (phi ^ *E2) ^ *E, unscaled."""
+    z = hodge_field(wedge_const(hodge_field(E2), _PHI, left=True))
+    return wedge_field(z, hodge_field(E))
+
+
 def curvature_residual(E: FormField, s: float = 1.0) -> FormField:
     """The 6-form s^4 E^3/6 - E^*phi, pointwise over the grid."""
-    E3 = wedge_field(wedge_field(E, E), E)
-    return (float(s) ** 4 / 6.0) * E3 - wedge_const(E, _STAR_PHI)
+    return _residual(E, wedge_field(E, E), s)
 
 
 def residual_field(pot: GaugePotential, s: float = 1.0):
@@ -365,8 +389,8 @@ def kl_segment_integral(E0: FormField, D: FormField,
     """
     E0sq = wedge_field(E0, E0)
     DD = wedge_field(D, D)
-    r0 = (1.0 / 6.0) * wedge_field(E0sq, E0) - wedge_const(E0, _STAR_PHI)
-    r1 = 0.5 * wedge_field(E0sq, D) - wedge_const(D, _STAR_PHI)
+    r0 = _residual(E0, E0sq)
+    r1 = wedge_field(D, _residual_weight(E0sq))
     r2 = 0.5 * wedge_field(E0, DD)
     r3 = (1.0 / 6.0) * wedge_field(DD, D)
     avg = r0 + 0.5 * r1 + (1.0 / 3.0) * r2 + 0.25 * r3
@@ -378,27 +402,21 @@ def kl_functional(pot: GaugePotential) -> float:
     return kl_segment_integral(pot.flux.background(pot.grid), d(pot.a), pot.a)
 
 
-def _calibration_four_form(pot: GaugePotential) -> FormField:
-    """*phi - E^2/2 as a field."""
-    E = curvature(pot)
-    W = wedge_field(E, E) * (-0.5)
-    return W + FormField.constant(pot.grid, _STAR_PHI)
-
-
 def theta3(pot: GaugePotential, b1: FormField, b2: FormField, b3: FormField) -> float:
     """Integral of b1^b2^b3^(*phi - E^2/2), antisymmetrized exactly.
 
     The six permutation integrals are combined with math.fsum, so swapping
     arguments negates the result bitwise and repeated arguments give 0.0.
     """
-    W = _calibration_four_form(pot)
+    E = curvature(pot)
+    W = _residual_weight(wedge_field(E, E))  # minus the four-form: negate terms
     args = (b1, b2, b3)
     terms = []
     for (p, q, r), sgn in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
                            ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1)):
         val = integrate(wedge_field(
             wedge_field(wedge_field(args[p], args[q]), args[r]), W))
-        terms.append(sgn * val)
+        terms.append(-sgn * val)
     return math.fsum(terms) / 6.0
 
 
@@ -441,13 +459,11 @@ def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
     """(analytic derivative of nu along b, theta3(dg1, dg2, b)).
 
     The derivative uses the exact linearization of the residual,
-    dR(b) = db^(E^2/2) - db^*phi.  The two numbers agree for any input; the
+    dR(b) = db ^ (E^2/2 - *phi).  The two numbers agree for any input; the
     equality is the defining property of the multi-moment map.
     """
     E = curvature(pot)
-    db = d(b)
-    dR = 0.5 * wedge_field(db, wedge_field(E, E)) \
-        - wedge_const(db, _STAR_PHI)
+    dR = wedge_field(d(b), _residual_weight(wedge_field(E, E)))
     lhs = -integrate(wedge_field(dR, _moment_pair_oneform(g1, g2)))
     rhs = theta3(pot, d(g1), d(g2), b)
     return lhs, rhs

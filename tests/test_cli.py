@@ -2,8 +2,10 @@
 and byte-level determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,14 @@ from ddt7.torus import FormField, TorusGrid, load_field, load_flux, save_field
 E12 = [1.0] + [0.0] * 20
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "ddt7.cli", *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600, env=env)
 
 
 def write_config(tmp_path, name, payload):
@@ -192,3 +199,33 @@ def test_malformed_flux_is_rejected(tmp_path):
 def test_missing_subcommand_is_usage_error(tmp_path):
     r = run_cli()
     assert r.returncode == 2
+
+
+def test_diverging_flow_is_a_numerical_failure(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"dt": 1e308, "steps": 3})
+    r = run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert r.returncode == 3
+    assert r.stderr.startswith("numerical failure:")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("flow", {"dt": float("nan")}),
+    ("flow", {"dt": float("inf")}),
+    ("decompose", {"coefficients": [float("nan")] + [0.0] * 20}),
+    ("continue", {"schedule": [0.0, float("inf")]}),
+])
+def test_non_finite_config_number_is_rejected(tmp_path, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    r = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "finite" in r.stderr
+
+
+def test_oversized_grid_is_rejected(tmp_path):
+    cfg = write_config(tmp_path, "c.json",
+                       {"grid": {"axes": [1, 2, 3, 4, 5, 6, 7], "N": 4096}})
+    r = run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "budget" in r.stderr
+    assert "Traceback" not in r.stderr

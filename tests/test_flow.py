@@ -99,6 +99,21 @@ def test_euler_step_is_dt_times_ascent():
     assert np.allclose(inc_half, inc_full / 2, rtol=0, atol=1e-15)
 
 
+def test_non_finite_solver_values_are_numerical_failures():
+    rng = np.random.default_rng(22)
+    pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.05)
+    with pytest.raises(NumericalError, match="rk4 step"):
+        flow_step(pot, 1e308, "rk4")
+    with pytest.raises(NumericalError, match="^flow step 1: rk4 step"):
+        flow_run(pot, FlowConfig(dt=1e308, steps=2, scheme="rk4"))
+    huge = GaugePotential(1e200 * coclosed_project(random_field(GRID, 1, rng)),
+                          CALIBRATED)
+    with pytest.raises(NumericalError, match="at s = 0"):
+        continuation(CALIBRATED, grid=GRID, initial=huge)
+    with pytest.raises(NumericalError, match="at s = 1e\\+100"):
+        continuation(CALIBRATED, schedule=(0.0, 1e100), grid=GRID)
+
+
 def test_flow_is_monotone_and_samples_line_up():
     rng = np.random.default_rng(21)
     pot0 = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.02)
