@@ -8,8 +8,10 @@ CSV files, and snapshots are byte-identical across runs with the same
 config and seed; wall time is printed to stdout and kept out of the
 report for exactly that reason.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numerical failure (Newton divergence, degenerate metric, obstruction).
+Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
+unreadable or unwritable path), 3 numerical failure (Newton divergence,
+degenerate metric, obstruction), 4 internal error (any other exception:
+a bug, reported in one line).
 """
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ def _load_config(path: str | None, defaults: dict) -> dict:
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise InputError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
@@ -73,6 +75,13 @@ def _as_int(cfg: dict, key: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise InputError(f"config key {key!r} must be an integer")
     return v
+
+
+def _as_seed(cfg: dict) -> int:
+    seed = _as_int(cfg, "seed")
+    if seed < 0:
+        raise InputError("config key 'seed' must be non-negative")
+    return seed
 
 
 def _is_num(v) -> bool:
@@ -123,6 +132,8 @@ def _flux_from(value) -> Flux:
 
 
 def _grid_from(value: dict) -> TorusGrid:
+    if not isinstance(value, dict):
+        raise InputError("grid must be an object {\"axes\": [...], \"N\": n}")
     axes = value.get("axes")
     n = value.get("N")
     if not isinstance(axes, list) or not axes \
@@ -136,6 +147,14 @@ def _grid_from(value: dict) -> TorusGrid:
         raise InputError(f"a grid of {grid.npts} points exceeds the budget of "
                          f"{MAX_GRID_CELLS} float64 cells per 3-form field")
     return grid
+
+
+def _as_kmax(cfg: dict, grid: TorusGrid) -> int:
+    """The band limit of random fields: beyond N/2 modes only alias."""
+    kmax = _as_int(cfg, "kmax")
+    if not 0 <= kmax <= grid.N // 2:
+        raise InputError(f"kmax must lie in 0..{grid.N // 2} on this grid")
+    return kmax
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -203,10 +222,13 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         state = "reduced to zero" if ok else "nonzero witness found"
         print(f"{mutated_id}: {state}")
         return 0 if ok else 1
+    # checked before the catalog's multi-second run
+    samples, tol = _as_int(cfg, "float_samples"), _as_num(cfg, "tol")
+    if samples < 1:
+        raise InputError("float_samples must be at least 1")
+    seed = _as_seed(cfg)
     reports = prover.verify_all()
-    suite = prover.float_suite(_as_int(cfg, "float_samples"),
-                               seed=_as_int(cfg, "seed"),
-                               tol=_as_num(cfg, "tol"))
+    suite = prover.float_suite(samples, seed=seed, tol=tol)
     report["identities"] = [r.to_dict(deterministic=True) for r in reports]
     report["float_suite"] = suite
     ok = all(r.reduced_to_zero for r in reports) and suite["pass"]
@@ -234,7 +256,7 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
                              "(upper triangle, row-major)")
         coeffs = [float(v) for v in raw]
     else:
-        rng = np.random.default_rng(_as_int(cfg, "seed"))
+        rng = np.random.default_rng(_as_seed(cfg))
         coeffs = [float(x) for x in rng.uniform(-1.0, 1.0, 21)]
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
     dec, norms, th, checks = prover.decomposition_checks(F)
@@ -335,10 +357,10 @@ def cmd_continue(cfg: dict, out_dir: str) -> int:
                                  "the config grid")
             a0 = f
         if perturb > 0.0:
-            rng = np.random.default_rng(_as_int(cfg, "seed"))
+            rng = np.random.default_rng(_as_seed(cfg))
             noise = torus.coclosed_project(
                 torus.random_field(grid, 1, rng, perturb,
-                                   _as_int(cfg, "kmax")))
+                                   _as_kmax(cfg, grid)))
             if a0 is None:
                 a0 = flow.instanton_solve(flux, grid).a
             a0 = a0 + noise
@@ -406,10 +428,10 @@ def cmd_flow(cfg: dict, out_dir: str) -> int:
                              "config grid")
         pot0 = GaugePotential(f, flux)
     else:
-        rng = np.random.default_rng(_as_int(cfg, "seed"))
+        rng = np.random.default_rng(_as_seed(cfg))
         pot0 = torus.random_coclosed_potential(
             grid, flux, rng, _as_num(cfg, "initial_scale"),
-            _as_int(cfg, "kmax"))
+            _as_kmax(cfg, grid))
     traj = flow.flow_run(pot0, run_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -479,6 +501,11 @@ def cmd_cylinder(cfg: dict, out_dir: str) -> int:
         raise InputError(f"{report_path} is not a flow report "
                          "(missing sample_times/sample_files/flux_file)") \
             from None
+    if not (isinstance(times, list) and all(_is_num(t) for t in times)
+            and isinstance(files, list)
+            and all(isinstance(f, str) for f in files + [flux_file])):
+        raise InputError(f"{report_path}: sample_times must be numbers and "
+                         "sample_files and flux_file names")
     flux = torus.load_flux(os.path.join(src, flux_file))
     pots = [GaugePotential(torus.load_field(os.path.join(src, name)), flux)
             for name in files]
@@ -510,56 +537,57 @@ def cmd_moment(cfg: dict, out_dir: str) -> int:
     if samples < 1:
         raise InputError("samples must be at least 1")
     scale = _as_num(cfg, "scale")
-    kmax = _as_int(cfg, "kmax")
+    kmax = _as_kmax(cfg, grid)
     tol = _as_num(cfg, "tol")
-    rng = np.random.default_rng(_as_int(cfg, "seed"))
+    rng = np.random.default_rng(_as_seed(cfg))
     worst = {"derivative_match": 0.0, "theta3_antisymmetry": 0.0,
              "dtheta4_closedness": 0.0, "gauge_kl": 0.0, "gauge_nu": 0.0,
              "gauge_theta3": 0.0, "gauge_residual": 0.0}
-    for _ in range(samples):
-        pot = torus.random_potential(grid, flux, rng, scale, kmax)
-        g1f = torus.random_field(grid, 0, rng, scale, kmax)
-        g2f = torus.random_field(grid, 0, rng, scale, kmax)
-        b1 = torus.random_field(grid, 1, rng, scale, kmax)
-        b2 = torus.random_field(grid, 1, rng, scale, kmax)
-        b3 = torus.random_field(grid, 1, rng, scale, kmax)
-        b4 = torus.random_field(grid, 1, rng, scale, kmax)
-        chi = torus.random_field(grid, 0, rng, scale, kmax)
-        winding = tuple(int(x) for x in rng.integers(-2, 3, size=7))
+    for i in range(samples):
+        with flow._finite(f"moment draw {i + 1}"):
+            pot = torus.random_potential(grid, flux, rng, scale, kmax)
+            g1f = torus.random_field(grid, 0, rng, scale, kmax)
+            g2f = torus.random_field(grid, 0, rng, scale, kmax)
+            b1 = torus.random_field(grid, 1, rng, scale, kmax)
+            b2 = torus.random_field(grid, 1, rng, scale, kmax)
+            b3 = torus.random_field(grid, 1, rng, scale, kmax)
+            b4 = torus.random_field(grid, 1, rng, scale, kmax)
+            chi = torus.random_field(grid, 0, rng, scale, kmax)
+            winding = tuple(int(x) for x in rng.integers(-2, 3, size=7))
 
-        lhs, rhs = torus.nu_derivative_check(pot, g1f, g2f, b1)
-        num = abs(lhs - rhs)
-        if num > 0.0:
-            worst["derivative_match"] = max(worst["derivative_match"],
-                                            num / max(abs(lhs), abs(rhs)))
-        t123 = torus.theta3(pot, b1, b2, b3)
-        worst["theta3_antisymmetry"] = max(
-            worst["theta3_antisymmetry"],
-            abs(torus.theta3(pot, b2, b1, b3) + t123),
-            abs(torus.theta3(pot, b1, b3, b2) + t123),
-            abs(torus.theta3(pot, b1, b1, b2)))
-        worst["dtheta4_closedness"] = max(
-            worst["dtheta4_closedness"],
-            abs(torus.dtheta4(pot, b1, b2, b3, b4)))
+            lhs, rhs = torus.nu_derivative_check(pot, g1f, g2f, b1)
+            num = abs(lhs - rhs)
+            if num > 0.0:
+                worst["derivative_match"] = max(worst["derivative_match"],
+                                                num / max(abs(lhs), abs(rhs)))
+            t123 = torus.theta3(pot, b1, b2, b3)
+            worst["theta3_antisymmetry"] = max(
+                worst["theta3_antisymmetry"],
+                abs(torus.theta3(pot, b2, b1, b3) + t123),
+                abs(torus.theta3(pot, b1, b3, b2) + t123),
+                abs(torus.theta3(pot, b1, b1, b2)))
+            worst["dtheta4_closedness"] = max(
+                worst["dtheta4_closedness"],
+                abs(torus.dtheta4(pot, b1, b2, b3, b4)))
 
-        shifted = torus.gauge_shift(pot, chi, winding)
-        # the functional is only invariant under small gauges; winding
-        # shifts move it by flux-dependent constants
-        small = torus.gauge_shift(pot, chi)
-        kl0 = torus.kl_functional(pot)
-        worst["gauge_kl"] = max(
-            worst["gauge_kl"],
-            abs(torus.kl_functional(small) - kl0) / max(1.0, abs(kl0)))
-        nu0 = torus.nu(pot, g1f, g2f)
-        worst["gauge_nu"] = max(worst["gauge_nu"],
-                                abs(torus.nu(shifted, g1f, g2f) - nu0))
-        worst["gauge_theta3"] = max(
-            worst["gauge_theta3"],
-            abs(torus.theta3(shifted, b1, b2, b3) - t123))
-        _, r0 = torus.residual_field(pot)
-        _, r1 = torus.residual_field(shifted)
-        worst["gauge_residual"] = max(worst["gauge_residual"],
-                                      abs(r1 - r0) / max(1.0, r0))
+            shifted = torus.gauge_shift(pot, chi, winding)
+            # the functional is only invariant under small gauges; winding
+            # shifts move it by flux-dependent constants
+            small = torus.gauge_shift(pot, chi)
+            kl0 = torus.kl_functional(pot)
+            worst["gauge_kl"] = max(
+                worst["gauge_kl"],
+                abs(torus.kl_functional(small) - kl0) / max(1.0, abs(kl0)))
+            nu0 = torus.nu(pot, g1f, g2f)
+            worst["gauge_nu"] = max(worst["gauge_nu"],
+                                    abs(torus.nu(shifted, g1f, g2f) - nu0))
+            worst["gauge_theta3"] = max(
+                worst["gauge_theta3"],
+                abs(torus.theta3(shifted, b1, b2, b3) - t123))
+            _, r0 = torus.residual_field(pot)
+            _, r1 = torus.residual_field(shifted)
+            worst["gauge_residual"] = max(worst["gauge_residual"],
+                                          abs(r1 - r0) / max(1.0, r0))
     checks = {name: {"max": v, "pass": bool(v <= tol)}
               for name, v in worst.items()}
     ok = all(c["pass"] for c in checks.values())
@@ -629,9 +657,16 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # every path read or written comes from the user
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except Exception as e:  # a bug, not the input: one line, no traceback
+        msg = str(e).replace("\n", " ")
+        print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
+        return 4
     print(f"wall time {time.perf_counter() - t0:.3f} s")
     return code
 

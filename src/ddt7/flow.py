@@ -22,10 +22,11 @@ from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
 from .scalars import RATIONAL
 from .torus import (_PHI, _STAR_PHI, Flux, FormField, GaugePotential, TorusGrid,
-                    _correction, _residual, _residual_weight, _theta, codiff,
-                    curvature, curvature_residual, d, field_inner, field_l2,
-                    field_mean, hodge_field, kl_segment_integral,
-                    scalar_times, wedge_const, wedge_field, zero_potential)
+                    _correction, _residual, _residual_weight, _spectral_k,
+                    _theta, codiff, curvature, curvature_residual, d,
+                    field_inner, field_l2, field_mean, hodge_field,
+                    kl_segment_integral, scalar_times, wedge_const,
+                    wedge_field, zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
@@ -294,6 +295,7 @@ class ContinuationStep:
     residual_norm: float
     newton_iterations: int
     residual_history: tuple
+    cg_iterations: tuple = ()  # one inner-solve count per Newton iteration
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,34 +357,106 @@ def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
     return FormField(y.grid, 2, vals)
 
 
+# The blocks have condition 1 at W = -*phi and stay below 2e3 along the
+# continuation of a 1e-2 perturbation to s = 1; near-singular mean weights
+# (condition 1e7 and up) made PCG slower than plain CG, or stall at max_iter.
+_MAX_BLOCK_COND = 1e6
+
+
+def _normal_symbol(grid: TorusGrid, w_mean: np.ndarray) -> np.ndarray:
+    """Per-mode blocks N_k of J^T J for the constant weight w_mean, (nspec, 7, 7).
+
+    J b = (db ^ W, codiff b, mean b) has symbol 2*pi*i A_k on the first block
+    (A_k = sum_i k_i T_i, ``tables.mode_weight_tensor``) and -2*pi*i k^T on
+    the second, so N_k = 4*pi^2 (A_k^T A_k + k k^T), real and symmetric.
+    The mean block makes N the identity at the zero mode.  Modes whose
+    active frequencies are all 0 or Nyquist are dead (d vanishes there)
+    and get the identity too.
+    """
+    k = _spectral_k(grid)
+    T = np.tensordot(w_mean, tables.mode_weight_tensor(), axes=1)
+    A = np.einsum("mi,iob->mob", k, T)
+    N = np.matmul(A.transpose(0, 2, 1), A)
+    N += k[:, :, None] * k[:, None, :]
+    N *= 4.0 * math.pi ** 2
+    N[~k.any(axis=1)] = np.eye(7)
+    return N
+
+
+def _apply_modes(blocks: np.ndarray, f: FormField) -> FormField:
+    """The 1-form whose real-FFT mode m is blocks[m] times mode m of f."""
+    grid = f.grid
+    axes = tuple(range(grid.n_active))
+    spec = np.fft.rfftn(f.values.reshape(grid.shape + (7,)), axes=axes)
+    out = np.einsum("mab,mb->ma", blocks, spec.reshape(-1, 7))
+    vals = np.fft.irfftn(out.reshape(spec.shape), s=grid.shape, axes=axes)
+    return FormField(grid, 1, vals.reshape(grid.npts, 7))
+
+
+def _mean_w_inverse(grid: TorusGrid, W: FormField):
+    """Inverse blocks of the normal operator at mean(W), or None when a block
+    is singular or its 1-norm condition number exceeds _MAX_BLOCK_COND (the
+    caller then runs plain CG)."""
+    blocks = _normal_symbol(grid, field_mean(W))
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        return None
+    norm1 = [np.abs(m).sum(axis=1).max(axis=1) for m in (blocks, inv)]
+    return inv if np.all(norm1[0] * norm1[1] <= _MAX_BLOCK_COND) else None
+
+
+@dataclass(frozen=True)
+class _InnerSolve:
+    """How one inner solve ended: CG iterations, |J^T r| / |J^T rhs| at the
+    end, and whether it stopped at max_iter short of the tolerance."""
+
+    iterations: int
+    rel_residual: float
+    hit_max_iter: bool
+
+
 def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
-          max_iter: int = 2000) -> FormField:
-    """Conjugate gradient on the normal equations for J x = rhs."""
+          max_iter: int = 2000):
+    """Preconditioned CG on the normal equations J^T J x = J^T rhs.
+
+    The preconditioner is the exact inverse of J^T J with W replaced by its
+    mean, applied per Fourier mode (Concus and Golub 1973).  The stop rule
+    reads the unpreconditioned gradient, |J^T r| <= tol * |J^T rhs|.
+    Returns (x, _InnerSolve).
+    """
     x = FormField.zero(system.grid, 1)
     r6, r0, rm = rhs_parts
     g = system.apply_jt(W, r6, r0, rm)
-    p = g
-    gg = field_inner(g, g)
-    g0 = math.sqrt(gg)
+    g0 = field_l2(g)
     if g0 == 0.0:
-        return x
-    for _ in range(max_iter):
+        return x, _InnerSolve(0, 0.0, False)
+    inv = _mean_w_inverse(system.grid, W)
+    z = g if inv is None else _apply_modes(inv, g)
+    p = z
+    gz = field_inner(g, z)
+    rel = 1.0
+    it = 0
+    while it < max_iter:
         j6, j0, jm = system.apply_j(W, p)
         denom = field_inner(j6, j6) + field_inner(j0, j0) + float(np.dot(jm, jm))
         if denom == 0.0:
             break
-        alpha = gg / denom
+        alpha = gz / denom
         x = x + alpha * p
         r6 = r6 - alpha * j6
         r0 = r0 - alpha * j0
         rm = rm - alpha * jm
         g = system.apply_jt(W, r6, r0, rm)
-        gg_new = field_inner(g, g)
-        if math.sqrt(gg_new) <= tol * g0:
+        it += 1
+        rel = field_l2(g) / g0
+        if rel <= tol:
             break
-        p = g + (gg_new / gg) * p
-        gg = gg_new
-    return x
+        z = g if inv is None else _apply_modes(inv, g)
+        gz_new = field_inner(g, z)
+        p = z + (gz_new / gz) * p
+        gz = gz_new
+    return x, _InnerSolve(it, rel, it == max_iter and rel > tol)
 
 
 def _mean_sector_obstructed(system: _ScaledSystem, W: FormField,
@@ -427,12 +501,13 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                  warm_start: bool = True) -> ContinuationResult:
     """Trace the gauge-fixed scaled equation along increasing s.
 
-    Each schedule entry runs Gauss-Newton with conjugate-gradient inner
-    solves, starting from the previously accepted solution (warm_start) or
-    from `initial` at every entry (warm_start=False; from a = 0 when no
-    initial is given).  Termination is "completed", a Newton divergence
-    report, or a mean-sector rank deficiency, which on the torus signals
-    the cohomological obstruction mean(E^3) != 0.
+    Each schedule entry runs Gauss-Newton with preconditioned conjugate-
+    gradient inner solves (``_cgnr``), starting from the previously accepted
+    solution (warm_start) or from `initial` at every entry (warm_start=False;
+    from a = 0 when no initial is given).  Termination is "completed", a
+    Newton divergence report (naming an inner solve that stopped at its
+    iteration cap), or a mean-sector rank deficiency, which on the torus
+    signals the cohomological obstruction mean(E^3) != 0.
     """
     if grid is None:
         grid = TorusGrid((1, 2), 4)
@@ -457,6 +532,8 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
             parts = system.residual(a)
             rnorm = system.res_norm(parts)
         history = [rnorm]
+        cg_iters = []
+        failed = None
         iters = 0
         obstructed = False
         while rnorm > tol and iters < max_newton:
@@ -465,14 +542,18 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                 if _mean_sector_obstructed(system, W, parts[0], tol):
                     obstructed = True
                     break
-                dx = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]))
+                dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]))
+                cg_iters.append(inner.iterations)
+                if inner.hit_max_iter:
+                    failed = inner
                 a = a + dx
                 parts = system.residual(a)
                 rnorm = system.res_norm(parts)
             history.append(rnorm)
             iters += 1
         pot = GaugePotential(a, flux)
-        steps.append(ContinuationStep(s, pot, rnorm, iters, tuple(history)))
+        steps.append(ContinuationStep(s, pot, rnorm, iters, tuple(history),
+                                      tuple(cg_iters)))
         if obstructed:
             termination = (f"cohomological obstruction suspected at s = {s:g}: "
                            "mean-sector rank deficiency in the linearization")
@@ -480,6 +561,10 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         if rnorm > tol:
             termination = (f"newton divergence at s = {s:g}: residual "
                            f"{rnorm:.3e} after {iters} iterations")
+            if failed is not None:
+                termination += (f"; inner solve hit {failed.iterations} "
+                                f"iterations at relative residual "
+                                f"{failed.rel_residual:.1e}")
             break
         current = pot
     return ContinuationResult(tuple(steps), termination)

@@ -63,6 +63,25 @@ def wedge_const_matrix(n: int, p: int, q: int, const_coeffs: tuple) -> np.ndarra
 
 
 @lru_cache(maxsize=None)
+def mode_weight_tensor() -> np.ndarray:
+    """Float tensor S, (35, 7, 7, 7), linear in a constant 4-form W.
+
+    T = tensordot(W, S, 1) gives, for each axis i, the 7x7 matrix T[i] of
+    b |-> (e_i ^ b) ^ W on 1-form coefficients (rows index 6-form blades),
+    so the Fourier symbol of b |-> db ^ W at mode k is 2*pi*i sum_i k_i T[i].
+    At W = *phi, T is ``mode_kernel_tensors()[0]``.  Linear in W rather than
+    built per W, so no cache grows with the weights a solver meets.
+    """
+    ia, ib, io, isg = wedge_arrays(7, 1, 1)
+    axis = np.zeros((7, 21, 7))
+    axis[ia, io, ib] = isg  # e_i ^ e_b, each (i, b) pair once
+    ii, jj, oo, ss = wedge_arrays(7, 2, 4)
+    by_w = np.zeros((35, 7, 21))
+    by_w[jj, oo, ii] = ss  # x ^ e_j for a 2-blade x, each (x, j) pair once
+    return np.einsum("joc,icb->jiob", by_w, axis)
+
+
+@lru_cache(maxsize=None)
 def mode_kernel_tensors():
     """Integer tensors (T, U) for the per-mode linearization on the 7-torus.
 

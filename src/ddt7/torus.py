@@ -154,8 +154,8 @@ def _fft_grid(f: FormField) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _d_symbol(grid: TorusGrid) -> np.ndarray:
-    """The 1-form 2*pi*i*k over the real-FFT spectrum, (nspec, 7) complex.
+def _spectral_k(grid: TorusGrid) -> np.ndarray:
+    """The integer frequency k of each real-FFT mode, (nspec, 7) int64.
 
     Zero on inactive axes and at the Nyquist frequency.  The real FFT
     halves the last active axis, whose frequencies are 0..N/2.
@@ -163,10 +163,16 @@ def _d_symbol(grid: TorusGrid) -> np.ndarray:
     kline = grid.wavenumbers()
     lines = [kline] * (grid.n_active - 1) + [kline[:grid.N // 2 + 1]]
     ks = np.meshgrid(*lines, indexing="ij")
-    sym = np.zeros(ks[0].shape + (7,), dtype=np.complex128)
+    out = np.zeros(ks[0].shape + (7,), dtype=np.int64)
     for k, axis in zip(ks, grid.active_axes):
-        sym[..., axis - 1] = (2j * math.pi) * k
-    return sym.reshape(-1, 7)
+        out[..., axis - 1] = k
+    return out.reshape(-1, 7)
+
+
+@lru_cache(maxsize=None)
+def _d_symbol(grid: TorusGrid) -> np.ndarray:
+    """The 1-form 2*pi*i*k over the real-FFT spectrum, (nspec, 7) complex."""
+    return (2j * math.pi) * _spectral_k(grid)
 
 
 def d(f: FormField) -> FormField:
@@ -590,9 +596,9 @@ def load_field(path) -> FormField:
         raise InputError(f"{path}: corrupt axis header")
     grid = TorusGrid(axes, N)
     dim = len(blades(7, degree))
-    data = np.frombuffer(raw[head:], dtype="<f8")
-    if data.size != grid.npts * dim:
+    if len(raw) - head != 8 * grid.npts * dim:
         raise InputError(f"{path}: payload size mismatch")
+    data = np.frombuffer(raw[head:], dtype="<f8")
     return FormField(grid, degree, data.reshape(grid.npts, dim).copy())
 
 
@@ -602,8 +608,11 @@ def save_flux(path, flux: Flux) -> None:
 
 
 def load_flux(path) -> Flux:
-    with open(path) as fh:
-        parts = fh.read().split()
+    try:
+        with open(path) as fh:
+            parts = fh.read().split()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: flux file is not text: {e}") from None
     if len(parts) != 21:
         raise InputError(f"{path}: flux file needs exactly 21 integers")
     try:

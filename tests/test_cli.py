@@ -1,5 +1,7 @@
 """End-to-end command-line runs in subprocesses: exit codes, report files,
-and byte-level determinism."""
+and byte-level determinism; a seeded table of malformed configs and
+snapshots run in-process through ``cli.main`` against the exit-code
+contract."""
 
 import json
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddt7 import cli
 from ddt7.torus import FormField, TorusGrid, load_field, load_flux, save_field
 
 E12 = [1.0] + [0.0] * 20
@@ -229,3 +232,158 @@ def test_oversized_grid_is_rejected(tmp_path):
     assert r.returncode == 2
     assert "budget" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_overflowing_moment_draw_is_a_numerical_failure(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"samples": 1, "scale": 1e200})
+    r = run_cli("moment", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert r.returncode == 3
+    assert r.stderr.startswith("numerical failure: moment draw 1:")
+    assert "RuntimeWarning" not in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    def boom(cfg, out_dir):
+        raise RuntimeError("boom\nsecond line")
+    defaults, _, help_text = cli._COMMANDS["decompose"]
+    monkeypatch.setitem(cli._COMMANDS, "decompose", (defaults, boom, help_text))
+    assert cli.main(["decompose", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
+SNAP_HEAD = 21  # struct.calcsize("<8sB7BIB")
+
+
+def _valid_snapshot(tmp_path):
+    path = tmp_path / "valid.t7f"
+    save_field(path, FormField.zero(TorusGrid((1, 2), 4), 1))
+    return path.read_bytes()
+
+
+def _snapshot_cases():
+    """(name, bytes transform) for corrupted snapshots, plus seeded header
+    byte rewrites."""
+    cases = [
+        ("truncated-header", lambda raw: raw[:SNAP_HEAD - 5]),
+        ("bad-magic", lambda raw: b"T7FIELD9" + raw[8:]),
+        ("bad-degree", lambda raw: raw[:SNAP_HEAD - 1] + bytes([200])
+         + raw[SNAP_HEAD:]),
+        ("short-payload", lambda raw: raw[:-8]),
+        ("ragged-payload", lambda raw: raw[:-3]),
+        ("nan-payload", lambda raw: raw[:SNAP_HEAD]
+         + np.full(16 * 7, np.nan).astype("<f8").tobytes()),
+        ("empty-file", lambda raw: b""),
+    ]
+    rng = np.random.default_rng(1729)
+    for n in range(4):
+        pos, val = int(rng.integers(8, SNAP_HEAD)), int(rng.integers(0, 256))
+        cases.append((f"seeded-{n}-byte{pos}={val}",
+                      lambda raw, p=pos, v=val: raw[:p] + bytes([v])
+                      + raw[p + 1:]))
+    return cases
+
+
+CONFIG_FUZZ = [
+    ("decompose", {"coefficients": "abc"}),
+    ("decompose", {"coefficients": [1.0] * 20}),
+    ("decompose", {"seed": 1.5}),
+    ("decompose", {"seed": -1}),
+    ("decompose", {"tol": "small"}),
+    ("flow", {"steps": 0}),
+    ("flow", {"steps": -5}),
+    ("flow", {"dt": -1e-3}),
+    ("flow", {"scheme": 4}),
+    ("flow", {"grid": "big"}),
+    ("flow", {"grid": {"axes": [], "N": 4}}),
+    ("flow", {"grid": {"axes": [2, 1], "N": 4}}),
+    ("flow", {"grid": {"axes": [1, 2], "N": 0}}),
+    ("flow", {"grid": {"axes": [1, 2], "N": 4.0}}),
+    ("flow", {"kmax": -1}),
+    ("moment", {"samples": 0}),
+    ("moment", {"samples": -3}),
+    ("moment", {"kmax": 10 ** 6}),
+    ("instanton", {"flux": {"1,2,3": 1}}),
+    ("instanton", {"flux": {"a,b": 1}}),
+    ("instanton", {"flux": {"8,9": 1}}),
+    ("instanton", {"flux": {"1,2": True}}),
+    ("instanton", {"flux": [1] * 20}),
+    ("instanton", {"flux": 5}),
+    ("continue", {"schedule": []}),
+    ("continue", {"schedule": [0.0, float("nan")]}),
+    ("continue", {"tol": float("-inf")}),
+    ("continue", {"initial_snapshot": 5}),
+    ("cylinder", {"trajectory": 5}),
+    ("cylinder", {"trajectory": "no/such/dir"}),
+    ("verify", {"float_samples": 0}),
+    ("verify", {"mutate": 12}),
+]
+
+
+def _assert_contract(code, capsys):
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, payload", CONFIG_FUZZ)
+def test_fuzzed_config_follows_the_exit_contract(tmp_path, capsys,
+                                                 command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    _assert_contract(cli.main([command, "--config", cfg,
+                               "--out", str(tmp_path / "o")]), capsys)
+
+
+def test_unwritable_output_directory_is_bad_input(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code = cli.main(["decompose", "--out", str(tmp_path / "file" / "o")])
+    assert code == 2
+    _assert_contract(code, capsys)
+
+
+@pytest.mark.parametrize("flow_report", [
+    [1, 2],
+    {"sample_times": ["a"], "sample_files": [], "flux_file": "flux.txt"},
+    {"sample_times": [0.0], "sample_files": [3], "flux_file": "flux.txt"},
+    {"sample_times": [0.0, 0.1, 0.2], "sample_files": ["a", "b", "c"],
+     "flux_file": None},
+    {"sample_times": [0.0, 0.1, 0.2], "sample_files": ["a", "b", "c"],
+     "flux_file": "flux.txt"},
+])
+def test_fuzzed_flow_report_follows_the_exit_contract(tmp_path, capsys,
+                                                      flow_report):
+    src = tmp_path / "flow"
+    src.mkdir()
+    (src / "report.json").write_text(json.dumps(flow_report))
+    (src / "flux.txt").write_bytes(b"\xff\xfe1 2")
+    cfg = write_config(tmp_path, "c.json", {"trajectory": str(src)})
+    code = cli.main(["cylinder", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    _assert_contract(code, capsys)
+
+
+@pytest.mark.parametrize("raw", [b"[1, 2]", b"{\"seed\": ", b"\xff\xfe{}"])
+def test_fuzzed_config_bytes_follow_the_exit_contract(tmp_path, capsys, raw):
+    path = tmp_path / "c.json"
+    path.write_bytes(raw)
+    code = cli.main(["decompose", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    _assert_contract(code, capsys)
+
+
+SNAPSHOT_CASES = _snapshot_cases()
+
+
+@pytest.mark.parametrize("name, corrupt", SNAPSHOT_CASES,
+                         ids=[c[0] for c in SNAPSHOT_CASES])
+def test_fuzzed_snapshot_follows_the_exit_contract(tmp_path, capsys,
+                                                   name, corrupt):
+    snap = tmp_path / "s.t7f"
+    snap.write_bytes(corrupt(_valid_snapshot(tmp_path)))
+    cfg = write_config(tmp_path, "c.json", {
+        "flux": {"1,2": 1, "4,7": 1}, "grid": {"axes": [1, 2], "N": 4},
+        "schedule": [0.0], "initial_snapshot": str(snap)})
+    _assert_contract(cli.main(["continue", "--config", cfg,
+                               "--out", str(tmp_path / "o")]), capsys)

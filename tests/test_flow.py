@@ -223,6 +223,96 @@ def test_continuation_perturbed_restart_recovers():
     assert any(st.newton_iterations >= 2 for st in res.steps)
 
 
+@pytest.mark.parametrize("grid", [TorusGrid((1, 2), 4), TorusGrid((1, 2, 3), 8),
+                                  TorusGrid((1, 2, 3, 4), 4)])
+def test_normal_symbol_is_the_constant_weight_normal_operator(grid):
+    """At a constant W the per-mode blocks reproduce J^T J exactly."""
+    rng = np.random.default_rng(len(grid.active_axes))
+    system = flow._ScaledSystem(CALIBRATED, grid, 0.5)
+    w_phi = -np.array([float(c) for c in star_phi_for(FLOAT).coeffs])
+    weights = [w_phi] + [rng.normal(size=35) for _ in range(2)]
+    for w in weights:
+        W = FormField(grid, 4, np.tile(w, (grid.npts, 1)))
+        N = flow._normal_symbol(grid, w)
+        for _ in range(2):
+            b = random_field(grid, 1, rng, kmax=grid.N // 2 - 1) \
+                + FormField(grid, 1, np.tile(rng.normal(size=7), (grid.npts, 1)))
+            want = system.apply_jt(W, *system.apply_j(W, b))
+            got = flow._apply_modes(N, b)
+            assert field_l2(got - want) <= 1e-12 * field_l2(want)
+
+
+def test_mode_weight_tensor_at_star_phi_is_the_probe_tensor():
+    w = np.array([float(c) for c in star_phi_for(FLOAT).coeffs])
+    T = np.tensordot(w, tables.mode_weight_tensor(), axes=1)
+    assert np.array_equal(T, tables.mode_kernel_tensors()[0])
+
+
+@pytest.mark.parametrize("grid", [GRID, TorusGrid((1, 2, 3), 8)])
+def test_inner_solves_at_s0_stop_at_once(grid):
+    """W = -*phi exactly at s = 0, so the preconditioner is J^T J's inverse."""
+    rng = np.random.default_rng(2)
+    noise = coclosed_project(random_field(grid, 1, rng, scale=1e-2,
+                                          kmax=grid.N // 2 - 1))
+    start = GaugePotential(instanton_solve(CALIBRATED, grid).a + noise,
+                           CALIBRATED)
+    schedule = DEFAULT_SCHEDULE if grid == GRID else (0.0,)
+    res = continuation(CALIBRATED, schedule=schedule, grid=grid,
+                       initial=start, warm_start=False)
+    first = res.steps[0]
+    assert first.s == 0.0 and first.newton_iterations >= 1
+    assert all(1 <= n <= 2 for n in first.cg_iterations)
+    for st in res.steps:
+        assert len(st.cg_iterations) == st.newton_iterations
+
+
+@pytest.mark.parametrize("grid", [GRID, TorusGrid((1, 2, 3), 8),
+                                  TorusGrid((1, 2, 3), 2)])
+def test_degenerate_mean_weight_falls_back(grid):
+    """An all-ones mean(W) makes some blocks singular (N = 2 has only dead
+    modes); the inner solve then runs unpreconditioned and still returns."""
+    rng = np.random.default_rng(5)
+    system = flow._ScaledSystem(CALIBRATED, grid, 0.5)
+    W = FormField(grid, 4, np.ones((grid.npts, 35)))
+    if grid.N > 2:
+        assert flow._mean_w_inverse(grid, W) is None
+    rhs = (random_field(grid, 6, rng), random_field(grid, 0, rng),
+           rng.normal(size=7))
+    x, inner = flow._cgnr(system, W, rhs)
+    assert np.all(np.isfinite(x.values))
+    assert not inner.hit_max_iter and inner.rel_residual <= 1e-12
+
+
+def test_near_singular_mean_weight_falls_back():
+    """Blocks that invert but with condition far above 1e6 would make PCG
+    stall; the solve runs plain CG instead and converges."""
+    rng = np.random.default_rng(7)
+    system = flow._ScaledSystem(CALIBRATED, GRID, 0.5)
+    w = np.ones(35) + 1e-6 * rng.normal(size=35)
+    np.linalg.inv(flow._normal_symbol(GRID, w))  # invertible, so not caught there
+    W = FormField(GRID, 4, np.tile(w, (GRID.npts, 1))
+                  + 0.1 * random_field(GRID, 4, rng).values)
+    W = W - FormField(GRID, 4, np.tile(field_mean(W) - w, (GRID.npts, 1)))
+    assert flow._mean_w_inverse(GRID, W) is None
+    rhs = (random_field(GRID, 6, rng), random_field(GRID, 0, rng),
+           rng.normal(size=7))
+    _, inner = flow._cgnr(system, W, rhs)
+    assert not inner.hit_max_iter and inner.rel_residual <= 1e-12
+
+
+def test_newton_divergence_names_the_failed_inner_solve(monkeypatch):
+    cgnr = flow._cgnr
+    monkeypatch.setattr(flow, "_cgnr",
+                        lambda *a, **k: cgnr(*a, **dict(k, max_iter=1)))
+    rng = np.random.default_rng(2)
+    start = GaugePotential(coclosed_project(random_field(GRID, 1, rng, scale=0.2)),
+                           CALIBRATED)
+    res = continuation(CALIBRATED, schedule=(0.0, 1.0), grid=GRID,
+                       initial=start, warm_start=False, max_newton=2)
+    assert not res.completed
+    assert "inner solve hit 1 iterations at relative residual" in res.termination
+
+
 def test_continuation_reports_obstruction():
     res = continuation(OBSTRUCTED, grid=GRID)
     assert not res.completed
