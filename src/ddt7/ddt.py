@@ -13,10 +13,12 @@ this substitution
       eta(E) = *( R(E) + (1/2) * (phi ^ *E^2) ^ *E ).
 
 Each formula has one home per layer.  Exact and pointwise: ``_residual(E, c)``
-(c E^3 - E ^ *phi), ``g2.calibration_scalar`` (*(phi ^ E^2)), ``_correction``
-((phi ^ *E^2) ^ *E) and ``prover.decomposition_checks``.  Fields, from E and
-E2 = E ^ E: ``torus._residual`` (behind ``curvature_residual``), ``_theta``,
-``_correction`` and ``_residual_weight`` (s^4 E^2/2 - *phi, dR/dE).
+(c E^3 - E ^ *phi), ``g2.calibration_scalar`` (*(phi ^ E^2)), ``_phi_star_sq``
+(phi ^ *E^2), ``_correction`` ((phi ^ *E^2) ^ *E) and
+``prover.decomposition_checks``.  Fields, from E and E2 = E ^ E:
+``torus._residual`` (behind ``curvature_residual``), ``_theta``,
+``_phi_star_sq``, ``_correction`` and ``_residual_weight`` (s^4 E^2/2 - *phi,
+dR/dE).
 
 The two evolution residuals are evaluated literally from their displayed
 forms (not through the combined equation), so that the equivalence between
@@ -60,9 +62,14 @@ def _residual(E: KForm, cube) -> KForm:
     return wedge(E, wedge(E, E)) * cube - wedge(E, star_phi_for(E.ring))
 
 
+def _phi_star_sq(E: KForm) -> KForm:
+    """phi ^ *E^2 as a 6-form."""
+    return wedge(phi_for(E.ring), hodge(wedge(E, E)))
+
+
 def _correction(E: KForm) -> KForm:
     """(phi ^ *E^2) ^ *E as a 6-form, unscaled."""
-    return wedge(hodge(wedge(phi_for(E.ring), hodge(wedge(E, E)))), hodge(E))
+    return wedge(hodge(_phi_star_sq(E)), hodge(E))
 
 
 def ddt_residual(E: KForm) -> KForm:
@@ -138,9 +145,7 @@ def spin7_res1(E: KForm, adot: KForm) -> KForm:
 def spin7_res2(E: KForm, adot: KForm) -> KForm:
     """Second evolution residual (6-form), literal: (1/2) phi ^ *E^2 - adot ^ E ^ phi."""
     _check_E(E)
-    ring = E.ring
-    t1 = wedge(phi_for(ring), hodge(wedge(E, E))) * frac(ring, 1, 2)
-    return t1 - wedge(adot, wedge(E, phi_for(ring)))
+    return _phi_star_sq(E) * frac(E.ring, 1, 2) - wedge(adot, wedge(E, phi_for(E.ring)))
 
 
 def spin7_combined(E: KForm, adot: KForm) -> KForm:

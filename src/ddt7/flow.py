@@ -22,8 +22,8 @@ from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
 from .scalars import RATIONAL
 from .torus import (_PHI, _STAR_PHI, Flux, FormField, GaugePotential, TorusGrid,
-                    _correction, _residual, _residual_weight, _spectral_k,
-                    _theta, codiff, curvature, curvature_residual, d,
+                    _correction, _phi_star_sq, _residual, _residual_weight,
+                    _spectral_k, _theta, codiff, curvature, curvature_residual, d,
                     field_inner, field_l2, field_mean, hodge_field,
                     kl_segment_integral, scalar_times, wedge_const,
                     wedge_field, zero_potential)
@@ -83,7 +83,7 @@ def spin7_residual_fields(E: FormField, adot: FormField):
     aEphi = wedge_const(wedge_field(adot, E), _PHI)
     res1 = _residual(E, E2) - scalar_times(_theta(E2), hodge_field(adot)) \
         + wedge_field(hodge_field(aEphi), hodge_field(E))
-    res2 = 0.5 * wedge_const(hodge_field(E2), _PHI, left=True) - aEphi
+    res2 = 0.5 * _phi_star_sq(E2) - aEphi
     return res1, res2
 
 
@@ -572,6 +572,11 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
 
 # --- per-mode kernel/image probe ----------------------------------------------
 
+# The census first builds the whole box of (2*kmax+1)^7 modes: at kmax = 4
+# it runs in 1.5 GB of address space (597 MiB peak RSS); kmax = 5 needs a
+# 1 GiB array for the box alone and raises MemoryError there.
+_KMAX_CAP = 4
+
 
 def kernel_probe(kmax: int) -> dict:
     """Exact per-mode linear algebra for the linearization at a = 0.
@@ -590,16 +595,19 @@ def kernel_probe(kmax: int) -> dict:
     ``image_rank_matches`` are weighted sums over all modes of the box, and
     ``representatives`` is the number of modes eliminated.
 
+    kmax is capped at 4, so that the whole box of modes fits in memory.
     Ranks are fraction-free in int64, so every pre-division product
     ``M * pivot - colvals * pivrow`` of the elimination, not only every
-    minor, must stay below 2^63.  At kmax = 16 the tests find at most
-    2^59.2, exactly, on the 64 corner modes and on seeded modes of the
-    outer shell; Hadamard's bound (2^63.5) is too loose to prove it.
+    minor, must stay below 2^63.  As a margin check, the tests find at
+    most 2^59.2, exactly, at kmax = 16, on the 64 corner modes and on
+    seeded modes of the outer shell; Hadamard's bound (2^63.5) is too
+    loose to prove it.
     """
     if kmax < 1:
         raise InputError("kmax must be at least 1")
-    if kmax > 16:
-        raise InputError("kmax > 16 would overflow the exact integer ranks")
+    if kmax > _KMAX_CAP:
+        raise InputError(f"kmax > {_KMAX_CAP}: the census builds all "
+                         f"(2*kmax+1)^7 modes at once and would not fit in memory")
     T, U = tables.mode_kernel_tensors()
     reps, weights = _mode_representatives(kmax)
     n_reps = reps.shape[0]

@@ -139,7 +139,7 @@ def _build_a2a(ring, val, consts):
 
 def _build_a2b(ring, val, consts):
     u, F7, F = _decomposed_F(ring, val)
-    lhs = hodge(wedge(g2.phi_for(ring), hodge(wedge(F, F))))
+    lhs = hodge(ddt._phi_star_sq(F))
     rhs = contract(u, F) * _c(ring, consts, "rhs-scale")
     return [("contraction", lhs, rhs)]
 
@@ -159,7 +159,7 @@ def _build_a4(ring, val, consts):
     _, G = _corrected_residual(ring, F, consts)
     lhs = wedge(hodge(G), wedge(F, g2.phi_for(ring)))
     theta = _theta_poly(ring, F, _c(ring, consts, "theta-inner"))
-    rhs = wedge(g2.phi_for(ring), hodge(wedge(F, F))) * (theta * _c(ring, consts, "rhs-scale"))
+    rhs = ddt._phi_star_sq(F) * (theta * _c(ring, consts, "rhs-scale"))
     return [("pairing", lhs, rhs)]
 
 
@@ -185,21 +185,31 @@ def _build_a3f(ring, val, consts):
 # DET expands to ~4*10^5 monomials per side, far too many for the generic
 # sparse-dict polynomials to stay inside the runtime budget.  Both sides have
 # integer coefficients, so they are built and decided in packed form (after
-# Monagan & Pearce): a monomial over the 21 variables F_ij is one uint64 key
-# with 3 bits per exponent, variable 0 in the top field, so unsigned key
-# order equals lexicographic exponent order and multiplying monomials adds
-# keys.  The column-mask DP of ``exalg`` runs on sorted numpy (key, int64
-# coefficient) arrays.
-# * No key addition carries between fields: before the DP runs, the
+# Monagan & Pearce).  A monomial over the 21 variables F_ij is one base-5
+# key, sum e_v 5^(20-v): variable 0 is the most significant digit, so key
+# order equals lexicographic exponent order, and multiplying monomials adds
+# keys.  The column-mask DP of ``exalg`` runs on sorted numpy (uint64 key,
+# int64 coefficient) arrays.  Each product of two terms is one uint64 word,
+# key << 15 | (coeff + 2^14), since 5^21 < 2^49: one plain sort of a
+# bucket's words orders them by key, and a shift, a mask and one int64
+# reduceat per bucket sum the coefficients of each key.
+# * No key addition carries between digits: before the DP runs, the
 #   per-variable degree of every (partial) product is bounded over all
-#   permutations and checked to be at most 7 (4 for both sides here).
-# * Coefficients stay exact: every product and every per-key sum of
-#   |coeff| is checked to stay below 2^62.
+#   permutations and checked to be at most 4 (both sides reach 4).
+# * Every product's coefficient fits the 15-bit field: before each product
+#   of a state with an entry, max|a| * max|b| is checked to stay below
+#   2^14 (the largest is 48).
+# * Per-key sums are exact: the reduceat sums biased fields, each below
+#   2^15, in int64, which cannot wrap before a bucket holds 2^48 words.
 # * The sides are compared as arrays, q*lhs against p*rhs for the scale
 #   p/q, and only the witness key is ever unpacked.
+# A failed check raises NumericalError.
 
-_DET_SHIFTS = tuple(3 * (20 - v) for v in range(21))
-_DET_FIELD_MAX = 7
+_DET_PLACES = tuple(5 ** (20 - v) for v in range(21))
+_DET_DIGIT_MAX = 4
+_DET_COEFF_BITS = 15
+_DET_COEFF_BIAS = 1 << (_DET_COEFF_BITS - 1)   # 2^14, also the |coeff| bound
+_DET_COEFF_MASK = (1 << _DET_COEFF_BITS) - 1
 _DET_SUM_LIMIT = 2 ** 62
 
 
@@ -216,7 +226,7 @@ class _Packed:
 def _det_unpack(key) -> tuple:
     """Exponent tuple of one packed monomial key."""
     key = int(key)
-    return tuple((key >> s) & _DET_FIELD_MAX for s in _DET_SHIFTS)
+    return tuple((key // place) % 5 for place in _DET_PLACES)
 
 
 def _det_np_degree_bound(entries) -> np.ndarray:
@@ -224,7 +234,7 @@ def _det_np_degree_bound(entries) -> np.ndarray:
     (partial) permutation: the max over permutations of the summed per-entry
     degrees.  Every partial product extends to a full permutation."""
     n = len(entries)
-    deg = np.zeros((n, n, len(_DET_SHIFTS)), dtype=np.int64)
+    deg = np.zeros((n, n, len(_DET_PLACES)), dtype=np.int64)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
             if e:
@@ -234,36 +244,40 @@ def _det_np_degree_bound(entries) -> np.ndarray:
 
 
 def _det_np_check_bound(bound) -> None:
-    if int(np.max(bound)) > _DET_FIELD_MAX:
+    if int(np.max(bound)) > _DET_DIGIT_MAX:
         raise NumericalError(f"packed exponent bound {int(np.max(bound))} exceeds "
-                             f"{_DET_FIELD_MAX}: monomials would carry between fields")
+                             f"{_DET_DIGIT_MAX}: monomials would carry between digits")
 
 
-def _det_np_combine(keys, coeffs):
-    """Sum coefficients of equal keys exactly; returns sorted unique keys
-    with their nonzero int64 totals.  Raises once a per-key sum of |coeff|
-    reaches 2^62.  That sum is taken in float64 and only decides whether to
-    raise: its rounding is far inside the factor 2 to int64 overflow, so no
-    int64 partial sum can wrap."""
-    if keys.size == 0:
-        return keys, coeffs
-    order = np.argsort(keys)
-    keys = keys[order]
-    coeffs = coeffs[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    mags = np.add.reduceat(np.abs(coeffs).astype(np.float64), starts)
-    if mags.max() >= _DET_SUM_LIMIT:
-        raise NumericalError("determinant coefficient overflow")
-    tot = np.add.reduceat(coeffs, starts)
+def _det_np_products(parts):
+    """Words key << 15 | (coeff + 2^14) of every pairwise term product of
+    each part (ak, ac, ek, ec), two packed polynomials, in one array.
+    Raises before a product coefficient could leave the 15-bit field."""
+    words = np.empty(sum(ak.size * ek.size for ak, _, ek, _ in parts), dtype=np.uint64)
+    lo = 0
+    for ak, ac, ek, ec in parts:
+        if int(np.max(np.abs(ac))) * int(np.max(np.abs(ec))) >= _DET_COEFF_BIAS:
+            raise NumericalError("determinant coefficient exceeds the packed field")
+        out = words[lo:lo + ak.size * ek.size].reshape(ak.size, ek.size)
+        np.add((ak << _DET_COEFF_BITS)[:, None],
+               (ek << _DET_COEFF_BITS) | _DET_COEFF_BIAS, out=out)
+        # modulo 2^64 a negative coefficient borrows from the bias only
+        out += (ac[:, None] * ec).view(np.uint64)
+        lo += out.size
+    return words
+
+
+def _det_np_combine(words):
+    """Sort the words in place and sum the coefficients of equal keys
+    exactly; returns sorted unique keys with their nonzero int64 totals."""
+    words.sort()
+    keys = words >> _DET_COEFF_BITS
+    words &= _DET_COEFF_MASK
+    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    tot = np.add.reduceat(words.view(np.int64), starts) \
+        - _DET_COEFF_BIAS * np.diff(starts, append=words.size)
     nz = tot != 0
-    return keys[starts][nz], tot[nz]
-
-
-def _det_np_product(ak, ac, ek, ec):
-    """All pairwise products of two packed polynomials, uncombined."""
-    if float(np.max(np.abs(ac))) * float(np.max(np.abs(ec))) >= _DET_SUM_LIMIT:
-        raise NumericalError("determinant coefficient overflow")
-    return (ak[:, None] + ek).ravel(), (ac[:, None] * ec).ravel()
+    return keys[starts[nz]], tot[nz]
 
 
 def _det_np_dp(entries):
@@ -289,19 +303,19 @@ def _det_np_dp(entries):
                     continue
                 if row[j] is None:
                     continue
-                tk, tc = _det_np_product(ak, ac, *row[j])
-                buckets.setdefault(mask | bit, []).append((tk, -tc if odd else tc))
-        states = {mask: _det_np_combine(np.concatenate([p[0] for p in parts]),
-                                        np.concatenate([p[1] for p in parts]))
-                  for mask, parts in buckets.items()}
-    full = states.get((1 << n) - 1)
-    if full is None:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
-    return full
+                ek, ec = row[j]
+                buckets.setdefault(mask | bit, []).append((ak, ac, ek, -ec if odd else ec))
+        states = {}
+        for mask, parts in buckets.items():
+            keys, coeffs = _det_np_combine(_det_np_products(parts))
+            if keys.size:   # a state that cancels to 0 drops out
+                states[mask] = (keys, coeffs)
+    empty = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
+    return states.get((1 << n) - 1, empty)
 
 
 def _det_np_square(poly):
-    return _det_np_combine(*_det_np_product(*poly, *poly))
+    return _det_np_combine(_det_np_products([(*poly, *poly)]))
 
 
 def _packed_witness(label: str, lhs: _Packed, rhs: _Packed, ring) -> dict | None:
@@ -344,7 +358,7 @@ def _build_det(ring, val, consts):
     # [j-1][i-1] with +c and [i-1][j-1] with -c
     sharp = [[None] * 7 for _ in range(7)]
     for v, (i, j) in enumerate(blades(7, 2)):
-        key = 1 << _DET_SHIFTS[v]
+        key = _DET_PLACES[v]
         sharp[j - 1][i - 1] = (key, 1)
         sharp[i - 1][j - 1] = (key, -1)
     lin = [[dict([sharp[i][j]]) if sharp[i][j] else {} for j in range(7)] for i in range(7)]

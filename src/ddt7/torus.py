@@ -351,10 +351,14 @@ def _theta(E2: FormField) -> np.ndarray:
     return 1.0 - 0.5 * hodge_field(wedge_const(E2, _PHI, left=True)).values[:, 0]
 
 
+def _phi_star_sq(E2: FormField) -> FormField:
+    """The 6-form phi ^ *E2."""
+    return wedge_const(hodge_field(E2), _PHI, left=True)
+
+
 def _correction(E: FormField, E2: FormField) -> FormField:
     """The 6-form (phi ^ *E2) ^ *E, unscaled."""
-    z = hodge_field(wedge_const(hodge_field(E2), _PHI, left=True))
-    return wedge_field(z, hodge_field(E))
+    return wedge_field(hodge_field(_phi_star_sq(E2)), hodge_field(E))
 
 
 def curvature_residual(E: FormField, s: float = 1.0) -> FormField:

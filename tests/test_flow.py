@@ -433,10 +433,16 @@ def _bareiss_exact(mat):
     return r, peak
 
 
+def test_kernel_probe_refuses_kmax_above_cap():
+    with pytest.raises(InputError):
+        kernel_probe(flow._KMAX_CAP + 1)
+
+
 def test_census_int64_bound_at_kmax_16():
-    # the census refuses kmax > 16; at 16 every pre-division product of
-    # every matrix it eliminates must fit in int64.  Corner modes carry the
-    # largest entries; seeded modes on the outer shell cover the rest.
+    # a margin check on bareiss_ranks: the census refuses kmax above
+    # flow._KMAX_CAP (4), yet even at kmax = 16 every pre-division product
+    # of every matrix it would eliminate fits in int64.  Corner modes carry
+    # the largest entries; seeded modes on the outer shell cover the rest.
     T, U = tables.mode_kernel_tensors()
     signs = np.array(list(itertools.product((1, -1), repeat=6)))
     corners = 16 * np.hstack([np.ones((64, 1), np.int64), signs])

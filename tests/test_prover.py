@@ -135,11 +135,14 @@ def test_det_mutation_witness_under_scale(scale, coefficient):
     assert rep.monomial_count_before_cancellation == 807326
 
 
+def _key(exponents):
+    return sum(int(x) * prover._DET_PLACES[v] for v, x in enumerate(exponents))
+
+
 def _packed_entry(rng, nvars):
     out = {}
     for _ in range(int(rng.integers(0, 4))):
-        e = rng.integers(0, 2, nvars)
-        key = sum(int(x) << prover._DET_SHIFTS[v] for v, x in enumerate(e))
+        key = _key(rng.integers(0, 2, nvars))
         c = out.get(key, 0) + int(rng.integers(-3, 4))
         if c:
             out[key] = c
@@ -153,17 +156,44 @@ def _as_poly(ring, keys, coeffs):
                             for k, c in zip(keys, coeffs)})
 
 
+def _row_term(row, a, b):
+    """x_row^a * x_4^b; with a <= 4 in row `row` and b <= 1 in every row,
+    each variable reaches degree at most 4 along any permutation of a 4x4
+    matrix, the packing limit."""
+    e = [0] * 5
+    e[row], e[4] = a, b
+    return _key(e)
+
+
 def test_packed_dp_matches_generic_mask_dp():
     ring = PolyRing(prover._F_NAMES)
     rng = np.random.default_rng(3)
+    biggest = 0
     for _ in range(5):
-        entries = [[_packed_entry(rng, 4) for _ in range(4)] for _ in range(4)]
+        # row 0: up to three terms, coefficients up to 2730 = (2^14 - 1) // 6;
+        # rows 1-3: one term x_i^4 x_4^b per row with signs +-1, so a DP
+        # coefficient sums at most 3! = 6 row-0 coefficients and every
+        # product stays inside the 2^14 field, close to its edge
+        entries = [[{} for _ in range(4)] for _ in range(4)]
+        for j in range(4):
+            for _ in range(3):
+                key = _row_term(0, int(rng.integers(0, 5)), int(rng.integers(0, 2)))
+                entries[0][j][key] = int(rng.integers(-2730, 2731)) or 1
+        for i in range(1, 4):
+            key = _row_term(i, 4, int(rng.integers(0, 2)))
+            entries[i] = [{key: int(rng.choice((-1, 1)))} for _ in range(4)]
+        assert prover._det_np_degree_bound(entries).max() == 4
         rows = [[_as_poly(ring, list(e), list(e.values())) for e in row]
                 for row in entries]
         want = det_endo(Endo.from_rows(4, rows, ring))
         keys, coeffs = prover._det_np_dp(entries)
         assert np.all(keys[:-1] < keys[1:])
         assert _as_poly(ring, keys, coeffs).terms == want.terms
+        biggest = max(biggest, int(np.abs(coeffs).max(initial=0)))
+    assert biggest >= 2 ** 13
+    # a state that cancels to zero drops out; a singular matrix gives 0
+    keys, coeffs = prover._det_np_dp([[{0: 1}] * 3 for _ in range(3)])
+    assert keys.size == 0 and coeffs.size == 0
 
 
 def _packed(entry, scale=Fraction(1)):
@@ -193,25 +223,32 @@ def test_packed_witness_is_lexicographically_first():
 
 
 def test_packed_combine_guards_per_key_magnitude():
-    keys = np.array([5, 9, 5], dtype=np.uint64)
-    k, c = prover._det_np_combine(keys, np.array([2 ** 61, 1, 2 ** 60 + 3], dtype=np.int64))
-    assert k.tolist() == [5, 9] and c.tolist() == [2 ** 61 + 2 ** 60 + 3, 1]
-    # the totals would fit (one even cancels), but the per-key sum of
-    # |coeff| reaches 2^62
-    for c5 in ([2 ** 61, 2 ** 61], [2 ** 61, -2 ** 61]):
+    top = prover._DET_COEFF_BIAS - 1
+    keys = np.array([5, 9, 5, 9], dtype=np.uint64)
+    words = (keys << 15) | (np.array([top, 1, top, -1]) + 2 ** 14).astype(np.uint64)
+    k, c = prover._det_np_combine(words)
+    assert k.tolist() == [5] and c.tolist() == [2 * top]   # key 9 cancels
+    # every product coefficient must fit the 15-bit field, |coeff| < 2^14;
+    # the check bounds max|a| * max|b| before any product is formed
+    one = np.ones(1, dtype=np.uint64)
+    part = (one, np.array([2 ** 7]), 2 * one, np.array([-(2 ** 7 - 1)]))
+    k, c = prover._det_np_combine(prover._det_np_products([part]))
+    assert k.tolist() == [3] and c.tolist() == [-(2 ** 14 - 2 ** 7)]
+    for a, b in ((2 ** 7, 2 ** 7), (2 ** 14, 1), (-1, -(2 ** 14))):
         with pytest.raises(NumericalError):
-            prover._det_np_combine(keys[[0, 2]], np.array(c5, dtype=np.int64))
+            prover._det_np_products([part, (one, np.array([a]), one, np.array([1, b]))])
 
 
 def test_packing_bound_is_checked():
-    x_squared = 2 << prover._DET_SHIFTS[0]
-    entries = [[{x_squared: 1} if i == j else {} for j in range(4)] for i in range(4)]
-    assert prover._det_np_degree_bound(entries)[0] == 8
+    x = prover._DET_PLACES[0]
+    entries = [[{x: 1} if i == j else {} for j in range(4)] for i in range(4)]
+    entries[3][3] = {2 * x: 1}
+    assert prover._det_np_degree_bound(entries)[0] == 5
     with pytest.raises(NumericalError):
         prover._det_np_dp(entries)
-    # degree 7 still packs: det = x^7 in the top field, no carry
-    entries[3][3] = {1 << prover._DET_SHIFTS[0]: 1}
-    assert prover._det_np_degree_bound(entries)[0] == 7
+    # degree 4 still packs: det = x^4 in the top digit, no carry
+    entries[3][3] = {x: 1}
+    assert prover._det_np_degree_bound(entries)[0] == 4
     keys, coeffs = prover._det_np_dp(entries)
-    assert [prover._det_unpack(k) for k in keys] == [(7,) + (0,) * 20]
+    assert [prover._det_unpack(k) for k in keys] == [(4,) + (0,) * 20]
     assert coeffs.tolist() == [1]
