@@ -4,10 +4,12 @@ Three layers, importable separately:
 
   exact      scalars, exalg, g2, prover: rational/polynomial exterior
              algebra and the symbolic identity catalog.
-  pointwise  ddt: residuals, calibration weight, ascent direction at a
-             single point.
+  pointwise  ddt: residuals, calibration weight, ascent direction; the
+             one home of each dDT formula.
   fields     torus, flow: periodic grid calculus, functionals, gradient
              flow, instanton solve, Newton continuation, kernel probe.
+             They evaluate ddt's formulas on whole fields: exalg.wedge
+             and hodge hand a torus.FormField to the field kernels.
 
 The ddt7 console script (ddt7.cli) drives all of it from JSON configs.
 """
@@ -26,7 +28,7 @@ from .prover import (IdentityReport, canonical_mutations, catalog_ids,
                      evaluate_at_point, evaluate_float, float_suite,
                      identity_sites, mutate, verify, verify_all)
 from .torus import (Flux, FormField, GaugePotential, TorusGrid, codiff,
-                    curvature, curvature_residual, d, dtheta4, field_inner,
+                    curvature, d, dtheta4, field_inner,
                     field_l2, gauge_shift, integrate, kl_functional,
                     kl_oneform, kl_segment, load_field, load_flux, nu,
                     nu_derivative_check, random_coclosed_potential,
@@ -34,9 +36,8 @@ from .torus import (Flux, FormField, GaugePotential, TorusGrid, codiff,
                     save_field, save_flux, theta3, zero_potential)
 from .flow import (DEFAULT_SCHEDULE, ContinuationResult, ContinuationStep,
                    FlowConfig, Trajectory, ascent_field, continuation,
-                   cylinder_check, cylinder_check_samples, eta_field,
-                   flow_run, flow_step, instanton_solve, kernel_probe,
-                   spin7_residual_fields, theta_field)
+                   cylinder_check, cylinder_check_samples, flow_run,
+                   flow_step, instanton_solve, kernel_probe)
 from .kernels import backend_name
 
 __version__ = "0.1.0"

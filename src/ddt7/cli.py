@@ -186,7 +186,7 @@ def _write_report(out_dir: str, report: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2,
+        fh.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
                             default=_jsonable) + "\n")
     return path
 
@@ -261,6 +261,9 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
     dec, norms, th, checks = prover.decomposition_checks(F)
     det = float(det_endo(Endo.identity(7, FLOAT) + sharp2(F)))
+    if not all(math.isfinite(v) for v in (*norms.values(), th, det, *checks.values())):
+        raise NumericalError("decompose: a norm, theta, a check residual or "
+                             "det(I + F#) is not finite in float64")
     ok = all(v <= tol for v in checks.values()) and det > 0.0
     report = {
         "command": "decompose", "config": cfg, "versions": _versions(),

@@ -12,13 +12,16 @@ this substitution
 * the gradient direction of the curvature functional is eta(E)/theta(E) with
       eta(E) = *( R(E) + (1/2) * (phi ^ *E^2) ^ *E ).
 
-Each formula has one home per layer.  Exact and pointwise: ``_residual(E, c)``
-(c E^3 - E ^ *phi), ``g2.calibration_scalar`` (*(phi ^ E^2)), ``_phi_star_sq``
-(phi ^ *E^2), ``_correction`` ((phi ^ *E^2) ^ *E) and
-``prover.decomposition_checks``.  Fields, from E and E2 = E ^ E:
-``torus._residual`` (behind ``curvature_residual``), ``_theta``,
-``_phi_star_sq``, ``_correction`` and ``_residual_weight`` (s^4 E^2/2 - *phi,
-dR/dE).
+Each formula has one home, a helper below taking E2 = E ^ E (each caller
+squares E once), and runs unchanged on a ``torus.FormField``: ``exalg.wedge``
+and ``hodge`` hand fields to the field kernels.  Formula -> helper: callers
+
+  c E^3 - E ^ *phi          -> ``_residual(E, E2, c)``: torus, flow
+  3c E^2 - *phi  (dR/dE)    -> ``_residual_weight(E2, c)``: torus, flow Newton
+  *(phi ^ E^2), theta       -> ``_calibration(E2)``, ``_theta(E2)``: flow
+  phi ^ *E^2, (.) ^ *E, eta -> ``_phi_star_sq``, ``_correction``, ``_eta``: flow
+
+``deformed_inner`` and ``grad_density`` take one point only.
 
 The two evolution residuals are evaluated literally from their displayed
 forms (not through the combined equation), so that the equivalence between
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, InputError
 from .scalars import FLOAT, frac, intval
-from . import g2
 from .exalg import Endo, KForm, hodge, inner, sharp2, solve_endo, wedge
 from .g2 import phi_for, star_phi_for
 
@@ -52,65 +54,85 @@ class PointResidual:
     theta: object
 
 
-def _check_E(E: KForm):
+def _check_E(E, point=False):
+    if point and not isinstance(E, KForm):
+        raise InputError("expected a 2-form at one point, not a field")
     if E.n != 7 or E.k != 2:
         raise InputError("expected a 2-form on R^7")
 
 
-def _residual(E: KForm, cube) -> KForm:
-    """cube * E^3 - E ^ *phi, the residual body of the exact and pointwise layers."""
-    return wedge(E, wedge(E, E)) * cube - wedge(E, star_phi_for(E.ring))
+def _residual(E, E2, c):
+    """c E^3 - E ^ *phi."""
+    return wedge(E2, E) * c - wedge(E, star_phi_for(E.ring))
 
 
-def _phi_star_sq(E: KForm) -> KForm:
-    """phi ^ *E^2 as a 6-form."""
-    return wedge(phi_for(E.ring), hodge(wedge(E, E)))
+def _residual_weight(E2, c):
+    """W = 3c E^2 - *phi, the derivative of ``_residual``: dR(b) = b ^ W."""
+    return E2 * (3 * c) - star_phi_for(E2.ring)
 
 
-def _correction(E: KForm) -> KForm:
-    """(phi ^ *E^2) ^ *E as a 6-form, unscaled."""
-    return wedge(hodge(_phi_star_sq(E)), hodge(E))
+def _calibration(E2):
+    """The scalar *(phi ^ E^2)."""
+    return hodge(wedge(phi_for(E2.ring), E2)).coeffs[0]
 
 
-def ddt_residual(E: KForm) -> KForm:
+def _theta(E2):
+    """theta = 1 - (1/2) * (phi ^ E^2)."""
+    return intval(E2.ring, 1) - _calibration(E2) * frac(E2.ring, 1, 2)
+
+
+def _phi_star_sq(E2):
+    """The 6-form phi ^ *E^2."""
+    return wedge(phi_for(E2.ring), hodge(E2))
+
+
+def _correction(E, E2):
+    """The 6-form (phi ^ *E^2) ^ *E, unscaled."""
+    return wedge(hodge(_phi_star_sq(E2)), hodge(E))
+
+
+def _eta(E, E2):
+    """The 1-form *(R(E) + (1/2) * (phi ^ *E^2) ^ *E)."""
+    half, sixth = frac(E.ring, 1, 2), frac(E.ring, 1, 6)
+    return hodge(_residual(E, E2, sixth) + _correction(E, E2) * half)
+
+
+def ddt_residual(E):
     """R(E) = E^3/6 - E ^ *phi; zero iff the connection is dDT."""
     _check_E(E)
-    return _residual(E, frac(E.ring, 1, 6))
+    return _residual(E, wedge(E, E), frac(E.ring, 1, 6))
 
 
-def scaled_residual(E: KForm, s) -> KForm:
+def scaled_residual(E, s):
     """s^4 E^3/6 - E ^ *phi; s=1 is the dDT residual, s=0 the instanton residual."""
     _check_E(E)
     s = E.ring.coerce(s)
-    return _residual(E, s * s * s * s * frac(E.ring, 1, 6))
+    return _residual(E, wedge(E, E), s * s * s * s * frac(E.ring, 1, 6))
 
 
-def _eta_correction(E: KForm) -> KForm:
-    """(1/2) * (phi ^ *E^2) ^ *E as a 6-form."""
-    return _correction(E) * frac(E.ring, 1, 2)
-
-
-def eta(E: KForm) -> KForm:
+def eta(E):
     """The 1-form eta(E) = *( R(E) + (1/2)*(phi ^ *E^2) ^ *E )."""
     _check_E(E)
-    return hodge(ddt_residual(E) + _eta_correction(E))
+    return _eta(E, wedge(E, E))
 
 
-def theta_weight(E: KForm):
+def theta_weight(E):
     """theta(E) = 1 - (1/2)*(phi ^ E^2); positive on the almost-calibrated set."""
     _check_E(E)
-    return intval(E.ring, 1) - g2.calibration_scalar(E) * frac(E.ring, 1, 2)
+    return _theta(wedge(E, E))
 
 
-def point_residual(E: KForm) -> PointResidual:
-    r6 = ddt_residual(E)
-    return PointResidual(r6=r6, eta=hodge(r6 + _eta_correction(E)), theta=theta_weight(E))
+def point_residual(E) -> PointResidual:
+    _check_E(E)
+    E2 = wedge(E, E)
+    r6 = _residual(E, E2, frac(E.ring, 1, 6))
+    return PointResidual(r6=r6, eta=_eta(E, E2), theta=_theta(E2))
 
 
 def deformed_inner(E: KForm, a: KForm, b: KForm):
     """<a, b> for the metric pulled back by (id + E#): both arguments are
     transported by ((id + E#)^{-1})* before the Euclidean pairing."""
-    _check_E(E)
+    _check_E(E, point=True)
     if a.k != 1 or b.k != 1:
         raise InputError("deformed_inner pairs 1-forms")
     A = Endo.identity(7, E.ring) + sharp2(E)
@@ -123,8 +145,9 @@ def grad_density(E: KForm, theta_tol: float = THETA_TOL) -> KForm:
     Raises when |theta| falls below theta_tol in the float backend (the metric
     degenerates there); exact backends only reject exact zero.
     """
-    _check_E(E)
-    th = theta_weight(E)
+    _check_E(E, point=True)
+    E2 = wedge(E, E)
+    th = _theta(E2)
     if E.ring is FLOAT:
         if abs(th) < theta_tol:
             raise DegenerateMetricError(
@@ -132,26 +155,31 @@ def grad_density(E: KForm, theta_tol: float = THETA_TOL) -> KForm:
                 "left the almost-calibrated set", theta=th)
     elif E.ring.is_zero(th):
         raise DegenerateMetricError("theta = 0: gradient direction undefined", theta=th)
-    return eta(E) / th
+    return _eta(E, E2) / th
 
 
-def spin7_res1(E: KForm, adot: KForm) -> KForm:
+def spin7_res1(E, adot):
     """First evolution residual (6-form), literal:
     -*phi ^ E + E^3/6 - theta(E) * (*adot) + *(adot ^ E ^ phi) ^ *E."""
-    return ddt_residual(E) - hodge(adot) * theta_weight(E) \
-        + wedge(hodge(wedge(adot, wedge(E, phi_for(E.ring)))), hodge(E))
+    _check_E(E)
+    E2 = wedge(E, E)
+    return _residual(E, E2, frac(E.ring, 1, 6)) - hodge(adot) * _theta(E2) \
+        + wedge(hodge(wedge(wedge(adot, E), phi_for(E.ring))), hodge(E))
 
 
-def spin7_res2(E: KForm, adot: KForm) -> KForm:
+def spin7_res2(E, adot):
     """Second evolution residual (6-form), literal: (1/2) phi ^ *E^2 - adot ^ E ^ phi."""
     _check_E(E)
-    return _phi_star_sq(E) * frac(E.ring, 1, 2) - wedge(adot, wedge(E, phi_for(E.ring)))
+    return _phi_star_sq(wedge(E, E)) * frac(E.ring, 1, 2) \
+        - wedge(wedge(adot, E), phi_for(E.ring))
 
 
-def spin7_combined(E: KForm, adot: KForm) -> KForm:
+def spin7_combined(E, adot):
     """The eliminated form: -*phi ^ E + E^3/6 + (1/2)*(phi ^ *E^2) ^ *E - theta(E) * (*adot).
 
     Zero iff theta(E)*adot equals eta(E); for theta != 0 this is equivalent
     to both literal residuals vanishing.
     """
-    return ddt_residual(E) + _eta_correction(E) - hodge(adot) * theta_weight(E)
+    _check_E(E)
+    E2 = wedge(E, E)
+    return hodge(_eta(E, E2)) - hodge(adot) * _theta(E2)  # ** is 1 on 1-forms

@@ -11,11 +11,13 @@ Conventions fixed here and shared by every other module:
 * orientation: vol = e^{1..n}; on R^8 the cylinder coordinate t is axis 1;
 * ``hodge``: *(e^I) = sign(I, I^c) e^{I^c} with sign the permutation parity
   of (I, I^c) against (1..n);
-* ``sharp2``: g(F#(u), v) = F(u, v), so the matrix of F# is antisymmetric.
+* ``sharp2``: g(F#(u), v) = F(u, v), so the matrix of F# is antisymmetric;
+* ``wedge`` and ``hodge`` hand a ``torus.FormField`` operand to its kernels.
 """
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,6 +145,8 @@ class KForm:
 
     # arithmetic within a fixed degree
     def _compat(self, other: "KForm"):
+        if other.__class__ is not KForm:  # else a field would leave arrays in a KForm
+            raise InputError("add a constant form to a field as field + form")
         if self.n != other.n or self.k != other.k:
             raise InputError(f"form mismatch: ({self.n},{self.k}) vs ({other.n},{other.k})")
         if self.ring is not other.ring:
@@ -241,8 +245,25 @@ class Endo:
 # operations
 
 
+# A field operand means ``torus`` is imported; it imports this module, so it
+# is looked up per call (a traced run also rebinds its functions).
+_TORUS = __name__.rpartition(".")[0] + ".torus"
+
+
+def _wedge_fields(a, b):
+    """a ^ b for two fields, or a field and a constant KForm on either side."""
+    torus = sys.modules[_TORUS]
+    if isinstance(b, KForm):
+        return torus.wedge_const(a, b)
+    if isinstance(a, KForm):
+        return torus.wedge_const(b, a, left=True)
+    return torus.wedge_field(a, b)
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Exterior product."""
+    if a.__class__ is not KForm or b.__class__ is not KForm:
+        return _wedge_fields(a, b)
     if a.n != b.n:
         raise InputError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.ring is not b.ring:
@@ -289,6 +310,8 @@ def contract(v: Vector, a: KForm) -> KForm:
 
 def hodge(a: KForm) -> KForm:
     """Hodge star for the Euclidean metric, orientation e^{1..n}."""
+    if a.__class__ is not KForm:
+        return sys.modules[_TORUS].hodge_field(a)
     out = _zeros(a.ring, len(blades(a.n, a.n - a.k)))
     for c, (o, s) in zip(a.coeffs, hodge_table(a.n, a.k)):
         out[o] = c if s > 0 else -c

@@ -15,40 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import g2, tables
+from . import ddt, g2, tables
 from .errors import (DegenerateMetricError, InputError, NonFiniteError,
                      NumericalError, ObstructionError)
 from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
-from .scalars import RATIONAL
-from .torus import (_PHI, _STAR_PHI, Flux, FormField, GaugePotential, TorusGrid,
-                    _correction, _phi_star_sq, _residual, _residual_weight,
-                    _spectral_k, _theta, codiff, curvature, curvature_residual, d,
-                    field_inner, field_l2, field_mean, hodge_field,
-                    kl_segment_integral, scalar_times, wedge_const,
-                    wedge_field, zero_potential)
+from .scalars import FLOAT, RATIONAL
+from .torus import (Flux, FormField, GaugePotential, TorusGrid, _spectral_k,
+                    codiff, curvature, d, field_inner, field_l2, field_mean,
+                    kl_segment_integral, wedge_const, wedge_field,
+                    zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
-    "DEFAULT_SCHEDULE",
-    "theta_field", "eta_field", "ascent_field", "spin7_residual_fields",
+    "DEFAULT_SCHEDULE", "ascent_field",
     "flow_step", "flow_run", "cylinder_check", "cylinder_check_samples",
     "instanton_solve", "continuation", "kernel_probe",
 ]
-
-def theta_field(E: FormField) -> np.ndarray:
-    """Calibration weight 1 - (1/2)*(phi ^ E^2) per grid point."""
-    return _theta(wedge_field(E, E))
-
-
-def _eta(E: FormField, E2: FormField) -> FormField:
-    """*(R(E) + (1/2)*(phi^*E^2)^*E) from E and E2 = E ^ E."""
-    return hodge_field(_residual(E, E2) + 0.5 * _correction(E, E2))
-
-
-def eta_field(E: FormField) -> FormField:
-    """The ascent 1-form *(E^3/6 - E^*phi + (1/2)*(phi^*E^2)^*E)."""
-    return _eta(E, wedge_field(E, E))
 
 
 def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
@@ -61,30 +44,20 @@ def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
             point=point, theta=float(theta[worst]))
 
 
+def _ascent(pot: GaugePotential, theta_min: float, stage=None) -> FormField:
+    """ascent_field, from the (E, E ^ E, theta) at pot when they are known."""
+    if stage is None:
+        E = curvature(pot)
+        E2 = wedge_field(E, E)
+        stage = E, E2, ddt._theta(E2)
+    E, E2, theta = stage
+    _theta_guard(pot.grid, theta, theta_min)
+    return FormField(pot.grid, 1, ddt._eta(E, E2).values / theta[:, None])
+
+
 def ascent_field(pot: GaugePotential, theta_min: float = 1e-3) -> FormField:
     """eta/theta over the grid; errors if any point leaves the guarded set."""
-    E = curvature(pot)
-    E2 = wedge_field(E, E)
-    theta = _theta(E2)
-    _theta_guard(pot.grid, theta, theta_min)
-    return FormField(pot.grid, 1, _eta(E, E2).values / theta[:, None])
-
-
-def spin7_residual_fields(E: FormField, adot: FormField):
-    """The two product-space residual 6-forms at (E, adot).
-
-    res1 = -*phi^E + E^3/6 - theta*(*adot) + *(adot^E^phi)^*E
-    res2 = (1/2) phi^*E^2 - adot^E^phi
-
-    Both vanish identically when adot = eta/theta and theta != 0, so their
-    norms along a sampled trajectory measure the time-discretization error.
-    """
-    E2 = wedge_field(E, E)
-    aEphi = wedge_const(wedge_field(adot, E), _PHI)
-    res1 = _residual(E, E2) - scalar_times(_theta(E2), hodge_field(adot)) \
-        + wedge_field(hodge_field(aEphi), hodge_field(E))
-    res2 = 0.5 * _phi_star_sq(E2) - aEphi
-    return res1, res2
+    return _ascent(pot, theta_min)
 
 
 @dataclass(frozen=True)
@@ -131,20 +104,26 @@ class Trajectory:
 def flow_step(pot: GaugePotential, dt: float, scheme: str = "euler",
               theta_min: float = 1e-3) -> GaugePotential:
     """One explicit time step of da/dt = eta/theta."""
+    return _step(pot, dt, scheme, theta_min, None)
+
+
+def _step(pot: GaugePotential, dt: float, scheme: str, theta_min: float,
+          first) -> GaugePotential:
+    """``flow_step``, given the first stage's (E, E ^ E, theta) when known."""
+    if scheme not in ("euler", "rk4"):
+        raise InputError("scheme must be euler or rk4")
     with _finite(f"{scheme} step of dt = {dt:g}"):
+        k1 = _ascent(pot, theta_min, first)
         if scheme == "euler":
-            v = ascent_field(pot, theta_min)
-            return GaugePotential(pot.a + dt * v, pot.flux)
-        if scheme == "rk4":
-            def vf(a: FormField) -> FormField:
-                return ascent_field(GaugePotential(a, pot.flux), theta_min)
-            k1 = vf(pot.a)
-            k2 = vf(pot.a + (0.5 * dt) * k1)
-            k3 = vf(pot.a + (0.5 * dt) * k2)
-            k4 = vf(pot.a + dt * k3)
-            incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            return GaugePotential(pot.a + incr, pot.flux)
-    raise InputError("scheme must be euler or rk4")
+            return GaugePotential(pot.a + dt * k1, pot.flux)
+
+        def vf(a: FormField) -> FormField:
+            return ascent_field(GaugePotential(a, pot.flux), theta_min)
+        k2 = vf(pot.a + (0.5 * dt) * k1)
+        k3 = vf(pot.a + (0.5 * dt) * k2)
+        k4 = vf(pot.a + dt * k3)
+        incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return GaugePotential(pot.a + incr, pot.flux)
 
 
 @contextmanager
@@ -159,13 +138,16 @@ def _finite(where: str):
 
 
 def _diagnostics(pot: GaugePotential):
-    """(kl_functional, residual L2 norm, min theta), sharing one d(a)."""
+    """(kl_functional, residual L2 norm, min theta, (E, E ^ E, theta)),
+    sharing one d(a); the last is the next step's first stage."""
     background = pot.flux.background(pot.grid)
     D = d(pot.a)
     E = background + D
     E2 = wedge_field(E, E)
+    theta = ddt._theta(E2)
     return (kl_segment_integral(background, D, pot.a),
-            field_l2(_residual(E, E2)), float(np.min(_theta(E2))))
+            field_l2(ddt._residual(E, E2, 1.0 / 6.0)), float(np.min(theta)),
+            (E, E2, theta))
 
 
 def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
@@ -180,10 +162,11 @@ def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
     times, funcs, resids, thetas, sample_times, samples = [], [], [], [], [], []
     pot = pot0
     termination = "completed"
+    stage = None
     for step in range(cfg.steps + 1):
         if step:
             try:
-                pot = flow_step(pot, cfg.dt, cfg.scheme, cfg.theta_min)
+                pot = _step(pot, cfg.dt, cfg.scheme, cfg.theta_min, stage)
             except DegenerateMetricError as e:
                 termination = f"left almost-calibrated set at step {step}: {e}"
                 break
@@ -191,7 +174,7 @@ def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
                 raise NumericalError(f"flow step {step}: {e}") from None
         t = step * cfg.dt
         with _finite(f"flow step {step}"):
-            q, r, tmin = _diagnostics(pot)
+            q, r, tmin, stage = _diagnostics(pot)
         times.append(t)
         funcs.append(q)
         resids.append(r)
@@ -229,7 +212,8 @@ def cylinder_check_samples(sample_times, potentials) -> dict:
     for i in range(1, len(potentials) - 1):
         pot = potentials[i]
         adot = (1.0 / (2.0 * h)) * (potentials[i + 1].a - potentials[i - 1].a)
-        r1, r2 = spin7_residual_fields(curvature(pot), adot)
+        E = curvature(pot)
+        r1, r2 = ddt.spin7_res1(E, adot), ddt.spin7_res2(E, adot)
         rows.append({"t": float(ts[i]), "res1_l2": field_l2(r1),
                      "res2_l2": field_l2(r2)})
     return {
@@ -270,7 +254,7 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
     if _flux_has_vector_part(flux):
         raise ObstructionError("no instanton in this Chern class on the torus")
     pot = zero_potential(grid, flux)
-    w = wedge_const(curvature(pot), _STAR_PHI)
+    w = wedge_const(curvature(pot), g2.star_phi_for(FLOAT))
     na = grid.n_active
     spec = np.fft.fftn(w.values.reshape(grid.shape + (7,)), axes=tuple(range(na)))
     flat = np.abs(spec.reshape(grid.npts, 7)).max(axis=1)
@@ -323,7 +307,8 @@ class _ScaledSystem:
 
     def residual(self, a: FormField):
         E = curvature(GaugePotential(a, self.flux))
-        return curvature_residual(E, self.s), codiff(a), field_mean(a)
+        return (ddt._residual(E, wedge_field(E, E), self.s ** 4 / 6.0),
+                codiff(a), field_mean(a))
 
     def res_norm(self, parts) -> float:
         w6, w0, mu = parts
@@ -332,7 +317,7 @@ class _ScaledSystem:
 
     def lin_weight(self, a: FormField) -> FormField:
         E = curvature(GaugePotential(a, self.flux))
-        return _residual_weight(wedge_field(E, E), self.s)
+        return ddt._residual_weight(wedge_field(E, E), self.s ** 4 / 6.0)
 
     def apply_j(self, W: FormField, b: FormField):
         return wedge_field(d(b), W), codiff(b), field_mean(b)

@@ -6,6 +6,9 @@ Lambda^2 = Lambda^2_7 + Lambda^2_14 with Lambda^2_7 = {i(u)phi} and
 Lambda^2_14 = ker(. ^ *phi); the operator F -> *(phi ^ F) has eigenvalues
 2 and -1 on the two summands.
 
+``phi_for``/``star_phi_for`` serve the formulas of ``ddt`` (the calibration
+scalar among them) on every call; the float forms are built once.
+
 Also hosts the two scalar pairings that characterize the evolution equations
 on a product R x T^7 (t the first coordinate, vol_8 = dt ^ vol_7), and the
 embedding helpers for building 8-dimensional forms from 7-dimensional ones.
@@ -21,7 +24,7 @@ from .exalg import KForm, Vector, blade_index, blades, contract, hodge, inner, s
 
 __all__ = [
     "G2Data", "standard", "phi_for", "star_phi_for", "TwoFormDecomp",
-    "decompose2", "star_wedge_phi", "calibration_scalar", "spin7_pair1", "spin7_pair2",
+    "decompose2", "star_wedge_phi", "spin7_pair1", "spin7_pair2",
     "embed_cylinder", "dt_wedge",
 ]
 
@@ -107,6 +110,11 @@ def _phi_float() -> KForm:
     return KForm.from_blades(7, 3, PHI_BLADES, FLOAT)
 
 
+@lru_cache(maxsize=None)
+def _star_phi_float() -> KForm:
+    return hodge(_phi_float())
+
+
 def phi_for(ring) -> KForm:
     """phi with coefficients in the requested ring."""
     if ring is RATIONAL:
@@ -121,6 +129,8 @@ def phi_for(ring) -> KForm:
 def star_phi_for(ring) -> KForm:
     if ring is RATIONAL:
         return standard().star_phi
+    if ring is FLOAT:
+        return _star_phi_float()
     return hodge(phi_for(ring))
 
 
@@ -153,13 +163,6 @@ def star_wedge_phi(F: KForm) -> KForm:
     if F.k != 2:
         raise InputError("star_wedge_phi requires a 2-form")
     return hodge(wedge(phi_for(F.ring), F))
-
-
-def calibration_scalar(F: KForm):
-    """The scalar *(phi ^ F^2) of a 2-form: theta = 1 - (1/2) * this."""
-    if F.k != 2 or F.n != 7:
-        raise InputError("calibration_scalar requires a 2-form on R^7")
-    return hodge(wedge(phi_for(F.ring), wedge(F, F))).coeffs[0]
 
 
 def spin7_pair1(E: KForm, adot: KForm, b: KForm):

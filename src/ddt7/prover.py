@@ -124,10 +124,11 @@ def _c(ring, consts, site):
 
 def _build_a1(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    xi = ddt._residual(F, _c(ring, consts, "cube-scale"))
+    F2 = wedge(F, F)
+    xi = ddt._residual(F, F2, _c(ring, consts, "cube-scale"))
     Fs = sharp2(F)
     lhs = pullback(Endo.identity(7, ring) - (Fs @ Fs), hodge(xi))
-    rhs = hodge(xi + ddt._correction(F) * _c(ring, consts, "corr-scale"))
+    rhs = hodge(xi + ddt._correction(F, F2) * _c(ring, consts, "corr-scale"))
     return [("transport", lhs, rhs)]
 
 
@@ -139,27 +140,28 @@ def _build_a2a(ring, val, consts):
 
 def _build_a2b(ring, val, consts):
     u, F7, F = _decomposed_F(ring, val)
-    lhs = hodge(ddt._phi_star_sq(F))
+    lhs = hodge(ddt._phi_star_sq(wedge(F, F)))
     rhs = contract(u, F) * _c(ring, consts, "rhs-scale")
     return [("contraction", lhs, rhs)]
 
 
-def _theta_poly(ring, F, inner_scale):
-    return intval(ring, 1) - g2.calibration_scalar(F) * inner_scale
+def _theta_poly(ring, F2, inner_scale):
+    return intval(ring, 1) - ddt._calibration(F2) * inner_scale
 
 
-def _corrected_residual(ring, F, consts):
+def _corrected_residual(ring, F, F2, consts):
     """R(F) and G = R(F) + corr-scale * (phi ^ *F^2) ^ *F, for A4 and A3F."""
-    R = ddt.ddt_residual(F)
-    return R, R + ddt._correction(F) * _c(ring, consts, "corr-scale")
+    R = ddt._residual(F, F2, frac(ring, 1, 6))
+    return R, R + ddt._correction(F, F2) * _c(ring, consts, "corr-scale")
 
 
 def _build_a4(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    _, G = _corrected_residual(ring, F, consts)
+    F2 = wedge(F, F)
+    _, G = _corrected_residual(ring, F, F2, consts)
     lhs = wedge(hodge(G), wedge(F, g2.phi_for(ring)))
-    theta = _theta_poly(ring, F, _c(ring, consts, "theta-inner"))
-    rhs = ddt._phi_star_sq(F) * (theta * _c(ring, consts, "rhs-scale"))
+    theta = _theta_poly(ring, F2, _c(ring, consts, "theta-inner"))
+    rhs = ddt._phi_star_sq(F2) * (theta * _c(ring, consts, "rhs-scale"))
     return [("pairing", lhs, rhs)]
 
 
@@ -174,8 +176,9 @@ def _build_a5(ring, val, consts):
 
 def _build_a3f(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    R, G = _corrected_residual(ring, F, consts)
-    theta = _theta_poly(ring, F, frac(ring, 1, 2))
+    F2 = wedge(F, F)
+    R, G = _corrected_residual(ring, F, F2, consts)
+    theta = _theta_poly(ring, F2, frac(ring, 1, 2))
     back = wedge(hodge(wedge(hodge(G), wedge(F, g2.phi_for(ring)))), hodge(F))
     lhs = R * theta + back
     rhs = G * theta
@@ -646,7 +649,7 @@ def decomposition_checks(F: KForm):
     f7sq = float(inner(dec.f7, dec.f7))
     f14sq = float(inner(dec.f14, dec.f14))
     th = float(ddt.theta_weight(F))
-    calib = float(g2.calibration_scalar(F))
+    calib = float(ddt._calibration(wedge(F, F)))
     residuals = {
         "recompose": _rel_gap(dec.f7 + dec.f14, F),
         "f14_annihilates": _absmax(wedge(dec.f14, g2.star_phi_for(F.ring))) / scale,

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import g2, tables
+from . import ddt, tables
 from .errors import InputError, NonFiniteError
 from .exalg import KForm, blades
 from .kernels import hodge_fields, wedge_fields
@@ -33,8 +33,8 @@ from .scalars import FLOAT, RATIONAL
 __all__ = [
     "TorusGrid", "FormField", "Flux", "GaugePotential",
     "d", "codiff", "integrate", "field_inner", "field_l2",
-    "wedge_field", "wedge_const", "hodge_field", "scalar_times",
-    "curvature", "curvature_residual", "residual_field",
+    "wedge_field", "wedge_const", "hodge_field",
+    "curvature", "residual_field",
     "kl_oneform", "kl_functional", "kl_segment", "kl_segment_integral",
     "theta3", "dtheta4", "nu", "nu_derivative_check", "gauge_shift",
     "random_field", "random_potential", "random_coclosed_potential",
@@ -42,9 +42,6 @@ __all__ = [
 ]
 
 _SNAPSHOT_MAGIC = b"T7FIELD1"
-
-_PHI = g2.phi_for(FLOAT)
-_STAR_PHI = g2.star_phi_for(FLOAT)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,13 @@ class TorusGrid:
 
 @dataclass(frozen=True, eq=False)
 class FormField:
-    """Degree-k form sampled on a grid: values (npts, n_blades), float64."""
+    """Degree-k form sampled on a grid: values (npts, n_blades), float64.
+
+    Reads as a float KForm on R^7 (``n``, ``ring``, ``coeffs``), so the
+    formulas of ``ddt`` run on it."""
+
+    n = 7
+    ring = FLOAT
 
     grid: TorusGrid
     k: int
@@ -122,19 +125,32 @@ class FormField:
         coeffs = np.array([float(c) for c in form.coeffs])
         return FormField(grid, form.k, np.tile(coeffs, (grid.npts, 1)))
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Blade-major view of the values, (n_blades, npts)."""
+        return self.values.T
+
     def pointwise(self, p: int) -> KForm:
         """The KForm at flat grid index p (for cross-checks)."""
         return KForm.from_coeffs(7, self.k, self.values[p].tolist(), FLOAT)
 
-    def __add__(self, other: "FormField") -> "FormField":
+    def _term(self, other) -> np.ndarray:
+        """Values of a field, or of a constant KForm, of this degree."""
+        if isinstance(other, KForm):
+            other = FormField.constant(self.grid, other)
         self._compat(other)
-        return FormField(self.grid, self.k, self.values + other.values)
+        return other.values
 
-    def __sub__(self, other: "FormField") -> "FormField":
-        self._compat(other)
-        return FormField(self.grid, self.k, self.values - other.values)
+    def __add__(self, other) -> "FormField":
+        return FormField(self.grid, self.k, self.values + self._term(other))
 
-    def __mul__(self, s: float) -> "FormField":
+    def __sub__(self, other) -> "FormField":
+        return FormField(self.grid, self.k, self.values - self._term(other))
+
+    def __mul__(self, s) -> "FormField":
+        """Times a number, or pointwise times an (npts,) array."""
+        if getattr(s, "ndim", 0):
+            return FormField(self.grid, self.k, self.values * s[:, None])
         return FormField(self.grid, self.k, self.values * float(s))
 
     __rmul__ = __mul__
@@ -229,11 +245,6 @@ def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
     if left and (f.k * form.k) % 2:
         vals = -vals
     return FormField(f.grid, f.k + form.k, vals)
-
-
-def scalar_times(w: np.ndarray, f: FormField) -> FormField:
-    """Pointwise scalar field times form field."""
-    return FormField(f.grid, f.k, w[:, None] * f.values)
 
 
 def integrate(f: FormField) -> float:
@@ -333,54 +344,22 @@ def curvature(pot: GaugePotential) -> FormField:
     return pot.flux.background(pot.grid) + d(pot.a)
 
 
-# --- the field formulas, one home each (see ``ddt``); E2 is E ^ E ----------
-
-
-def _residual(E: FormField, E2: FormField, s: float = 1.0) -> FormField:
-    """s^4 E^3/6 - E ^ *phi from E and E2 = E ^ E."""
-    return (float(s) ** 4 / 6.0) * wedge_field(E2, E) - wedge_const(E, _STAR_PHI)
-
-
-def _residual_weight(E2: FormField, s: float = 1.0) -> FormField:
-    """W = s^4 E^2/2 - *phi, the derivative of the residual: dR(b) = b ^ W."""
-    return (float(s) ** 4 / 2.0) * E2 - FormField.constant(E2.grid, _STAR_PHI)
-
-
-def _theta(E2: FormField) -> np.ndarray:
-    """theta = 1 - (1/2) * (phi ^ E2) per grid point."""
-    return 1.0 - 0.5 * hodge_field(wedge_const(E2, _PHI, left=True)).values[:, 0]
-
-
-def _phi_star_sq(E2: FormField) -> FormField:
-    """The 6-form phi ^ *E2."""
-    return wedge_const(hodge_field(E2), _PHI, left=True)
-
-
-def _correction(E: FormField, E2: FormField) -> FormField:
-    """The 6-form (phi ^ *E2) ^ *E, unscaled."""
-    return wedge_field(hodge_field(_phi_star_sq(E2)), hodge_field(E))
-
-
-def curvature_residual(E: FormField, s: float = 1.0) -> FormField:
-    """The 6-form s^4 E^3/6 - E^*phi, pointwise over the grid."""
-    return _residual(E, wedge_field(E, E), s)
-
-
 def residual_field(pot: GaugePotential, s: float = 1.0):
     """Scaled residual field s^4 E^3/6 - E^*phi and its L2 norm."""
-    res = curvature_residual(curvature(pot), s)
+    res = ddt.scaled_residual(curvature(pot), s)
     return res, field_l2(res)
 
 
 # --- functionals -------------------------------------------------------------
+
+_SIXTH = 1.0 / 6.0  # the cube coefficient of the unscaled residual
 
 
 def kl_oneform(pot: GaugePotential, b: FormField) -> float:
     """The first-variation pairing: integral of b ^ (E^3/6 - E^*phi)."""
     if b.k != 1:
         raise InputError("direction must be a 1-form field")
-    E = curvature(pot)
-    return integrate(wedge_field(b, curvature_residual(E)))
+    return integrate(wedge_field(b, ddt.ddt_residual(curvature(pot))))
 
 
 def kl_segment(base: GaugePotential, delta: FormField) -> float:
@@ -399,8 +378,8 @@ def kl_segment_integral(E0: FormField, D: FormField,
     """
     E0sq = wedge_field(E0, E0)
     DD = wedge_field(D, D)
-    r0 = _residual(E0, E0sq)
-    r1 = wedge_field(D, _residual_weight(E0sq))
+    r0 = ddt._residual(E0, E0sq, _SIXTH)
+    r1 = wedge_field(D, ddt._residual_weight(E0sq, _SIXTH))
     r2 = 0.5 * wedge_field(E0, DD)
     r3 = (1.0 / 6.0) * wedge_field(DD, D)
     avg = r0 + 0.5 * r1 + (1.0 / 3.0) * r2 + 0.25 * r3
@@ -419,7 +398,7 @@ def theta3(pot: GaugePotential, b1: FormField, b2: FormField, b3: FormField) -> 
     arguments negates the result bitwise and repeated arguments give 0.0.
     """
     E = curvature(pot)
-    W = _residual_weight(wedge_field(E, E))  # minus the four-form: negate terms
+    W = ddt._residual_weight(wedge_field(E, E), _SIXTH)  # minus the four-form: negate terms
     args = (b1, b2, b3)
     terms = []
     for (p, q, r), sgn in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
@@ -460,7 +439,7 @@ def nu(pot: GaugePotential, g1: FormField, g2: FormField) -> float:
     """Multi-moment pairing: -integral of R(E) ^ (g1 dg2 - g2 dg1)/2."""
     if g1.k != 0 or g2.k != 0:
         raise InputError("moment arguments must be scalar fields")
-    R = curvature_residual(curvature(pot))
+    R = ddt.ddt_residual(curvature(pot))
     return -integrate(wedge_field(R, _moment_pair_oneform(g1, g2)))
 
 
@@ -473,7 +452,7 @@ def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
     equality is the defining property of the multi-moment map.
     """
     E = curvature(pot)
-    dR = wedge_field(d(b), _residual_weight(wedge_field(E, E)))
+    dR = wedge_field(d(b), ddt._residual_weight(wedge_field(E, E), _SIXTH))
     lhs = -integrate(wedge_field(dR, _moment_pair_oneform(g1, g2)))
     rhs = theta3(pot, d(g1), d(g2), b)
     return lhs, rhs
@@ -491,8 +470,7 @@ def gauge_shift(pot: GaugePotential, chi: FormField | None = None,
     if len(m) != 7:
         raise InputError("winding vector needs 7 integers")
     if any(m):
-        const = KForm.from_coeffs(7, 1, [2.0 * math.pi * x for x in m], FLOAT)
-        a = a + FormField.constant(pot.grid, const)
+        a = a + KForm.from_coeffs(7, 1, [2.0 * math.pi * x for x in m], FLOAT)
     return GaugePotential(a, pot.flux)
 
 

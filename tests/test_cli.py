@@ -34,9 +34,14 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def _no_constant(name):
+    raise ValueError(f"report.json holds the non-JSON token {name}")
+
+
 def read_report(out_dir):
+    """The report, parsed strictly: NaN and Infinity tokens are not JSON."""
     with open(out_dir / "report.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_no_constant)
 
 
 def test_verify_mutated_identity_fails(tmp_path):
@@ -321,18 +326,40 @@ CONFIG_FUZZ = [
 ]
 
 
-def _assert_contract(code, capsys):
+def _assert_contract(code, capsys, out_dir=None):
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err
+    if out_dir is not None and (out_dir / "report.json").exists():
+        read_report(out_dir)
 
 
 @pytest.mark.parametrize("command, payload", CONFIG_FUZZ)
 def test_fuzzed_config_follows_the_exit_contract(tmp_path, capsys,
                                                  command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
-    _assert_contract(cli.main([command, "--config", cfg,
-                               "--out", str(tmp_path / "o")]), capsys)
+    out = tmp_path / "o"
+    _assert_contract(cli.main([command, "--config", cfg, "--out", str(out)]),
+                     capsys, out)
+
+
+# inputs that overflow float64 inside the run: exit 3, and no report
+NUMERICAL_FUZZ = [
+    ("decompose", {"coefficients": [1e200] * 21}),     # NaN checks and norms
+    ("decompose", {"coefficients": [1e200] + [0.0] * 20}),  # inf det(I + F#)
+    ("decompose", {"coefficients": [1e100] * 21}),
+]
+
+
+@pytest.mark.parametrize("command, payload", NUMERICAL_FUZZ)
+def test_overflowing_config_is_a_numerical_failure(tmp_path, capsys,
+                                                   command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_unwritable_output_directory_is_bad_input(tmp_path, capsys):
@@ -385,5 +412,6 @@ def test_fuzzed_snapshot_follows_the_exit_contract(tmp_path, capsys,
     cfg = write_config(tmp_path, "c.json", {
         "flux": {"1,2": 1, "4,7": 1}, "grid": {"axes": [1, 2], "N": 4},
         "schedule": [0.0], "initial_snapshot": str(snap)})
-    _assert_contract(cli.main(["continue", "--config", cfg,
-                               "--out", str(tmp_path / "o")]), capsys)
+    out = tmp_path / "o"
+    _assert_contract(cli.main(["continue", "--config", cfg, "--out", str(out)]),
+                     capsys, out)

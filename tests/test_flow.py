@@ -7,13 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from ddt7 import flow, kernels, tables
+from ddt7 import ddt, flow, kernels, tables, torus
 from ddt7.errors import (DegenerateMetricError, InputError, NumericalError,
                          ObstructionError)
 from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, ascent_field,
                        continuation, cylinder_check, cylinder_check_samples,
-                       eta_field, flow_run, flow_step, instanton_solve,
-                       kernel_probe, spin7_residual_fields, theta_field)
+                       flow_run, flow_step, instanton_solve, kernel_probe)
 from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
                         coclosed_project, codiff, curvature, field_l2,
                         field_mean, kl_functional, random_coclosed_potential,
@@ -61,10 +60,10 @@ def test_instanton_obstructed_flux():
 def test_theta_field_frozen_values():
     two_pi_sq = (2 * math.pi) ** 2
     E = curvature(zero_potential(GRID, CALIBRATED))
-    assert np.allclose(theta_field(E), 1 + two_pi_sq, rtol=1e-14, atol=0)
+    assert np.allclose(ddt.theta_weight(E), 1 + two_pi_sq, rtol=1e-14, atol=0)
     bad = Flux.from_entries({(1, 2): 1, (4, 7): -1})
     Eb = curvature(zero_potential(GRID, bad))
-    assert np.allclose(theta_field(Eb), 1 - two_pi_sq, rtol=1e-14, atol=0)
+    assert np.allclose(ddt.theta_weight(Eb), 1 - two_pi_sq, rtol=1e-14, atol=0)
 
 
 def test_degenerate_metric_guard():
@@ -79,7 +78,7 @@ def test_degenerate_metric_guard():
 
 def test_calibrated_background_is_a_fixed_point():
     pot = zero_potential(GRID, CALIBRATED)
-    assert field_l2(eta_field(curvature(pot))) == 0.0
+    assert field_l2(ddt.eta(curvature(pot))) == 0.0
     traj = flow_run(pot, FlowConfig(dt=1e-2, steps=8, record_every=4))
     assert traj.termination == "completed"
     assert field_l2(traj.samples[-1].a) == 0.0
@@ -128,6 +127,32 @@ def test_flow_is_monotone_and_samples_line_up():
     assert np.all(traj.theta_min_per_step > 0)
 
 
+@pytest.mark.parametrize("scheme, d_per_step", [("euler", 1), ("rk4", 4)])
+def test_flow_run_reuses_the_diagnostics_for_the_first_stage(monkeypatch, scheme,
+                                                             d_per_step):
+    """flow_run's steps equal flow_step's bit for bit, with one d(a) per
+    stage: the first stage's curvature comes from the step's diagnostics."""
+    rng = np.random.default_rng(26)
+    pot0 = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.02)
+    steps = 10
+    pots = [pot0]
+    for _ in range(steps):
+        pots.append(flow_step(pots[-1], 1e-3, scheme))
+    calls = []
+    real_d = torus.d
+
+    def counted(f):
+        calls.append(f.k)
+        return real_d(f)
+    monkeypatch.setattr(torus, "d", counted)
+    monkeypatch.setattr(flow, "d", counted)
+    traj = flow_run(pot0, FlowConfig(dt=1e-3, steps=steps, scheme=scheme,
+                                     record_every=1))
+    assert len(calls) == 1 + d_per_step * steps
+    for got, want in zip(traj.samples, pots):
+        assert np.array_equal(got.a.values, want.a.values)
+
+
 def test_flow_diagnostics_equal_the_public_functionals():
     """The per-step scalars share one d(a) and must equal, bit for bit, the
     public functionals evaluated on the stored samples."""
@@ -142,7 +167,7 @@ def test_flow_diagnostics_equal_the_public_functionals():
     assert np.array_equal(traj.residual_l2,
                           [residual_field(p)[1] for p in traj.samples])
     assert np.array_equal(traj.theta_min_per_step,
-                          [np.min(theta_field(curvature(p)))
+                          [np.min(ddt.theta_weight(curvature(p)))
                            for p in traj.samples])
 
 
@@ -151,12 +176,12 @@ def test_spin7_residuals_vanish_along_ascent():
     pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.1)
     E = curvature(pot)
     adot = ascent_field(pot)
-    r1, r2 = spin7_residual_fields(E, adot)
+    r1, r2 = ddt.spin7_res1(E, adot), ddt.spin7_res2(E, adot)
     assert field_l2(r1) < 1e-9
     assert field_l2(r2) < 1e-9
     # a wrong velocity must register in both residuals
     off = adot + random_field(GRID, 1, rng, scale=0.5)
-    w1, w2 = spin7_residual_fields(E, off)
+    w1, w2 = ddt.spin7_res1(E, off), ddt.spin7_res2(E, off)
     assert field_l2(w1) > 1e-2 and field_l2(w2) > 1e-2
 
 

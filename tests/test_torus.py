@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from ddt7 import torus
+from ddt7 import ddt, torus
 from ddt7.errors import InputError
 from ddt7.exalg import KForm, hodge, inner, wedge
 from ddt7.scalars import FLOAT
 from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
-                        coclosed_project, codiff, curvature,
-                        curvature_residual, d, dtheta4, field_inner,
+                        coclosed_project, codiff, curvature, d, dtheta4,
+                        field_inner,
                         field_l2, field_mean, gauge_shift, hodge_field,
                         integrate, kl_functional, kl_oneform, kl_segment,
                         load_field, load_flux, nu_derivative_check,
@@ -269,7 +269,7 @@ def test_potential_and_residual_validation():
     pot = random_coclosed_potential(GRID2, Flux.zero(), rng, scale=0.1)
     assert field_l2(codiff(pot.a)) < 1e-10
     E = curvature(pot)
-    R = curvature_residual(E)
+    R = ddt.ddt_residual(E)
     assert R.k == 6
     # closedness of the residual, the fact the kl tests lean on
     assert field_l2(d(R)) < 1e-9
