@@ -260,6 +260,7 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
         coeffs = [float(x) for x in rng.uniform(-1.0, 1.0, 21)]
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
     dec, norms, th, checks = prover.decomposition_checks(F)
+    checks = {k: float(v) for k, v in checks.items()}
     det = float(det_endo(Endo.identity(7, FLOAT) + sharp2(F)))
     if not all(math.isfinite(v) for v in (*norms.values(), th, det, *checks.values())):
         raise NumericalError("decompose: a norm, theta, a check residual or "

@@ -20,6 +20,8 @@ and ``hodge`` hand fields to the field kernels.  Formula -> helper: callers
   3c E^2 - *phi  (dR/dE)    -> ``_residual_weight(E2, c)``: torus, flow Newton
   *(phi ^ E^2), theta       -> ``_calibration(E2)``, ``_theta(E2)``: flow
   phi ^ *E^2, (.) ^ *E, eta -> ``_phi_star_sq``, ``_correction``, ``_eta``: flow
+  the evolution residuals   -> ``_res1``, ``_res2`` (with ``_adot_E_phi``):
+                               flow's cylinder check
 
 ``deformed_inner`` and ``grad_density`` take one point only.
 
@@ -158,20 +160,33 @@ def grad_density(E: KForm, theta_tol: float = THETA_TOL) -> KForm:
     return _eta(E, E2) / th
 
 
+def _adot_E_phi(E, adot):
+    """The 6-form (adot ^ E) ^ phi shared by both evolution residuals."""
+    return wedge(wedge(adot, E), phi_for(E.ring))
+
+
+def _res1(E, E2, adot, aEphi):
+    """First evolution residual from E2 = E ^ E and aEphi = (adot ^ E) ^ phi."""
+    return _residual(E, E2, frac(E.ring, 1, 6)) - hodge(adot) * _theta(E2) \
+        + wedge(hodge(aEphi), hodge(E))
+
+
+def _res2(E2, aEphi):
+    """Second evolution residual from E2 = E ^ E and aEphi = (adot ^ E) ^ phi."""
+    return _phi_star_sq(E2) * frac(E2.ring, 1, 2) - aEphi
+
+
 def spin7_res1(E, adot):
     """First evolution residual (6-form), literal:
     -*phi ^ E + E^3/6 - theta(E) * (*adot) + *(adot ^ E ^ phi) ^ *E."""
     _check_E(E)
-    E2 = wedge(E, E)
-    return _residual(E, E2, frac(E.ring, 1, 6)) - hodge(adot) * _theta(E2) \
-        + wedge(hodge(wedge(wedge(adot, E), phi_for(E.ring))), hodge(E))
+    return _res1(E, wedge(E, E), adot, _adot_E_phi(E, adot))
 
 
 def spin7_res2(E, adot):
     """Second evolution residual (6-form), literal: (1/2) phi ^ *E^2 - adot ^ E ^ phi."""
     _check_E(E)
-    return _phi_star_sq(wedge(E, E)) * frac(E.ring, 1, 2) \
-        - wedge(wedge(adot, E), phi_for(E.ring))
+    return _res2(wedge(E, E), _adot_E_phi(E, adot))
 
 
 def spin7_combined(E, adot):

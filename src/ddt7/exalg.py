@@ -96,6 +96,11 @@ def _zeros(ring, count):
     return [ring.zero] * count
 
 
+def _zero_flags(coeffs, ring) -> list:
+    """ring.is_zero of each coefficient, tested once per operation."""
+    return [ring.is_zero(c) for c in coeffs]
+
+
 @dataclass(frozen=True)
 class KForm:
     """Degree-k alternating form on R^n; dense blade coefficients."""
@@ -104,6 +109,9 @@ class KForm:
     k: int
     coeffs: tuple
     ring: object
+
+    # a BATCH scalar (an ndarray) times a form defers to __rmul__
+    __array_ufunc__ = None
 
     def __post_init__(self):
         if self.n not in (7, 8):
@@ -274,15 +282,12 @@ def wedge(a: KForm, b: KForm) -> KForm:
     ring = a.ring
     out = _zeros(ring, len(blades(a.n, k)))
     ca, cb = a.coeffs, b.coeffs
-    zero = ring.is_zero
+    za, zb = _zero_flags(ca, ring), _zero_flags(cb, ring)
     for i, j, o, s in wedge_table(a.n, a.k, b.k):
-        x = ca[i]
-        if zero(x):
+        if za[i] or zb[j]:
             continue
-        y = cb[j]
-        if zero(y):
-            continue
-        out[o] = out[o] + (x * y if s > 0 else -(x * y))
+        x, y = ca[i], cb[j]
+        out[o] = out[o] + x * y if s > 0 else out[o] - x * y
     return KForm(a.n, k, tuple(out), ring)
 
 
@@ -296,15 +301,12 @@ def contract(v: Vector, a: KForm) -> KForm:
         raise InputError(f"scalar backend mismatch: {v.ring.name} vs {a.ring.name}")
     ring = a.ring
     out = _zeros(ring, len(blades(a.n, a.k - 1)))
-    zero = ring.is_zero
+    za, zv = _zero_flags(a.coeffs, ring), _zero_flags(v.comps, ring)
     for i, axis, o, s in contract_table(a.n, a.k):
-        c = a.coeffs[i]
-        if zero(c):
+        if za[i] or zv[axis - 1]:
             continue
-        x = v.comps[axis - 1]
-        if zero(x):
-            continue
-        out[o] = out[o] + (x * c if s > 0 else -(x * c))
+        c, x = a.coeffs[i], v.comps[axis - 1]
+        out[o] = out[o] + x * c if s > 0 else out[o] - x * c
     return KForm(a.n, a.k - 1, tuple(out), ring)
 
 
@@ -380,10 +382,10 @@ def _det_rows(rows, ring):
     hence the descending scan.
     """
     n = len(rows)
-    zero = ring.is_zero
-    states = {1 << j: c for j, c in enumerate(rows[0]) if not zero(c)}
+    states = {1 << j: c for j, c in enumerate(rows[0]) if not ring.is_zero(c)}
     for row in rows[1:]:
         nxt: dict = {}
+        zrow = _zero_flags(row, ring)
         for mask, acc in states.items():
             odd = False
             for j in range(n - 1, -1, -1):
@@ -391,10 +393,9 @@ def _det_rows(rows, ring):
                 if mask & bit:
                     odd = not odd
                     continue
-                entry = row[j]
-                if zero(entry):
+                if zrow[j]:
                     continue
-                term = acc * entry
+                term = acc * row[j]
                 if odd:
                     term = -term
                 key = mask | bit

@@ -213,7 +213,8 @@ def cylinder_check_samples(sample_times, potentials) -> dict:
         pot = potentials[i]
         adot = (1.0 / (2.0 * h)) * (potentials[i + 1].a - potentials[i - 1].a)
         E = curvature(pot)
-        r1, r2 = ddt.spin7_res1(E, adot), ddt.spin7_res2(E, adot)
+        E2, aEphi = wedge_field(E, E), ddt._adot_E_phi(E, adot)
+        r1, r2 = ddt._res1(E, E2, adot, aEphi), ddt._res2(E2, aEphi)
         rows.append({"t": float(ts[i]), "res1_l2": field_l2(r1),
                      "res2_l2": field_l2(r2)})
     return {

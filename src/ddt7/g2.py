@@ -7,7 +7,8 @@ Lambda^2_14 = ker(. ^ *phi); the operator F -> *(phi ^ F) has eigenvalues
 2 and -1 on the two summands.
 
 ``phi_for``/``star_phi_for`` serve the formulas of ``ddt`` (the calibration
-scalar among them) on every call; the float forms are built once.
+scalar among them) on every call; each ring object builds them once, from
+its ``const``, and keeps them in its ``memo``.
 
 Also hosts the two scalar pairings that characterize the evolution equations
 on a product R x T^7 (t the first coordinate, vol_8 = dt ^ vol_7), and the
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .scalars import FLOAT, RATIONAL, PolyRing, frac, intval
+from .scalars import RATIONAL, frac, intval
 from .exalg import KForm, Vector, blade_index, blades, contract, hodge, inner, sharp1, wedge
 
 __all__ = [
-    "G2Data", "standard", "phi_for", "star_phi_for", "TwoFormDecomp",
+    "G2Data", "standard", "phi_for", "star_phi_for", "basis14_for", "TwoFormDecomp",
     "decompose2", "star_wedge_phi", "spin7_pair1", "spin7_pair2",
     "embed_cylinder", "dt_wedge",
 ]
@@ -87,8 +88,8 @@ def _kernel_basis14(phi4: KForm) -> tuple:
 def standard() -> G2Data:
     """The shared immutable G2 data, exact-rational backend."""
     ring = RATIONAL
-    phi = KForm.from_blades(7, 3, PHI_BLADES, ring)
-    star_phi = hodge(phi)
+    phi = phi_for(ring)
+    star_phi = star_phi_for(ring)
     vol = hodge(KForm.from_blades(7, 0, {(): 1}, ring))
     # orientation self-check: (i(e1)phi) ^ *phi must equal +3*(e^1)
     probe = wedge(contract(Vector.basis(7, 1, ring), phi), star_phi)
@@ -105,33 +106,31 @@ def standard() -> G2Data:
     return G2Data(phi=phi, star_phi=star_phi, vol=vol, basis14=basis14)
 
 
-@lru_cache(maxsize=None)
-def _phi_float() -> KForm:
-    return KForm.from_blades(7, 3, PHI_BLADES, FLOAT)
-
-
-@lru_cache(maxsize=None)
-def _star_phi_float() -> KForm:
-    return hodge(_phi_float())
-
-
 def phi_for(ring) -> KForm:
-    """phi with coefficients in the requested ring."""
-    if ring is RATIONAL:
-        return standard().phi
-    if ring is FLOAT:
-        return _phi_float()
-    if isinstance(ring, PolyRing):
-        return KForm.from_blades(7, 3, PHI_BLADES, ring)
-    raise InputError("unsupported ring for phi")
+    """phi with coefficients in the requested ring (one per ring object)."""
+    phi = ring.memo.get("phi")
+    if phi is None:
+        phi = ring.memo["phi"] = KForm(7, 3, tuple(ring.const(PHI_BLADES.get(b, 0))
+                                                   for b in blades(7, 3)), ring)
+    return phi
 
 
 def star_phi_for(ring) -> KForm:
-    if ring is RATIONAL:
-        return standard().star_phi
-    if ring is FLOAT:
-        return _star_phi_float()
-    return hodge(phi_for(ring))
+    """*phi with coefficients in the requested ring (one per ring object)."""
+    star_phi = ring.memo.get("star_phi")
+    if star_phi is None:
+        star_phi = ring.memo["star_phi"] = hodge(phi_for(ring))
+    return star_phi
+
+
+def basis14_for(ring) -> tuple:
+    """The basis of Lambda^2_14 with coefficients in the requested ring (one
+    per ring object)."""
+    basis = ring.memo.get("basis14")
+    if basis is None:
+        basis = ring.memo["basis14"] = tuple(
+            KForm(7, 2, tuple(map(ring.const, B.coeffs)), ring) for B in standard().basis14)
+    return basis
 
 
 @dataclass(frozen=True)

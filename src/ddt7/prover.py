@@ -35,6 +35,7 @@ polynomial, so no constant in its tree can break it) and rejects mutation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .scalars import FLOAT, RATIONAL, MultiPoly, PolyRing, frac, intval, rational
+from .scalars import BATCH, RATIONAL, MultiPoly, PolyRing, frac, intval, rational
 from . import ddt, g2
 from .exalg import (Endo, KForm, Vector, blades, contract, det_endo, hodge,
                     inner, pullback, sharp2, wedge)
@@ -99,18 +100,13 @@ def _vector(ring, val, names) -> Vector:
     return Vector(7, tuple(val(nm) for nm in names), ring)
 
 
-def _rat_form_in(ring, form: KForm) -> KForm:
-    """Re-coefficient an exact-rational form into the given ring."""
-    return KForm(form.n, form.k, tuple(ring.coerce(c) for c in form.coeffs), ring)
-
-
 def _decomposed_F(ring, val):
     """F = i(u)phi + sum c_m B_m with indeterminate u and c."""
     u = _vector(ring, val, _U_NAMES)
     F7 = contract(u, g2.phi_for(ring))
     F = F7
-    for cm, B in zip(_C_NAMES, g2.standard().basis14):
-        F = F + _rat_form_in(ring, B) * val(cm)
+    for cm, B in zip(_C_NAMES, g2.basis14_for(ring)):
+        F = F + B * val(cm)
     return u, F7, F
 
 
@@ -395,8 +391,8 @@ def _build_eig7(ring, val, consts):
 
 def _build_eig14(ring, val, consts):
     B = KForm.zero(7, 2, ring)
-    for cm, Bm in zip(_C_NAMES, g2.standard().basis14):
-        B = B + _rat_form_in(ring, Bm) * val(cm)
+    for cm, Bm in zip(_C_NAMES, g2.basis14_for(ring)):
+        B = B + Bm * val(cm)
     lhs = hodge(wedge(g2.phi_for(ring), B))
     return [("annihilator-type", lhs, B * _c(ring, consts, "eig-scale"))]
 
@@ -609,34 +605,49 @@ def evaluate_at_point(identity_id: str, rng) -> bool:
     return True
 
 
-def evaluate_float(identity_id: str, rng, tol: float = 1e-10) -> dict:
-    """Evaluate the identity at one random float point, coefficients uniform
-    in [-1, 1].  The residual is relative to the larger participating side,
+# float samples evaluated per batch: bounds the suite's memory for any count
+FLOAT_BATCH = 512
+
+
+def _float_gaps(spec: _IdentitySpec, columns) -> np.ndarray:
+    """Worst relative residual of one identity at each point of a batch.
+
+    ``columns`` holds one row per variable of ``spec`` and one column per
+    point.  Each residual is relative to the larger participating side,
     floored at 1 so identities whose sides are themselves zero stay
     meaningful."""
-    spec = _lookup(identity_id)
-    point = {name: float(rng.uniform(-1.0, 1.0)) for name in spec.variables}
-    components = spec.build(FLOAT, lambda nm: point[nm], spec.consts)
-    worst = 0.0
-    for _, lhs, rhs in components:
+    point = dict(zip(spec.variables, columns))
+    worst = np.zeros(columns.shape[1])
+    for _, lhs, rhs in spec.build(BATCH, point.__getitem__, spec.consts):
         if not isinstance(lhs, KForm):  # DET compares scalars
-            lhs, rhs = (KForm(7, 0, (float(x),), FLOAT) for x in (lhs, rhs))
-        worst = max(worst, _rel_gap(lhs, rhs))
+            lhs, rhs = (KForm(7, 0, (x,), BATCH) for x in (lhs, rhs))
+        worst = np.maximum(worst, _rel_gap(lhs, rhs))
+    return worst
+
+
+def evaluate_float(identity_id: str, rng, tol: float = 1e-10) -> dict:
+    """Evaluate the identity at one random float point, coefficients uniform
+    in [-1, 1] (a batch of one)."""
+    spec = _lookup(identity_id)
+    point = rng.uniform(-1.0, 1.0, (1, len(spec.variables)))
+    worst = float(_float_gaps(spec, point.T)[0])
     return {"identity": identity_id, "max_rel_residual": worst,
             "pass": bool(worst <= tol)}
 
 
-def _absmax(form: KForm) -> float:
-    return max(abs(float(c)) for c in form.coeffs)
+def _absmax(form: KForm):
+    """max |coefficient|: a float at one point, an array over a batch."""
+    return functools.reduce(np.maximum, map(abs, form.coeffs))
 
 
-def _rel_gap(a: KForm, b: KForm) -> float:
-    num = max(abs(float(x) - float(y)) for x, y in zip(a.coeffs, b.coeffs))
-    return num / max(_absmax(a), _absmax(b), 1.0)
+def _rel_gap(a: KForm, b: KForm):
+    num = functools.reduce(np.maximum, (abs(x - y) for x, y in zip(a.coeffs, b.coeffs)))
+    return num / np.maximum(np.maximum(_absmax(a), _absmax(b)), 1.0)
 
 
 def decomposition_checks(F: KForm):
-    """Split a float 2-form F and check the split seven ways.
+    """Split a 2-form F and check the split seven ways, in F's ring: FLOAT
+    at one point, BATCH at every point of a batch.
 
     Returns (decompose2(F), {u_sq, f7_sq, f14_sq}, theta(F), residuals).  Form
     gaps are relative to the larger side, the annihilator and orthogonality
@@ -644,20 +655,20 @@ def decomposition_checks(F: KForm):
     max(|direct value|, 1).
     """
     dec = g2.decompose2(F)
-    scale = max(_absmax(F), 1.0)
-    u2 = sum(float(c) * float(c) for c in dec.u.comps)
-    f7sq = float(inner(dec.f7, dec.f7))
-    f14sq = float(inner(dec.f14, dec.f14))
-    th = float(ddt.theta_weight(F))
-    calib = float(ddt._calibration(wedge(F, F)))
+    scale = np.maximum(_absmax(F), 1.0)
+    u2 = sum((c * c for c in dec.u.comps), start=F.ring.zero)
+    f7sq = inner(dec.f7, dec.f7)
+    f14sq = inner(dec.f14, dec.f14)
+    th = ddt.theta_weight(F)
+    calib = ddt._calibration(wedge(F, F))
     residuals = {
         "recompose": _rel_gap(dec.f7 + dec.f14, F),
         "f14_annihilates": _absmax(wedge(dec.f14, g2.star_phi_for(F.ring))) / scale,
-        "f7_f14_orthogonal": abs(float(inner(dec.f7, dec.f14))) / scale,
+        "f7_f14_orthogonal": abs(inner(dec.f7, dec.f14)) / scale,
         "eig7": _rel_gap(g2.star_wedge_phi(dec.f7), 2.0 * dec.f7),
         "eig14": _rel_gap(g2.star_wedge_phi(dec.f14), -1.0 * dec.f14),
-        "theta_split": abs(th - (1.0 - 3.0 * u2 + 0.5 * f14sq)) / max(abs(th), 1.0),
-        "calibration_split": abs(calib - (2.0 * f7sq - f14sq)) / max(abs(calib), 1.0),
+        "theta_split": abs(th - (1.0 - 3.0 * u2 + 0.5 * f14sq)) / np.maximum(abs(th), 1.0),
+        "calibration_split": abs(calib - (2.0 * f7sq - f14sq)) / np.maximum(abs(calib), 1.0),
     }
     norms = {"u_sq": u2, "f7_sq": f7sq, "f14_sq": f14sq}
     return dec, norms, th, residuals
@@ -666,25 +677,29 @@ def decomposition_checks(F: KForm):
 def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
     """Random float sweep: every catalog identity, the seven 2-form
     decomposition checks of ``decomposition_checks``, and positivity of
-    det(I + F#).  Deterministic for fixed (samples, seed)."""
+    det(I + F#).  Deterministic for fixed (samples, seed).
+
+    Each sample draws, in order, every identity's variables and then the
+    21 coefficients of F, all uniform in [-1, 1]; the samples run through
+    the BATCH ring, ``FLOAT_BATCH`` at a time, and each maximum is taken
+    over them."""
     if samples < 1:
         raise InputError("float suite needs at least 1 sample")
     rng = np.random.default_rng(seed)
-    ids = catalog_ids()
-    worst = {i: 0.0 for i in ids}
+    specs = [_lookup(i) for i in catalog_ids()]
+    ends = np.cumsum([len(spec.variables) for spec in specs]).tolist()
+    worst = {spec.id: 0.0 for spec in specs}
     deco = {}
-    ident = Endo.identity(7, FLOAT)
-    det_min = None
-    for _ in range(samples):
-        for i in ids:
-            r = evaluate_float(i, rng, tol)
-            worst[i] = max(worst[i], r["max_rel_residual"])
-        F = KForm.from_coeffs(7, 2, [float(x) for x in rng.uniform(-1.0, 1.0, 21)],
-                              FLOAT)
+    det_min = np.inf
+    for start in range(0, samples, FLOAT_BATCH):
+        n = min(FLOAT_BATCH, samples - start)
+        columns = rng.uniform(-1.0, 1.0, (n, ends[-1] + 21)).T.copy()
+        for spec, lo, hi in zip(specs, [0] + ends, ends):
+            worst[spec.id] = max(worst[spec.id], float(_float_gaps(spec, columns[lo:hi]).max()))
+        F = KForm(7, 2, tuple(columns[ends[-1]:]), BATCH)
         for name, v in decomposition_checks(F)[3].items():
-            deco[name] = max(deco.get(name, 0.0), v)
-        det = float(det_endo(ident + sharp2(F)))
-        det_min = det if det_min is None else min(det_min, det)
+            deco[name] = max(deco.get(name, 0.0), float(np.max(v)))
+        det_min = min(det_min, float(np.min(det_endo(Endo.identity(7, BATCH) + sharp2(F)))))
     n_fail = sum(1 for v in worst.values() if v > tol) \
         + sum(1 for v in deco.values() if v > tol) \
         + (0 if det_min > 0.0 else 1)

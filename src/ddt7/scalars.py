@@ -1,20 +1,25 @@
 """Scalar ring backends for the exterior algebra.
 
-Three interchangeable coefficient rings:
+Four interchangeable coefficient rings:
 
 * ``FLOAT``      -- double precision reals,
+* ``BATCH``      -- double precision reals over a batch of sample points at
+  once: float64 arrays with one entry per sample,
 * ``RATIONAL``   -- exact rationals (gmpy2.mpq when available, Fraction otherwise),
 * ``PolyRing``   -- sparse multivariate polynomials with exact rational
   coefficients over named indeterminates.
 
-Every ring exposes the same small protocol (``zero``, ``one``, ``coerce``,
-``is_zero``, ``div``) so the form operations never branch on the backend.
+Every ring exposes the same small protocol (``zero``, ``one``, ``const``,
+``coerce``, ``is_zero``, ``div``, and a ``memo`` dict for constants built
+once per ring object) so the form operations never branch on the backend.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
+
+import numpy as np
 
 try:
     from gmpy2 import mpq as _mpq
@@ -37,6 +42,14 @@ class FloatRing:
     zero = 0.0
     one = 1.0
 
+    def __init__(self):
+        self.memo = {}
+
+    @staticmethod
+    def const(c):
+        """The rational number c (an int or a fraction) as a ring element."""
+        return float(c)
+
     @staticmethod
     def coerce(x):
         return float(x)
@@ -50,10 +63,30 @@ class FloatRing:
         return a / b
 
 
+class BatchRing(FloatRing):
+    """Float64 arrays with one entry per sample: the float ring evaluated at
+    every point of a batch at once.  Constants stay Python floats and
+    broadcast, so each sample sees exactly the float ring's arithmetic."""
+
+    name = "batch"
+
+    @staticmethod
+    def coerce(x):
+        return x if isinstance(x, np.ndarray) else float(x)
+
+    @staticmethod
+    def is_zero(x):
+        """True when x is zero in every sample."""
+        return not np.count_nonzero(x) if isinstance(x, np.ndarray) else x == 0.0
+
+
 class RationalRing:
     name = "rational"
     zero = rational(0)
     one = rational(1)
+
+    def __init__(self):
+        self.memo = {}
 
     @staticmethod
     def coerce(x):
@@ -63,6 +96,8 @@ class RationalRing:
         if isinstance(x, _RAT_TYPES):
             return x
         raise InputError(f"cannot coerce {type(x).__name__} into the rational ring")
+
+    const = coerce
 
     @staticmethod
     def is_zero(x):
@@ -76,6 +111,7 @@ class RationalRing:
 
 
 FLOAT = FloatRing()
+BATCH = BatchRing()
 RATIONAL = RationalRing()
 
 
@@ -254,6 +290,8 @@ class PolyRing:
     """Polynomial ring over named indeterminates with exact rational coefficients."""
 
     names: tuple
+    # per ring object, so equal rings never share the forms built from one
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def nvars(self) -> int:
@@ -321,18 +359,11 @@ def ring_of(x: Any):
 
 
 def frac(ring, p: int, q: int):
-    """The fraction p/q as an element of the given ring."""
-    if ring is FLOAT:
-        return p / q
-    if ring is RATIONAL:
-        return rational(p, q)
-    return ring.const(rational(p, q))
+    """The fraction p/q as an element of the given ring (one correctly
+    rounded division in the float rings)."""
+    return ring.div(ring.const(p), ring.const(q))
 
 
 def intval(ring, v: int):
     """The integer v as an element of the given ring."""
-    if ring is FLOAT:
-        return float(v)
-    if ring is RATIONAL:
-        return rational(v)
     return ring.const(v)

@@ -14,8 +14,9 @@ from ddt7 import ddt, g2
 from ddt7.errors import InputError
 from ddt7.exalg import KForm, hodge, wedge
 from ddt7.scalars import FLOAT
-from ddt7.torus import (FormField, TorusGrid, hodge_field, random_field,
-                        wedge_const, wedge_field)
+from ddt7.flow import cylinder_check_samples
+from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, curvature, field_l2,
+                        hodge_field, random_field, wedge_const, wedge_field)
 
 GRID = TorusGrid((1, 2), 4)  # 16 points
 GRID512 = TorusGrid((1, 2, 3), 8)
@@ -174,6 +175,19 @@ def test_ddt_on_fields_is_the_field_kernel_reference_bitwise(grid):
     res1, res2 = spin7_residual_fields(E, adot)
     assert np.array_equal(ddt.spin7_res1(E, adot).values, res1.values)
     assert np.array_equal(ddt.spin7_res2(E, adot).values, res2.values)
+
+
+def test_cylinder_check_rows_are_the_field_kernel_reference_bitwise():
+    rng = np.random.default_rng(12)
+    pots = [GaugePotential(random_field(GRID, 1, rng), Flux.zero()) for _ in range(4)]
+    got = cylinder_check_samples([0.0, 0.5, 1.0, 1.5], pots)
+    rows = []
+    for i in (1, 2):
+        adot = (1.0 / (2.0 * 0.5)) * (pots[i + 1].a - pots[i - 1].a)
+        res1, res2 = spin7_residual_fields(curvature(pots[i]), adot)
+        rows.append({"t": 0.5 * i, "res1_l2": field_l2(res1), "res2_l2": field_l2(res2)})
+    assert got["samples"] == rows
+    assert got["max_res1"] == max(r["res1_l2"] for r in rows)
 
 
 # --- the dispatch itself ---------------------------------------------------------------

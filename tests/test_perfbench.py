@@ -1,7 +1,7 @@
 """The benchmark's per-layer tracer against the program: every span of
 ``perfbench/workloads.SPANS`` names a function that exists, and a traced
-field formula and exact verification run without error.  ``perfbench/`` is
-only imported, never changed."""
+field formula, exact verification and batched float suite run without
+error.  ``perfbench/`` is only imported, never changed."""
 
 import sys
 from pathlib import Path
@@ -42,3 +42,15 @@ def test_traced_field_formula_and_verification(bench):
     assert np.array_equal(got, want)
     assert tracer.calls["torus.wedge_field.2x2.16"] >= 1
     assert "prover.verify.A5.s" in rows
+
+
+def test_traced_float_suite_is_the_untraced_one(bench):
+    layers, workloads = bench
+    want = prover.float_suite(4, seed=3)
+    with layers.LayerTracer() as tracer:
+        workloads.install(tracer)
+        got = prover.float_suite(4, seed=3)
+    assert got == want
+    # the batch runs det_endo on BATCH, which the float span must not count
+    assert tracer.calls["g2.decompose2"] >= 1
+    assert "exalg.det_endo.float" not in tracer.calls

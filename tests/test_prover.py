@@ -1,16 +1,17 @@
 """Symbolic catalog: every identity cancels exactly, every canonical
 single-site mutation is caught with a concrete witness monomial."""
 
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ddt7 import prover
+from ddt7 import ddt, g2, prover
 from ddt7.errors import InputError, NumericalError
-from ddt7.exalg import Endo, det_endo
-from ddt7.scalars import MultiPoly, PolyRing
+from ddt7.exalg import Endo, KForm, det_endo, inner, sharp2, wedge
+from ddt7.scalars import FLOAT, MultiPoly, PolyRing
 
 ALL_IDS = ("A1", "A2a", "A2b", "A4", "A5", "A3F", "DET", "EIG7", "EIG14",
            "W3", "SF", "CYL")
@@ -107,6 +108,127 @@ def test_float_suite_shape_and_pass():
     assert out["det_metric_positive"]
     assert out["failures"] == 0
     assert out["pass"]
+
+
+# --- reference: the per-sample FLOAT loop the batched suite replaced ----------
+
+
+def _ref_evaluate_float(identity_id, rng, tol=1e-10):
+    spec = prover._lookup(identity_id)
+    point = {name: float(rng.uniform(-1.0, 1.0)) for name in spec.variables}
+    components = spec.build(FLOAT, lambda nm: point[nm], spec.consts)
+    worst = 0.0
+    for _, lhs, rhs in components:
+        if not isinstance(lhs, KForm):  # DET compares scalars
+            lhs, rhs = (KForm(7, 0, (float(x),), FLOAT) for x in (lhs, rhs))
+        worst = max(worst, _ref_rel_gap(lhs, rhs))
+    return {"identity": identity_id, "max_rel_residual": worst,
+            "pass": bool(worst <= tol)}
+
+
+def _ref_absmax(form):
+    return max(abs(float(c)) for c in form.coeffs)
+
+
+def _ref_rel_gap(a, b):
+    num = max(abs(float(x) - float(y)) for x, y in zip(a.coeffs, b.coeffs))
+    return num / max(_ref_absmax(a), _ref_absmax(b), 1.0)
+
+
+def _ref_decomposition_checks(F):
+    dec = g2.decompose2(F)
+    scale = max(_ref_absmax(F), 1.0)
+    u2 = sum(float(c) * float(c) for c in dec.u.comps)
+    f7sq = float(inner(dec.f7, dec.f7))
+    f14sq = float(inner(dec.f14, dec.f14))
+    th = float(ddt.theta_weight(F))
+    calib = float(ddt._calibration(wedge(F, F)))
+    residuals = {
+        "recompose": _ref_rel_gap(dec.f7 + dec.f14, F),
+        "f14_annihilates": _ref_absmax(wedge(dec.f14, g2.star_phi_for(F.ring))) / scale,
+        "f7_f14_orthogonal": abs(float(inner(dec.f7, dec.f14))) / scale,
+        "eig7": _ref_rel_gap(g2.star_wedge_phi(dec.f7), 2.0 * dec.f7),
+        "eig14": _ref_rel_gap(g2.star_wedge_phi(dec.f14), -1.0 * dec.f14),
+        "theta_split": abs(th - (1.0 - 3.0 * u2 + 0.5 * f14sq)) / max(abs(th), 1.0),
+        "calibration_split": abs(calib - (2.0 * f7sq - f14sq)) / max(abs(calib), 1.0),
+    }
+    norms = {"u_sq": u2, "f7_sq": f7sq, "f14_sq": f14sq}
+    return dec, norms, th, residuals
+
+
+def _ref_float_suite(samples, seed=0, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    ids = prover.catalog_ids()
+    worst = {i: 0.0 for i in ids}
+    deco = {}
+    ident = Endo.identity(7, FLOAT)
+    det_min = None
+    for _ in range(samples):
+        for i in ids:
+            r = _ref_evaluate_float(i, rng, tol)
+            worst[i] = max(worst[i], r["max_rel_residual"])
+        F = KForm.from_coeffs(7, 2, [float(x) for x in rng.uniform(-1.0, 1.0, 21)],
+                              FLOAT)
+        for name, v in _ref_decomposition_checks(F)[3].items():
+            deco[name] = max(deco.get(name, 0.0), v)
+        det = float(det_endo(ident + sharp2(F)))
+        det_min = det if det_min is None else min(det_min, det)
+    n_fail = sum(1 for v in worst.values() if v > tol) \
+        + sum(1 for v in deco.values() if v > tol) \
+        + (0 if det_min > 0.0 else 1)
+    return {
+        "samples": int(samples),
+        "seed": int(seed),
+        "tol": float(tol),
+        "identity_max_rel": worst,
+        "decomposition_max_rel": deco,
+        "det_metric_min": det_min,
+        "det_metric_positive": bool(det_min > 0.0),
+        "failures": int(n_fail),
+        "pass": bool(n_fail == 0),
+    }
+
+
+@pytest.mark.parametrize("samples, seed", [(12, 2026), (30, 0), (5, 77)])
+def test_float_suite_equals_the_per_sample_loop(samples, seed):
+    got, want = prover.float_suite(samples, seed=seed), _ref_float_suite(samples, seed=seed)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # same key order and float text
+
+
+def test_evaluate_float_equals_the_per_sample_point():
+    ids = list(ALL_IDS) + [prover.mutate(*m) for m in prover.canonical_mutations()]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for ident in ids:
+        assert prover.evaluate_float(ident, rng) == _ref_evaluate_float(ident, ref)
+
+
+def test_decomposition_checks_at_one_float_point_equal_the_reference():
+    coeffs = [float(x) for x in np.random.default_rng(0).uniform(-1.0, 1.0, 21)]
+    F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
+    _, norms, th, checks = prover.decomposition_checks(F)
+    _, want_norms, want_th, want_checks = _ref_decomposition_checks(F)
+    assert (norms, th, checks) == (want_norms, want_th, want_checks)
+    assert list(checks) == list(want_checks)
+
+
+def test_float_suite_chunks_carry_the_random_stream(monkeypatch):
+    want = prover.float_suite(20, seed=4)
+    monkeypatch.setattr(prover, "FLOAT_BATCH", 7)
+    assert prover.float_suite(20, seed=4) == want
+
+
+def test_every_canonical_mutation_fails_in_every_batched_sample():
+    # a broadcasting slip that compared a side with itself would pass these
+    columns_rng = np.random.default_rng(21)
+    for mutation in prover.canonical_mutations():
+        spec = prover._lookup(prover.mutate(*mutation))
+        columns = columns_rng.uniform(-1.0, 1.0, (len(spec.variables), 8))
+        gaps = prover._float_gaps(spec, columns)
+        assert gaps.shape == (8,)
+        assert np.all(gaps > 1e-6), (spec.id, gaps)
+        base = prover._float_gaps(prover._lookup(mutation[0]), columns)
+        assert np.all(base <= 1e-10), mutation[0]
 
 
 def test_reports_are_deterministic():

@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ddt7 import g2
 from ddt7.errors import InputError
-from ddt7.scalars import FLOAT, RATIONAL, MultiPoly, PolyRing, frac, intval, ring_of
+from ddt7.exalg import KForm, hodge
+from ddt7.scalars import (BATCH, FLOAT, RATIONAL, MultiPoly, PolyRing, frac, intval,
+                          rational, ring_of)
 
 
 def test_float_ring_protocol():
@@ -127,3 +130,58 @@ def test_ring_helpers():
         ring.var("missing")
     with pytest.raises(InputError):
         ring.coerce(0.5)
+
+
+def _as_fraction(ring, x):
+    """A constant of any ring as a Fraction (BATCH constants are floats)."""
+    if isinstance(x, MultiPoly):
+        assert x.ring is ring
+        x = x.constant_value() if x.terms else 0
+    return Fraction(x)
+
+
+@pytest.mark.parametrize("ring", [FLOAT, RATIONAL, PolyRing(("x", "y")), BATCH],
+                         ids=["float", "rational", "poly", "batch"])
+def test_ring_protocol_constants_and_g2_forms(ring):
+    def want(c):  # the float rings round a rational constant once
+        return Fraction(float(c)) if ring is FLOAT or ring is BATCH else Fraction(c)
+
+    for c in (0, 3, -7, Fraction(1, 2), Fraction(-5, 4), rational(2, 3)):
+        assert _as_fraction(ring, ring.const(c)) == want(c)
+    assert _as_fraction(ring, frac(ring, 1, 6)) == want(Fraction(1, 6))
+    assert _as_fraction(ring, intval(ring, -4)) == -4
+    phi, star_phi = g2.phi_for(ring), g2.star_phi_for(ring)
+    assert phi.ring is ring and star_phi.ring is ring
+    assert g2.phi_for(ring) is phi and g2.star_phi_for(ring) is star_phi
+    exact = g2.standard()
+    assert [_as_fraction(ring, c) for c in phi.coeffs] == list(exact.phi.coeffs)
+    assert [_as_fraction(ring, c) for c in star_phi.coeffs] == list(exact.star_phi.coeffs)
+    for B, B_exact in zip(g2.basis14_for(ring), exact.basis14, strict=True):
+        assert B.ring is ring
+        assert [_as_fraction(ring, c) for c in B.coeffs] == [want(c) for c in B_exact.coeffs]
+
+
+def test_g2_forms_are_per_ring_object():
+    # KForm compares rings by identity, so equal rings must not share forms
+    a, b = PolyRing(("x",)), PolyRing(("x",))
+    assert a == b and a is not b
+    for form_for in (g2.phi_for, g2.star_phi_for):
+        assert form_for(a).ring is a and form_for(b).ring is b
+    assert g2.basis14_for(b)[0].ring is b
+    assert g2.phi_for(RATIONAL) is g2.standard().phi
+
+
+def test_batch_ring_arithmetic_is_the_float_ring_per_sample():
+    x = np.array([0.25, -1.5, 3.0])
+    assert BATCH.name != FLOAT.name
+    assert BATCH.coerce(x) is x and BATCH.coerce(Fraction(1, 4)) == 0.25
+    assert BATCH.is_zero(0.0) and BATCH.is_zero(np.zeros(3))
+    assert not BATCH.is_zero(np.array([0.0, 1e-300, 0.0]))
+    assert np.array_equal(BATCH.div(x, 2.0), x / 2.0)
+    # a batch form holds one float form per sample; a constant broadcasts
+    F = KForm(7, 1, (x,) + (0.0,) * 6, BATCH)
+    assert all(np.array_equal(a, b) for a, b in zip((x * F).coeffs, (F * x).coeffs))
+    got = hodge(F * frac(BATCH, 1, 3))
+    for s in range(3):
+        want = hodge(KForm(7, 1, (float(x[s]),) + (0.0,) * 6, FLOAT) * frac(FLOAT, 1, 3))
+        assert [np.broadcast_to(c, 3)[s] for c in got.coeffs] == list(want.coeffs)
