@@ -1,7 +1,6 @@
 """Batched grid kernels, numpy only.  Fields are (npts, ncoeffs) arrays and
 tables come from ``tables``.  ``wedge_fields`` is the one loop over wedge
-table entries: ``torus.wedge_field``, the spectral ``torus.d`` and the CG
-adjoint in ``flow`` all use it.
+table entries: ``torus.wedge_field`` and the CG adjoint in ``flow`` use it.
 """
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ def wedge_fields(A, B, ii, jj, oo, ss, dim_out):
     guarantees; ``oo`` itself is not read.  Each block of points gathers the
     entry products in coefficient-major layout and sums every output's m
     products with their signs as one stacked (1 x m)(m x points) product.
-    The result dtype follows the inputs, so complex spectra work too.
+    The result dtype follows the inputs.
     """
     npts = A.shape[0]
     m = len(ii) // dim_out

@@ -4,8 +4,10 @@ Fields live on a uniform periodic grid over a chosen subset of the seven
 coordinates (inactive coordinates mean the field is constant along them).
 Exterior derivative and codifferential are spectral: exact for band-limited
 fields, with the Nyquist mode zeroed in derivatives so d stays real and
-antisymmetric.  Coordinates have period 1; quantized line-bundle flux
-carries the 2*pi, so flux files hold literal integers.
+antisymmetric.  Each partial derivative is a dense spectral differentiation
+matrix along one axis (a real FFT along it on long axes).  Coordinates have
+period 1; quantized line-bundle flux carries the 2*pi, so flux files hold
+literal integers.
 
 Conventions (the global sign ledger lives in ``ddt``):
 
@@ -185,27 +187,88 @@ def _spectral_k(grid: TorusGrid) -> np.ndarray:
     return out.reshape(-1, 7)
 
 
+# Above this many points per axis, d and codiff take each partial derivative
+# by a real FFT along the axis instead of the dense matrix.  Measured on a
+# 2-CPU Xeon with single-threaded OpenBLAS, the dense d wins on every grid up
+# to N = 128, but at N = 256 on two axes a 1-form's d takes 35 ms against
+# 20 ms and at N = 512 on one axis the FFT is 3x faster; and a 1-axis grid of
+# N = 2^18, which the CLI admits, would need a 512 GiB matrix.
+_DENSE_MAX_N = 128
+
+
 @lru_cache(maxsize=None)
-def _d_symbol(grid: TorusGrid) -> np.ndarray:
-    """The 1-form 2*pi*i*k over the real-FFT spectrum, (nspec, 7) complex."""
-    return (2j * math.pi) * _spectral_k(grid)
+def _derivative_matrix(N: int) -> np.ndarray:
+    """The spectral derivative on N periodic points of period 1, Nyquist
+    zeroed: the circulant D[j, l] = pi (-1)^(j-l) cot(pi (j-l) / N), zero on
+    the diagonal (Trefethen, Spectral Methods in MATLAB, ch. 3).  Built
+    exactly antisymmetric, so D @ constant is 0."""
+    m = np.arange(1, N // 2)
+    half = math.pi * (-1.0) ** m / np.tan(math.pi * m / N)
+    col = np.concatenate(([0.0], half, [0.0], -half[::-1]))
+    return col[np.subtract.outer(np.arange(N), np.arange(N)) % N]
+
+
+def _axis_partial(cube: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """d/dx along the middle axis of an (A, N, B) view of grid values: one
+    matmul of the cached derivative matrix, or one real FFT along the axis
+    above ``_DENSE_MAX_N``."""
+    N = grid.N
+    if N <= _DENSE_MAX_N:
+        return np.matmul(_derivative_matrix(N), cube)
+    spec = np.fft.rfft(cube, axis=1)
+    spec *= (2j * math.pi) * grid.wavenumbers()[:N // 2 + 1, None]
+    return np.fft.irfft(spec, n=N, axis=1)
+
+
+def _partials(f: FormField) -> np.ndarray:
+    """d/dx of f along each active axis i, from the (N**i, N, -1) view of the
+    values, stacked as (npts, n_active * dim).  One partial is alive at a
+    time beside the stack."""
+    grid = f.grid
+    N, na = grid.N, grid.n_active
+    dim = f.values.shape[1]
+    out = np.empty((grid.npts, na, dim))
+    for i in range(na):
+        cube = f.values.reshape(N ** i, N, -1)
+        out[:, i] = _axis_partial(cube, grid).reshape(grid.npts, dim)
+    return out.reshape(grid.npts, na * dim)
+
+
+@lru_cache(maxsize=None)
+def _d_combine(axes: tuple, k: int) -> np.ndarray:
+    """The signed (n_active * dim_k, dim_{k+1}) matrix taking the stacked
+    partials of a k-form to its d: block i is dx^axes[i] ^ (.) from the 1^k
+    wedge table."""
+    ii, jj, oo, ss = tables.wedge_arrays(7, 1, k)
+    C = np.zeros((len(axes), len(blades(7, k)), len(blades(7, k + 1))))
+    for i, axis in enumerate(axes):
+        sel = ii == axis - 1
+        C[i, jj[sel], oo[sel]] = ss[sel]
+    return C.reshape(-1, C.shape[2])
+
+
+@lru_cache(maxsize=None)
+def _codiff_combine(axes: tuple, k: int) -> np.ndarray:
+    """``_d_combine`` for (-1)^k * d *: block i is (-1)^k H_k S_i H_{8-k},
+    with H the Hodge star as a signed permutation (values @ H) and S_i
+    block i of the d combine on (7-k)-forms."""
+    dim = len(blades(7, k))
+    H_k = hodge_fields(np.eye(dim), *tables.hodge_arrays(7, k), dim)
+    S = _d_combine(axes, 7 - k).reshape(len(axes), dim, -1)
+    C = hodge_fields((H_k @ S).reshape(-1, S.shape[2]),
+                     *tables.hodge_arrays(7, 8 - k), len(blades(7, k - 1)))
+    return (-1) ** k * C
 
 
 def d(f: FormField) -> FormField:
-    """Spectral exterior derivative: one real-FFT round trip, with the
-    symbol 1-form wedged onto the spectrum by the wedge kernel."""
+    """Spectral exterior derivative: the stacked per-axis partials times the
+    signed combine matrix of the 1^k wedge table, one real matmul.  The
+    partials use dense derivative matrices up to ``_DENSE_MAX_N`` points per
+    axis and real FFTs above it, where the matrix is slower or too big."""
     if f.k >= 7:
         raise InputError("d of a top-degree form")
-    grid = f.grid
-    axes = tuple(range(grid.n_active))
-    spec = np.fft.rfftn(f.values.reshape(grid.shape + (-1,)), axes=axes)
-    sym = _d_symbol(grid)
-    dim_out = len(blades(7, f.k + 1))
-    dspec = wedge_fields(sym, spec.reshape(len(sym), -1),
-                         *tables.wedge_arrays(7, 1, f.k), dim_out)
-    vals = np.fft.irfftn(dspec.reshape(spec.shape[:-1] + (dim_out,)),
-                         s=grid.shape, axes=axes)
-    return FormField(grid, f.k + 1, vals.reshape(grid.npts, dim_out))
+    vals = _partials(f) @ _d_combine(f.grid.active_axes, f.k)
+    return FormField(f.grid, f.k + 1, vals)
 
 
 def hodge_field(f: FormField) -> FormField:
@@ -215,13 +278,12 @@ def hodge_field(f: FormField) -> FormField:
 
 
 def codiff(f: FormField) -> FormField:
-    """Codifferential, the (-1)^k * d * convention on R^7."""
+    """Codifferential, the (-1)^k * d * convention on R^7: the same partials
+    as ``d``, with both Hodge stars and the sign folded into the combine."""
     if f.k == 0:
         raise InputError("codiff of a scalar")
-    out = hodge_field(d(hodge_field(f)))
-    if f.k % 2:
-        out = -out
-    return out
+    vals = _partials(f) @ _codiff_combine(f.grid.active_axes, f.k)
+    return FormField(f.grid, f.k - 1, vals)
 
 
 def wedge_field(f: FormField, g: FormField) -> FormField:

@@ -1,5 +1,5 @@
 """Batched kernels against independent oracles: the blocked wedge, the
-spectral d built on it, the CG adjoint table, Hodge and exact ranks."""
+spectral d and codiff, the CG adjoint table, Hodge and exact ranks."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,8 @@ import pytest
 
 from ddt7 import flow, kernels, tables
 from ddt7.exalg import blades
-from ddt7.torus import FormField, TorusGrid, d, field_inner, wedge_field
+from ddt7.torus import (FormField, TorusGrid, codiff, d, field_inner,
+                        wedge_field)
 
 
 def _rank_fraction(mat) -> int:
@@ -165,17 +166,43 @@ def _d_per_axis(f: FormField) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("axes,N", [((1, 2), 4), ((1, 2, 3), 8),
-                                    ((2, 5, 7), 2), ((1, 2, 3, 4), 8)])
+def _star(values: np.ndarray, k: int) -> np.ndarray:
+    """The Hodge star of k-form values, straight from the table."""
+    tgt, sgn = tables.hodge_arrays(7, k)
+    out = np.empty_like(values)
+    out[:, tgt] = values * sgn
+    return out
+
+
+# dense derivative matrices up to N = 128, per-axis real FFTs above
+D_GRIDS = [((1, 2), 4), ((1, 2, 3), 8), ((2, 5, 7), 2), ((1, 2, 3, 4), 8),
+           ((3,), 256), ((1, 2), 256), ((4,), 128)]
+
+
+def _assert_close(got, want, k):
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("axes,N", D_GRIDS)
 def test_d_matches_per_axis_derivative(axes, N):
     grid = TorusGrid(axes, N)
     rng = np.random.default_rng(36)
     for k in range(7):
         f = FormField(grid, k, rng.normal(size=(grid.npts, len(blades(7, k)))))
-        want = _d_per_axis(f)
-        got = d(f).values
-        scale = max(float(np.max(np.abs(want))), 1.0)
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale, k
+        _assert_close(d(f).values, _d_per_axis(f), k)
+
+
+@pytest.mark.parametrize("axes,N", D_GRIDS)
+def test_codiff_matches_star_d_star(axes, N):
+    """codiff f = (-1)^k * (oracle d)(* f) for k = 1..7."""
+    grid = TorusGrid(axes, N)
+    rng = np.random.default_rng(38)
+    for k in range(1, 8):
+        f = FormField(grid, k, rng.normal(size=(grid.npts, len(blades(7, k)))))
+        dual = FormField(grid, 7 - k, _star(f.values, k))
+        want = (-1) ** k * _star(_d_per_axis(dual), 8 - k)
+        _assert_close(codiff(f).values, want, k)
 
 
 def test_wedge_adjoint_table_is_the_adjoint():
