@@ -35,6 +35,7 @@ polynomial, so no constant in its tree can break it) and rejects mutation.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import time
@@ -44,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .scalars import BATCH, RATIONAL, MultiPoly, PolyRing, frac, intval, rational
+from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, MultiPoly, PolyRing, frac, intval
 from . import ddt, g2
 from .exalg import (Endo, KForm, Vector, blades, contract, det_endo, hodge,
                     inner, pullback, sharp2, wedge)
@@ -89,6 +90,7 @@ class _IdentitySpec:
     variables: tuple
     consts: dict          # site name -> default Fraction
     build: object         # callable(ring, val, consts) -> [(label, lhs, rhs)]
+    bound: int            # per-variable exponent bound of its PolyRing
     mutated_from: str | None = None
 
 
@@ -183,29 +185,25 @@ def _build_a3f(ring, val, consts):
 
 # DET expands to ~4*10^5 monomials per side, far too many for the generic
 # sparse-dict polynomials to stay inside the runtime budget.  Both sides have
-# integer coefficients, so they are built and decided in packed form (after
-# Monagan & Pearce).  A monomial over the 21 variables F_ij is one base-5
-# key, sum e_v 5^(20-v): variable 0 is the most significant digit, so key
-# order equals lexicographic exponent order, and multiplying monomials adds
-# keys.  The column-mask DP of ``exalg`` runs on sorted numpy (uint64 key,
-# int64 coefficient) arrays.  Each product of two terms is one uint64 word,
-# key << 15 | (coeff + 2^14), since 5^21 < 2^49: one plain sort of a
-# bucket's words orders them by key, and a shift, a mask and one int64
-# reduceat per bucket sum the coefficients of each key.
+# integer coefficients, so the column-mask DP of ``exalg`` runs on sorted
+# numpy (uint64 key, int64 coefficient) arrays of the entries' terms (after
+# Monagan & Pearce).  The keys are DET's ring's, radix 5 (exponent bound 4).
+# Each product of two terms is one uint64 word, key << 15 | (coeff + 2^14):
+# one plain sort of a bucket's words orders them by key, and a shift, a mask
+# and one int64 reduceat per bucket sum the coefficients of each key.
+# * Every key fits its 49-bit field: radix^nvars is checked (5^21 < 2^49).
 # * No key addition carries between digits: before the DP runs, the
 #   per-variable degree of every (partial) product is bounded over all
-#   permutations and checked to be at most 4 (both sides reach 4).
+#   permutations and checked against the ring's bound (both sides reach 4).
 # * Every product's coefficient fits the 15-bit field: before each product
 #   of a state with an entry, max|a| * max|b| is checked to stay below
 #   2^14 (the largest is 48).
 # * Per-key sums are exact: the reduceat sums biased fields, each below
 #   2^15, in int64, which cannot wrap before a bucket holds 2^48 words.
 # * The sides are compared as arrays, q*lhs against p*rhs for the scale
-#   p/q, and only the witness key is ever unpacked.
+#   p/q, and only the witness key is ever decoded.
 # A failed check raises NumericalError.
 
-_DET_PLACES = tuple(5 ** (20 - v) for v in range(21))
-_DET_DIGIT_MAX = 4
 _DET_COEFF_BITS = 15
 _DET_COEFF_BIAS = 1 << (_DET_COEFF_BITS - 1)   # 2^14, also the |coeff| bound
 _DET_COEFF_MASK = (1 << _DET_COEFF_BITS) - 1
@@ -222,30 +220,24 @@ class _Packed:
     scale: Fraction = Fraction(1)
 
 
-def _det_unpack(key) -> tuple:
-    """Exponent tuple of one packed monomial key."""
-    key = int(key)
-    return tuple((key // place) % 5 for place in _DET_PLACES)
-
-
-def _det_np_degree_bound(entries) -> np.ndarray:
+def _det_np_degree_bound(ring, entries) -> np.ndarray:
     """Per-variable bound on the exponent of any product of entries along a
     (partial) permutation: the max over permutations of the summed per-entry
     degrees.  Every partial product extends to a full permutation."""
     n = len(entries)
-    deg = np.zeros((n, n, len(_DET_PLACES)), dtype=np.int64)
+    deg = np.zeros((n, n, ring.nvars), dtype=np.int64)
     for i, row in enumerate(entries):
         for j, e in enumerate(row):
             if e:
-                deg[i, j] = np.max([_det_unpack(k) for k in e], axis=0)
+                deg[i, j] = np.max([ring.exponents(k) for k in e], axis=0)
     perms = np.array(list(itertools.permutations(range(n))))
     return deg[np.arange(n), perms].sum(axis=1).max(axis=0)
 
 
-def _det_np_check_bound(bound) -> None:
-    if int(np.max(bound)) > _DET_DIGIT_MAX:
+def _det_np_check_bound(ring, bound) -> None:
+    if int(np.max(bound)) > ring.bound:
         raise NumericalError(f"packed exponent bound {int(np.max(bound))} exceeds "
-                             f"{_DET_DIGIT_MAX}: monomials would carry between digits")
+                             f"{ring.bound}: monomials would carry between digits")
 
 
 def _det_np_products(parts):
@@ -279,13 +271,19 @@ def _det_np_combine(words):
     return keys[starts[nz]], tot[nz]
 
 
-def _det_np_dp(entries):
+def _det_np_dp(ring, entries):
     """The column-mask DP of ``exalg._det_rows`` on packed polynomials.
 
-    entries[i][j]: packed {uint64 key: int coeff} dict, empty if zero.
-    Returns the determinant as (sorted keys, int64 coefficients).
+    entries[i][j]: the {key: int coeff} terms of a polynomial of ``ring``,
+    empty if zero.  Returns the determinant as (sorted keys, int64
+    coefficients).
     """
-    _det_np_check_bound(_det_np_degree_bound(entries))
+    if ring.radix ** ring.nvars > 1 << (64 - _DET_COEFF_BITS):
+        raise NumericalError(f"radix-{ring.radix} keys of {ring.nvars} variables "
+                             f"exceed the {64 - _DET_COEFF_BITS}-bit key field")
+    if any(type(c) is not int for row in entries for e in row for c in e.values()):
+        raise NumericalError("the packed determinant needs integer coefficients")
+    _det_np_check_bound(ring, _det_np_degree_bound(ring, entries))
     n = len(entries)
     packed = [[(np.fromiter(e.keys(), dtype=np.uint64, count=len(e)),
                 np.fromiter(e.values(), dtype=np.int64, count=len(e))) if e else None
@@ -341,44 +339,21 @@ def _packed_witness(label: str, lhs: _Packed, rhs: _Packed, ring) -> dict | None
         return None
     first = nz[0]
     return {"component": label, "blade": "scalar",
-            "monomial": ring.monomial_str(_det_unpack(keys[first])),
+            "monomial": ring.monomial_str(ring.exponents(keys[first])),
             "coefficient": str(Fraction(int(diff[first]), q))}
 
 
 def _build_det(ring, val, consts):
+    Fs = sharp2(_form(ring, val, _F_NAMES))
+    eye = Endo.identity(7, ring)
+    lin, quad = eye + Fs, eye - (Fs @ Fs)
     if not isinstance(ring, PolyRing):
-        F = _form(ring, val, _F_NAMES)
-        Fs = sharp2(F)
-        eye = Endo.identity(7, ring)
-        d = det_endo(eye + Fs)
-        rhs = d * d * _c(ring, consts, "rhs-scale")
-        return [("factorization", det_endo(eye - (Fs @ Fs)), rhs)]
-    # sharp2 convention inlined: blade (i,j) coefficient c lands at
-    # [j-1][i-1] with +c and [i-1][j-1] with -c
-    sharp = [[None] * 7 for _ in range(7)]
-    for v, (i, j) in enumerate(blades(7, 2)):
-        key = _DET_PLACES[v]
-        sharp[j - 1][i - 1] = (key, 1)
-        sharp[i - 1][j - 1] = (key, -1)
-    lin = [[dict([sharp[i][j]]) if sharp[i][j] else {} for j in range(7)] for i in range(7)]
-    quad = [[{} for _ in range(7)] for _ in range(7)]
-    for i in range(7):
-        lin[i][i][0] = 1
-        quad[i][i][0] = 1
-        for j in range(7):
-            acc = quad[i][j]
-            for m in range(7):
-                if sharp[i][m] is None or sharp[m][j] is None:
-                    continue
-                (ka, ca), (kb, cb) = sharp[i][m], sharp[m][j]
-                nv = acc.get(ka + kb, 0) - ca * cb
-                if nv:
-                    acc[ka + kb] = nv
-                else:
-                    acc.pop(ka + kb, None)
-    _det_np_check_bound(2 * _det_np_degree_bound(lin))  # rhs squares det(lin)
-    lhs = _Packed(*_det_np_dp(quad))
-    rhs = _Packed(*_det_np_square(_det_np_dp(lin)), scale=consts["rhs-scale"])
+        d = det_endo(lin)
+        return [("factorization", det_endo(quad), d * d * _c(ring, consts, "rhs-scale"))]
+    lin, quad = ([[e.terms for e in row] for row in A.mat] for A in (lin, quad))
+    _det_np_check_bound(ring, 2 * _det_np_degree_bound(ring, lin))  # rhs squares det(lin)
+    lhs = _Packed(*_det_np_dp(ring, quad))
+    rhs = _Packed(*_det_np_square(_det_np_dp(ring, lin)), scale=consts["rhs-scale"])
     return [("factorization", lhs, rhs)]
 
 
@@ -430,9 +405,9 @@ def _build_cyl(ring, val, consts):
 _CATALOG: dict = {}
 
 
-def _register(id_, variables, consts, build):
+def _register(id_, variables, consts, build, bound=EXPONENT_BOUND):
     _CATALOG[id_] = _IdentitySpec(id=id_, variables=tuple(variables),
-                                  consts=dict(consts), build=build)
+                                  consts=dict(consts), build=build, bound=bound)
 
 
 _register("A1", _F_NAMES, {"cube-scale": Fraction(1, 6), "corr-scale": Fraction(1, 2)},
@@ -443,7 +418,7 @@ _register("A4", _F_NAMES, {"corr-scale": Fraction(1, 2), "rhs-scale": Fraction(1
                            "theta-inner": Fraction(1, 2)}, _build_a4)
 _register("A5", _U_NAMES, {"rhs-scale": Fraction(6)}, _build_a5)
 _register("A3F", _F_NAMES, {"corr-scale": Fraction(1, 2)}, _build_a3f)
-_register("DET", _F_NAMES, {"rhs-scale": Fraction(1)}, _build_det)
+_register("DET", _F_NAMES, {"rhs-scale": Fraction(1)}, _build_det, bound=4)
 _register("EIG7", _U_NAMES, {"eig-scale": Fraction(2)}, _build_eig7)
 _register("EIG14", _C_NAMES, {"eig-scale": Fraction(-1)}, _build_eig14)
 _register("W3", _U_NAMES + _C_NAMES, {"rhs-scale": Fraction(3)}, _build_w3)
@@ -519,8 +494,8 @@ def mutate(identity_id: str, site: str, new_coefficient) -> str:
     consts = dict(base.consts)
     consts[site] = value
     mid = f"{identity_id}[{site}={value}]"
-    _derived[mid] = _IdentitySpec(id=mid, variables=base.variables, consts=consts,
-                                  build=base.build, mutated_from=identity_id)
+    _derived[mid] = dataclasses.replace(base, id=mid, consts=consts,
+                                        mutated_from=identity_id)
     return mid
 
 
@@ -536,37 +511,24 @@ def _count_monomials(x) -> int:
 
 
 def _first_witness(label: str, diff) -> dict | None:
-    """Deterministic witness: first nonzero coefficient in blade order,
-    lexicographically first monomial within it."""
+    """Deterministic witness of a polynomial form or scalar: first nonzero
+    coefficient in blade order, lexicographically first monomial within it."""
     if isinstance(diff, KForm):
-        for blade, c in zip(blades(diff.n, diff.k), diff.coeffs):
-            if isinstance(c, MultiPoly):
-                if not c.is_zero():
-                    e, coef = c.leading()
-                    return {"component": label,
-                            "blade": "e^" + "".join(str(i) for i in blade),
-                            "monomial": c.monomial_str(e), "coefficient": str(coef)}
-            elif c != 0:
-                return {"component": label,
-                        "blade": "e^" + "".join(str(i) for i in blade),
-                        "monomial": "1", "coefficient": str(c)}
-        return None
-    c = diff
-    if isinstance(c, MultiPoly):
-        if c.is_zero():
-            return None
-        e, coef = c.leading()
-        return {"component": label, "blade": "scalar",
-                "monomial": c.monomial_str(e), "coefficient": str(coef)}
-    if c == 0:
-        return None
-    return {"component": label, "blade": "scalar", "monomial": "1", "coefficient": str(c)}
+        named = zip(("e^" + "".join(map(str, b)) for b in blades(diff.n, diff.k)), diff.coeffs)
+    else:
+        named = [("scalar", diff)]
+    for blade, c in named:
+        if not c.is_zero():
+            e, coef = c.leading()
+            return {"component": label, "blade": blade,
+                    "monomial": c.monomial_str(e), "coefficient": str(coef)}
+    return None
 
 
 def verify(identity_id: str) -> IdentityReport:
     """Expand the identity over its polynomial ring and decide zero."""
     spec = _lookup(identity_id)
-    ring = PolyRing(spec.variables)
+    ring = PolyRing(spec.variables, spec.bound)
     t0 = time.perf_counter()
     components = spec.build(ring, ring.var, spec.consts)
     count = 0
@@ -592,7 +554,7 @@ def evaluate_at_point(identity_id: str, rng) -> bool:
     """Evaluate the identity at one random rational point (consistency probe);
     True iff every component difference evaluates to zero there."""
     spec = _lookup(identity_id)
-    point = {name: rational(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
+    point = {name: Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
              for name in spec.variables}
     components = spec.build(RATIONAL, lambda nm: point[nm], spec.consts)
     for _, lhs, rhs in components:

@@ -5,7 +5,7 @@ Four interchangeable coefficient rings:
 * ``FLOAT``      -- double precision reals,
 * ``BATCH``      -- double precision reals over a batch of sample points at
   once: float64 arrays with one entry per sample,
-* ``RATIONAL``   -- exact rationals (gmpy2.mpq when available, Fraction otherwise),
+* ``RATIONAL``   -- exact rationals (``fractions.Fraction``),
 * ``PolyRing``   -- sparse multivariate polynomials with exact rational
   coefficients over named indeterminates.
 
@@ -21,20 +21,9 @@ from typing import Any
 
 import numpy as np
 
-try:
-    from gmpy2 import mpq as _mpq
+from .errors import InputError, NumericalError
 
-    def rational(p, q=1):
-        return _mpq(p, q)
-
-    _RAT_TYPES = (int, Fraction, type(_mpq(0)))
-except ImportError:  # gmpy2 is optional (the ``fast`` extra)
-    def rational(p, q=1):
-        return Fraction(p, q)
-
-    _RAT_TYPES = (int, Fraction)
-
-from .errors import InputError
+rational = Fraction
 
 
 class FloatRing:
@@ -82,8 +71,8 @@ class BatchRing(FloatRing):
 
 class RationalRing:
     name = "rational"
-    zero = rational(0)
-    one = rational(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __init__(self):
         self.memo = {}
@@ -91,10 +80,7 @@ class RationalRing:
     @staticmethod
     def coerce(x):
         if isinstance(x, (int, Fraction)):
-            return rational(x.numerator, x.denominator) if isinstance(x, Fraction) \
-                else rational(x)
-        if isinstance(x, _RAT_TYPES):
-            return x
+            return Fraction(x)
         raise InputError(f"cannot coerce {type(x).__name__} into the rational ring")
 
     const = coerce
@@ -115,27 +101,47 @@ BATCH = BatchRing()
 RATIONAL = RationalRing()
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial: {exponent tuple -> nonzero rational}.
+def _exact(c):
+    """c as a polynomial coefficient: an int when integral, else a Fraction.
+    Anything but an int or a Fraction (a float above all) is refused."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise InputError(f"polynomial coefficients are exact: got {type(c).__name__}")
 
-    Immutable by convention; all arithmetic allocates.  Monomial order used
-    for witnesses and printing is lexicographic on exponent tuples.
+
+def _tidy(terms: dict) -> dict:
+    """Drop zero coefficients and make integral ones ints."""
+    return {k: c if type(c) is int else _exact(c) for k, c in terms.items() if c}
+
+
+class MultiPoly:
+    """Sparse multivariate polynomial: {monomial key -> nonzero coefficient}.
+
+    Keys are the ring's packed encoding (``PolyRing.key``); coefficients are
+    ints when integral, else Fractions.  ``deg`` bounds the total degree from
+    above, so ``__mul__`` can refuse a product whose keys would carry.
+    Immutable by convention; all arithmetic allocates.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "deg")
 
-    def __init__(self, ring: "PolyRing", terms: dict):
+    # a numpy scalar times a polynomial defers to __rmul__, which refuses it
+    __array_ufunc__ = None
+
+    def __init__(self, ring: "PolyRing", terms: dict, deg: int | None = None):
         self.ring = ring
         self.terms = terms
+        self.deg = self.total_degree() if deg is None else deg
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(ring: "PolyRing", c) -> "MultiPoly":
-        c = rational(c) if isinstance(c, int) else (
-            rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c)
-        if c == 0:
-            return MultiPoly(ring, {})
-        return MultiPoly(ring, {(0,) * ring.nvars: c})
+        c = _exact(c)
+        return MultiPoly(ring, {0: c} if c else {}, 0)
 
     # -- ring arithmetic ---------------------------------------------------
     def _check(self, other: "MultiPoly"):
@@ -147,22 +153,22 @@ class MultiPoly:
             other = MultiPoly.const(self.ring, other)
         self._check(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
+        for k, c in other.terms.items():
+            s = out.get(k)
             if s is None:
-                out[e] = c
+                out[k] = c
             else:
                 s = s + c
-                if s == 0:
-                    del out[e]
+                if s:
+                    out[k] = s if type(s) is int else _exact(s)
                 else:
-                    out[e] = s
-        return MultiPoly(self.ring, out)
+                    del out[k]
+        return MultiPoly(self.ring, out, max(self.deg, other.deg))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.ring, {k: -c for k, c in self.terms.items()}, self.deg)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -173,48 +179,38 @@ class MultiPoly:
         return MultiPoly.const(self.ring, other) + (-self)
 
     def _scaled(self, c) -> "MultiPoly":
-        if isinstance(c, int):
-            c = rational(c)
-        elif isinstance(c, Fraction):
-            c = rational(c.numerator, c.denominator)
-        if c == 0:
-            return MultiPoly(self.ring, {})
-        return MultiPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+        c = _exact(c)
+        return MultiPoly(self.ring, _tidy({k: v * c for k, v in self.terms.items()}), self.deg)
 
     def constant_value(self):
-        """The coefficient of a one-term constant (only the all-zero
-        exponent), else None."""
+        """The coefficient of a one-term constant (only the key 0), else None."""
         if len(self.terms) != 1:
             return None
-        (e, c), = self.terms.items()
-        return None if any(e) else c
+        return self.terms.get(0)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self._scaled(other)
         self._check(other)
         if not self.terms or not other.terms:
-            return MultiPoly(self.ring, {})
+            return MultiPoly(self.ring, {}, 0)
         c = other.constant_value()
         if c is not None:
             return self._scaled(c)
         c = self.constant_value()
         if c is not None:
             return other._scaled(c)
+        deg = self.deg + other.deg
+        if deg > self.ring.bound:
+            raise NumericalError(f"product degree bound {deg} exceeds the ring's exponent "
+                                 f"bound {self.ring.bound}: monomial keys would carry")
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s == 0:
-                        del out[e]
-                    else:
-                        out[e] = s
-        return MultiPoly(self.ring, out)
+        get = out.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return MultiPoly(self.ring, _tidy(out), deg)
 
     __rmul__ = __mul__
 
@@ -223,18 +219,15 @@ class MultiPoly:
             other = other.constant_value()
             if other is None:
                 raise InputError("polynomial division only by nonzero constants")
-        if isinstance(other, int):
-            other = rational(other)
-        elif isinstance(other, Fraction):
-            other = rational(other.numerator, other.denominator)
+        other = _exact(other)
         if other == 0:
             raise ZeroDivisionError("polynomial division by zero")
-        return MultiPoly(self.ring, {e: c / other for e, c in self.terms.items()})
+        return self._scaled(1 / Fraction(other))
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.ring is other.ring and self.terms == other.terms
-        if isinstance(other, (int, Fraction)) or type(other) in _RAT_TYPES:
+        if isinstance(other, (int, Fraction)):
             return (self - other).is_zero()
         return NotImplemented
 
@@ -249,53 +242,71 @@ class MultiPoly:
         return len(self.terms)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(self.ring.exponents(k)) for k in self.terms), default=0)
 
     def leading(self):
-        """(exponent tuple, coefficient) of the lexicographically first monomial."""
+        """(exponent tuple, coefficient) of the lexicographically first
+        monomial: the smallest key."""
         if not self.terms:
             return None
-        e = min(self.terms)
-        return e, self.terms[e]
+        k = min(self.terms)
+        return self.ring.exponents(k), self.terms[k]
 
     def evaluate(self, point):
         """Evaluate at a point given as a sequence of ring elements (rationals or floats)."""
         if len(point) != self.ring.nvars:
             raise InputError("point length does not match variable count")
-        total = None
-        for e, c in self.terms.items():
-            term = c
-            for x, p in zip(point, e):
+        total = 0
+        for k, c in self.terms.items():
+            for x, p in zip(point, self.ring.exponents(k)):
                 if p:
-                    term = term * x ** p
-            total = term if total is None else total + term
-        if total is None:
-            return 0
+                    c = c * x ** p
+            total = total + c
         return total
 
     def monomial_str(self, e) -> str:
         return self.ring.monomial_str(e)
 
     def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        items = sorted(self.terms)[:4]
-        body = " + ".join(f"{self.terms[e]}*{self.monomial_str(e)}" for e in items)
+        body = " + ".join(f"{self.terms[k]}*{self.monomial_str(self.ring.exponents(k))}"
+                          for k in sorted(self.terms)[:4])
         more = "" if len(self.terms) <= 4 else f" + ... ({len(self.terms)} terms)"
-        return f"MultiPoly({body}{more})"
+        return f"MultiPoly({body or 0}{more})"
+
+
+# per-variable exponent bound of a ring unless it names its own; the exact
+# catalog's largest total degree is 5
+EXPONENT_BOUND = 7
 
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring over named indeterminates with exact rational coefficients."""
+    """Polynomial ring over named indeterminates with exact rational coefficients.
+
+    A monomial is one int, ``key = sum e_v R^(n-1-v)`` with radix
+    ``R = bound + 1``: variable 0 is the most significant digit, so key order
+    is lexicographic exponent order and multiplying monomials adds keys.
+    ``key`` and ``exponents`` are the one encoder and decoder.
+    """
 
     names: tuple
+    bound: int = EXPONENT_BOUND
     # per ring object, so equal rings never share the forms built from one
     memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if type(self.bound) is not int or self.bound < 1:
+            raise InputError(f"exponent bound must be a positive int, got {self.bound!r}")
+        n, radix = len(self.names), self.radix
+        object.__setattr__(self, "_places", tuple(radix ** (n - 1 - v) for v in range(n)))
 
     @property
     def nvars(self) -> int:
         return len(self.names)
+
+    @property
+    def radix(self) -> int:
+        return self.bound + 1
 
     @property
     def name(self) -> str:
@@ -303,20 +314,34 @@ class PolyRing:
 
     @property
     def zero(self) -> MultiPoly:
-        return MultiPoly(self, {})
+        return MultiPoly(self, {}, 0)
 
     @property
     def one(self) -> MultiPoly:
         return MultiPoly.const(self, 1)
+
+    def key(self, exponents) -> int:
+        """The packed key of an exponent sequence, each exponent in [0, bound]."""
+        if len(exponents) != self.nvars:
+            raise InputError("exponent count does not match variable count")
+        if not all(0 <= e <= self.bound for e in exponents):
+            raise NumericalError(f"exponents {tuple(exponents)} leave [0, {self.bound}]")
+        return sum(int(e) * p for e, p in zip(exponents, self._places))
+
+    def exponents(self, key) -> tuple:
+        """The exponent tuple of a packed key."""
+        key, out = int(key), []
+        for p in self._places:
+            e, key = divmod(key, p)
+            out.append(e)
+        return tuple(out)
 
     def var(self, name: str) -> MultiPoly:
         try:
             i = self.names.index(name)
         except ValueError:
             raise InputError(f"unknown indeterminate {name!r}") from None
-        e = [0] * self.nvars
-        e[i] = 1
-        return MultiPoly(self, {tuple(e): rational(1)})
+        return MultiPoly(self, {self._places[i]: 1}, 1)
 
     def vars(self, prefix: str | None = None) -> list:
         names = self.names if prefix is None else [n for n in self.names if n.startswith(prefix)]
@@ -336,9 +361,7 @@ class PolyRing:
             if x.ring is not self:
                 raise InputError("polynomial from a different ring")
             return x
-        if isinstance(x, (int, Fraction)) or type(x) in _RAT_TYPES:
-            return MultiPoly.const(self, x)
-        raise InputError(f"cannot coerce {type(x).__name__} into the polynomial ring")
+        return MultiPoly.const(self, x)
 
     @staticmethod
     def is_zero(x) -> bool:

@@ -4,6 +4,7 @@ single-site mutation is caught with a concrete witness monomial."""
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from ddt7.scalars import FLOAT, MultiPoly, PolyRing
 
 ALL_IDS = ("A1", "A2a", "A2b", "A4", "A5", "A3F", "DET", "EIG7", "EIG14",
            "W3", "SF", "CYL")
+# the witnesses the benchmark's verify workload gates on (read only)
+BENCH_WITNESSES = Path(__file__).resolve().parents[1] / "perfbench" / "witnesses.json"
 
 
 def test_catalog_order_and_ids():
@@ -43,6 +46,8 @@ def test_canonical_mutations_all_fail():
     mutated = prover.canonical_mutations()
     assert len(mutated) == 12
     assert {m[0] for m in mutated} == set(ALL_IDS) - {"A2a"}
+    bench = json.loads(BENCH_WITNESSES.read_text())
+    assert set(bench) == {f"{ident}.{site}" for ident, site, _ in mutated}
     for ident, site, value in mutated:
         mid = prover.mutate(ident, site, value)
         assert mid == f"{ident}[{site}={value}]"
@@ -51,6 +56,9 @@ def test_canonical_mutations_all_fail():
         w = rep.witness
         assert set(w) == {"component", "blade", "monomial", "coefficient"}
         assert w["coefficient"] not in ("0", "")
+        want = bench[f"{ident}.{site}"]
+        assert {k: w[k] for k in ("blade", "monomial", "coefficient")} == \
+            {k: want[k] for k in ("blade", "monomial", "coefficient")}, mid
 
 
 def test_mutation_witness_is_concrete():
@@ -257,8 +265,12 @@ def test_det_mutation_witness_under_scale(scale, coefficient):
     assert rep.monomial_count_before_cancellation == 807326
 
 
+_RING = PolyRing(prover._F_NAMES, prover._lookup("DET").bound)   # DET's ring
+
+
 def _key(exponents):
-    return sum(int(x) * prover._DET_PLACES[v] for v, x in enumerate(exponents))
+    """The DET ring's key of exponents for its leading variables."""
+    return _RING.key(list(exponents) + [0] * (_RING.nvars - len(exponents)))
 
 
 def _packed_entry(rng, nvars):
@@ -274,7 +286,8 @@ def _packed_entry(rng, nvars):
 
 
 def _as_poly(ring, keys, coeffs):
-    return MultiPoly(ring, {prover._det_unpack(k): Fraction(int(c))
+    """Packed DET-ring (keys, coeffs) as a polynomial of ``ring``."""
+    return MultiPoly(ring, {ring.key(_RING.exponents(k)): int(c)
                             for k, c in zip(keys, coeffs)})
 
 
@@ -288,7 +301,8 @@ def _row_term(row, a, b):
 
 
 def test_packed_dp_matches_generic_mask_dp():
-    ring = PolyRing(prover._F_NAMES)
+    # the generic DP multiplies out whole products, of total degree up to 20
+    ring = PolyRing(prover._F_NAMES, bound=20)
     rng = np.random.default_rng(3)
     biggest = 0
     for _ in range(5):
@@ -304,17 +318,17 @@ def test_packed_dp_matches_generic_mask_dp():
         for i in range(1, 4):
             key = _row_term(i, 4, int(rng.integers(0, 2)))
             entries[i] = [{key: int(rng.choice((-1, 1)))} for _ in range(4)]
-        assert prover._det_np_degree_bound(entries).max() == 4
+        assert prover._det_np_degree_bound(_RING, entries).max() == 4
         rows = [[_as_poly(ring, list(e), list(e.values())) for e in row]
                 for row in entries]
         want = det_endo(Endo.from_rows(4, rows, ring))
-        keys, coeffs = prover._det_np_dp(entries)
+        keys, coeffs = prover._det_np_dp(_RING, entries)
         assert np.all(keys[:-1] < keys[1:])
         assert _as_poly(ring, keys, coeffs).terms == want.terms
         biggest = max(biggest, int(np.abs(coeffs).max(initial=0)))
     assert biggest >= 2 ** 13
     # a state that cancels to zero drops out; a singular matrix gives 0
-    keys, coeffs = prover._det_np_dp([[{0: 1}] * 3 for _ in range(3)])
+    keys, coeffs = prover._det_np_dp(_RING, [[{0: 1}] * 3 for _ in range(3)])
     assert keys.size == 0 and coeffs.size == 0
 
 
@@ -325,7 +339,7 @@ def _packed(entry, scale=Fraction(1)):
 
 
 def test_packed_witness_is_lexicographically_first():
-    ring = PolyRing(prover._F_NAMES)
+    ring = _RING
     rng = np.random.default_rng(4)
     cases = [({}, {}, Fraction(1))]
     for _ in range(20):
@@ -362,15 +376,20 @@ def test_packed_combine_guards_per_key_magnitude():
 
 
 def test_packing_bound_is_checked():
-    x = prover._DET_PLACES[0]
+    x = _key((1,))
     entries = [[{x: 1} if i == j else {} for j in range(4)] for i in range(4)]
     entries[3][3] = {2 * x: 1}
-    assert prover._det_np_degree_bound(entries)[0] == 5
+    assert prover._det_np_degree_bound(_RING, entries)[0] == 5
     with pytest.raises(NumericalError):
-        prover._det_np_dp(entries)
+        prover._det_np_dp(_RING, entries)
     # degree 4 still packs: det = x^4 in the top digit, no carry
     entries[3][3] = {x: 1}
-    assert prover._det_np_degree_bound(entries)[0] == 4
-    keys, coeffs = prover._det_np_dp(entries)
-    assert [prover._det_unpack(k) for k in keys] == [(4,) + (0,) * 20]
+    assert prover._det_np_degree_bound(_RING, entries)[0] == 4
+    keys, coeffs = prover._det_np_dp(_RING, entries)
+    assert [_RING.exponents(k) for k in keys] == [(4,) + (0,) * 20]
     assert coeffs.tolist() == [1]
+    # the shared radix 8 would need 63-bit keys for 21 variables
+    with pytest.raises(NumericalError):
+        prover._det_np_dp(PolyRing(prover._F_NAMES), entries)
+    with pytest.raises(NumericalError):
+        prover._det_np_dp(_RING, [[{0: Fraction(1, 2)}]])

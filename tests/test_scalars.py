@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ddt7 import g2
-from ddt7.errors import InputError
+from ddt7.errors import InputError, NumericalError
 from ddt7.exalg import KForm, hodge
-from ddt7.scalars import (BATCH, FLOAT, RATIONAL, MultiPoly, PolyRing, frac, intval,
-                          rational, ring_of)
+from ddt7.scalars import (BATCH, EXPONENT_BOUND, FLOAT, RATIONAL, MultiPoly, PolyRing,
+                          frac, intval, rational, ring_of)
 
 
 def test_float_ring_protocol():
@@ -59,17 +59,22 @@ def _oracle_mul(t1, t2):
     return {e: c for e, c in out.items() if c != 0}
 
 
+def _decoded(p):
+    return {p.ring.exponents(k): c for k, c in p.terms.items()}
+
+
 def test_poly_mul_matches_oracle():
-    ring = PolyRing(("x", "y", "z"))
+    ring = PolyRing(("x", "y", "z"), bound=12)   # products reach total degree 12
     rng = np.random.default_rng(11)
     for _ in range(20):
         t1 = _random_terms(rng, 3)
         t2 = _random_terms(rng, 3)
         prod = _poly_from_terms(ring, t1) * _poly_from_terms(ring, t2)
         expect = _oracle_mul(t1, t2)
-        assert set(prod.terms) == set(expect)
+        assert set(_decoded(prod)) == set(expect)
         for e, c in expect.items():
-            assert prod.terms[e] == c
+            assert _decoded(prod)[e] == c
+        assert all(type(c) is int or c.denominator > 1 for c in prod.terms.values())
 
 
 def test_poly_add_sub_roundtrip():
@@ -83,7 +88,7 @@ def test_poly_add_sub_roundtrip():
 
 
 def test_poly_evaluate_is_a_homomorphism():
-    ring = PolyRing(("x", "y"))
+    ring = PolyRing(("x", "y"), bound=8)   # products reach total degree 8
     rng = np.random.default_rng(7)
     point = [Fraction(2, 3), Fraction(-5, 4)]
     for _ in range(10):
@@ -115,6 +120,62 @@ def test_leading_and_monomial_str():
     assert p.monomial_str((0, 0)) == "1"
     assert p.total_degree() == 3
     assert p.nterms() == 2
+
+
+@pytest.mark.parametrize("bound", [4, EXPONENT_BOUND], ids=["radix5", "shared"])
+def test_carry_guard_at_the_ring_bound(bound):
+    ring = PolyRing(("x", "y"), bound=bound)
+    x = ring.var("x")
+    p = x
+    for _ in range(bound - 1):
+        p = p * x
+    key = ring.key((bound, 0))
+    assert p.terms == {key: 1} and p.deg == bound
+    assert key == bound * ring.radix and ring.exponents(key) == (bound, 0)
+    assert p.leading() == ((bound, 0), 1) and p.monomial_str((bound, 0)) == f"x^{bound}"
+    # one more factor could carry into the next digit: refused before any key forms
+    with pytest.raises(NumericalError):
+        _ = p * x
+    with pytest.raises(NumericalError):
+        _ = p * (ring.var("y") + 1)
+    with pytest.raises(NumericalError):
+        ring.key((bound + 1, 0))
+
+
+@pytest.mark.parametrize("bound", [4, EXPONENT_BOUND], ids=["radix5", "shared"])
+def test_key_order_is_lexicographic_order(bound):
+    ring = PolyRing(("x", "y", "z", "w"), bound=bound)
+    rng = np.random.default_rng(bound)
+    for _ in range(50):
+        terms = {tuple(int(x) for x in rng.integers(0, bound + 1, 4)): int(rng.integers(1, 9))
+                 for _ in range(int(rng.integers(1, 8)))}
+        p = MultiPoly(ring, {ring.key(e): c for e, c in terms.items()})
+        assert _decoded(p) == terms
+        e = min(terms)
+        assert p.leading() == (e, terms[e])
+        assert p.total_degree() == max(map(sum, terms))
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x + 0.25, lambda x: 0.25 + x,
+    lambda x: x - 0.25, lambda x: 0.25 - x, lambda x: x / 0.5,
+    lambda x: x * np.float64(2), lambda x: np.float64(2) * x, lambda x: x + np.int64(1),
+    lambda x: x.ring.const(0.5), lambda x: x.ring.coerce(np.float64(1.0))],
+    ids=["mul", "rmul", "add", "radd", "sub", "rsub", "div", "mul-np", "rmul-np",
+         "add-npint", "const", "coerce"])
+def test_float_coefficients_are_refused(op):
+    ring = PolyRing(("x",))
+    with pytest.raises(InputError):
+        op(ring.var("x"))
+
+
+def test_coefficients_are_int_when_integral():
+    ring = PolyRing(("x",))
+    x = ring.var("x")
+    for p in (x * Fraction(4, 2), (x * 3) / 3, x / Fraction(1, 2),
+              x * Fraction(1, 2) + x * Fraction(1, 2), ring.const(Fraction(6, 3))):
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert type((x / 3).terms[ring.key((1,))]) is Fraction
 
 
 def test_ring_helpers():
