@@ -182,7 +182,31 @@ def _versions() -> dict:
     }
 
 
+def _non_finite_key(x, path: str = "report") -> str | None:
+    """The path of the first inf or NaN number in a report, or None."""
+    if isinstance(x, dict):
+        items = ((f"{path}.{k}", v) for k, v in x.items())
+    elif isinstance(x, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(x))
+    elif isinstance(x, np.ndarray):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(x.tolist()))
+    elif isinstance(x, (float, np.floating)):
+        return None if math.isfinite(x) else path
+    else:
+        return None
+    for sub, v in items:
+        found = _non_finite_key(v, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def _write_report(out_dir: str, report: dict) -> str:
+    """Write <out_dir>/report.json; a non-finite number in it is a numerical
+    failure, raised before anything is written."""
+    bad = _non_finite_key(report)
+    if bad is not None:
+        raise NumericalError(f"{bad} is not finite")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:

@@ -6,6 +6,11 @@ The flow integrates da/dt = eta(E)/theta(E) pointwise over the grid
 (explicit euler or rk4).  theta is guarded: the ascent metric degenerates
 where the calibration weight vanishes, so any grid point with
 theta <= theta_min aborts the run with the offending point attached.
+
+Fields inside a solver are unchecked op results (see ``torus``).  Each
+solver checks what leaves it: the potential after every flow step and the
+step's diagnostics, every Newton iterate and residual norm, and every CG
+residual; inf or NaN raises ``NumericalError`` naming where.
 """
 from __future__ import annotations
 
@@ -21,10 +26,10 @@ from .errors import (DegenerateMetricError, InputError, NonFiniteError,
 from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
 from .scalars import FLOAT, RATIONAL
-from .torus import (Flux, FormField, GaugePotential, TorusGrid, _spectral_k,
-                    codiff, curvature, d, field_inner, field_l2, field_mean,
-                    kl_segment_integral, wedge_const, wedge_field,
-                    zero_potential)
+from .torus import (Flux, FormField, GaugePotential, TorusGrid, _finite_field,
+                    _finite_value, _spectral_k, codiff, curvature, d,
+                    field_inner, field_l2, field_mean, kl_segment_integral,
+                    wedge_const, wedge_field, zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
@@ -35,7 +40,11 @@ __all__ = [
 
 
 def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
+    """Raise at the grid point of least theta if theta <= theta_min there.
+    argmin stops at a NaN, so a non-finite theta is found here too; it is a
+    numerical failure, not a degenerate metric."""
     worst = int(np.argmin(theta))
+    _finite_value(float(theta[worst]), "theta")
     if theta[worst] <= theta_min:
         coords = np.unravel_index(worst, grid.shape)
         point = dict(zip(grid.active_axes, (int(c) for c in coords)))
@@ -52,7 +61,7 @@ def _ascent(pot: GaugePotential, theta_min: float, stage=None) -> FormField:
         stage = E, E2, ddt._theta(E2)
     E, E2, theta = stage
     _theta_guard(pot.grid, theta, theta_min)
-    return FormField(pot.grid, 1, ddt._eta(E, E2).values / theta[:, None])
+    return FormField._of(pot.grid, 1, ddt._eta(E, E2).values / theta[:, None])
 
 
 def ascent_field(pot: GaugePotential, theta_min: float = 1e-3) -> FormField:
@@ -109,27 +118,29 @@ def flow_step(pot: GaugePotential, dt: float, scheme: str = "euler",
 
 def _step(pot: GaugePotential, dt: float, scheme: str, theta_min: float,
           first) -> GaugePotential:
-    """``flow_step``, given the first stage's (E, E ^ E, theta) when known."""
+    """``flow_step``, given the first stage's (E, E ^ E, theta) when known.
+    The new potential is checked for inf and NaN."""
     if scheme not in ("euler", "rk4"):
         raise InputError("scheme must be euler or rk4")
     with _finite(f"{scheme} step of dt = {dt:g}"):
         k1 = _ascent(pot, theta_min, first)
         if scheme == "euler":
-            return GaugePotential(pot.a + dt * k1, pot.flux)
-
-        def vf(a: FormField) -> FormField:
-            return ascent_field(GaugePotential(a, pot.flux), theta_min)
-        k2 = vf(pot.a + (0.5 * dt) * k1)
-        k3 = vf(pot.a + (0.5 * dt) * k2)
-        k4 = vf(pot.a + dt * k3)
-        incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return GaugePotential(pot.a + incr, pot.flux)
+            a = pot.a + dt * k1
+        else:
+            def vf(a: FormField) -> FormField:
+                return ascent_field(GaugePotential(a, pot.flux), theta_min)
+            k2 = vf(pot.a + (0.5 * dt) * k1)
+            k3 = vf(pot.a + (0.5 * dt) * k2)
+            k4 = vf(pot.a + dt * k3)
+            a = pot.a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return GaugePotential(_finite_field(a, "the new potential"), pot.flux)
 
 
 @contextmanager
 def _finite(where: str):
-    """Raise a non-finite field or float overflow inside a solver as a numerical
-    failure at ``where``; numpy's overflow warnings are off (FormField checks)."""
+    """Raise a non-finite value or float overflow inside a solver as a
+    numerical failure at ``where``; numpy's overflow and invalid-value warnings
+    are off, since the solver's own checks report them."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
@@ -139,14 +150,17 @@ def _finite(where: str):
 
 def _diagnostics(pot: GaugePotential):
     """(kl_functional, residual L2 norm, min theta, (E, E ^ E, theta)),
-    sharing one d(a); the last is the next step's first stage."""
+    sharing one d(a); the last is the next step's first stage.  The three
+    floats are checked for inf and NaN."""
     background = pot.flux.background(pot.grid)
     D = d(pot.a)
     E = background + D
     E2 = wedge_field(E, E)
     theta = ddt._theta(E2)
-    return (kl_segment_integral(background, D, pot.a),
-            field_l2(ddt._residual(E, E2, 1.0 / 6.0)), float(np.min(theta)),
+    return (_finite_value(kl_segment_integral(background, D, pot.a), "functional"),
+            _finite_value(field_l2(ddt._residual(E, E2, 1.0 / 6.0)),
+                          "residual norm"),
+            _finite_value(float(np.min(theta)), "min theta"),
             (E, E2, theta))
 
 
@@ -255,7 +269,8 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
     if _flux_has_vector_part(flux):
         raise ObstructionError("no instanton in this Chern class on the torus")
     pot = zero_potential(grid, flux)
-    w = wedge_const(curvature(pot), g2.star_phi_for(FLOAT))
+    w = _finite_field(wedge_const(curvature(pot), g2.star_phi_for(FLOAT)),
+                      "the instanton system's right-hand side")
     na = grid.n_active
     spec = np.fft.fftn(w.values.reshape(grid.shape + (7,)), axes=tuple(range(na)))
     flat = np.abs(spec.reshape(grid.npts, 7)).max(axis=1)
@@ -332,15 +347,14 @@ class _ScaledSystem:
         The adjoint of the mean block sends mu to the constant field mu.
         """
         out = codiff(_wedge_by_w_adjoint(w6, W)) + d(w0)
-        return out + FormField(self.grid, 1,
-                               np.tile(mu, (self.grid.npts, 1)))
+        return FormField._of(self.grid, 1, out.values + mu)
 
 
 def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
     """Adjoint of the pointwise map x (2-form) -> x ^ W, W a fixed 4-form."""
     table = tables.wedge_adjoint_arrays(7, 2, 4)
     vals = wedge_fields(y.values, W.values, *table, len(blades(7, 2)))
-    return FormField(y.grid, 2, vals)
+    return FormField._of(y.grid, 2, vals)
 
 
 # The blocks have condition 1 at W = -*phi and stay below 2e3 along the
@@ -376,7 +390,7 @@ def _apply_modes(blocks: np.ndarray, f: FormField) -> FormField:
     spec = np.fft.rfftn(f.values.reshape(grid.shape + (7,)), axes=axes)
     out = np.einsum("mab,mb->ma", blocks, spec.reshape(-1, 7))
     vals = np.fft.irfftn(out.reshape(spec.shape), s=grid.shape, axes=axes)
-    return FormField(grid, 1, vals.reshape(grid.npts, 7))
+    return FormField._of(grid, 1, vals.reshape(grid.npts, 7))
 
 
 def _mean_w_inverse(grid: TorusGrid, W: FormField):
@@ -409,12 +423,13 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
     The preconditioner is the exact inverse of J^T J with W replaced by its
     mean, applied per Fourier mode (Concus and Golub 1973).  The stop rule
     reads the unpreconditioned gradient, |J^T r| <= tol * |J^T rhs|.
-    Returns (x, _InnerSolve).
+    Returns (x, _InnerSolve); a non-finite residual raises
+    ``NonFiniteError`` rather than running on to max_iter.
     """
     x = FormField.zero(system.grid, 1)
     r6, r0, rm = rhs_parts
     g = system.apply_jt(W, r6, r0, rm)
-    g0 = field_l2(g)
+    g0 = _finite_value(field_l2(g), "CG gradient norm")
     if g0 == 0.0:
         return x, _InnerSolve(0, 0.0, False)
     inv = _mean_w_inverse(system.grid, W)
@@ -435,7 +450,7 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
         rm = rm - alpha * jm
         g = system.apply_jt(W, r6, r0, rm)
         it += 1
-        rel = field_l2(g) / g0
+        rel = _finite_value(field_l2(g), "CG gradient norm") / g0
         if rel <= tol:
             break
         z = g if inv is None else _apply_modes(inv, g)
@@ -469,7 +484,7 @@ def _mean_sector_obstructed(system: _ScaledSystem, W: FormField,
     for j in range(7):
         unit = np.zeros(7)
         unit[j] = 1.0
-        cf = FormField(system.grid, 6, np.tile(unit, (system.grid.npts, 1)))
+        cf = FormField._of(system.grid, 6, np.tile(unit, (system.grid.npts, 1)))
         adj.append(system.apply_jt(W, cf, zero0, zmean))
     G = np.array([[field_inner(adj[i], adj[j]) for j in range(7)]
                   for i in range(7)])
@@ -516,7 +531,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         a = (current if warm_start else restart).a
         with _finite(f"continuation at s = {s:g}"):
             parts = system.residual(a)
-            rnorm = system.res_norm(parts)
+            rnorm = _finite_value(system.res_norm(parts), "residual norm")
         history = [rnorm]
         cg_iters = []
         failed = None
@@ -532,9 +547,9 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                 cg_iters.append(inner.iterations)
                 if inner.hit_max_iter:
                     failed = inner
-                a = a + dx
+                a = _finite_field(a + dx, "the Newton iterate")
                 parts = system.residual(a)
-                rnorm = system.res_norm(parts)
+                rnorm = _finite_value(system.res_norm(parts), "residual norm")
             history.append(rnorm)
             iters += 1
         pot = GaugePotential(a, flux)

@@ -271,19 +271,21 @@ def _det_np_combine(words):
     return keys[starts[nz]], tot[nz]
 
 
-def _det_np_dp(ring, entries):
+def _det_np_dp(ring, entries, bound=None):
     """The column-mask DP of ``exalg._det_rows`` on packed polynomials.
 
     entries[i][j]: the {key: int coeff} terms of a polynomial of ``ring``,
-    empty if zero.  Returns the determinant as (sorted keys, int64
-    coefficients).
+    empty if zero; bound, their ``_det_np_degree_bound`` when the caller
+    has it.  Returns the determinant as (sorted keys, int64 coefficients).
     """
     if ring.radix ** ring.nvars > 1 << (64 - _DET_COEFF_BITS):
         raise NumericalError(f"radix-{ring.radix} keys of {ring.nvars} variables "
                              f"exceed the {64 - _DET_COEFF_BITS}-bit key field")
     if any(type(c) is not int for row in entries for e in row for c in e.values()):
         raise NumericalError("the packed determinant needs integer coefficients")
-    _det_np_check_bound(ring, _det_np_degree_bound(ring, entries))
+    if bound is None:
+        bound = _det_np_degree_bound(ring, entries)
+    _det_np_check_bound(ring, bound)
     n = len(entries)
     packed = [[(np.fromiter(e.keys(), dtype=np.uint64, count=len(e)),
                 np.fromiter(e.values(), dtype=np.int64, count=len(e))) if e else None
@@ -351,9 +353,11 @@ def _build_det(ring, val, consts):
         d = det_endo(lin)
         return [("factorization", det_endo(quad), d * d * _c(ring, consts, "rhs-scale"))]
     lin, quad = ([[e.terms for e in row] for row in A.mat] for A in (lin, quad))
-    _det_np_check_bound(ring, 2 * _det_np_degree_bound(ring, lin))  # rhs squares det(lin)
+    lin_bound = _det_np_degree_bound(ring, lin)
+    _det_np_check_bound(ring, 2 * lin_bound)  # rhs squares det(lin)
     lhs = _Packed(*_det_np_dp(ring, quad))
-    rhs = _Packed(*_det_np_square(_det_np_dp(ring, lin)), scale=consts["rhs-scale"])
+    rhs = _Packed(*_det_np_square(_det_np_dp(ring, lin, lin_bound)),
+                  scale=consts["rhs-scale"])
     return [("factorization", lhs, rhs)]
 
 

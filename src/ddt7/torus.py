@@ -16,18 +16,29 @@ Conventions (the global sign ledger lives in ``ddt``):
   inner product, i.e. integration against the unit-volume torus.
 * All reductions run in C order over the grid, so equal inputs give
   bit-equal outputs.
+
+Finiteness is checked where values enter and where they leave, not on
+every temporary.  The public ``FormField`` constructor validates degree,
+shape, dtype and finiteness, and every entry point builds through it
+(``load_field``, ``random_field``, ``coclosed_project``, ``FormField.zero``
+and ``constant``, ``Flux.background``).  Op results (``d``, ``codiff``,
+wedges, ``hodge_field``, ``+ - *``) take the unchecked ``FormField._of``:
+the tables fix their shape and dtype.  Each public functional checks the
+float it returns and raises ``NonFiniteError``; the solvers in ``flow``
+check each step, iterate and diagnostic, and ``save_field`` refuses a
+non-finite field.
 """
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import ddt, tables
-from .errors import InputError, NonFiniteError
+from .errors import InputError, NonFiniteError, NumericalError
 from .exalg import KForm, blades
 from .kernels import hodge_fields, wedge_fields
 from .scalars import FLOAT, RATIONAL
@@ -65,15 +76,16 @@ class TorusGrid:
             raise InputError("N must be a power of two, at least 2")
         object.__setattr__(self, "active_axes", axes)
 
-    @property
+    # cached per instance; not fields, so equality and hashing ignore them
+    @cached_property
     def n_active(self) -> int:
         return len(self.active_axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return (self.N,) * self.n_active
 
-    @property
+    @cached_property
     def npts(self) -> int:
         return self.N ** self.n_active
 
@@ -96,7 +108,13 @@ class FormField:
     """Degree-k form sampled on a grid: values (npts, n_blades), float64.
 
     Reads as a float KForm on R^7 (``n``, ``ring``, ``coeffs``), so the
-    formulas of ``ddt`` run on it."""
+    formulas of ``ddt`` run on it.
+
+    ``FormField(grid, k, values)`` is the input path: it checks the degree
+    and shape, makes the values C-contiguous float64 and refuses inf and
+    NaN (``NonFiniteError``).  Op results come from ``_of``, which checks
+    nothing; a non-finite value among them is caught where it leaves a
+    functional or a solver step (see the module docstring)."""
 
     n = 7
     ring = FLOAT
@@ -119,6 +137,16 @@ class FormField:
         object.__setattr__(self, "values", v)
 
     @staticmethod
+    def _of(grid: TorusGrid, k: int, values: np.ndarray) -> "FormField":
+        """An op result, unchecked: values is already a C-contiguous float64
+        (npts, C(7, k)) array, fixed by the op's tables."""
+        f = object.__new__(FormField)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "k", k)
+        object.__setattr__(f, "values", values)
+        return f
+
+    @staticmethod
     def zero(grid: TorusGrid, k: int) -> "FormField":
         return FormField(grid, k, np.zeros((grid.npts, len(blades(7, k)))))
 
@@ -137,28 +165,31 @@ class FormField:
         return KForm.from_coeffs(7, self.k, self.values[p].tolist(), FLOAT)
 
     def _term(self, other) -> np.ndarray:
-        """Values of a field, or of a constant KForm, of this degree."""
+        """Values of a field, or the coefficient row of a constant KForm
+        (it broadcasts over the grid), of this degree."""
         if isinstance(other, KForm):
-            other = FormField.constant(self.grid, other)
+            if other.n != 7 or other.k != self.k:
+                raise InputError("constant form has a different degree")
+            return np.array([float(c) for c in other.coeffs])
         self._compat(other)
         return other.values
 
     def __add__(self, other) -> "FormField":
-        return FormField(self.grid, self.k, self.values + self._term(other))
+        return FormField._of(self.grid, self.k, self.values + self._term(other))
 
     def __sub__(self, other) -> "FormField":
-        return FormField(self.grid, self.k, self.values - self._term(other))
+        return FormField._of(self.grid, self.k, self.values - self._term(other))
 
     def __mul__(self, s) -> "FormField":
         """Times a number, or pointwise times an (npts,) array."""
         if getattr(s, "ndim", 0):
-            return FormField(self.grid, self.k, self.values * s[:, None])
-        return FormField(self.grid, self.k, self.values * float(s))
+            return FormField._of(self.grid, self.k, self.values * s[:, None])
+        return FormField._of(self.grid, self.k, self.values * float(s))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FormField":
-        return FormField(self.grid, self.k, -self.values)
+        return FormField._of(self.grid, self.k, -self.values)
 
     def _compat(self, other: "FormField"):
         if self.grid != other.grid or self.k != other.k:
@@ -268,13 +299,13 @@ def d(f: FormField) -> FormField:
     if f.k >= 7:
         raise InputError("d of a top-degree form")
     vals = _partials(f) @ _d_combine(f.grid.active_axes, f.k)
-    return FormField(f.grid, f.k + 1, vals)
+    return FormField._of(f.grid, f.k + 1, vals)
 
 
 def hodge_field(f: FormField) -> FormField:
     tgt, sgn = tables.hodge_arrays(7, f.k)
     vals = hodge_fields(f.values, tgt, sgn, len(blades(7, 7 - f.k)))
-    return FormField(f.grid, 7 - f.k, vals)
+    return FormField._of(f.grid, 7 - f.k, vals)
 
 
 def codiff(f: FormField) -> FormField:
@@ -283,7 +314,7 @@ def codiff(f: FormField) -> FormField:
     if f.k == 0:
         raise InputError("codiff of a scalar")
     vals = _partials(f) @ _codiff_combine(f.grid.active_axes, f.k)
-    return FormField(f.grid, f.k - 1, vals)
+    return FormField._of(f.grid, f.k - 1, vals)
 
 
 def wedge_field(f: FormField, g: FormField) -> FormField:
@@ -294,7 +325,7 @@ def wedge_field(f: FormField, g: FormField) -> FormField:
     ii, jj, oo, ss = tables.wedge_arrays(7, f.k, g.k)
     dim_out = len(blades(7, f.k + g.k))
     vals = wedge_fields(f.values, g.values, ii, jj, oo, ss, dim_out)
-    return FormField(f.grid, f.k + g.k, vals)
+    return FormField._of(f.grid, f.k + g.k, vals)
 
 
 def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
@@ -306,7 +337,7 @@ def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
     vals = f.values @ M.T
     if left and (f.k * form.k) % 2:
         vals = -vals
-    return FormField(f.grid, f.k + form.k, vals)
+    return FormField._of(f.grid, f.k + form.k, vals)
 
 
 def integrate(f: FormField) -> float:
@@ -375,10 +406,13 @@ class Flux:
         """The integer 2-form (without the 2*pi)."""
         return KForm.from_coeffs(7, 2, list(self.upper), ring)
 
+    def _background_row(self) -> np.ndarray:
+        """The 21 coefficients 2*pi*n of the background curvature."""
+        return 2.0 * math.pi * np.array(self.upper, dtype=np.float64)
+
     def background(self, grid: TorusGrid) -> FormField:
         """Constant curvature field 2*pi*n."""
-        coeffs = 2.0 * math.pi * np.array(self.upper, dtype=np.float64)
-        return FormField(grid, 2, np.tile(coeffs, (grid.npts, 1)))
+        return FormField(grid, 2, np.tile(self._background_row(), (grid.npts, 1)))
 
 
 @dataclass(frozen=True)
@@ -403,13 +437,30 @@ def zero_potential(grid: TorusGrid, flux: Flux) -> GaugePotential:
 
 def curvature(pot: GaugePotential) -> FormField:
     """E = 2*pi*flux + d a; closed, mean equal to the background."""
-    return pot.flux.background(pot.grid) + d(pot.a)
+    return FormField._of(pot.grid, 2, pot.flux._background_row() + d(pot.a).values)
+
+
+def _finite_value(x: float, what: str) -> float:
+    """x, or NonFiniteError when it is inf or NaN: the check on a float
+    leaving a functional or a solver."""
+    if not math.isfinite(x):
+        raise NonFiniteError(f"{what} is not finite")
+    return x
+
+
+def _finite_field(f: FormField, what: str) -> FormField:
+    """f, or NonFiniteError when it holds inf or NaN: the check on a field
+    leaving a solver."""
+    if not np.isfinite(f.values).all():
+        raise NonFiniteError(f"{what} contains non-finite values")
+    return f
 
 
 def residual_field(pot: GaugePotential, s: float = 1.0):
-    """Scaled residual field s^4 E^3/6 - E^*phi and its L2 norm."""
+    """Scaled residual field s^4 E^3/6 - E^*phi and its L2 norm.  A finite
+    norm means every value of the field is finite."""
     res = ddt.scaled_residual(curvature(pot), s)
-    return res, field_l2(res)
+    return res, _finite_value(field_l2(res), "residual norm")
 
 
 # --- functionals -------------------------------------------------------------
@@ -421,14 +472,16 @@ def kl_oneform(pot: GaugePotential, b: FormField) -> float:
     """The first-variation pairing: integral of b ^ (E^3/6 - E^*phi)."""
     if b.k != 1:
         raise InputError("direction must be a 1-form field")
-    return integrate(wedge_field(b, ddt.ddt_residual(curvature(pot))))
+    return _finite_value(integrate(wedge_field(b, ddt.ddt_residual(curvature(pot)))),
+                         "kl_oneform")
 
 
 def kl_segment(base: GaugePotential, delta: FormField) -> float:
     """Integral of the one-form along the straight segment a -> a + delta."""
     if delta.k != 1:
         raise InputError("segment direction must be a 1-form field")
-    return kl_segment_integral(curvature(base), d(delta), delta)
+    return _finite_value(kl_segment_integral(curvature(base), d(delta), delta),
+                         "kl_segment")
 
 
 def kl_segment_integral(E0: FormField, D: FormField,
@@ -450,7 +503,9 @@ def kl_segment_integral(E0: FormField, D: FormField,
 
 def kl_functional(pot: GaugePotential) -> float:
     """Potential of the one-form, normalized to 0 at a = 0."""
-    return kl_segment_integral(pot.flux.background(pot.grid), d(pot.a), pot.a)
+    return _finite_value(
+        kl_segment_integral(pot.flux.background(pot.grid), d(pot.a), pot.a),
+        "kl_functional")
 
 
 def theta3(pot: GaugePotential, b1: FormField, b2: FormField, b3: FormField) -> float:
@@ -468,7 +523,7 @@ def theta3(pot: GaugePotential, b1: FormField, b2: FormField, b3: FormField) -> 
         val = integrate(wedge_field(
             wedge_field(wedge_field(args[p], args[q]), args[r]), W))
         terms.append(-sgn * val)
-    return math.fsum(terms) / 6.0
+    return _finite_value(math.fsum(terms) / 6.0, "theta3")
 
 
 def dtheta4(pot: GaugePotential, b1: FormField, b2: FormField,
@@ -486,7 +541,7 @@ def dtheta4(pot: GaugePotential, b1: FormField, b2: FormField,
         triple = wedge_field(wedge_field(rest[0], rest[1]), rest[2])
         deriv = -integrate(wedge_field(triple, wedge_field(d(bs[i]), E)))
         terms.append(deriv if i % 2 == 0 else -deriv)
-    return math.fsum(terms)
+    return _finite_value(math.fsum(terms), "dtheta4")
 
 
 def _moment_pair_oneform(g1: FormField, g2: FormField) -> FormField:
@@ -494,7 +549,7 @@ def _moment_pair_oneform(g1: FormField, g2: FormField) -> FormField:
     dg2 = d(g2)
     dg1 = d(g1)
     vals = 0.5 * (g1.values[:, :1] * dg2.values - g2.values[:, :1] * dg1.values)
-    return FormField(g1.grid, 1, vals)
+    return FormField._of(g1.grid, 1, vals)
 
 
 def nu(pot: GaugePotential, g1: FormField, g2: FormField) -> float:
@@ -502,7 +557,8 @@ def nu(pot: GaugePotential, g1: FormField, g2: FormField) -> float:
     if g1.k != 0 or g2.k != 0:
         raise InputError("moment arguments must be scalar fields")
     R = ddt.ddt_residual(curvature(pot))
-    return -integrate(wedge_field(R, _moment_pair_oneform(g1, g2)))
+    return _finite_value(-integrate(wedge_field(R, _moment_pair_oneform(g1, g2))),
+                         "nu")
 
 
 def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
@@ -516,8 +572,7 @@ def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
     E = curvature(pot)
     dR = wedge_field(d(b), ddt._residual_weight(wedge_field(E, E), _SIXTH))
     lhs = -integrate(wedge_field(dR, _moment_pair_oneform(g1, g2)))
-    rhs = theta3(pot, d(g1), d(g2), b)
-    return lhs, rhs
+    return _finite_value(lhs, "derivative of nu"), theta3(pot, d(g1), d(g2), b)
 
 
 def gauge_shift(pot: GaugePotential, chi: FormField | None = None,
@@ -616,7 +671,10 @@ def random_coclosed_potential(grid: TorusGrid, flux: Flux,
 
 
 def save_field(path, f: FormField) -> None:
-    """Binary snapshot: magic, active axes, N, degree, little-endian doubles."""
+    """Binary snapshot: magic, active axes, N, degree, little-endian doubles.
+    A non-finite field is a numerical failure and is not written."""
+    if not np.isfinite(f.values).all():
+        raise NumericalError("refusing to save a field with non-finite values")
     axes = list(f.grid.active_axes) + [0] * (7 - f.grid.n_active)
     header = struct.pack("<8sB7BIB", _SNAPSHOT_MAGIC, f.grid.n_active,
                          *axes, f.grid.N, f.k)

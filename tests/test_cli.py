@@ -258,6 +258,21 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path
     assert err == "internal error: RuntimeError: boom second line\n"
 
 
+def test_non_finite_report_value_is_a_numerical_failure(monkeypatch, capsys,
+                                                       tmp_path):
+    def nan_report(cfg, out_dir):
+        cli._write_report(out_dir, {"command": "decompose",
+                                    "checks": {"sym": [0.0, float("nan")]}})
+        return 0
+    defaults, _, help_text = cli._COMMANDS["decompose"]
+    monkeypatch.setitem(cli._COMMANDS, "decompose",
+                        (defaults, nan_report, help_text))
+    assert cli.main(["decompose", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: report.checks.sym[1] is not finite\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 SNAP_HEAD = 21  # struct.calcsize("<8sB7BIB")
 
 

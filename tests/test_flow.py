@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from ddt7 import ddt, flow, kernels, tables, torus
-from ddt7.errors import (DegenerateMetricError, InputError, NumericalError,
-                         ObstructionError)
+from ddt7.errors import (DegenerateMetricError, InputError, NonFiniteError,
+                         NumericalError, ObstructionError)
+from ddt7.exalg import blades
 from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, ascent_field,
                        continuation, cylinder_check, cylinder_check_samples,
                        flow_run, flow_step, instanton_solve, kernel_probe)
@@ -494,3 +495,48 @@ def test_mode_symbol_kernel_is_pure_gauge():
     assert np.linalg.matrix_rank(A.astype(float)) == 6
     B = np.einsum("i,ijg->jg", k, U)
     assert np.linalg.matrix_rank(B.astype(float)) == 6
+
+
+def test_non_finite_theta_is_not_a_degenerate_metric():
+    """An overflowed E makes theta inf or NaN at some point; the guard
+    reports that as non-finite, not as leaving the calibrated set."""
+    rng = np.random.default_rng(44)
+    huge = GaugePotential(1e200 * coclosed_project(random_field(GRID, 1, rng)),
+                          CALIBRATED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="theta"):
+            ascent_field(huge)
+
+
+def test_solver_steps_build_no_checked_fields(monkeypatch):
+    """On valid input an rk4 step and a theta3 call build every field as an
+    unchecked op result: the constructor's checks are for inputs only."""
+    rng = np.random.default_rng(42)
+    pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.05)
+    bs = [random_field(GRID, 1, rng) for _ in range(3)]
+    calls = []
+    checked = FormField.__post_init__
+
+    def counted(self):
+        calls.append(self.k)
+        checked(self)
+    monkeypatch.setattr(FormField, "__post_init__", counted)
+    flow_step(pot, 1e-3, "rk4")
+    torus.theta3(pot, *bs)
+    assert calls == []
+
+
+def test_solver_op_results_are_contiguous_float64():
+    rng = np.random.default_rng(43)
+    pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.05)
+    system = flow._ScaledSystem(CALIBRATED, GRID, 0.5)
+    W = system.lin_weight(pot.a)
+    w6, w0, mu = system.residual(pot.a)
+    blocks = flow._normal_symbol(GRID, field_mean(W))
+    for got, k in ((flow._ascent(pot, 1e-3), 1),
+                   (flow._wedge_by_w_adjoint(w6, W), 2),
+                   (flow._apply_modes(blocks, pot.a), 1),
+                   (system.apply_jt(W, w6, w0, mu), 1)):
+        v = got.values
+        assert got.k == k and v.dtype == np.float64 and v.flags.c_contiguous
+        assert v.shape == (GRID.npts, len(blades(7, k)))

@@ -254,6 +254,20 @@ def test_det_monomial_count_frozen():
     assert rep.monomial_count_before_cancellation == 807326
 
 
+def test_det_bounds_each_matrix_once(monkeypatch):
+    """One packing bound per matrix: I + F#'s bound is shared by the
+    squared-rhs check and its DP."""
+    calls = []
+    real = prover._det_np_degree_bound
+
+    def counted(ring, entries):
+        calls.append(len(entries))
+        return real(ring, entries)
+    monkeypatch.setattr(prover, "_det_np_degree_bound", counted)
+    assert prover.verify("DET").reduced_to_zero
+    assert calls == [7, 7]
+
+
 @pytest.mark.parametrize("scale, coefficient", [
     (Fraction(1, 2), "1/2"), (Fraction(3, 2), "-1/2"), (Fraction(-1), "2"),
     (Fraction(2), "-1")])
@@ -382,6 +396,8 @@ def test_packing_bound_is_checked():
     assert prover._det_np_degree_bound(_RING, entries)[0] == 5
     with pytest.raises(NumericalError):
         prover._det_np_dp(_RING, entries)
+    with pytest.raises(NumericalError):   # a bound passed in is still checked
+        prover._det_np_dp(_RING, entries, prover._det_np_degree_bound(_RING, entries))
     # degree 4 still packs: det = x^4 in the top digit, no carry
     entries[3][3] = {x: 1}
     assert prover._det_np_degree_bound(_RING, entries)[0] == 4

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ddt7 import ddt, torus
-from ddt7.errors import InputError
-from ddt7.exalg import KForm, hodge, inner, wedge
+from ddt7.errors import InputError, NonFiniteError, NumericalError
+from ddt7.exalg import KForm, blades, hodge, inner, wedge
 from ddt7.scalars import FLOAT
 from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
                         coclosed_project, codiff, curvature, d, dtheta4,
@@ -273,3 +273,70 @@ def test_potential_and_residual_validation():
     assert R.k == 6
     # closedness of the residual, the fact the kl tests lean on
     assert field_l2(d(R)) < 1e-9
+
+
+def test_grid_sizes_are_cached_and_equality_ignores_them():
+    grid = TorusGrid((1, 2, 3), 8)
+    assert (grid.n_active, grid.shape, grid.npts) == (3, (8, 8, 8), 512)
+    assert grid.npts is grid.npts
+    fresh = TorusGrid((1, 2, 3), 8)
+    assert fresh == grid and hash(fresh) == hash(grid)
+
+
+def _is_op_result(f, grid, k):
+    v = f.values
+    return (f.k == k and v.dtype == np.float64 and v.flags.c_contiguous
+            and v.shape == (grid.npts, len(blades(7, k))))
+
+
+def test_op_results_are_contiguous_float64_of_the_degree_shape():
+    """Op results skip the constructor's checks, so each op must itself
+    return C-contiguous float64 values of shape (npts, C(7, k))."""
+    rng = np.random.default_rng(40)
+    fs = {k: random_field(GRID2, k, rng) for k in range(8)}
+    consts = {k: KForm.from_coeffs(7, k, list(rng.normal(size=len(blades(7, k)))),
+                                   FLOAT) for k in range(8)}
+    weight = rng.normal(size=GRID2.npts)
+    for k, f in fs.items():
+        results = [(f + f, k), (f - f, k), (f + consts[k], k), (f - consts[k], k),
+                   (2.5 * f, k), (f * weight, k), (-f, k), (hodge_field(f), 7 - k)]
+        if k < 7:
+            results.append((d(f), k + 1))
+        if k > 0:
+            results.append((codiff(f), k - 1))
+        for q in range(8 - k):
+            results += [(wedge_field(f, fs[q]), k + q),
+                        (torus.wedge_const(f, consts[q]), k + q),
+                        (torus.wedge_const(f, consts[q], left=True), k + q)]
+        for got, degree in results:
+            assert _is_op_result(got, GRID2, degree)
+
+
+def test_moment_functionals_refuse_overflow():
+    """Each public functional checks the float it returns: at a potential
+    of scale 1e200 it raises rather than return inf or NaN.  dtheta4 is
+    linear in E, so its directions are scaled up as well."""
+    rng = np.random.default_rng(41)
+    flux = Flux.from_entries({(1, 2): 1, (4, 7): 1})
+    pot = random_potential(GRID2, flux, rng, scale=1e200)
+    g1, g2 = random_field(GRID2, 0, rng), random_field(GRID2, 0, rng)
+    bs = [random_field(GRID2, 1, rng) for _ in range(3)]
+    big = [random_field(GRID2, 1, rng, scale=1e50) for _ in range(4)]
+    calls = [lambda: theta3(pot, *bs), lambda: dtheta4(pot, *big),
+             lambda: torus.nu(pot, g1, g2),
+             lambda: nu_derivative_check(pot, g1, g2, bs[0]),
+             lambda: kl_functional(pot), lambda: kl_oneform(pot, bs[0]),
+             lambda: kl_segment(pot, bs[0]), lambda: residual_field(pot)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(NonFiniteError):
+                call()
+
+
+def test_save_field_refuses_a_non_finite_field(tmp_path):
+    with np.errstate(invalid="ignore"):
+        nan_field = FormField.zero(GRID2, 1) * math.inf  # an op result of NaNs
+    path = tmp_path / "nan.t7f"
+    with pytest.raises(NumericalError):
+        save_field(path, nan_field)
+    assert not path.exists()
