@@ -152,9 +152,9 @@ def _diagnostics(pot: GaugePotential):
     """(kl_functional, residual L2 norm, min theta, (E, E ^ E, theta)),
     sharing one d(a); the last is the next step's first stage.  The three
     floats are checked for inf and NaN."""
-    background = pot.flux.background(pot.grid)
+    background = pot.flux.background_form()
     D = d(pot.a)
-    E = background + D
+    E = D + background
     E2 = wedge_field(E, E)
     theta = ddt._theta(E2)
     return (_finite_value(kl_segment_integral(background, D, pot.a), "functional"),

@@ -48,12 +48,13 @@ def hodge_arrays(n: int, k: int):
     return np.ascontiguousarray(t[:, 0]), np.ascontiguousarray(t[:, 1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def wedge_const_matrix(n: int, p: int, q: int, const_coeffs: tuple) -> np.ndarray:
     """Matrix M with (f ^ c)_out = sum_i M[out, i] f_i for the fixed q-form c.
 
-    Used to turn "wedge with a constant form" (phi, *phi, flux background)
-    into one matmul over the whole grid.
+    Used to turn "wedge with a constant form" (phi, *phi, a flux background
+    and its weight) into one matmul over the whole grid.  Each flux a
+    process meets adds its own entries, so the cache is bounded.
     """
     ii, jj, oo, ss = wedge_arrays(n, p, q)
     c = np.asarray(const_coeffs, dtype=np.float64)

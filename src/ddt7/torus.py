@@ -21,12 +21,11 @@ Finiteness is checked where values enter and where they leave, not on
 every temporary.  The public ``FormField`` constructor validates degree,
 shape, dtype and finiteness, and every entry point builds through it
 (``load_field``, ``random_field``, ``coclosed_project``, ``FormField.zero``
-and ``constant``, ``Flux.background``).  Op results (``d``, ``codiff``,
-wedges, ``hodge_field``, ``+ - *``) take the unchecked ``FormField._of``:
-the tables fix their shape and dtype.  Each public functional checks the
-float it returns and raises ``NonFiniteError``; the solvers in ``flow``
-check each step, iterate and diagnostic, and ``save_field`` refuses a
-non-finite field.
+and ``constant``).  Op results (``d``, ``codiff``, wedges, ``hodge_field``,
+``+ - *``) take the unchecked ``FormField._of``: the tables fix their shape
+and dtype.  Each public functional checks the float it returns and raises
+``NonFiniteError``; the solvers in ``flow`` check each step, iterate and
+diagnostic, and ``save_field`` refuses a non-finite field.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import ddt, tables
 from .errors import InputError, NonFiniteError, NumericalError
-from .exalg import KForm, blades
+from .exalg import KForm, blades, wedge
 from .kernels import hodge_fields, wedge_fields
 from .scalars import FLOAT, RATIONAL
 
@@ -329,8 +328,11 @@ def wedge_field(f: FormField, g: FormField) -> FormField:
 
 
 def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
-    """f ^ c for a constant form c (or c ^ f when left=True), as one matmul."""
-    coeffs = tuple(float(c) for c in form.coeffs)
+    """f ^ c for a constant form c (or c ^ f when left=True), as one matmul.
+
+    A FLOAT form's coefficient tuple, already floats, is the matrix cache
+    key as it stands; other rings are converted to floats first."""
+    coeffs = form.coeffs if form.ring is FLOAT else tuple(float(c) for c in form.coeffs)
     if f.k + form.k > 7:
         raise InputError(f"wedge of degrees {f.k} and {form.k} exceeds 7")
     M = tables.wedge_const_matrix(7, f.k, form.k, coeffs)
@@ -364,11 +366,17 @@ def field_mean(f: FormField) -> np.ndarray:
 # --- flux and potentials -----------------------------------------------------
 
 
+# The largest |n_ij| a flux may hold: float64 holds every integer up to 2^53
+# exactly, and 2*pi*n stays finite.
+_FLUX_MAX = 2 ** 53
+
+
 @dataclass(frozen=True)
 class Flux:
     """Quantized background flux: antisymmetric integer matrix n_ij.
 
     The background curvature contribution is 2*pi * sum_{i<j} n_ij dx^i^dx^j.
+    Entries are bounded by 2^53 in absolute value, so float64 holds each.
     """
 
     upper: tuple
@@ -377,6 +385,8 @@ class Flux:
         u = tuple(int(x) for x in self.upper)
         if len(u) != 21:
             raise InputError("flux needs 21 integers (upper triangle, row-major)")
+        if any(abs(x) > _FLUX_MAX for x in u):
+            raise InputError("flux entries must lie in [-2**53, 2**53]")
         object.__setattr__(self, "upper", u)
 
     @staticmethod
@@ -410,9 +420,10 @@ class Flux:
         """The 21 coefficients 2*pi*n of the background curvature."""
         return 2.0 * math.pi * np.array(self.upper, dtype=np.float64)
 
-    def background(self, grid: TorusGrid) -> FormField:
-        """Constant curvature field 2*pi*n."""
-        return FormField(grid, 2, np.tile(self._background_row(), (grid.npts, 1)))
+    def background_form(self) -> KForm:
+        """The background curvature 2*pi*n as a constant float KForm; a
+        field operand takes it through ``exalg.wedge`` or ``+``."""
+        return KForm(7, 2, tuple(self._background_row().tolist()), FLOAT)
 
 
 @dataclass(frozen=True)
@@ -484,46 +495,65 @@ def kl_segment(base: GaugePotential, delta: FormField) -> float:
                          "kl_segment")
 
 
-def kl_segment_integral(E0: FormField, D: FormField,
+def kl_segment_integral(E0: FormField | KForm, D: FormField,
                         delta: FormField) -> float:
     """The segment integral from the start curvature E0 and D = d(delta).
 
     The integrand is cubic in the path parameter, so the t-integral is done
-    in closed form from the four coefficient fields.
+    in closed form from the four coefficient fields.  E0 is a field, or a
+    constant float KForm such as ``Flux.background_form()``: ``exalg.wedge``
+    sends a field ^ KForm product to ``wedge_const`` and a KForm ^ KForm
+    product to the exact-table wedge, so for a constant E0 the forms E0^E0,
+    r0 and the weight are constants and r1, r2 are one matmul each.
     """
-    E0sq = wedge_field(E0, E0)
+    E0sq = wedge(E0, E0)
     DD = wedge_field(D, D)
     r0 = ddt._residual(E0, E0sq, _SIXTH)
-    r1 = wedge_field(D, ddt._residual_weight(E0sq, _SIXTH))
-    r2 = 0.5 * wedge_field(E0, DD)
+    r1 = wedge(D, ddt._residual_weight(E0sq, _SIXTH))
+    r2 = 0.5 * wedge(E0, DD)
     r3 = (1.0 / 6.0) * wedge_field(DD, D)
-    avg = r0 + 0.5 * r1 + (1.0 / 3.0) * r2 + 0.25 * r3
+    avg = 0.5 * r1 + r0 + (1.0 / 3.0) * r2 + 0.25 * r3  # a field first: r0 may be a KForm
     return integrate(wedge_field(delta, avg))
 
 
 def kl_functional(pot: GaugePotential) -> float:
     """Potential of the one-form, normalized to 0 at a = 0."""
     return _finite_value(
-        kl_segment_integral(pot.flux.background(pot.grid), d(pot.a), pot.a),
+        kl_segment_integral(pot.flux.background_form(), d(pot.a), pot.a),
         "kl_functional")
+
+
+def _weight(pot: GaugePotential) -> FormField:
+    """W = E^2/2 - *phi of the potential's curvature E: dR(b) = b ^ W."""
+    E = curvature(pot)
+    return ddt._residual_weight(wedge_field(E, E), _SIXTH)
 
 
 def theta3(pot: GaugePotential, b1: FormField, b2: FormField, b3: FormField) -> float:
     """Integral of b1^b2^b3^(*phi - E^2/2), antisymmetrized exactly.
 
-    The six permutation integrals are combined with math.fsum, so swapping
-    arguments negates the result bitwise and repeated arguments give 0.0.
+    The six ordered triples pair up, since b_q ^ b_p is the exact negation
+    of b_p ^ b_q: the integral is the alternating sum of the three integrals
+    of P_pq ^ V_r, with the pair wedges P_pq = b_p ^ b_q (p < q) and
+    V_r = b_r ^ W (W = E^2/2 - *phi) each formed once, 9 wedges where the
+    six triples took 18.  A swap of two arguments negates or exchanges the
+    three terms exactly, and a repeated argument makes one term +0.0 and the
+    other two exact negatives; math.fsum does not depend on the terms'
+    order, so swapping arguments negates the result bitwise and repeated
+    arguments give 0.0.
     """
-    E = curvature(pot)
-    W = ddt._residual_weight(wedge_field(E, E), _SIXTH)  # minus the four-form: negate terms
-    args = (b1, b2, b3)
-    terms = []
-    for (p, q, r), sgn in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
-                           ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1)):
-        val = integrate(wedge_field(
-            wedge_field(wedge_field(args[p], args[q]), args[r]), W))
-        terms.append(-sgn * val)
-    return _finite_value(math.fsum(terms) / 6.0, "theta3")
+    return _theta3(_weight(pot), b1, b2, b3)
+
+
+def _theta3(W: FormField, b1: FormField, b2: FormField, b3: FormField) -> float:
+    """theta3 from the weight W = E^2/2 - *phi, which
+    ``nu_derivative_check`` shares (the integrand is minus b1^b2^b3^W)."""
+    bs = (b1, b2, b3)
+    terms = [sgn * integrate(wedge_field(wedge_field(bs[p], bs[q]),
+                                         wedge_field(bs[r], W)))
+             for (p, q, r), sgn in (((0, 1, 2), -1.0), ((0, 2, 1), 1.0),
+                                    ((1, 2, 0), -1.0))]
+    return _finite_value(math.fsum(terms) / 3.0, "theta3")
 
 
 def dtheta4(pot: GaugePotential, b1: FormField, b2: FormField,
@@ -531,23 +561,27 @@ def dtheta4(pot: GaugePotential, b1: FormField, b2: FormField,
     """Alternating four-term sum of directional derivatives of theta3.
 
     Each term is the analytic derivative -integral(b_j^b_k^b_l^db_i^E);
-    the total must vanish (the 3-form is closed).
+    the total must vanish (the 3-form is closed).  The 2-forms db_i and E
+    commute, so each term is taken as ((b_j ^ b_k) ^ (b_l ^ E)) ^ db_i: the
+    four triples use three pair wedges and two 3-forms b_l ^ E, each formed
+    once, and no 3^4 or per-term 2^2 product is left.  The terms stay
+    separate (not d(b1^b2^b3^b4)), so the sum still tests closedness.
     """
     E = curvature(pot)
-    bs = (b1, b2, b3, b4)
-    terms = []
-    for i in range(4):
-        rest = [bs[j] for j in range(4) if j != i]
-        triple = wedge_field(wedge_field(rest[0], rest[1]), rest[2])
-        deriv = -integrate(wedge_field(triple, wedge_field(d(bs[i]), E)))
-        terms.append(deriv if i % 2 == 0 else -deriv)
+    P12, V4 = wedge_field(b1, b2), wedge_field(b4, E)
+
+    def deriv(P, V, bi):
+        return -integrate(wedge_field(wedge_field(P, V), d(bi)))
+
+    # term i drops b_i; each term's temporaries go before the next is formed
+    terms = [deriv(wedge_field(b2, b3), V4, b1), -deriv(wedge_field(b1, b3), V4, b2),
+             deriv(P12, V4, b3), -deriv(P12, wedge_field(b3, E), b4)]
     return _finite_value(math.fsum(terms), "dtheta4")
 
 
-def _moment_pair_oneform(g1: FormField, g2: FormField) -> FormField:
-    """(g1 dg2 - g2 dg1)/2 as a 1-form field."""
-    dg2 = d(g2)
-    dg1 = d(g1)
+def _moment_pair_oneform(g1: FormField, g2: FormField, dg1: FormField,
+                         dg2: FormField) -> FormField:
+    """(g1 dg2 - g2 dg1)/2 as a 1-form field, from dg1 = d(g1), dg2 = d(g2)."""
     vals = 0.5 * (g1.values[:, :1] * dg2.values - g2.values[:, :1] * dg1.values)
     return FormField._of(g1.grid, 1, vals)
 
@@ -557,8 +591,8 @@ def nu(pot: GaugePotential, g1: FormField, g2: FormField) -> float:
     if g1.k != 0 or g2.k != 0:
         raise InputError("moment arguments must be scalar fields")
     R = ddt.ddt_residual(curvature(pot))
-    return _finite_value(-integrate(wedge_field(R, _moment_pair_oneform(g1, g2))),
-                         "nu")
+    pair = _moment_pair_oneform(g1, g2, d(g1), d(g2))
+    return _finite_value(-integrate(wedge_field(R, pair)), "nu")
 
 
 def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
@@ -567,12 +601,15 @@ def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
 
     The derivative uses the exact linearization of the residual,
     dR(b) = db ^ (E^2/2 - *phi).  The two numbers agree for any input; the
-    equality is the defining property of the multi-moment map.
+    equality is the defining property of the multi-moment map.  The weight
+    W, d(g1) and d(g2) are built once and shared with ``_theta3``, so the
+    right-hand side equals ``theta3(pot, d(g1), d(g2), b)`` bitwise.
     """
-    E = curvature(pot)
-    dR = wedge_field(d(b), ddt._residual_weight(wedge_field(E, E), _SIXTH))
-    lhs = -integrate(wedge_field(dR, _moment_pair_oneform(g1, g2)))
-    return _finite_value(lhs, "derivative of nu"), theta3(pot, d(g1), d(g2), b)
+    W = _weight(pot)
+    dg1, dg2 = d(g1), d(g2)
+    dR = wedge_field(d(b), W)
+    lhs = -integrate(wedge_field(dR, _moment_pair_oneform(g1, g2, dg1, dg2)))
+    return _finite_value(lhs, "derivative of nu"), _theta3(W, dg1, dg2, b)
 
 
 def gauge_shift(pot: GaugePotential, chi: FormField | None = None,

@@ -204,6 +204,16 @@ def test_malformed_flux_is_rejected(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("n", [10 ** 400, 10 ** 308], ids=["1e400", "1e308"])
+def test_flux_beyond_float64_is_bad_input(tmp_path, capsys, n):
+    """An entry float64 cannot hold is refused before any background is
+    built, so neither an OverflowError nor an inf 2*pi*n reaches a solver."""
+    cfg = write_config(tmp_path, "c.json", {"flux": {"1,2": n, "4,7": n}})
+    assert cli.main(["instanton", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "2**53" in err and "Traceback" not in err
+
+
 def test_missing_subcommand_is_usage_error(tmp_path):
     r = run_cli()
     assert r.returncode == 2
@@ -338,6 +348,9 @@ CONFIG_FUZZ = [
     ("cylinder", {"trajectory": "no/such/dir"}),
     ("verify", {"float_samples": 0}),
     ("verify", {"mutate": 12}),
+    # flux entries float64 cannot hold (appended, so earlier ids stay put)
+    ("instanton", {"flux": {"1,2": 10 ** 400, "4,7": 10 ** 400}}),
+    ("instanton", {"flux": {"1,2": 10 ** 308, "4,7": 10 ** 308}}),
 ]
 
 

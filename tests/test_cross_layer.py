@@ -15,8 +15,9 @@ from ddt7.errors import InputError
 from ddt7.exalg import KForm, hodge, wedge
 from ddt7.scalars import FLOAT
 from ddt7.flow import cylinder_check_samples
-from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, curvature, field_l2,
-                        hodge_field, random_field, wedge_const, wedge_field)
+from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, curvature, d,
+                        field_l2, hodge_field, kl_segment_integral, random_field,
+                        wedge_const, wedge_field)
 
 GRID = TorusGrid((1, 2), 4)  # 16 points
 GRID512 = TorusGrid((1, 2, 3), 8)
@@ -251,3 +252,16 @@ def test_pointwise_only_operators_reject_a_field():
     with pytest.raises(InputError):
         ddt.deformed_inner(E, b, b)
     assert math.isfinite(float(ddt.grad_density(E.pointwise(0)).coeffs[0]))
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID512], ids=["16", "512"])
+def test_kl_segment_integral_from_a_constant_form_or_a_constant_field(grid):
+    """E0 as a constant KForm takes ``exalg.wedge``'s constant paths (the
+    exact-table wedge and ``wedge_const``); the same E0 as a constant field
+    takes the field wedges.  The two agree to rounding."""
+    rng = np.random.default_rng(30)
+    E0 = Flux.from_entries({(1, 2): 1, (4, 7): 2, (5, 6): -1}).background_form()
+    delta = random_field(grid, 1, rng, scale=0.3)
+    want = kl_segment_integral(FormField.constant(grid, E0), d(delta), delta)
+    got = kl_segment_integral(E0, d(delta), delta)
+    assert abs(got - want) <= 1e-14 * abs(want)

@@ -1,7 +1,9 @@
 """Field layer on the flat torus: spectral calculus, functionals, gauge
 moves, and the two file formats."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
 
 GRID3 = TorusGrid((1, 2, 3), 8)
 GRID2 = TorusGrid((1, 2), 8)
+GRID16 = TorusGrid((1, 2), 4)
+# the doubly calibrated flux of the acceptance suite
+CALIBRATED = Flux.from_entries({(1, 2): 1, (4, 7): 1})
 
 
 def test_grid_validation():
@@ -113,6 +118,19 @@ def test_flux_background_and_mean():
         Flux((1, 2, 3))
 
 
+def test_flux_entries_are_bounded_by_what_float64_holds():
+    """Past 2^53 float64 no longer holds every integer, and 10**400 has no
+    float64 at all: both are bad input, refused before any arithmetic."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (10 ** 400, 10 ** 308, -10 ** 308, 2 ** 53 + 1):
+            with pytest.raises(InputError):
+                Flux.from_entries({(1, 2): n})
+        edge = Flux.from_entries({(1, 2): 2 ** 53, (4, 7): -2 ** 53})
+    assert edge.background_form().coeffs[0] == 2.0 * math.pi * 2.0 ** 53
+    assert all(math.isfinite(c) for c in edge.background_form().coeffs)
+
+
 def test_residual_norm_of_pure_flux_background():
     # frozen: E = 2 pi (e12 + 2 e47 - e56) kills the cubic term and leaves
     # |E ^ *phi| = 2 (2 pi)^3 pointwise
@@ -168,16 +186,23 @@ def test_gauge_invariance_of_functionals():
         gauge_shift(pot, chi=b1)
 
 
+def _parity(perm):
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 def test_theta3_alternates_exactly():
+    """Every permutation of the arguments multiplies theta3 by its sign and
+    every repeat pattern gives 0.0, bit for bit, with and without flux."""
     rng = np.random.default_rng(9)
-    pot = random_potential(GRID3, Flux.zero(), rng, scale=0.3)
-    b1, b2, b3 = (random_field(GRID3, 1, rng) for _ in range(3))
-    v = theta3(pot, b1, b2, b3)
-    assert theta3(pot, b2, b1, b3) == -v
-    assert theta3(pot, b1, b3, b2) == -v
-    assert theta3(pot, b3, b1, b2) == v
-    assert theta3(pot, b1, b1, b3) == 0.0
-    assert theta3(pot, b1, b2, b2) == 0.0
+    for flux in (Flux.zero(), CALIBRATED):
+        pot = random_potential(GRID3, flux, rng, scale=0.3)
+        bs = [random_field(GRID3, 1, rng) for _ in range(3)]
+        v = theta3(pot, *bs)
+        assert v != 0.0
+        for perm in itertools.permutations(range(3)):
+            assert theta3(pot, *(bs[i] for i in perm)) == _parity(perm) * v
+        for rep in ((0, 0, 1), (0, 1, 0), (0, 1, 1)):
+            assert theta3(pot, *(bs[i] for i in rep)) == 0.0
 
 
 def test_dtheta4_closedness():
@@ -198,6 +223,69 @@ def test_nu_derivative_matches_theta3():
         b = random_field(GRID3, 1, rng)
         lhs, rhs = nu_derivative_check(pot, g1, g2, b)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+# --- oracles: the functionals with every wedge formed on its own ----------------
+
+
+def _theta3_oracle(pot, b1, b2, b3):
+    """The six ordered triples, three wedges each: 18 wedges."""
+    E = curvature(pot)
+    W = ddt._residual_weight(wedge_field(E, E), 1.0 / 6.0)
+    args = (b1, b2, b3)
+    terms = []
+    for (p, q, r), sgn in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
+                           ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1)):
+        val = integrate(wedge_field(
+            wedge_field(wedge_field(args[p], args[q]), args[r]), W))
+        terms.append(-sgn * val)
+    return math.fsum(terms) / 6.0
+
+
+def _dtheta4_oracle(pot, *bs):
+    """Each of the four terms from its own triple b_j^b_k^b_l and db_i^E."""
+    E = curvature(pot)
+    terms = []
+    for i in range(4):
+        rest = [bs[j] for j in range(4) if j != i]
+        triple = wedge_field(wedge_field(rest[0], rest[1]), rest[2])
+        deriv = -integrate(wedge_field(triple, wedge_field(d(bs[i]), E)))
+        terms.append(deriv if i % 2 == 0 else -deriv)
+    return math.fsum(terms)
+
+
+def _kl_segment_integral_oracle(E0, D, delta):
+    """The segment integral with a field E0 and every product a field wedge."""
+    E0sq = wedge_field(E0, E0)
+    DD = wedge_field(D, D)
+    r0 = ddt._residual(E0, E0sq, 1.0 / 6.0)
+    r1 = wedge_field(D, ddt._residual_weight(E0sq, 1.0 / 6.0))
+    r2 = 0.5 * wedge_field(E0, DD)
+    r3 = (1.0 / 6.0) * wedge_field(DD, D)
+    avg = r0 + 0.5 * r1 + (1.0 / 3.0) * r2 + 0.25 * r3
+    return integrate(wedge_field(delta, avg))
+
+
+@pytest.mark.parametrize("grid", [GRID16, GRID3], ids=["16", "512"])
+@pytest.mark.parametrize("flux", [Flux.zero(), CALIBRATED],
+                         ids=["zero-flux", "calibrated"])
+def test_shared_wedge_functionals_match_their_oracles(grid, flux):
+    rng = np.random.default_rng(15)
+    pot = random_potential(grid, flux, rng, scale=0.3)
+    bs = [random_field(grid, 1, rng) for _ in range(4)]
+    g1, g2 = random_field(grid, 0, rng), random_field(grid, 0, rng)
+    background = FormField.constant(grid, flux.background_form())
+    pairs = [(theta3(pot, *bs[:3]), _theta3_oracle(pot, *bs[:3])),
+             (dtheta4(pot, *bs), _dtheta4_oracle(pot, *bs)),
+             (kl_functional(pot),
+              _kl_segment_integral_oracle(background, d(pot.a), pot.a)),
+             (kl_segment(pot, bs[3]),
+              _kl_segment_integral_oracle(curvature(pot), d(bs[3]), bs[3]))]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
+    # nu_derivative_check shares W, d(g1) and d(g2) with theta3's body
+    _, rhs = nu_derivative_check(pot, g1, g2, bs[0])
+    assert rhs == theta3(pot, d(g1), d(g2), bs[0])
 
 
 def test_coclosed_projection():
