@@ -1,12 +1,13 @@
 """Command-line driver: ddt7 <command> [--config FILE] [--out DIR].
 
-Each command reads one JSON config (file keys override the documented
-defaults; unknown keys are rejected), runs the corresponding library
-operation, prints a short summary, and writes <out>/report.json with the
-effective config echoed back so every run is self-describing.  Reports,
-CSV files, and snapshots are byte-identical across runs with the same
-config and seed; wall time is printed to stdout and kept out of the
-report for exactly that reason.
+Each command reads one JSON config: its keys, and verify's flags, override
+the documented defaults; unknown keys are rejected, and a scalar key takes
+its default's type, numbers non-negative.  ``_run`` is the one place a
+report is written: <out>/report.json holds the command, the effective
+config and the versions, the command's own keys, and ``pass``, true
+exactly when the exit code is 0.  Reports, CSV files, and snapshots are
+byte-identical across runs with the same config and seed; wall time is
+printed to stdout and kept out of the report for exactly that reason.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 unreadable or unwritable path), 3 numerical failure (Newton divergence,
@@ -41,23 +42,59 @@ MAX_GRID_CELLS = 2 ** 24
 # --- config plumbing ---------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    """A finite JSON number (json.load also reads NaN, Infinity and integers
+    beyond float64)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _check_scalar(name: str, default, val) -> None:
+    """A scalar key takes its default's type: bool, int, finite number or
+    string; no numeric key takes a negative value."""
+    if isinstance(default, bool):
+        ok, want = isinstance(val, bool), "true or false"
+    elif isinstance(default, str):
+        ok, want = isinstance(val, str), "a string"
+    elif isinstance(default, int):
+        ok, want = _is_int(val) and val >= 0, "a non-negative integer"
+    else:
+        ok, want = _is_num(val) and val >= 0, "a finite non-negative number"
+    if not ok:
+        raise InputError(f"config key {name!r} must be {want}")
+
+
 def _merge(defaults: dict, overrides: dict, prefix: str = "") -> dict:
+    """The defaults with the overrides applied, each checked against its
+    default; keys that default to None or a list are checked where used."""
     out = copy.deepcopy(defaults)
     for key, val in overrides.items():
+        name = prefix + str(key)
         if key not in defaults:
             known = ", ".join(sorted(defaults))
-            raise InputError(f"unknown config key {prefix + str(key)!r} "
-                             f"(known: {known})")
-        if isinstance(defaults[key], dict) and isinstance(val, dict):
-            out[key] = _merge(defaults[key], val, prefix + str(key) + ".")
-        else:
-            out[key] = val
+            raise InputError(f"unknown config key {name!r} (known: {known})")
+        default = defaults[key]
+        if isinstance(default, dict):
+            if not isinstance(val, dict):
+                raise InputError(f"config key {name!r} must be an object")
+            val = _merge(default, val, name + ".")
+        elif isinstance(default, (bool, int, float, str)):
+            _check_scalar(name, default, val)
+        out[key] = val
     return out
 
 
-def _load_config(path: str | None, defaults: dict) -> dict:
+def _read_config(path: str | None) -> dict:
     if path is None:
-        return copy.deepcopy(defaults)
+        return {}
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -67,40 +104,7 @@ def _load_config(path: str | None, defaults: dict) -> dict:
         raise InputError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise InputError("config must be a JSON object")
-    return _merge(defaults, data)
-
-
-def _as_int(cfg: dict, key: str) -> int:
-    v = cfg[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError(f"config key {key!r} must be an integer")
-    return v
-
-
-def _as_seed(cfg: dict) -> int:
-    seed = _as_int(cfg, "seed")
-    if seed < 0:
-        raise InputError("config key 'seed' must be non-negative")
-    return seed
-
-
-def _is_num(v) -> bool:
-    """A finite JSON number (json.load also reads NaN and Infinity)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _as_num(cfg: dict, key: str) -> float:
-    v = cfg[key]
-    if not _is_num(v):
-        raise InputError(f"config key {key!r} must be a finite number")
-    return float(v)
-
-
-def _as_bool(cfg: dict, key: str) -> bool:
-    v = cfg[key]
-    if not isinstance(v, bool):
-        raise InputError(f"config key {key!r} must be true or false")
-    return v
+    return data
 
 
 def _flux_from(value) -> Flux:
@@ -118,13 +122,12 @@ def _flux_from(value) -> Flux:
                                  "'i,j'") from None
             if len(ij) != 2:
                 raise InputError(f"flux key {key!r} is not an index pair 'i,j'")
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not _is_int(v):
                 raise InputError(f"flux entry {key!r} must be an integer")
             entries[ij] = v
         return Flux.from_entries(entries)
     if isinstance(value, list):
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in value):
+        if not all(_is_int(v) for v in value):
             raise InputError("flux list entries must be integers")
         return Flux(tuple(value))
     raise InputError("flux must be a {'i,j': n} object or a list of "
@@ -132,17 +135,11 @@ def _flux_from(value) -> Flux:
 
 
 def _grid_from(value: dict) -> TorusGrid:
-    if not isinstance(value, dict):
-        raise InputError("grid must be an object {\"axes\": [...], \"N\": n}")
-    axes = value.get("axes")
-    n = value.get("N")
+    axes = value["axes"]
     if not isinstance(axes, list) or not axes \
-            or not all(isinstance(a, int) and not isinstance(a, bool)
-                       for a in axes):
+            or not all(_is_int(a) for a in axes):
         raise InputError("grid.axes must be a nonempty list of integers")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError("grid.N must be an integer")
-    grid = TorusGrid(tuple(axes), n)
+    grid = TorusGrid(tuple(axes), value["N"])
     if grid.npts * len(blades(7, 3)) > MAX_GRID_CELLS:
         raise InputError(f"a grid of {grid.npts} points exceeds the budget of "
                          f"{MAX_GRID_CELLS} float64 cells per 3-form field")
@@ -151,10 +148,23 @@ def _grid_from(value: dict) -> TorusGrid:
 
 def _as_kmax(cfg: dict, grid: TorusGrid) -> int:
     """The band limit of random fields: beyond N/2 modes only alias."""
-    kmax = _as_int(cfg, "kmax")
-    if not 0 <= kmax <= grid.N // 2:
+    kmax = cfg["kmax"]
+    if kmax > grid.N // 2:
         raise InputError(f"kmax must lie in 0..{grid.N // 2} on this grid")
     return kmax
+
+
+def _initial_snapshot(cfg: dict, grid: TorusGrid):
+    """The 1-form field of config key 'initial_snapshot' on the config grid,
+    or None."""
+    if cfg["initial_snapshot"] is None:
+        return None
+    f = torus.load_field(str(cfg["initial_snapshot"]))
+    if f.k != 1:
+        raise InputError("initial snapshot must hold a 1-form field")
+    if f.grid != grid:
+        raise InputError("initial snapshot grid does not match the config grid")
+    return f
 
 
 # --- report plumbing ----------------------------------------------------------
@@ -201,18 +211,24 @@ def _non_finite_key(x, path: str = "report") -> str | None:
     return None
 
 
-def _write_report(out_dir: str, report: dict) -> str:
+def _write_report(out_dir: str, report: dict) -> None:
     """Write <out_dir>/report.json; a non-finite number in it is a numerical
     failure, raised before anything is written."""
     bad = _non_finite_key(report)
     if bad is not None:
         raise NumericalError(f"{bad} is not finite")
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
                             default=_jsonable) + "\n")
-    return path
+
+
+def _save_potential(out_dir: str, a, flux: Flux) -> dict:
+    """Write potential.t7f and flux.txt; the report keys naming them."""
+    os.makedirs(out_dir, exist_ok=True)
+    torus.save_field(os.path.join(out_dir, "potential.t7f"), a)
+    torus.save_flux(os.path.join(out_dir, "flux.txt"), flux)
+    return {"potential_file": "potential.t7f", "flux_file": "flux.txt"}
 
 
 # --- verify -------------------------------------------------------------------
@@ -231,38 +247,32 @@ def _canonical_mutation(identity_id: str):
     raise InputError(f"no canonical mutation recorded for {identity_id}")
 
 
-def cmd_verify(cfg: dict, out_dir: str) -> int:
-    report = {"command": "verify", "config": cfg, "versions": _versions()}
+def cmd_verify(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     if cfg["mutate"] is not None:
-        site, value = _canonical_mutation(str(cfg["mutate"]))
-        mutated_id = prover.mutate(str(cfg["mutate"]), site, value)
+        identity = str(cfg["mutate"])
+        site, value = _canonical_mutation(identity)
+        mutated_id = prover.mutate(identity, site, value)
         rep = prover.verify(mutated_id)
-        report["mutation"] = {"identity": str(cfg["mutate"]), "site": site,
+        report["mutation"] = {"identity": identity, "site": site,
                               "value": str(value)}
         report["identities"] = [rep.to_dict(deterministic=True)]
         ok = rep.reduced_to_zero
-        report["pass"] = ok
-        _write_report(out_dir, report)
         state = "reduced to zero" if ok else "nonzero witness found"
-        print(f"{mutated_id}: {state}")
-        return 0 if ok else 1
+        return (0 if ok else 1), [f"{mutated_id}: {state}"]
     # checked before the catalog's multi-second run
-    samples, tol = _as_int(cfg, "float_samples"), _as_num(cfg, "tol")
-    if samples < 1:
+    if cfg["float_samples"] < 1:
         raise InputError("float_samples must be at least 1")
-    seed = _as_seed(cfg)
     reports = prover.verify_all()
-    suite = prover.float_suite(samples, seed=seed, tol=tol)
+    suite = prover.float_suite(cfg["float_samples"], seed=cfg["seed"],
+                               tol=cfg["tol"])
     report["identities"] = [r.to_dict(deterministic=True) for r in reports]
     report["float_suite"] = suite
     ok = all(r.reduced_to_zero for r in reports) and suite["pass"]
-    report["pass"] = ok
-    _write_report(out_dir, report)
-    for r in reports:
-        print(f"{r.identity}: {'pass' if r.reduced_to_zero else 'FAIL'}")
-    print(f"float suite ({suite['samples']} samples): "
-          f"{'pass' if suite['pass'] else 'FAIL'}")
-    return 0 if ok else 1
+    lines = [f"{r.identity}: {'pass' if r.reduced_to_zero else 'FAIL'}"
+             for r in reports]
+    lines.append(f"float suite ({suite['samples']} samples): "
+                 f"{'pass' if suite['pass'] else 'FAIL'}")
+    return (0 if ok else 1), lines
 
 
 # --- decompose ------------------------------------------------------------------
@@ -270,8 +280,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 _DECOMPOSE_DEFAULTS = {"seed": 0, "coefficients": None, "tol": 1e-10}
 
 
-def cmd_decompose(cfg: dict, out_dir: str) -> int:
-    tol = _as_num(cfg, "tol")
+def cmd_decompose(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+    tol = cfg["tol"]
     if cfg["coefficients"] is not None:
         raw = cfg["coefficients"]
         if not isinstance(raw, list) or len(raw) != 21 \
@@ -280,7 +290,7 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
                              "(upper triangle, row-major)")
         coeffs = [float(v) for v in raw]
     else:
-        rng = np.random.default_rng(_as_seed(cfg))
+        rng = np.random.default_rng(cfg["seed"])
         coeffs = [float(x) for x in rng.uniform(-1.0, 1.0, 21)]
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
     dec, norms, th, checks = prover.decomposition_checks(F)
@@ -290,27 +300,23 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
         raise NumericalError("decompose: a norm, theta, a check residual or "
                              "det(I + F#) is not finite in float64")
     ok = all(v <= tol for v in checks.values()) and det > 0.0
-    report = {
-        "command": "decompose", "config": cfg, "versions": _versions(),
-        "coefficients": coeffs,
-        "u": [float(c) for c in dec.u.comps],
-        "f7": [float(c) for c in dec.f7.coeffs],
-        "f14": [float(c) for c in dec.f14.coeffs],
-        "norms": norms,
-        "theta": th,
-        "det_metric": det,
-        "checks": {k: {"residual": v, "pass": bool(v <= tol)}
-                   for k, v in checks.items()},
-        "det_metric_positive": bool(det > 0.0),
-        "pass": bool(ok),
-    }
-    _write_report(out_dir, report)
-    print(f"|u|^2 = {norms['u_sq']:.6g}, |f7|^2 = {norms['f7_sq']:.6g}, "
-          f"|f14|^2 = {norms['f14_sq']:.6g}, theta = {th:.6g}")
-    worst = max(checks.values())
-    print(f"checks: max residual {worst:.3e}, det(I + F#) = {det:.6g} "
-          f"({'pass' if ok else 'FAIL'})")
-    return 0 if ok else 1
+    report.update(
+        coefficients=coeffs,
+        u=[float(c) for c in dec.u.comps],
+        f7=[float(c) for c in dec.f7.coeffs],
+        f14=[float(c) for c in dec.f14.coeffs],
+        norms=norms,
+        theta=th,
+        det_metric=det,
+        checks={k: {"residual": v, "pass": bool(v <= tol)}
+                for k, v in checks.items()},
+        det_metric_positive=bool(det > 0.0),
+    )
+    return (0 if ok else 1), [
+        f"|u|^2 = {norms['u_sq']:.6g}, |f7|^2 = {norms['f7_sq']:.6g}, "
+        f"|f14|^2 = {norms['f14_sq']:.6g}, theta = {th:.6g}",
+        f"checks: max residual {max(checks.values()):.3e}, "
+        f"det(I + F#) = {det:.6g} ({'pass' if ok else 'FAIL'})"]
 
 
 # --- instanton ------------------------------------------------------------------
@@ -318,38 +324,23 @@ def cmd_decompose(cfg: dict, out_dir: str) -> int:
 _INSTANTON_DEFAULTS = {"flux": None, "grid": {"axes": [1, 2], "N": 4}}
 
 
-def cmd_instanton(cfg: dict, out_dir: str) -> int:
+def cmd_instanton(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
-    report = {"command": "instanton", "config": cfg, "versions": _versions(),
-              "flux_upper": list(flux.upper)}
-    try:
-        pot = flow.instanton_solve(flux, grid)
-    except ObstructionError as e:
-        report.update(obstructed=True, message=str(e))
-        report["pass"] = False
-        _write_report(out_dir, report)
-        print(f"obstruction: {e}")
-        return 3
+    report["flux_upper"] = list(flux.upper)
+    pot = flow.instanton_solve(flux, grid)
     E = torus.curvature(pot)
     vec = torus.wedge_const(E, g2.star_phi_for(FLOAT))
-    os.makedirs(out_dir, exist_ok=True)
-    torus.save_field(os.path.join(out_dir, "potential.t7f"), pot.a)
-    torus.save_flux(os.path.join(out_dir, "flux.txt"), flux)
     report.update(
         obstructed=False,
         a_l2=torus.field_l2(pot.a),
         vector_part_l2=torus.field_l2(vec),
         codiff_l2=torus.field_l2(torus.codiff(pot.a)),
         mean_abs=float(np.max(np.abs(torus.field_mean(pot.a)))),
-        potential_file="potential.t7f",
-        flux_file="flux.txt",
+        **_save_potential(out_dir, pot.a, flux),
     )
-    report["pass"] = True
-    _write_report(out_dir, report)
-    print(f"instanton found: |a| = {report['a_l2']:.3e}, "
-          f"|E ^ *phi| = {report['vector_part_l2']:.3e}")
-    return 0
+    return 0, [f"instanton found: |a| = {report['a_l2']:.3e}, "
+               f"|E ^ *phi| = {report['vector_part_l2']:.3e}"]
 
 
 # --- continue ---------------------------------------------------------------------
@@ -361,48 +352,28 @@ _CONTINUE_DEFAULTS = {
 }
 
 
-def cmd_continue(cfg: dict, out_dir: str) -> int:
+def cmd_continue(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
-    if cfg["schedule"] is None:
-        cfg = dict(cfg)
+    if cfg["schedule"] is None:  # echoed in the report as run
         cfg["schedule"] = [float(s) for s in flow.DEFAULT_SCHEDULE]
     schedule = cfg["schedule"]
     if not isinstance(schedule, list) or not all(_is_num(s) for s in schedule):
         raise InputError("schedule must be a list of finite numbers")
-    tol = _as_num(cfg, "tol")
-    perturb = _as_num(cfg, "perturb_scale")
-    report = {"command": "continue", "config": cfg, "versions": _versions(),
-              "flux_upper": list(flux.upper)}
-    try:
-        a0 = None
-        if cfg["initial_snapshot"] is not None:
-            f = torus.load_field(str(cfg["initial_snapshot"]))
-            if f.k != 1:
-                raise InputError("initial snapshot must hold a 1-form field")
-            if f.grid != grid:
-                raise InputError("initial snapshot grid does not match "
-                                 "the config grid")
-            a0 = f
-        if perturb > 0.0:
-            rng = np.random.default_rng(_as_seed(cfg))
-            noise = torus.coclosed_project(
-                torus.random_field(grid, 1, rng, perturb,
-                                   _as_kmax(cfg, grid)))
-            if a0 is None:
-                a0 = flow.instanton_solve(flux, grid).a
-            a0 = a0 + noise
-        initial = GaugePotential(a0, flux) if a0 is not None else None
-        result = flow.continuation(flux, schedule=schedule, tol=tol,
-                                   max_newton=_as_int(cfg, "max_newton"),
-                                   grid=grid, initial=initial,
-                                   warm_start=_as_bool(cfg, "warm_start"))
-    except ObstructionError as e:
-        report.update(obstructed=True, message=str(e))
-        report["pass"] = False
-        _write_report(out_dir, report)
-        print(f"obstruction: {e}")
-        return 3
+    report["flux_upper"] = list(flux.upper)
+    a0 = _initial_snapshot(cfg, grid)
+    if cfg["perturb_scale"] > 0.0:
+        rng = np.random.default_rng(cfg["seed"])
+        noise = torus.coclosed_project(
+            torus.random_field(grid, 1, rng, cfg["perturb_scale"],
+                               _as_kmax(cfg, grid)))
+        if a0 is None:
+            a0 = flow.instanton_solve(flux, grid).a
+        a0 = a0 + noise
+    initial = GaugePotential(a0, flux) if a0 is not None else None
+    result = flow.continuation(flux, schedule=schedule, tol=cfg["tol"],
+                               max_newton=cfg["max_newton"], grid=grid,
+                               initial=initial, warm_start=cfg["warm_start"])
     report["steps"] = [
         {"s": st.s, "residual_norm": st.residual_norm,
          "newton_iterations": st.newton_iterations,
@@ -411,20 +382,14 @@ def cmd_continue(cfg: dict, out_dir: str) -> int:
     ]
     report["termination"] = result.termination
     report["completed"] = result.completed
-    report["pass"] = result.completed
     if result.steps:
-        os.makedirs(out_dir, exist_ok=True)
-        torus.save_field(os.path.join(out_dir, "potential.t7f"),
-                         result.steps[-1].potential.a)
-        torus.save_flux(os.path.join(out_dir, "flux.txt"), flux)
-        report["potential_file"] = "potential.t7f"
-        report["flux_file"] = "flux.txt"
-    _write_report(out_dir, report)
-    for st in result.steps:
-        print(f"s = {st.s:g}: residual {st.residual_norm:.3e} "
-              f"after {st.newton_iterations} newton steps")
-    print(result.termination)
-    return 0 if result.completed else 3
+        report.update(_save_potential(out_dir, result.steps[-1].potential.a,
+                                      flux))
+    lines = [f"s = {st.s:g}: residual {st.residual_norm:.3e} "
+             f"after {st.newton_iterations} newton steps"
+             for st in result.steps]
+    lines.append(result.termination)
+    return (0 if result.completed else 3), lines
 
 
 # --- flow -------------------------------------------------------------------------
@@ -437,29 +402,20 @@ _FLOW_DEFAULTS = {
 }
 
 
-def cmd_flow(cfg: dict, out_dir: str) -> int:
+def cmd_flow(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
-    if not isinstance(cfg["scheme"], str):
-        raise InputError("scheme must be a string")
-    run_cfg = flow.FlowConfig(dt=_as_num(cfg, "dt"),
-                              steps=_as_int(cfg, "steps"),
+    run_cfg = flow.FlowConfig(dt=float(cfg["dt"]), steps=cfg["steps"],
                               scheme=cfg["scheme"],
-                              theta_min=_as_num(cfg, "theta_min"),
-                              record_every=_as_int(cfg, "record_every"))
-    if cfg["initial_snapshot"] is not None:
-        f = torus.load_field(str(cfg["initial_snapshot"]))
-        if f.k != 1:
-            raise InputError("initial snapshot must hold a 1-form field")
-        if f.grid != grid:
-            raise InputError("initial snapshot grid does not match the "
-                             "config grid")
-        pot0 = GaugePotential(f, flux)
+                              theta_min=float(cfg["theta_min"]),
+                              record_every=cfg["record_every"])
+    a0 = _initial_snapshot(cfg, grid)
+    if a0 is not None:
+        pot0 = GaugePotential(a0, flux)
     else:
-        rng = np.random.default_rng(_as_seed(cfg))
+        rng = np.random.default_rng(cfg["seed"])
         pot0 = torus.random_coclosed_potential(
-            grid, flux, rng, _as_num(cfg, "initial_scale"),
-            _as_kmax(cfg, grid))
+            grid, flux, rng, cfg["initial_scale"], _as_kmax(cfg, grid))
     traj = flow.flow_run(pot0, run_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -479,28 +435,25 @@ def cmd_flow(cfg: dict, out_dir: str) -> int:
     scale = max(1.0, float(np.max(np.abs(traj.functional))))
     min_delta = float(np.min(deltas)) if deltas.size else 0.0
     monotone = bool(min_delta >= -1e-9 * scale)
-    report = {
-        "command": "flow", "config": cfg, "versions": _versions(),
-        "flux_upper": list(flux.upper),
-        "termination": traj.termination,
-        "steps_taken": int(len(traj.times) - 1),
-        "monotone": {"min_step_delta": min_delta, "scale": scale,
-                     "non_decreasing": monotone},
-        "final": {"functional": float(traj.functional[-1]),
-                  "residual_l2": float(traj.residual_l2[-1]),
-                  "theta_min": float(traj.theta_min_per_step[-1])},
-        "sample_times": [float(t) for t in traj.sample_times],
-        "sample_files": sample_files,
-        "flux_file": "flux.txt",
-        "trajectory_csv": "trajectory.csv",
-        "pass": traj.termination == "completed",
-    }
-    _write_report(out_dir, report)
-    print(f"{report['steps_taken']} steps, functional "
-          f"{float(traj.functional[0])!r} -> {float(traj.functional[-1])!r}, "
-          f"non-decreasing: {monotone}")
-    print(traj.termination)
-    return 0 if traj.termination == "completed" else 3
+    report.update(
+        flux_upper=list(flux.upper),
+        termination=traj.termination,
+        steps_taken=int(len(traj.times) - 1),
+        monotone={"min_step_delta": min_delta, "scale": scale,
+                  "non_decreasing": monotone},
+        final={"functional": float(traj.functional[-1]),
+               "residual_l2": float(traj.residual_l2[-1]),
+               "theta_min": float(traj.theta_min_per_step[-1])},
+        sample_times=[float(t) for t in traj.sample_times],
+        sample_files=sample_files,
+        flux_file="flux.txt",
+        trajectory_csv="trajectory.csv",
+    )
+    return (0 if traj.termination == "completed" else 3), [
+        f"{report['steps_taken']} steps, functional "
+        f"{float(traj.functional[0])!r} -> {float(traj.functional[-1])!r}, "
+        f"non-decreasing: {monotone}",
+        traj.termination]
 
 
 # --- cylinder -----------------------------------------------------------------------
@@ -508,7 +461,7 @@ def cmd_flow(cfg: dict, out_dir: str) -> int:
 _CYLINDER_DEFAULTS = {"trajectory": None, "tol": None}
 
 
-def cmd_cylinder(cfg: dict, out_dir: str) -> int:
+def cmd_cylinder(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     src = cfg["trajectory"]
     if not isinstance(src, str) or not src:
         raise InputError("config key 'trajectory' must name a flow output "
@@ -537,17 +490,16 @@ def cmd_cylinder(cfg: dict, out_dir: str) -> int:
     flux = torus.load_flux(os.path.join(src, flux_file))
     pots = [GaugePotential(torus.load_field(os.path.join(src, name)), flux)
             for name in files]
+    tol = cfg["tol"]
+    if tol is not None and not _is_num(tol):
+        raise InputError("config key 'tol' must be a finite number")
     result = flow.cylinder_check_samples(times, pots)
-    ok = True
-    if cfg["tol"] is not None:
-        tol = _as_num(cfg, "tol")
-        ok = result["max_res1"] <= tol and result["max_res2"] <= tol
-    report = {"command": "cylinder", "config": cfg, "versions": _versions(),
-              "check": result, "pass": bool(ok)}
-    _write_report(out_dir, report)
-    print(f"spacing {result['spacing']!r}: max product-space residuals "
-          f"{result['max_res1']:.6e} / {result['max_res2']:.6e}")
-    return 0 if ok else 1
+    ok = tol is None or (result["max_res1"] <= tol
+                         and result["max_res2"] <= tol)
+    report["check"] = result
+    return (0 if ok else 1), [
+        f"spacing {result['spacing']!r}: max product-space residuals "
+        f"{result['max_res1']:.6e} / {result['max_res2']:.6e}"]
 
 
 # --- moment -------------------------------------------------------------------------
@@ -558,16 +510,15 @@ _MOMENT_DEFAULTS = {
 }
 
 
-def cmd_moment(cfg: dict, out_dir: str) -> int:
+def cmd_moment(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     grid = _grid_from(cfg["grid"])
     flux = _flux_from(cfg["flux"])
-    samples = _as_int(cfg, "samples")
+    samples = cfg["samples"]
     if samples < 1:
         raise InputError("samples must be at least 1")
-    scale = _as_num(cfg, "scale")
+    scale = cfg["scale"]
     kmax = _as_kmax(cfg, grid)
-    tol = _as_num(cfg, "tol")
-    rng = np.random.default_rng(_as_seed(cfg))
+    rng = np.random.default_rng(cfg["seed"])
     worst = {"derivative_match": 0.0, "theta3_antisymmetry": 0.0,
              "dtheta4_closedness": 0.0, "gauge_kl": 0.0, "gauge_nu": 0.0,
              "gauge_theta3": 0.0, "gauge_residual": 0.0}
@@ -616,15 +567,13 @@ def cmd_moment(cfg: dict, out_dir: str) -> int:
             _, r1 = torus.residual_field(shifted)
             worst["gauge_residual"] = max(worst["gauge_residual"],
                                           abs(r1 - r0) / max(1.0, r0))
-    checks = {name: {"max": v, "pass": bool(v <= tol)}
-              for name, v in worst.items()}
-    ok = all(c["pass"] for c in checks.values())
-    report = {"command": "moment", "config": cfg, "versions": _versions(),
-              "checks": checks, "pass": bool(ok)}
-    _write_report(out_dir, report)
-    for name, c in checks.items():
-        print(f"{name}: max {c['max']:.3e} {'pass' if c['pass'] else 'FAIL'}")
-    return 0 if ok else 1
+    tol = cfg["tol"]
+    report["checks"] = {name: {"max": v, "pass": bool(v <= tol)}
+                        for name, v in worst.items()}
+    ok = all(c["pass"] for c in report["checks"].values())
+    return (0 if ok else 1), [
+        f"{name}: max {c['max']:.3e} {'pass' if c['pass'] else 'FAIL'}"
+        for name, c in report["checks"].items()]
 
 
 # --- entry point --------------------------------------------------------------------
@@ -645,6 +594,26 @@ _COMMANDS = {
     "moment": (_MOMENT_DEFAULTS, cmd_moment,
                "randomized moment-map and gauge-invariance checks"),
 }
+
+
+def _run(command: str, cfg: dict, out_dir: str) -> int:
+    """Run one subcommand and write its report; the exit code.
+
+    The report starts as the envelope (command, effective config, versions);
+    the command adds its own keys and returns its exit code and summary
+    lines.  An obstruction exits 3 with the keys added so far.
+    """
+    report = {"command": command, "config": cfg, "versions": _versions()}
+    try:
+        code, lines = _COMMANDS[command][1](cfg, out_dir, report)
+    except ObstructionError as e:
+        report.update(obstructed=True, message=str(e))
+        code, lines = 3, [f"obstruction: {e}"]
+    report["pass"] = code == 0
+    _write_report(out_dir, report)
+    for line in lines:
+        print(line)
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -670,18 +639,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    defaults, runner, _ = _COMMANDS[args.command]
     t0 = time.perf_counter()
     try:
-        cfg = _load_config(args.config, defaults)
-        if args.command == "verify":
-            if args.mutate is not None:
-                cfg["mutate"] = args.mutate
-            if args.float_samples is not None:
-                cfg["float_samples"] = args.float_samples
-            if args.seed is not None:
-                cfg["seed"] = args.seed
-        code = runner(cfg, args.out)
+        overrides = _read_config(args.config)
+        for key in ("mutate", "float_samples", "seed"):  # verify's flags
+            if getattr(args, key, None) is not None:
+                overrides[key] = getattr(args, key)
+        cfg = _merge(_COMMANDS[args.command][0], overrides)
+        code = _run(args.command, cfg, args.out)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

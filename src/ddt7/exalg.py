@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, NumericalError
-from .scalars import FLOAT, RATIONAL, ring_of
+from .scalars import FLOAT, RATIONAL
 
 __all__ = [
     "KForm", "Vector", "Endo", "blades", "blade_index",

@@ -322,18 +322,18 @@ class _ScaledSystem:
         self.s = float(s)
 
     def residual(self, a: FormField):
+        """The three blocks at a, and the weight W of the linearization there
+        (both from one E ^ E)."""
         E = curvature(GaugePotential(a, self.flux))
-        return (ddt._residual(E, wedge_field(E, E), self.s ** 4 / 6.0),
-                codiff(a), field_mean(a))
+        E2 = wedge_field(E, E)
+        c = self.s ** 4 / 6.0
+        return ((ddt._residual(E, E2, c), codiff(a), field_mean(a)),
+                ddt._residual_weight(E2, c))
 
     def res_norm(self, parts) -> float:
         w6, w0, mu = parts
         return math.sqrt(field_inner(w6, w6) + field_inner(w0, w0)
                          + float(np.dot(mu, mu)))
-
-    def lin_weight(self, a: FormField) -> FormField:
-        E = curvature(GaugePotential(a, self.flux))
-        return ddt._residual_weight(wedge_field(E, E), self.s ** 4 / 6.0)
 
     def apply_j(self, W: FormField, b: FormField):
         return wedge_field(d(b), W), codiff(b), field_mean(b)
@@ -530,7 +530,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         system = _ScaledSystem(flux, grid, s)
         a = (current if warm_start else restart).a
         with _finite(f"continuation at s = {s:g}"):
-            parts = system.residual(a)
+            parts, W = system.residual(a)
             rnorm = _finite_value(system.res_norm(parts), "residual norm")
         history = [rnorm]
         cg_iters = []
@@ -539,7 +539,6 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         obstructed = False
         while rnorm > tol and iters < max_newton:
             with _finite(f"newton iteration {iters + 1} at s = {s:g}"):
-                W = system.lin_weight(a)
                 if _mean_sector_obstructed(system, W, parts[0], tol):
                     obstructed = True
                     break
@@ -548,7 +547,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                 if inner.hit_max_iter:
                     failed = inner
                 a = _finite_field(a + dx, "the Newton iterate")
-                parts = system.residual(a)
+                parts, W = system.residual(a)
                 rnorm = _finite_value(system.res_norm(parts), "residual norm")
             history.append(rnorm)
             iters += 1

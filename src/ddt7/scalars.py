@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
 import numpy as np
 
@@ -370,15 +369,6 @@ class PolyRing:
     @staticmethod
     def div(a, b):
         return a / b
-
-
-def ring_of(x: Any):
-    """Infer the backend ring of a raw scalar value."""
-    if isinstance(x, MultiPoly):
-        return x.ring
-    if isinstance(x, float):
-        return FLOAT
-    return RATIONAL
 
 
 def frac(ring, p: int, q: int):

@@ -654,6 +654,8 @@ def random_field(grid: TorusGrid, k: int, rng: np.random.Generator,
     Band-limiting keeps products of a few such fields alias-free on the
     grid, which the moment-map and closedness checks rely on.
     """
+    if not (scale >= 0 and kmax >= 0):
+        raise InputError("random fields need scale >= 0 and kmax >= 0")
     modes = _low_modes(grid.active_axes, kmax)
     coords = grid.coordinates()
     xs = np.stack([coords[a] for a in grid.active_axes], axis=0)

@@ -259,7 +259,7 @@ def test_overflowing_moment_draw_is_a_numerical_failure(tmp_path):
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path):
-    def boom(cfg, out_dir):
+    def boom(cfg, out_dir, report):
         raise RuntimeError("boom\nsecond line")
     defaults, _, help_text = cli._COMMANDS["decompose"]
     monkeypatch.setitem(cli._COMMANDS, "decompose", (defaults, boom, help_text))
@@ -270,10 +270,9 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path
 
 def test_non_finite_report_value_is_a_numerical_failure(monkeypatch, capsys,
                                                        tmp_path):
-    def nan_report(cfg, out_dir):
-        cli._write_report(out_dir, {"command": "decompose",
-                                    "checks": {"sym": [0.0, float("nan")]}})
-        return 0
+    def nan_report(cfg, out_dir, report):
+        report["checks"] = {"sym": [0.0, float("nan")]}
+        return 0, []
     defaults, _, help_text = cli._COMMANDS["decompose"]
     monkeypatch.setitem(cli._COMMANDS, "decompose",
                         (defaults, nan_report, help_text))
@@ -281,6 +280,62 @@ def test_non_finite_report_value_is_a_numerical_failure(monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err == "numerical failure: report.checks.sym[1] is not finite\n"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_every_report_has_the_envelope_and_pass_means_exit_0(tmp_path, capsys):
+    """Each subcommand on a success path, a verification failure, and both
+    obstruction paths (no instanton exists in the class of dx^12)."""
+    calibrated, lone = {"1,2": 1, "4,7": 1}, {"1,2": 1}
+    flow_out = tmp_path / "flow"
+    runs = [
+        (["verify", "--float-samples", "2"], None, 0),
+        (["verify", "--mutate", "A5"], None, 1),
+        (["decompose"], {"coefficients": E12}, 0),
+        (["instanton"], {"flux": calibrated}, 0),
+        (["instanton"], {"flux": lone}, 3),
+        (["continue"], {"flux": calibrated, "schedule": [0.0, 1.0]}, 0),
+        (["continue"], {"flux": lone}, 3),
+        (["flow"], {"flux": calibrated, "steps": 20}, 0),
+        (["cylinder"], {"trajectory": str(flow_out)}, 0),
+        (["moment"], {"samples": 1}, 0),
+    ]
+    assert {argv[0] for argv, _, _ in runs} == set(cli._COMMANDS)
+    for i, (argv, payload, want) in enumerate(runs):
+        out = flow_out if argv[0] == "flow" else tmp_path / f"out{i}"
+        if payload is not None:
+            argv = argv + ["--config", write_config(tmp_path, "c.json", payload)]
+        code = cli.main(argv + ["--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert code == want, argv
+        rep = read_report(out)
+        assert rep["command"] == argv[0]
+        assert isinstance(rep["config"], dict)
+        assert set(rep["versions"]) == {"ddt7", "python", "numpy", "backend"}
+        assert rep["pass"] is (code == 0)
+        if payload == {"flux": lone}:
+            assert rep["obstructed"] is True and rep["flux_upper"][0] == 1
+            assert stdout.startswith("obstruction: ")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["flow"], {"initial_scale": -0.5}),
+    (["moment"], {"scale": -0.05}),
+    (["continue"], {"perturb_scale": -0.5}),
+    (["continue"], {"max_newton": -1}),
+    (["verify", "--seed", "-1"], None),
+    (["flow"], {"dt": "1e-3"}),
+], ids=["flow-initial_scale", "moment-scale", "continue-perturb_scale",
+        "continue-max_newton", "verify-seed-flag", "flow-dt-string"])
+def test_config_values_are_checked_against_their_defaults(tmp_path, capsys,
+                                                          argv, payload):
+    """A scalar key takes its default's type and, if a number, is
+    non-negative; verify's flags are checked the same way."""
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, "c.json", payload)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 SNAP_HEAD = 21  # struct.calcsize("<8sB7BIB")
@@ -351,6 +406,9 @@ CONFIG_FUZZ = [
     # flux entries float64 cannot hold (appended, so earlier ids stay put)
     ("instanton", {"flux": {"1,2": 10 ** 400, "4,7": 10 ** 400}}),
     ("instanton", {"flux": {"1,2": 10 ** 308, "4,7": 10 ** 308}}),
+    # JSON integers float64 cannot hold, where a number is expected
+    ("decompose", {"tol": 10 ** 400}),
+    ("continue", {"schedule": [0.0, 10 ** 400]}),
 ]
 
 

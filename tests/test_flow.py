@@ -530,8 +530,7 @@ def test_solver_op_results_are_contiguous_float64():
     rng = np.random.default_rng(43)
     pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.05)
     system = flow._ScaledSystem(CALIBRATED, GRID, 0.5)
-    W = system.lin_weight(pot.a)
-    w6, w0, mu = system.residual(pot.a)
+    (w6, w0, mu), W = system.residual(pot.a)
     blocks = flow._normal_symbol(GRID, field_mean(W))
     for got, k in ((flow._ascent(pot, 1e-3), 1),
                    (flow._wedge_by_w_adjoint(w6, W), 2),

@@ -8,7 +8,7 @@ from ddt7 import g2
 from ddt7.errors import InputError, NumericalError
 from ddt7.exalg import KForm, hodge
 from ddt7.scalars import (BATCH, EXPONENT_BOUND, FLOAT, RATIONAL, MultiPoly, PolyRing,
-                          frac, intval, rational, ring_of)
+                          frac, intval, rational)
 
 
 def test_float_ring_protocol():
@@ -180,8 +180,6 @@ def test_coefficients_are_int_when_integral():
 
 def test_ring_helpers():
     ring = PolyRing(("t",))
-    assert ring_of(1.0) is FLOAT
-    assert ring_of(ring.var("t")) is ring
     assert frac(FLOAT, 1, 2) == 0.5
     assert frac(RATIONAL, 1, 3) * 3 == 1
     assert frac(ring, 1, 3) * 3 == ring.one

@@ -105,6 +105,20 @@ def test_random_fields_are_band_limited():
     assert np.max(np.abs(spec[mask])) < 1e-10 * np.max(np.abs(spec))
 
 
+@pytest.mark.parametrize("scale, kmax", [(-0.5, 1), (0.1, -1),
+                                         (float("nan"), 1)])
+def test_random_fields_refuse_a_negative_scale_or_kmax(scale, kmax):
+    """Bad input, not numpy's ValueError ("scale < 0", "negative
+    dimensions are not allowed")."""
+    rng = np.random.default_rng(0)
+    for make in (random_potential, random_coclosed_potential):
+        with pytest.raises(InputError):
+            make(GRID2, CALIBRATED, rng, scale, kmax)
+    with pytest.raises(InputError):
+        random_field(GRID2, 1, rng, scale, kmax)
+    assert not np.any(random_field(GRID2, 1, rng, 0.0, 0).values)
+
+
 def test_flux_background_and_mean():
     flux = Flux.from_entries({(1, 2): 1, (4, 7): 2, (5, 6): -1})
     rng = np.random.default_rng(5)
