@@ -360,13 +360,13 @@ def cmd_continue(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     schedule = cfg["schedule"]
     if not isinstance(schedule, list) or not all(_is_num(s) for s in schedule):
         raise InputError("schedule must be a list of finite numbers")
+    kmax = _as_kmax(cfg, grid)
     report["flux_upper"] = list(flux.upper)
     a0 = _initial_snapshot(cfg, grid)
     if cfg["perturb_scale"] > 0.0:
         rng = np.random.default_rng(cfg["seed"])
         noise = torus.coclosed_project(
-            torus.random_field(grid, 1, rng, cfg["perturb_scale"],
-                               _as_kmax(cfg, grid)))
+            torus.random_field(grid, 1, rng, cfg["perturb_scale"], kmax))
         if a0 is None:
             a0 = flow.instanton_solve(flux, grid).a
         a0 = a0 + noise
@@ -382,6 +382,7 @@ def cmd_continue(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     ]
     report["termination"] = result.termination
     report["completed"] = result.completed
+    report["obstructed"] = result.obstructed
     if result.steps:
         report.update(_save_potential(out_dir, result.steps[-1].potential.a,
                                       flux))
@@ -405,6 +406,7 @@ _FLOW_DEFAULTS = {
 def cmd_flow(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
+    kmax = _as_kmax(cfg, grid)
     run_cfg = flow.FlowConfig(dt=float(cfg["dt"]), steps=cfg["steps"],
                               scheme=cfg["scheme"],
                               theta_min=float(cfg["theta_min"]),
@@ -415,7 +417,7 @@ def cmd_flow(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     else:
         rng = np.random.default_rng(cfg["seed"])
         pot0 = torus.random_coclosed_potential(
-            grid, flux, rng, cfg["initial_scale"], _as_kmax(cfg, grid))
+            grid, flux, rng, cfg["initial_scale"], kmax)
     traj = flow.flow_run(pot0, run_cfg)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -302,6 +302,7 @@ class ContinuationStep:
 class ContinuationResult:
     steps: tuple
     termination: str
+    obstructed: bool  # stopped at the mean-sector obstruction
 
     @property
     def completed(self) -> bool:
@@ -567,7 +568,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                                 f"{failed.rel_residual:.1e}")
             break
         current = pot
-    return ContinuationResult(tuple(steps), termination)
+    return ContinuationResult(tuple(steps), termination, obstructed)
 
 
 # --- per-mode kernel/image probe ----------------------------------------------
@@ -595,13 +596,18 @@ def kernel_probe(kmax: int) -> dict:
     ``image_rank_matches`` are weighted sums over all modes of the box, and
     ``representatives`` is the number of modes eliminated.
 
+    Two eliminations per mode: one of [B|A] (7x28), whose pivots in the
+    leading 21 columns give rank B and in all of them rank [B|A], and one
+    of A (7x7).  ``bareiss_ranks`` runs them in float64 when Hadamard's
+    bound on the minors proves every value exact: at every admitted kmax,
+    where 2 h^2 is at most 2^47.1 (the kmax = 4 corners), against 2^53.
+    Otherwise, as at kmax = 16, it runs in int64, where every pre-division
+    product ``M * pivot - colvals * pivrow`` must stay below 2^63.  As a
+    margin check the tests find at most 2^59.2, exactly, at kmax = 16, on
+    the 64 corner modes and on seeded modes of the outer shell; Hadamard's
+    bound (2^63.5) is too loose to prove it.
+
     kmax is capped at 4, so that the whole box of modes fits in memory.
-    Ranks are fraction-free in int64, so every pre-division product
-    ``M * pivot - colvals * pivrow`` of the elimination, not only every
-    minor, must stay below 2^63.  As a margin check, the tests find at
-    most 2^59.2, exactly, at kmax = 16, on the 64 corner modes and on
-    seeded modes of the outer shell; Hadamard's bound (2^63.5) is too
-    loose to prove it.
     """
     if kmax < 1:
         raise InputError("kmax must be at least 1")
@@ -609,20 +615,19 @@ def kernel_probe(kmax: int) -> dict:
         raise InputError(f"kmax > {_KMAX_CAP}: the census builds all "
                          f"(2*kmax+1)^7 modes at once and would not fit in memory")
     T, U = tables.mode_kernel_tensors()
+    UT = np.concatenate([U, T], axis=2)
+    nB = U.shape[2]
     reps, weights = _mode_representatives(kmax)
     n_reps = reps.shape[0]
     kernel_dims = np.empty(n_reps, dtype=np.int64)
     image_ok = np.empty(n_reps, dtype=bool)
     chunk = 1024  # 8192 ran field_bulk ~10% slower with twice the peak RSS
     for lo in range(0, n_reps, chunk):
-        K = reps[lo:lo + chunk]
-        A = np.einsum("mi,ijb->mjb", K, T)
-        B = np.einsum("mi,ijg->mjg", K, U)
-        rA = bareiss_ranks(A)
-        rB = bareiss_ranks(B)
-        rAB = bareiss_ranks(np.ascontiguousarray(np.concatenate([A, B], axis=2)))
+        BA = np.einsum("mi,ijc->mjc", reps[lo:lo + chunk], UT)
+        rA = bareiss_ranks(BA[:, :, nB:])
+        rB, rBA = bareiss_ranks(BA, split=nB)
         kernel_dims[lo:lo + chunk] = 7 - rA
-        image_ok[lo:lo + chunk] = (rA == rB) & (rB == rAB)
+        image_ok[lo:lo + chunk] = (rA == rB) & (rB == rBA)
     hist = {int(k): int(weights[kernel_dims == k].sum())
             for k in np.unique(kernel_dims)}
     return {

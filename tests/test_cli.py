@@ -149,6 +149,7 @@ def test_continue_short_schedule(tmp_path):
     assert rep["termination"] == "completed"
     assert [s["s"] for s in rep["steps"]] == [0.0, 0.25, 1.0]
     assert all(s["residual_norm"] <= 1e-10 for s in rep["steps"])
+    assert rep["obstructed"] is False
     pot = load_field(out / "potential.t7f")
     assert pot.k == 1
 
@@ -163,6 +164,9 @@ def test_continue_obstructed_exit_code(tmp_path):
     assert r.returncode == 3
     rep = read_report(out)
     assert "obstruction" in rep["termination"]
+    # the mean-sector stop reports the same key as a missing instanton
+    assert rep["obstructed"] is True and rep["pass"] is False
+    assert rep["completed"] is False
 
 
 def test_continue_rejects_snapshot_of_bad_degree(tmp_path):
@@ -409,6 +413,10 @@ CONFIG_FUZZ = [
     # JSON integers float64 cannot hold, where a number is expected
     ("decompose", {"tol": 10 ** 400}),
     ("continue", {"schedule": [0.0, 10 ** 400]}),
+    # kmax beyond N/2 with no noise to draw, and beside a snapshot: the
+    # band limit is checked before the snapshot is read
+    ("continue", {"kmax": 99}),
+    ("flow", {"kmax": 99, "initial_snapshot": "no/such/snapshot.t7f"}),
 ]
 
 
@@ -427,6 +435,23 @@ def test_fuzzed_config_follows_the_exit_contract(tmp_path, capsys,
     out = tmp_path / "o"
     _assert_contract(cli.main([command, "--config", cfg, "--out", str(out)]),
                      capsys, out)
+
+
+@pytest.mark.parametrize("command, with_snapshot", [
+    ("continue", False), ("continue", True), ("flow", True)])
+def test_kmax_beyond_half_the_grid_exits_2(tmp_path, capsys, command,
+                                            with_snapshot):
+    # kmax is checked whether or not a random field is drawn with it
+    payload = {"kmax": 3}  # the 4-point grid admits 0..2
+    if with_snapshot:
+        snap = tmp_path / "s.t7f"
+        snap.write_bytes(_valid_snapshot(tmp_path))
+        payload["initial_snapshot"] = str(snap)
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: kmax must lie in 0..2 on this grid\n"
+    assert not out.exists()
 
 
 # inputs that overflow float64 inside the run: exit 3, and no report

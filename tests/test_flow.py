@@ -376,8 +376,9 @@ def test_kernel_probe_all_modes_once():
 
 
 def _kernel_probe_all_modes(kmax):
-    """The census on every nonzero mode of the box, one elimination per
-    mode: the oracle for the census on representatives."""
+    """The census on every nonzero mode of the box, three int64
+    eliminations per mode whatever the minor bound: the oracle for the
+    census on representatives."""
     T, U = tables.mode_kernel_tensors()
     side = np.arange(-kmax, kmax + 1, dtype=np.int64)
     modes = np.stack(np.meshgrid(*([side] * 7), indexing="ij"),
@@ -391,10 +392,9 @@ def _kernel_probe_all_modes(kmax):
         K = modes[lo:lo + chunk]
         A = np.einsum("mi,ijb->mjb", K, T)
         B = np.einsum("mi,ijg->mjg", K, U)
-        rA = kernels.bareiss_ranks(A)
-        rB = kernels.bareiss_ranks(B)
-        rAB = kernels.bareiss_ranks(
-            np.ascontiguousarray(np.concatenate([A, B], axis=2)))
+        rA = kernels._bareiss(A.astype(np.int64))
+        rB = kernels._bareiss(B.astype(np.int64))
+        rAB = kernels._bareiss(np.concatenate([A, B], axis=2))
         kernel_dims[lo:lo + chunk] = 7 - rA
         image_ok[lo:lo + chunk] = (rA == rB) & (rB == rAB)
     hist = {int(k): int(c) for k, c in
@@ -484,6 +484,61 @@ def test_census_int64_bound_at_kmax_16():
         assert kernels.bareiss_ranks(mats).tolist() == [e[0] for e in exact]
         peak = max(peak, max(e[1] for e in exact))
     assert peak < 2 ** 63
+
+
+def _census_mats(modes):
+    """[B|A] per mode, the stack kernel_probe eliminates; A is [:, :, 21:]."""
+    T, U = tables.mode_kernel_tensors()
+    return np.einsum("mi,ijc->mjc", modes, np.concatenate([U, T], axis=2))
+
+
+def _corner_modes(kmax):
+    signs = np.array(list(itertools.product((1, -1), repeat=6)))
+    return kmax * np.hstack([np.ones((64, 1), np.int64), signs])
+
+
+def test_census_float64_bound_covers_every_admitted_kmax():
+    # each column norm of [B|A] is a convex function of k, so over the box
+    # |k|_inf <= kmax it peaks at a corner (and k, -k give equal norms):
+    # Hadamard's bound over the 7 largest corner peaks bounds every minor of
+    # every mode's [B|A], and of its A, whose columns are among them
+    BA = _census_mats(_corner_modes(flow._KMAX_CAP))
+    peaks = np.sqrt(np.square(BA, dtype=np.float64).sum(axis=1)).max(axis=0)
+    log2_h = np.log2(np.sort(peaks)[-7:]).sum()
+    assert 2 * log2_h + 1 < 53
+    assert kernels._exact_dtype(BA) == np.float64
+    assert kernels._exact_dtype(BA[:, :, 21:]) == np.float64
+    # the kmax = 16 corners of the int64 margin test stay on int64
+    BA = _census_mats(_corner_modes(16))
+    assert kernels._exact_dtype(BA) == np.int64
+    assert kernels._exact_dtype(BA[:, :, 21:]) == np.int64
+
+
+def _census_modes(name):
+    if name == "kmax2-representatives":
+        return flow._mode_representatives(2)[0]
+    rng = np.random.default_rng(4)
+    shell = rng.integers(-4, 5, size=(200, 7))
+    shell[np.arange(200), rng.integers(0, 7, 200)] = rng.choice((-4, 4), 200)
+    return np.concatenate([_corner_modes(4), shell])
+
+
+@pytest.mark.parametrize("name", ["kmax2-representatives",
+                                  "kmax4-corners-and-shell"])
+def test_census_float64_ranks_equal_int64(name):
+    # the census's float64 eliminations, [B|A] with its split and A alone,
+    # against the same loop run in int64 on the same matrices
+    modes = _census_modes(name)
+    for lo in range(0, len(modes), 4096):
+        BA = _census_mats(modes[lo:lo + 4096])
+        A = BA[:, :, 21:]
+        assert kernels._exact_dtype(BA) == np.float64
+        got_B, got_BA = kernels.bareiss_ranks(BA, split=21)
+        want_B, want_BA = kernels._bareiss(BA.astype(np.int64), split=21)
+        assert np.array_equal(got_B, want_B)
+        assert np.array_equal(got_BA, want_BA)
+        assert np.array_equal(kernels.bareiss_ranks(A),
+                              kernels._bareiss(A.astype(np.int64)))
 
 
 def test_mode_symbol_kernel_is_pure_gauge():
