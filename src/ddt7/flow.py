@@ -26,10 +26,11 @@ from .errors import (DegenerateMetricError, InputError, NonFiniteError,
 from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
 from .scalars import FLOAT, RATIONAL
-from .torus import (Flux, FormField, GaugePotential, TorusGrid, _finite_field,
-                    _finite_value, _spectral_k, codiff, curvature, d,
-                    field_inner, field_l2, field_mean, kl_segment_integral,
-                    wedge_const, wedge_field, zero_potential)
+from .torus import (Flux, FormField, GaugePotential, TorusGrid, _apply_modes,
+                    _finite_field, _finite_value, _spectral_k, codiff,
+                    curvature, d, field_inner, field_l2, field_mean,
+                    kl_segment_integral, wedge_const, wedge_field,
+                    zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
@@ -260,9 +261,9 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
     form is constant, hence never cancelled by da.  Given that it vanishes,
     every Fourier mode of the remaining system is homogeneous (the
     background is constant) and the mode maps kill only pure gauge, so the
-    solution is a = 0.  The mode right-hand sides are still formed and
-    checked, so a nonconstant background would be caught rather than
-    silently mis-solved.
+    solution is a = 0.  The right-hand side w = E0 ^ *phi is still checked:
+    its nonzero modes vanish exactly when w is constant, so a spread over
+    1e-9 (a nonconstant background) is caught rather than mis-solved.
     """
     if grid is None:
         grid = TorusGrid((1, 2), 4)
@@ -271,11 +272,7 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
     pot = zero_potential(grid, flux)
     w = _finite_field(wedge_const(curvature(pot), g2.star_phi_for(FLOAT)),
                       "the instanton system's right-hand side")
-    na = grid.n_active
-    spec = np.fft.fftn(w.values.reshape(grid.shape + (7,)), axes=tuple(range(na)))
-    flat = np.abs(spec.reshape(grid.npts, 7)).max(axis=1)
-    flat[0] = 0.0
-    if np.any(flat > 1e-9 * max(float(np.max(flat)), 1.0)):
+    if np.any(np.ptp(w.values, axis=0) > 1e-9):
         raise NumericalError("instanton system has a nonzero mode right-hand "
                              "side; only quantized constant flux backgrounds "
                              "are supported")
@@ -353,8 +350,8 @@ class _ScaledSystem:
 
 def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
     """Adjoint of the pointwise map x (2-form) -> x ^ W, W a fixed 4-form."""
-    table = tables.wedge_adjoint_arrays(7, 2, 4)
-    vals = wedge_fields(y.values, W.values, *table, len(blades(7, 2)))
+    vals = wedge_fields(y.values, W.values, *tables.wedge_adjoint_arrays(7, 2, 4),
+                        len(blades(7, 2)))
     return FormField._of(y.grid, 2, vals)
 
 
@@ -384,19 +381,10 @@ def _normal_symbol(grid: TorusGrid, w_mean: np.ndarray) -> np.ndarray:
     return N
 
 
-def _apply_modes(blocks: np.ndarray, f: FormField) -> FormField:
-    """The 1-form whose real-FFT mode m is blocks[m] times mode m of f."""
-    grid = f.grid
-    axes = tuple(range(grid.n_active))
-    spec = np.fft.rfftn(f.values.reshape(grid.shape + (7,)), axes=axes)
-    out = np.einsum("mab,mb->ma", blocks, spec.reshape(-1, 7))
-    vals = np.fft.irfftn(out.reshape(spec.shape), s=grid.shape, axes=axes)
-    return FormField._of(grid, 1, vals.reshape(grid.npts, 7))
-
-
 def _mean_w_inverse(grid: TorusGrid, W: FormField):
-    """Inverse blocks of the normal operator at mean(W), or None when a block
-    is singular or its 1-norm condition number exceeds _MAX_BLOCK_COND (the
+    """The preconditioner's per-mode map for ``_apply_modes``: the inverse
+    blocks of the normal operator at mean(W), or None when a block is
+    singular or its 1-norm condition number exceeds _MAX_BLOCK_COND (the
     caller then runs plain CG)."""
     blocks = _normal_symbol(grid, field_mean(W))
     try:
@@ -404,7 +392,9 @@ def _mean_w_inverse(grid: TorusGrid, W: FormField):
     except np.linalg.LinAlgError:
         return None
     norm1 = [np.abs(m).sum(axis=1).max(axis=1) for m in (blocks, inv)]
-    return inv if np.all(norm1[0] * norm1[1] <= _MAX_BLOCK_COND) else None
+    if not np.all(norm1[0] * norm1[1] <= _MAX_BLOCK_COND):
+        return None
+    return lambda spec: np.einsum("mab,mb->ma", inv, spec)
 
 
 @dataclass(frozen=True)
@@ -434,7 +424,7 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
     if g0 == 0.0:
         return x, _InnerSolve(0, 0.0, False)
     inv = _mean_w_inverse(system.grid, W)
-    z = g if inv is None else _apply_modes(inv, g)
+    z = g if inv is None else _apply_modes(g, inv)
     p = z
     gz = field_inner(g, z)
     rel = 1.0
@@ -454,7 +444,7 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
         rel = _finite_value(field_l2(g), "CG gradient norm") / g0
         if rel <= tol:
             break
-        z = g if inv is None else _apply_modes(inv, g)
+        z = g if inv is None else _apply_modes(g, inv)
         gz_new = field_inner(g, z)
         p = z + (gz_new / gz) * p
         gz = gz_new

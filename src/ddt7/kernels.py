@@ -10,12 +10,12 @@ import numpy as np
 _BLOCK_BYTES = 1 << 17
 
 
-def wedge_fields(A, B, ii, jj, oo, ss, dim_out):
-    """out[p, oo[e]] = sum_e ss[e] * A[p, ii[e]] * B[p, jj[e]].
+def wedge_fields(A, B, ii, jj, ss, dim_out):
+    """out[p, o] = sum_e ss[e] * A[p, ii[e]] * B[p, jj[e]] over o's entries.
 
-    The table must be grouped by output: ``oo`` equal to
-    ``repeat(arange(dim_out), m)`` for some m, as ``tables.wedge_arrays``
-    guarantees; ``oo`` itself is not read.  Each block of points gathers the
+    The table must be grouped by output: entries o*m .. o*m + m - 1 belong
+    to output o, m = len(ii) // dim_out, as ``tables.wedge_arrays`` orders
+    them, so no output column is passed.  Each block of points gathers the
     entry products in coefficient-major layout and sums every output's m
     products with their signs as one stacked (1 x m)(m x points) product.
     The result dtype follows the inputs.

@@ -32,13 +32,13 @@ def wedge_arrays(n: int, p: int, q: int):
 def wedge_adjoint_arrays(n: int, p: int, q: int):
     """The p^q table regrouped for y, w -> x with <x ^ w, y> = <x, adj>.
 
-    Columns (out, j, i, sign), stably sorted by the p-form blade i, so that
+    Columns (out, j, sign), stably sorted by the p-form blade i, so that
     ``wedge_fields(y, w, *wedge_adjoint_arrays(n, p, q), dim_p)`` is the
     adjoint of x -> x ^ w.  Each p-blade meets C(n-p, q) q-blades.
     """
     ii, jj, oo, ss = wedge_arrays(n, p, q)
     order = np.argsort(ii, kind="stable")
-    return tuple(np.ascontiguousarray(c[order]) for c in (oo, jj, ii, ss))
+    return tuple(np.ascontiguousarray(c[order]) for c in (oo, jj, ss))
 
 
 @lru_cache(maxsize=None)

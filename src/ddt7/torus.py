@@ -9,6 +9,12 @@ matrix along one axis (a real FFT along it on long axes).  Coordinates have
 period 1; quantized line-bundle flux carries the 2*pi, so flux files hold
 literal integers.
 
+Fourier work on whole fields has one mode table, ``_spectral_k`` (the wave
+vector of each real-FFT mode, Nyquist zeroed), and one round trip,
+``_apply_modes`` (real FFT, a per-mode map, inverse), which
+``coclosed_project`` and ``flow``'s preconditioner use; ``random_field``
+is one complex spectrum and one inverse FFT.
+
 Conventions (the global sign ledger lives in ``ddt``):
 
 * Lie-algebra valued objects sqrt(-1)*g are stored as the real g.
@@ -195,12 +201,6 @@ class FormField:
             raise InputError("fields live on different grids or degrees")
 
 
-def _fft_grid(f: FormField) -> np.ndarray:
-    na = f.grid.n_active
-    cube = f.values.reshape(f.grid.shape + (f.values.shape[1],))
-    return np.fft.fftn(cube, axes=tuple(range(na)))
-
-
 @lru_cache(maxsize=None)
 def _spectral_k(grid: TorusGrid) -> np.ndarray:
     """The integer frequency k of each real-FFT mode, (nspec, 7) int64.
@@ -215,6 +215,18 @@ def _spectral_k(grid: TorusGrid) -> np.ndarray:
     for k, axis in zip(ks, grid.active_axes):
         out[..., axis - 1] = k
     return out.reshape(-1, 7)
+
+
+def _apply_modes(f: FormField, per_mode) -> FormField:
+    """The field whose real-FFT mode table is ``per_mode(spec)``, spec being
+    f's (nspec, dim) complex table in ``_spectral_k`` order, which per_mode
+    may overwrite: the package's one real-FFT round trip."""
+    grid = f.grid
+    axes = tuple(range(grid.n_active))
+    spec = np.fft.rfftn(f.values.reshape(grid.shape + (-1,)), axes=axes)
+    out = per_mode(spec.reshape(-1, spec.shape[-1])).reshape(spec.shape)
+    vals = np.fft.irfftn(out, s=grid.shape, axes=axes)
+    return FormField._of(grid, f.k, vals.reshape(f.values.shape))
 
 
 # Above this many points per axis, d and codiff take each partial derivative
@@ -321,9 +333,9 @@ def wedge_field(f: FormField, g: FormField) -> FormField:
         raise InputError("fields live on different grids")
     if f.k + g.k > 7:
         raise InputError(f"wedge of degrees {f.k} and {g.k} exceeds 7")
-    ii, jj, oo, ss = tables.wedge_arrays(7, f.k, g.k)
+    ii, jj, _, ss = tables.wedge_arrays(7, f.k, g.k)
     dim_out = len(blades(7, f.k + g.k))
-    vals = wedge_fields(f.values, g.values, ii, jj, oo, ss, dim_out)
+    vals = wedge_fields(f.values, g.values, ii, jj, ss, dim_out)
     return FormField._of(f.grid, f.k + g.k, vals)
 
 
@@ -649,26 +661,28 @@ def _low_modes(axes: tuple, kmax: int) -> tuple:
 def random_field(grid: TorusGrid, k: int, rng: np.random.Generator,
                  scale: float = 1.0, kmax: int = 1) -> FormField:
     """Random band-limited real field: every coefficient is a trigonometric
-    polynomial over the nonzero modes with |k|_inf <= kmax.
+    polynomial sum_m a_m cos(2 pi m.x) + b_m sin(2 pi m.x) over the nonzero
+    modes m with |m|_inf <= kmax, amplitudes drawn mode by mode in
+    ``_low_modes`` order.  Mode m adds a_m - i b_m to a complex spectrum at
+    m mod N (so modes past N/2 alias as in the sum), and one inverse FFT
+    times npts (a power of two: exact) evaluates it.
 
     Band-limiting keeps products of a few such fields alias-free on the
     grid, which the moment-map and closedness checks rely on.
     """
     if not (scale >= 0 and kmax >= 0):
         raise InputError("random fields need scale >= 0 and kmax >= 0")
-    modes = _low_modes(grid.active_axes, kmax)
-    coords = grid.coordinates()
-    xs = np.stack([coords[a] for a in grid.active_axes], axis=0)
+    modes = np.array(_low_modes(grid.active_axes, kmax), dtype=np.int64)
     dim = len(blades(7, k))
-    vals = np.zeros((grid.npts, dim))
-    norm = scale / math.sqrt(max(len(modes), 1))
-    for mode in modes:
-        phase = 2.0 * math.pi * np.tensordot(np.array(mode, dtype=float), xs, axes=1)
-        c = np.cos(phase)
-        s = np.sin(phase)
-        amp_c = rng.normal(0.0, norm, size=dim)
-        amp_s = rng.normal(0.0, norm, size=dim)
-        vals += c[:, None] * amp_c[None, :] + s[:, None] * amp_s[None, :]
+    amps = rng.normal(0.0, scale / math.sqrt(max(len(modes), 1)),
+                      (len(modes), 2, dim))
+    vals = np.empty((grid.npts, dim))  # before the spectrum: fewer page faults
+    spec = np.zeros(grid.shape + (dim,), dtype=np.complex128)
+    np.add.at(spec, tuple(modes.reshape(-1, grid.n_active).T % grid.N),
+              amps[:, 0] - 1j * amps[:, 1])
+    for axis in range(grid.n_active):  # ifftn would keep its input alive
+        spec = np.fft.ifft(spec, axis=axis)
+    np.multiply(spec.real.reshape(grid.npts, dim), grid.npts, out=vals)
     return FormField(grid, k, vals)
 
 
@@ -682,21 +696,14 @@ def coclosed_project(a: FormField) -> FormField:
     removal of the span{k} component; the zero mode is dropped entirely)."""
     if a.k != 1:
         raise InputError("projection expects a 1-form field")
-    grid = a.grid
-    na = grid.n_active
-    spec = _fft_grid(a)
-    kline = grid.wavenumbers()
-    kgrids = np.meshgrid(*([kline] * na), indexing="ij")
-    kvec = np.zeros(grid.shape + (7,))
-    for i, axis in enumerate(grid.active_axes):
-        kvec[..., axis - 1] = kgrids[i]
-    k2 = np.sum(kvec * kvec, axis=-1)
-    dot = np.sum(kvec * spec, axis=-1)
-    safe = np.where(k2 > 0, k2, 1.0)
-    spec = spec - (dot / safe)[..., None] * kvec
-    spec[(0,) * na] = 0.0
-    vals = np.fft.ifftn(spec, axes=tuple(range(na))).real
-    return FormField(grid, 1, vals.reshape(a.values.shape))
+    k = _spectral_k(a.grid)
+    k2 = np.maximum(np.sum(k * k, axis=1), 1)  # dead modes: k = 0, dot = 0
+
+    def project(spec):
+        spec -= (np.einsum("mi,mi->m", spec, k) / k2)[:, None] * k
+        spec[0] = 0.0
+        return spec
+    return FormField(a.grid, 1, _apply_modes(a, project).values)
 
 
 def random_coclosed_potential(grid: TorusGrid, flux: Flux,

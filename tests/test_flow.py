@@ -58,6 +58,23 @@ def test_instanton_obstructed_flux():
     assert "Chern class" in str(e.value)
 
 
+@pytest.mark.parametrize("bump, raises", [(1e-6, True), (1e-12, False)])
+def test_instanton_refuses_a_nonconstant_right_hand_side(monkeypatch, bump,
+                                                         raises):
+    """Only a nonconstant background (here a curvature with one varying
+    value) reaches the check; a spread below 1e-9 passes."""
+    def bumped(pot):
+        vals = curvature(pot).values.copy()
+        vals[3, 5] += bump
+        return FormField(pot.grid, 2, vals)
+    monkeypatch.setattr(flow, "curvature", bumped)
+    if raises:
+        with pytest.raises(NumericalError, match="nonzero mode right-hand side"):
+            instanton_solve(CALIBRATED, GRID)
+    else:
+        assert not np.any(instanton_solve(CALIBRATED, GRID).a.values)
+
+
 def test_theta_field_frozen_values():
     two_pi_sq = (2 * math.pi) ** 2
     E = curvature(zero_potential(GRID, CALIBRATED))
@@ -264,7 +281,8 @@ def test_normal_symbol_is_the_constant_weight_normal_operator(grid):
             b = random_field(grid, 1, rng, kmax=grid.N // 2 - 1) \
                 + FormField(grid, 1, np.tile(rng.normal(size=7), (grid.npts, 1)))
             want = system.apply_jt(W, *system.apply_j(W, b))
-            got = flow._apply_modes(N, b)
+            got = torus._apply_modes(
+                b, lambda spec: np.einsum("mab,mb->ma", N, spec))
             assert field_l2(got - want) <= 1e-12 * field_l2(want)
 
 
@@ -586,10 +604,9 @@ def test_solver_op_results_are_contiguous_float64():
     pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.05)
     system = flow._ScaledSystem(CALIBRATED, GRID, 0.5)
     (w6, w0, mu), W = system.residual(pot.a)
-    blocks = flow._normal_symbol(GRID, field_mean(W))
     for got, k in ((flow._ascent(pot, 1e-3), 1),
                    (flow._wedge_by_w_adjoint(w6, W), 2),
-                   (flow._apply_modes(blocks, pot.a), 1),
+                   (torus._apply_modes(pot.a, flow._mean_w_inverse(GRID, W)), 1),
                    (system.apply_jt(W, w6, w0, mu), 1)):
         v = got.values
         assert got.k == k and v.dtype == np.float64 and v.flags.c_contiguous

@@ -97,7 +97,7 @@ def test_wedge_hodge_kernels_match_tables():
     ii, jj, oo, ss = tables.wedge_arrays(7, 2, 2)
     A = rng.normal(size=(16, 21))
     B = rng.normal(size=(16, 21))
-    out = kernels.wedge_fields(A, B, ii, jj, oo, ss, len(blades(7, 4)))
+    out = kernels.wedge_fields(A, B, ii, jj, ss, len(blades(7, 4)))
     # independent accumulation of the same structure constants
     want = np.zeros_like(out)
     for e in range(len(ii)):
@@ -139,7 +139,8 @@ def test_wedge_kernel_matches_entry_accumulation(npts):
         dim_out = len(blades(7, p + q))
         A = rng.normal(size=(npts, len(blades(7, p))))
         B = rng.normal(size=(npts, len(blades(7, q))))
-        got = kernels.wedge_fields(A, B, *table, dim_out)
+        ii, jj, _, ss = table
+        got = kernels.wedge_fields(A, B, ii, jj, ss, dim_out)
         want = _wedge_by_entries(A, B, *table, dim_out)
         assert got.shape == want.shape and got.dtype == np.float64
         assert np.allclose(got, want, rtol=0, atol=1e-13), (p, q)
@@ -150,7 +151,8 @@ def test_wedge_kernel_takes_dtype_from_inputs():
     table = tables.wedge_arrays(7, 1, 3)
     A = rng.normal(size=(700, 7)) + 1j * rng.normal(size=(700, 7))
     B = rng.normal(size=(700, 35))
-    got = kernels.wedge_fields(A, B, *table, 35)
+    ii, jj, _, ss = table
+    got = kernels.wedge_fields(A, B, ii, jj, ss, 35)
     assert got.dtype == np.complex128
     want = _wedge_by_entries(A, B, *table, 35)
     assert np.allclose(got, want, rtol=0, atol=1e-13)

@@ -36,3 +36,61 @@ def test_no_module_binds_an_import_it_never_uses():
               if path.name != "__init__.py"
               for line, name in _unused_imports(path.read_text())]
     assert unused == []
+
+
+def _private_names(source: str) -> dict:
+    """{name: line} for each private name the module binds at its top level:
+    a def, a class or an assignment target starting with one underscore."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out.setdefault(name, node.lineno)
+    return out
+
+
+def _names_read(source: str) -> set:
+    """Every name a module reads: loaded names, attribute names, and names
+    imported from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private_names(sources: dict) -> list:
+    """(module, line, name) for each top-level private name that no module
+    of ``sources`` ({module: source}) reads."""
+    read = set().union(*(_names_read(s) for s in sources.values()))
+    return sorted((module, line, name) for module, source in sources.items()
+                  for name, line in _private_names(source).items()
+                  if name not in read)
+
+
+def test_the_unread_private_name_check_finds_one():
+    sources = {
+        "a": ("_USED = 1\n_orphan, _paired = 2, 3\n\n"
+              "def _helper():\n    return _USED\n\n"
+              "class _Unused:\n    _attr = 0\n"),
+        "b": "from a import _paired\nimport a\na._helper()\n",
+    }
+    assert _unread_private_names(sources) == [("a", 2, "_orphan"),
+                                             ("a", 7, "_Unused")]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(sources) == []

@@ -3,7 +3,11 @@ moves, and the two file formats."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,98 @@ def test_random_fields_refuse_a_negative_scale_or_kmax(scale, kmax):
     with pytest.raises(InputError):
         random_field(GRID2, 1, rng, scale, kmax)
     assert not np.any(random_field(GRID2, 1, rng, 0.0, 0).values)
+
+
+def _random_field_by_modes(grid, k, rng, scale, kmax):
+    """The trigonometric sum mode by mode, one cos and one sin over the
+    grid per mode, with the amplitudes drawn in the same order: the
+    oracle for ``random_field``."""
+    modes = torus._low_modes(grid.active_axes, kmax)
+    coords = grid.coordinates()
+    xs = np.stack([coords[a] for a in grid.active_axes])
+    dim = len(blades(7, k))
+    vals = np.zeros((grid.npts, dim))
+    norm = scale / math.sqrt(max(len(modes), 1))
+    for mode in modes:
+        phase = 2.0 * math.pi * np.tensordot(np.array(mode, dtype=float), xs, axes=1)
+        amp_c = rng.normal(0.0, norm, size=dim)
+        amp_s = rng.normal(0.0, norm, size=dim)
+        vals += np.cos(phase)[:, None] * amp_c + np.sin(phase)[:, None] * amp_s
+    return vals
+
+
+@pytest.mark.parametrize("grid", [TorusGrid((3,), 16), TorusGrid((2, 6), 8),
+                                  TorusGrid((1, 4, 7), 4)])
+def test_random_field_is_the_trigonometric_sum(grid):
+    """Equal to the mode-by-mode sum within 1e-14 of its largest value, for
+    kmax 0, 1, N/2 and beyond N/2 (aliased modes), and the generator ends
+    in the same state."""
+    for k, kmax in itertools.product((0, 1, 3), (0, 1, grid.N // 2, grid.N - 1)):
+        rng, ref = np.random.default_rng(20 + k), np.random.default_rng(20 + k)
+        got = random_field(grid, k, rng, 0.7, kmax).values
+        want = _random_field_by_modes(grid, k, ref, 0.7, kmax)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.normal() == ref.normal()
+
+
+def _coclosed_by_full_fft(a):
+    """The projection on the full complex spectrum, wave vectors from a
+    meshgrid: the oracle for ``coclosed_project``."""
+    grid = a.grid
+    axes = tuple(range(grid.n_active))
+    spec = np.fft.fftn(a.values.reshape(grid.shape + (7,)), axes=axes)
+    kgrids = np.meshgrid(*([grid.wavenumbers()] * grid.n_active), indexing="ij")
+    kvec = np.zeros(grid.shape + (7,))
+    for i, axis in enumerate(grid.active_axes):
+        kvec[..., axis - 1] = kgrids[i]
+    k2 = np.sum(kvec * kvec, axis=-1)
+    dot = np.sum(kvec * spec, axis=-1)
+    spec = spec - (dot / np.where(k2 > 0, k2, 1.0))[..., None] * kvec
+    spec[(0,) * grid.n_active] = 0.0
+    return np.fft.ifftn(spec, axes=axes).real.reshape(a.values.shape)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid((3,), 16), TorusGrid((2, 6), 8),
+                                  TorusGrid((1, 4, 7), 4), TorusGrid((1, 2), 2)])
+def test_coclosed_project_matches_the_full_fft_formula(grid):
+    """White noise fills every mode, Nyquist and dead modes included."""
+    a = FormField(grid, 1, np.random.default_rng(21).normal(size=(grid.npts, 7)))
+    p = coclosed_project(a)
+    want = _coclosed_by_full_fft(a)
+    assert np.max(np.abs(p.values - want)) <= 1e-14 * np.max(np.abs(want))
+    assert field_l2(codiff(p)) <= 1e-12 * field_l2(a)
+    assert np.max(np.abs(field_mean(p))) <= 1e-15
+    assert np.max(np.abs(coclosed_project(p).values - p.values)) \
+        <= 1e-14 * np.max(np.abs(p.values))
+
+
+# A random field over modes x points arrays on the 6-axis N = 8 grid needs
+# about 2.3 GB; the one-FFT build peaks near 240 MB of address space, the
+# per-mode loop it replaced near 330 MB.
+_ADDRESS_LIMIT = 512 * 2 ** 20
+
+
+def test_largest_cli_grid_builds_a_coclosed_potential_in_bounded_memory():
+    """random_coclosed_potential on the CLI's largest 6-axis grid (N = 8,
+    262,144 points) in a child limited to 512 MiB of address space, one
+    BLAS thread so the limit does not depend on the core count."""
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_LIMIT},) * 2)\n"
+            "import numpy as np\n"
+            "from ddt7 import torus\n"
+            "grid = torus.TorusGrid((1, 2, 3, 4, 5, 6), 8)\n"
+            "pot = torus.random_coclosed_potential(\n"
+            "    grid, torus.Flux.zero(), np.random.default_rng(0))\n"
+            "print(pot.a.values.shape)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "(262144, 7)"
 
 
 def test_flux_background_and_mean():
