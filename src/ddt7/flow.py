@@ -563,85 +563,82 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
 
 # --- per-mode kernel/image probe ----------------------------------------------
 
-# The census first builds the whole box of (2*kmax+1)^7 modes: at kmax = 4
-# it runs in 1.5 GB of address space (597 MiB peak RSS); kmax = 5 needs a
-# 1 GiB array for the box alone and raises MemoryError there.
+# Time, not memory, caps kmax: the census takes about 1.3 s at kmax = 4
+# (3,758 orbits, 76 MiB peak RSS) and 8 s at kmax = 5 (14,860 orbits).
 _KMAX_CAP = 4
 
 
 def kernel_probe(kmax: int) -> dict:
     """Exact per-mode linear algebra for the linearization at a = 0.
 
-    For every integer mode k with 0 < |k|_inf <= kmax, the symbol of
+    For every integer mode k with 0 < |k|_inf <= kmax, the symbol A_k of
     b -> (dx_k ^ b) ^ *phi on 1-forms must have kernel dimension exactly 1
-    (the pure gauge direction span{k}), and its column span must equal the
-    span of {dx_k ^ gamma : gamma a 5-form}.
+    (the pure gauge direction span{k}), and its column span must equal that
+    of B_k, the symbol of gamma -> dx_k ^ gamma on 5-forms: rank A_k ==
+    rank B_k == rank [A_k|B_k].
 
-    Both symbols are linear in k, so the matrices of c*k are c times those
-    of k and, for every integer c != 0, have the same ranks.  Every nonzero
-    mode of the box is c*k for exactly one primitive k (gcd of its entries
-    1, first nonzero entry positive) and one c with 0 < |c| <= kmax //
-    |k|_inf.  So only those representatives are eliminated, and each counts
-    with weight 2 * (kmax // |k|_inf); ``modes``, the histogram and
-    ``image_rank_matches`` are weighted sums over all modes of the box, and
-    ``representatives`` is the number of modes eliminated.
-
-    Two eliminations per mode: one of [B|A] (7x28), whose pivots in the
-    leading 21 columns give rank B and in all of them rank [B|A], and one
-    of A (7x7).  ``bareiss_ranks`` runs them in float64 when Hadamard's
-    bound on the minors proves every value exact: at every admitted kmax,
-    where 2 h^2 is at most 2^47.1 (the kmax = 4 corners), against 2^53.
-    Otherwise, as at kmax = 16, it runs in int64, where every pre-division
-    product ``M * pivot - colvals * pivrow`` must stay below 2^63.  As a
-    margin check the tests find at most 2^59.2, exactly, at kmax = 16, on
-    the 64 corner modes and on seeded modes of the outer shell; Hadamard's
-    bound (2^63.5) is too loose to prove it.
-
-    kmax is capped at 4, so that the whole box of modes fits in memory.
+    Each signed permutation g of ``tables.phi_symmetries()`` fixes phi and
+    *phi and commutes with the Hodge star, so A_{gk} and B_{gk} are A_k and
+    B_k multiplied by signed-permutation matrices and have the same ranks.
+    One mode per orbit is eliminated, exactly on Python ints, and counts
+    with the orbit's size; ``modes``, the histogram and
+    ``image_rank_matches`` are sums over all modes of the box.  ``orbits``
+    is the number of modes eliminated and ``representatives`` the number of
+    lines through the origin (half the primitive modes, gcd 1).
     """
     if kmax < 1:
         raise InputError("kmax must be at least 1")
     if kmax > _KMAX_CAP:
-        raise InputError(f"kmax > {_KMAX_CAP}: the census builds all "
-                         f"(2*kmax+1)^7 modes at once and would not fit in memory")
+        raise InputError(f"kmax must be at most {_KMAX_CAP}")
     T, U = tables.mode_kernel_tensors()
-    UT = np.concatenate([U, T], axis=2)
-    nB = U.shape[2]
-    reps, weights = _mode_representatives(kmax)
-    n_reps = reps.shape[0]
-    kernel_dims = np.empty(n_reps, dtype=np.int64)
-    image_ok = np.empty(n_reps, dtype=bool)
-    chunk = 1024  # 8192 ran field_bulk ~10% slower with twice the peak RSS
-    for lo in range(0, n_reps, chunk):
-        BA = np.einsum("mi,ijc->mjc", reps[lo:lo + chunk], UT)
-        rA = bareiss_ranks(BA[:, :, nB:])
-        rB, rBA = bareiss_ranks(BA, split=nB)
-        kernel_dims[lo:lo + chunk] = 7 - rA
-        image_ok[lo:lo + chunk] = (rA == rB) & (rB == rBA)
-    hist = {int(k): int(weights[kernel_dims == k].sum())
+    reps, sizes = _mode_orbits(kmax)
+    A = np.einsum("mi,ijb->mjb", reps, T)
+    B = np.einsum("mi,ijg->mjg", reps, U)
+    rA = bareiss_ranks(A)
+    rB = bareiss_ranks(B)
+    rAB = bareiss_ranks(np.concatenate([A, B], axis=2))
+    kernel_dims = 7 - rA
+    image_ok = (rA == rB) & (rB == rAB)
+    primitive = np.gcd.reduce(reps, axis=1) == 1
+    hist = {int(k): int(sizes[kernel_dims == k].sum())
             for k in np.unique(kernel_dims)}
     return {
         "kmax": int(kmax),
-        "modes": int(weights.sum()),
-        "representatives": int(n_reps),
+        "modes": int(sizes.sum()),
+        "representatives": int(sizes[primitive].sum()) // 2,
+        "orbits": len(reps),
         "kernel_dim_histogram": hist,
         "kernel_all_dim_one": bool(np.all(kernel_dims == 1)),
-        "image_rank_matches": int(weights[image_ok].sum()),
+        "image_rank_matches": int(sizes[image_ok].sum()),
         "image_all_match": bool(np.all(image_ok)),
         "backend": backend_name(),
         "all_pass": bool(np.all(kernel_dims == 1) and np.all(image_ok)),
     }
 
 
-def _mode_representatives(kmax: int):
-    """One mode per line through the origin, with the number of nonzero
-    modes of the box on that line: the primitive modes with |k|_inf <= kmax
-    whose first nonzero entry is positive, and weights 2 * (kmax // |k|_inf).
+def _mode_orbits(kmax: int):
+    """One mode per orbit of ``tables.phi_symmetries()`` on the nonzero
+    modes with |k|_inf <= kmax, and the orbit sizes.
+
+    Sweeps the codes sum_i (k_i + kmax) (2 kmax + 1)^i in order with one
+    bool per code; each unseen code starts an orbit, whose images are
+    marked seen.  Each orbit is enumerated once, and no array of all modes
+    is built.
     """
-    side = np.arange(-kmax, kmax + 1, dtype=np.int64)
-    modes = np.stack(np.meshgrid(*([side] * 7), indexing="ij"),
-                     axis=-1).reshape(-1, 7)
-    lead = modes[np.arange(modes.shape[0]), np.argmax(modes != 0, axis=1)]
-    reps = modes[(lead > 0) & (np.gcd.reduce(modes, axis=1) == 1)]
-    weights = 2 * (kmax // np.abs(reps).max(axis=1))
-    return reps, weights
+    perms, signs = tables.phi_symmetries()
+    side = 2 * kmax + 1
+    place = side ** np.arange(7)
+    seen = np.zeros(side ** 7, dtype=bool)
+    seen[kmax * place.sum()] = True  # the zero mode
+    reps, sizes = [], []
+    code = 0
+    while True:
+        code += int(np.argmin(seen[code:]))
+        if seen[code]:
+            break
+        k = code // place % side - kmax
+        images = np.unique((signs * k[perms] + kmax) @ place)
+        seen[images] = True
+        reps.append(k)
+        sizes.append(len(images))
+    return np.array(reps), np.array(sizes)

@@ -42,66 +42,32 @@ def hodge_fields(A, tgt, sgn, dim_out):
     return out
 
 
-def bareiss_ranks(mats, split=None):
-    """Exact ranks of a batch of integer matrices, fraction-free elimination.
-
-    With ``split``, returns the pair (ranks of the leading ``split``
-    columns, ranks): the pivots found in the leading columns are their rank.
-
-    The one elimination loop runs in float64 with true division when
-    ``_exact_dtype`` proves every value it forms exact, else in int64 with
-    floor division.  Either way each written entry is a minor of the input
-    and each Bareiss quotient an exact integer.
-    """
-    M = np.asarray(mats, dtype=np.int64)
-    return _bareiss(M.astype(_exact_dtype(M)), split)
+def bareiss_ranks(mats):
+    """Exact ranks of a batch of integer matrices, fraction-free elimination
+    on Python ints (object dtype), so no entry can overflow."""
+    return _bareiss(np.array(mats, dtype=object))
 
 
-# log2 of the largest minor bound h with 2 h^2 < 2^53, less a margin for the
-# rounding of the column norms (relative error far below 1e-12)
-_FLOAT_LOG2_H = 26.0 - 1e-9
-
-
-def _exact_dtype(mats):
-    """float64 when every Bareiss value of every matrix is an exact float64
-    integer, else int64.
-
-    h, Hadamard's bound over the min(rows, cols) largest column norms, each
-    taken as at least 1, bounds every minor.  Every entry the elimination
-    forms, written or discarded, is a minor or a pre-division product
-    ``M * pivot - colvals * pivrow`` of minors, so at most 2 h^2; below
-    2^53 each is an exact float64 integer and nothing overflows.
-    """
-    nr, nc = mats.shape[1:]
-    norms = np.sqrt(np.square(mats, dtype=np.float64).sum(axis=1))
-    top = np.sort(norms, axis=1)[:, nc - min(nr, nc):]
-    log2_h = np.log2(np.maximum(top, 1.0)).sum(axis=1)
-    return np.float64 if np.all(log2_h < _FLOAT_LOG2_H) else np.int64
-
-
-def _bareiss(M, split=None):
-    """``bareiss_ranks`` on M, eliminated in place in M's own dtype.
+def _bareiss(M):
+    """``bareiss_ranks`` on M, eliminated in place in M's own integer dtype.
 
     Vectorized over the batch with a per-matrix row pointer, since matrices
     may skip pivot columns independently.  Each step updates only columns
     ``col:`` (in the rows still being eliminated, and in the pivot row,
     every column left of ``col`` is already zero) and only rows below the
     lowest row pointer among the matrices that found a pivot.  Rows at or
-    above a matrix's own pivot are computed but not written.  In int64 the
-    pre-division products must stay below 2^63, which the caller bounds;
-    wrapped products can appear in the discarded lanes, and only the
-    written lanes are exact.
+    above a matrix's own pivot are computed but not written.  Each written
+    entry is a minor of the input and each Bareiss quotient exact.  In a
+    fixed-width dtype the pre-division products must stay in range, which
+    the caller bounds; wrapped products can appear in the discarded lanes,
+    and only the written lanes are exact.
     """
     nb, nr, nc = M.shape
-    divide = np.floor_divide if M.dtype.kind == "i" else np.true_divide
     r = np.zeros(nb, dtype=np.int64)
-    r_split = None
     prev = np.ones(nb, dtype=M.dtype)
     batch = np.arange(nb)
     rows = np.arange(nr)
     for col in range(nc):
-        if col == split:
-            r_split = r
         cand = (M[:, :, col] != 0) & (rows[None, :] >= r[:, None])
         piv = np.argmax(cand, axis=1)
         act = cand[batch, piv]
@@ -118,14 +84,12 @@ def _bareiss(M, split=None):
         sub = M[:, top:, col:]
         upd = sub * pivot
         upd -= sub[:, :, :1] * pivrow[:, None, :]
-        divide(upd, prev[:, None, None], out=upd)
+        np.floor_divide(upd, prev[:, None, None], out=upd)
         elim = act[:, None] & (rows[None, top:] > r[:, None])
         np.copyto(sub, upd, where=elim[:, :, None])
         prev = np.where(act, pivrow[:, 0], prev)
         r = r + act
-    if split is None:
-        return r
-    return (r if r_split is None else r_split), r
+    return r
 
 
 def backend_name() -> str:

@@ -6,12 +6,14 @@ path share one source of truth.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from . import g2
-from .exalg import KForm, blades, hodge_table, wedge, wedge_table
+from .exalg import blades, hodge_table, wedge_table
+from .scalars import RATIONAL
 
 
 @lru_cache(maxsize=None)
@@ -89,20 +91,43 @@ def mode_kernel_tensors():
     For an integer mode k, the Fourier symbol of b |-> (dx_k ^ b) ^ *phi on
     1-form coefficients is A_k = sum_i k_i T[i]  (7x7), and the symbol of
     g |-> dx_k ^ g on 5-form coefficients is B_k = sum_i k_i U[i]  (7x21).
-    Rows index 6-form blades.
+    Rows index 6-form blades.  T's entries are 0 and +-1, so its cast from
+    the float weight tensor is exact.
     """
-    one = g2.standard()
-    T = np.zeros((7, 7, 7), dtype=np.int64)
+    star_phi = [int(c) for c in g2.star_phi_for(RATIONAL).coeffs]
+    T = np.tensordot(star_phi, mode_weight_tensor(), 1).astype(np.int64)
+    ii, jj, oo, ss = wedge_arrays(7, 1, 5)
     U = np.zeros((7, 7, 21), dtype=np.int64)
-    ring = one.star_phi.ring
-    for i in range(7):
-        ei = KForm.from_blades(7, 1, {(i + 1,): 1}, ring)
-        for b in range(7):
-            eb = KForm.from_blades(7, 1, {(b + 1,): 1}, ring)
-            out = wedge(wedge(ei, eb), one.star_phi)
-            T[i, :, b] = [int(c) for c in out.coeffs]
-        for gpos, gblade in enumerate(blades(7, 5)):
-            eg = KForm.from_blades(7, 5, {gblade: 1}, ring)
-            out = wedge(ei, eg)
-            U[i, :, gpos] = [int(c) for c in out.coeffs]
+    U[ii, oo, jj] = ss  # e_i ^ g for a 5-blade g, each (i, g) pair once
     return T, U
+
+
+@lru_cache(maxsize=1)
+def phi_symmetries():
+    """The 1344 signed permutations x -> signs * x[perms] that fix phi.
+
+    Returns read-only (perms, signs), each (1344, 7) int64, identity
+    first.  Derived from the 7 blades of ``g2.PHI_BLADES`` alone: the
+    permutation must map every Fano line (the support of a blade, as a bit
+    set) to a Fano line, and on each line the product of the signs, times
+    the parity of the line's image in its permuted order, must turn the
+    blade's coefficient into its image's.  The group is 2^3.GL(3,2) inside
+    G2; each element also fixes *phi and commutes with the Hodge star.
+    """
+    lines = np.array(sorted(g2.PHI_BLADES)) - 1
+    coef = np.array([g2.PHI_BLADES[b] for b in sorted(g2.PHI_BLADES)])
+    by_mask = np.zeros(1 << 7, dtype=np.int64)
+    by_mask[(1 << lines).sum(axis=1)] = coef
+    perms = np.array(list(itertools.permutations(range(7))))
+    perms = perms[np.all(by_mask[(1 << perms[:, lines]).sum(axis=-1)] != 0, axis=1)]
+    img = perms[:, lines]
+    a, b, c = np.moveaxis(img, -1, 0)
+    parity = np.sign((b - a) * (c - a) * (c - b))
+    want = by_mask[(1 << img).sum(axis=-1)] * parity * coef
+    signs = np.array(list(itertools.product((1, -1), repeat=7)))
+    pi, si = np.nonzero(np.all(signs[:, lines].prod(axis=-1) == want[:, None],
+                               axis=-1))
+    out = perms[pi], signs[si]
+    for a in out:
+        a.flags.writeable = False
+    return out

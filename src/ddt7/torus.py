@@ -201,12 +201,13 @@ class FormField:
             raise InputError("fields live on different grids or degrees")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _spectral_k(grid: TorusGrid) -> np.ndarray:
     """The integer frequency k of each real-FFT mode, (nspec, 7) int64.
 
     Zero on inactive axes and at the Nyquist frequency.  The real FFT
-    halves the last active axis, whose frequencies are 0..N/2.
+    halves the last active axis, whose frequencies are 0..N/2.  A table
+    takes 9 MiB at 262,144 points, so the cache keeps only recent grids.
     """
     kline = grid.wavenumbers()
     lines = [kline] * (grid.n_active - 1) + [kline[:grid.N // 2 + 1]]
@@ -416,13 +417,6 @@ class Flux:
     @staticmethod
     def zero() -> "Flux":
         return Flux((0,) * 21)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((7, 7), dtype=np.int64)
-        for (i, j), v in zip(blades(7, 2), self.upper):
-            m[i - 1, j - 1] = v
-            m[j - 1, i - 1] = -v
-        return m
 
     def form(self, ring=RATIONAL) -> KForm:
         """The integer 2-form (without the 2*pi)."""

@@ -2,15 +2,20 @@
 calibrated-background solve, scale continuation, and the per-mode probe."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddt7 import ddt, flow, kernels, tables, torus
+from ddt7 import ddt, exalg, flow, kernels, tables, torus
 from ddt7.errors import (DegenerateMetricError, InputError, NonFiniteError,
                          NumericalError, ObstructionError)
-from ddt7.exalg import blades
+from ddt7.exalg import Endo, KForm, blades, wedge
 from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, ascent_field,
                        continuation, cylinder_check, cylinder_check_samples,
                        flow_run, flow_step, instanton_solve, kernel_probe)
@@ -19,8 +24,8 @@ from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
                         field_mean, kl_functional, random_coclosed_potential,
                         random_field, residual_field, wedge_const,
                         zero_potential)
-from ddt7.g2 import star_phi_for
-from ddt7.scalars import FLOAT
+from ddt7.g2 import phi_for, star_phi_for
+from ddt7.scalars import FLOAT, RATIONAL
 
 GRID = TorusGrid((1, 2), 4)
 CALIBRATED = Flux.from_entries({(1, 2): 1, (4, 7): 1})
@@ -292,6 +297,27 @@ def test_mode_weight_tensor_at_star_phi_is_the_probe_tensor():
     assert np.array_equal(T, tables.mode_kernel_tensors()[0])
 
 
+def test_mode_kernel_tensors_match_exact_wedges():
+    """T and U from the wedge tables against 196 exact ``KForm`` wedges."""
+    ring = RATIONAL
+    star_phi = star_phi_for(ring)
+    T = np.zeros((7, 7, 7), dtype=np.int64)
+    U = np.zeros((7, 7, 21), dtype=np.int64)
+    for i in range(7):
+        ei = KForm.from_blades(7, 1, {(i + 1,): 1}, ring)
+        for b in range(7):
+            eb = KForm.from_blades(7, 1, {(b + 1,): 1}, ring)
+            out = wedge(wedge(ei, eb), star_phi)
+            T[i, :, b] = [int(c) for c in out.coeffs]
+        for gpos, gblade in enumerate(blades(7, 5)):
+            out = wedge(ei, KForm.from_blades(7, 5, {gblade: 1}, ring))
+            U[i, :, gpos] = [int(c) for c in out.coeffs]
+    got_T, got_U = tables.mode_kernel_tensors()
+    assert got_T.dtype == got_U.dtype == np.int64
+    assert np.array_equal(got_T, T)
+    assert np.array_equal(got_U, U)
+
+
 @pytest.mark.parametrize("grid", [GRID, TorusGrid((1, 2, 3), 8)])
 def test_inner_solves_at_s0_stop_at_once(grid):
     """W = -*phi exactly at s = 0, so the preconditioner is J^T J's inverse."""
@@ -377,6 +403,12 @@ def test_continuation_validation():
         continuation(CALIBRATED, grid=GRID, initial=other)
 
 
+# kmax: (orbits, representatives), the latter the lines through the origin
+# that the census counted before it worked by orbit
+CENSUS_COUNTS = {1: (10, 1093), 2: (94, 37969), 3: (708, 409585),
+                 4: (3758, 2351329)}
+
+
 def test_kernel_probe_all_modes_once():
     out = kernel_probe(1)
     assert out["modes"] == 3 ** 7 - 1
@@ -386,7 +418,7 @@ def test_kernel_probe_all_modes_once():
     assert out["image_all_match"]
     assert out["all_pass"]
     assert out["backend"] == "numpy"
-    assert out["representatives"] == 1093
+    assert (out["orbits"], out["representatives"]) == CENSUS_COUNTS[1]
     with pytest.raises(InputError):
         kernel_probe(0)
     with pytest.raises(InputError):
@@ -395,8 +427,7 @@ def test_kernel_probe_all_modes_once():
 
 def _kernel_probe_all_modes(kmax):
     """The census on every nonzero mode of the box, three int64
-    eliminations per mode whatever the minor bound: the oracle for the
-    census on representatives."""
+    eliminations per mode: the oracle for the census by orbits."""
     T, U = tables.mode_kernel_tensors()
     side = np.arange(-kmax, kmax + 1, dtype=np.int64)
     modes = np.stack(np.meshgrid(*([side] * 7), indexing="ij"),
@@ -433,22 +464,153 @@ def test_kernel_probe_matches_all_modes(kmax):
     assert {key: got[key] for key in want} == want
 
 
+@pytest.mark.parametrize("kmax", [2, 3])
+def test_kernel_probe_counts_by_orbit(kmax):
+    modes = (2 * kmax + 1) ** 7 - 1
+    out = kernel_probe(kmax)
+    assert (out["orbits"], out["representatives"]) == CENSUS_COUNTS[kmax]
+    assert out["modes"] == modes
+    assert out["kernel_dim_histogram"] == {1: modes}
+    assert out["image_rank_matches"] == modes
+    assert out["all_pass"]
+
+
+def test_kernel_probe_at_the_cap_in_bounded_memory():
+    """kernel_probe at kmax = 4 (4,782,968 modes) in a child limited to
+    512 MiB of address space, one BLAS thread so the limit does not depend
+    on the core count."""
+    kmax = flow._KMAX_CAP
+    modes = (2 * kmax + 1) ** 7 - 1
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({512 << 20},) * 2)\n"
+            "import json\n"
+            "from ddt7 import flow\n"
+            f"print(json.dumps(flow.kernel_probe({kmax})))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600, env=env)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert (out["orbits"], out["representatives"]) == CENSUS_COUNTS[kmax]
+    assert out["modes"] == out["image_rank_matches"] == modes
+    assert out["kernel_dim_histogram"] == {"1": modes}
+    assert out["all_pass"]
+
+
+def _signed_perm_matrix(p, s):
+    """R with R x = s * x[p]."""
+    R = np.zeros((7, 7), dtype=np.int64)
+    R[np.arange(7), p] = s
+    return R
+
+
+def _pullback_matrix(R, k, cols=None):
+    """M (or its columns ``cols``) with R^* a = M a on k-form coefficients:
+    M[J, I] = det R[I, J], ``exalg.pullback``'s formula, rounded; every
+    minor of a signed permutation matrix is 0 or +-1, which LU with
+    pivoting finds exactly."""
+    bl = np.array(blades(7, k)) - 1
+    rows = bl if cols is None else bl[cols]
+    minors = R[rows[None, :, :, None], bl[:, None, None, :]]
+    return np.rint(np.linalg.det(minors)).astype(np.int64)
+
+
+def _exact_pullback_matrix(R, k):
+    ring = RATIONAL
+    E = Endo.from_rows(7, R.tolist(), ring)
+    cols = [exalg.pullback(E, KForm.from_blades(7, k, {b: 1}, ring)).coeffs
+            for b in blades(7, k)]
+    return np.array([[int(c) for c in col] for col in cols]).T
+
+
+def test_phi_symmetries_are_the_group_fixing_phi():
+    perms, signs = tables.phi_symmetries()
+    assert perms.shape == signs.shape == (1344, 7)
+    keys = {(tuple(p), tuple(s)) for p, s in zip(perms, signs)}
+    assert len(keys) == 1344
+    assert (tuple(range(7)), (1,) * 7) in keys
+    assert len({tuple(p) for p in perms}) == 168
+    assert np.count_nonzero(np.all(perms == np.arange(7), axis=1)) == 8
+    # closed under composition: (s1, p1) after (s2, p2) is
+    # x -> s1 * s2[p1] * x[p2[p1]]
+    p12 = np.take_along_axis(perms[None, :, :], perms[:, None, :], axis=2)
+    s12 = signs[:, None, :] * np.take_along_axis(signs[None, :, :],
+                                                 perms[:, None, :], axis=2)
+    code = lambda p, s: ((2 * p + (s < 0)) * 14 ** np.arange(7)).sum(axis=-1)
+    assert np.isin(code(p12, s12), code(perms, signs)).all()
+    # every element fixes phi and *phi under the numpy pullback, which
+    # exalg.pullback confirms exactly on a seeded sample
+    phi = np.array([int(c) for c in phi_for(RATIONAL).coeffs])
+    star_phi = np.array([int(c) for c in star_phi_for(RATIONAL).coeffs])
+    for p, s in zip(perms, signs):
+        R = _signed_perm_matrix(p, s)
+        for k, form in ((3, phi), (4, star_phi)):
+            nz = np.flatnonzero(form)
+            assert np.array_equal(_pullback_matrix(R, k, nz) @ form[nz], form)
+    rng = np.random.default_rng(17)
+    for e in [0, *rng.choice(1344, 4, replace=False)]:
+        E = Endo.from_rows(7, _signed_perm_matrix(perms[e], signs[e]).tolist(),
+                           RATIONAL)
+        assert exalg.pullback(E, phi_for(RATIONAL)) == phi_for(RATIONAL)
+        assert exalg.pullback(E, star_phi_for(RATIONAL)) == star_phi_for(RATIONAL)
+
+
+def _equivariant(p, s, ks):
+    """A_k M1 == M6 A_{s*k[p]} and B_k M5 == M6 B_{s*k[p]} for each k."""
+    T, U = tables.mode_kernel_tensors()
+    R = _signed_perm_matrix(p, s)
+    M1, M5, M6 = (_pullback_matrix(R, k) for k in (1, 5, 6))
+    gks = s * ks[:, p]
+    return all(np.array_equal(np.tensordot(k, T, 1) @ M1,
+                              M6 @ np.tensordot(gk, T, 1))
+               and np.array_equal(np.tensordot(k, U, 1) @ M5,
+                                  M6 @ np.tensordot(gk, U, 1))
+               for k, gk in zip(ks, gks))
+
+
+def test_census_symbols_are_equivariant_under_phi_symmetries():
+    """The exact integer identity that makes both ranks constant on orbits,
+    for every element; the pullback matrices are checked against
+    exalg.pullback on a seeded sample."""
+    perms, signs = tables.phi_symmetries()
+    rng = np.random.default_rng(23)
+    ks = rng.integers(-4, 5, size=(3, 7))
+    assert all(_equivariant(p, s, ks) for p, s in zip(perms, signs))
+    for e in rng.choice(1344, 3, replace=False):
+        R = _signed_perm_matrix(perms[e], signs[e])
+        for k in (1, 5, 6):
+            assert np.array_equal(_pullback_matrix(R, k),
+                                  _exact_pullback_matrix(R, k))
+    # control: swapping axes 1 and 2 does not fix phi, and the identity fails
+    swap = np.array([1, 0, 2, 3, 4, 5, 6])
+    assert not _equivariant(swap, np.ones(7, dtype=np.int64), ks)
+
+
 @pytest.mark.parametrize("kmax", [1, 2, 3])
-def test_mode_representatives_partition_the_box(kmax):
-    # every nonzero mode of the box is c * rep for exactly one pair
-    reps, weights = flow._mode_representatives(kmax)
-    assert weights.sum() == (2 * kmax + 1) ** 7 - 1
-    multiples = []
-    for c in range(1, kmax + 1):
-        line = reps[c * np.abs(reps).max(axis=1) <= kmax]
-        multiples += [c * line, -c * line]
-    multiples = np.concatenate(multiples)
-    assert len(multiples) == weights.sum()
-    assert np.abs(multiples).max() <= kmax
-    codes = (multiples + kmax) @ (2 * kmax + 1) ** np.arange(7)
-    box = np.arange((2 * kmax + 1) ** 7)
-    zero = (kmax * (2 * kmax + 1) ** np.arange(7)).sum()
-    assert np.array_equal(np.sort(codes), box[box != zero])
+def test_mode_orbits_partition_the_box(kmax):
+    # every nonzero mode of the box lies in exactly one orbit, and each
+    # orbit is the group's image of any of its members
+    perms, signs = tables.phi_symmetries()
+    reps, sizes = flow._mode_orbits(kmax)
+    side = 2 * kmax + 1
+    place = side ** np.arange(7)
+    assert sizes.sum() == side ** 7 - 1
+    assert np.abs(reps).max() <= kmax and np.all(np.any(reps != 0, axis=1))
+    orbit_of = np.full(side ** 7, -1)
+    rng = np.random.default_rng(kmax)
+    for n, (k, size) in enumerate(zip(reps, sizes)):
+        codes = np.unique((signs * k[perms] + kmax) @ place)
+        assert len(codes) == size
+        assert np.all(orbit_of[codes] == -1)
+        orbit_of[codes] = n
+        member = codes[rng.integers(size)] // place % side - kmax
+        assert np.array_equal(np.unique((signs * member[perms] + kmax) @ place),
+                              codes)
+    assert np.count_nonzero(orbit_of == -1) == 1  # the zero mode
+    assert orbit_of[kmax * place.sum()] == -1
 
 
 def _bareiss_exact(mat):
@@ -483,10 +645,11 @@ def test_kernel_probe_refuses_kmax_above_cap():
 
 
 def test_census_int64_bound_at_kmax_16():
-    # a margin check on bareiss_ranks: the census refuses kmax above
-    # flow._KMAX_CAP (4), yet even at kmax = 16 every pre-division product
-    # of every matrix it would eliminate fits in int64.  Corner modes carry
-    # the largest entries; seeded modes on the outer shell cover the rest.
+    # a margin check on the int64 elimination of the all-modes oracle
+    # (_kernel_probe_all_modes runs kernels._bareiss in int64): even at
+    # kmax = 16, four times flow._KMAX_CAP, every pre-division product of
+    # every census matrix fits in int64.  Corner modes carry the largest
+    # entries; seeded modes on the outer shell cover the rest.
     T, U = tables.mode_kernel_tensors()
     signs = np.array(list(itertools.product((1, -1), repeat=6)))
     corners = 16 * np.hstack([np.ones((64, 1), np.int64), signs])
@@ -502,61 +665,6 @@ def test_census_int64_bound_at_kmax_16():
         assert kernels.bareiss_ranks(mats).tolist() == [e[0] for e in exact]
         peak = max(peak, max(e[1] for e in exact))
     assert peak < 2 ** 63
-
-
-def _census_mats(modes):
-    """[B|A] per mode, the stack kernel_probe eliminates; A is [:, :, 21:]."""
-    T, U = tables.mode_kernel_tensors()
-    return np.einsum("mi,ijc->mjc", modes, np.concatenate([U, T], axis=2))
-
-
-def _corner_modes(kmax):
-    signs = np.array(list(itertools.product((1, -1), repeat=6)))
-    return kmax * np.hstack([np.ones((64, 1), np.int64), signs])
-
-
-def test_census_float64_bound_covers_every_admitted_kmax():
-    # each column norm of [B|A] is a convex function of k, so over the box
-    # |k|_inf <= kmax it peaks at a corner (and k, -k give equal norms):
-    # Hadamard's bound over the 7 largest corner peaks bounds every minor of
-    # every mode's [B|A], and of its A, whose columns are among them
-    BA = _census_mats(_corner_modes(flow._KMAX_CAP))
-    peaks = np.sqrt(np.square(BA, dtype=np.float64).sum(axis=1)).max(axis=0)
-    log2_h = np.log2(np.sort(peaks)[-7:]).sum()
-    assert 2 * log2_h + 1 < 53
-    assert kernels._exact_dtype(BA) == np.float64
-    assert kernels._exact_dtype(BA[:, :, 21:]) == np.float64
-    # the kmax = 16 corners of the int64 margin test stay on int64
-    BA = _census_mats(_corner_modes(16))
-    assert kernels._exact_dtype(BA) == np.int64
-    assert kernels._exact_dtype(BA[:, :, 21:]) == np.int64
-
-
-def _census_modes(name):
-    if name == "kmax2-representatives":
-        return flow._mode_representatives(2)[0]
-    rng = np.random.default_rng(4)
-    shell = rng.integers(-4, 5, size=(200, 7))
-    shell[np.arange(200), rng.integers(0, 7, 200)] = rng.choice((-4, 4), 200)
-    return np.concatenate([_corner_modes(4), shell])
-
-
-@pytest.mark.parametrize("name", ["kmax2-representatives",
-                                  "kmax4-corners-and-shell"])
-def test_census_float64_ranks_equal_int64(name):
-    # the census's float64 eliminations, [B|A] with its split and A alone,
-    # against the same loop run in int64 on the same matrices
-    modes = _census_modes(name)
-    for lo in range(0, len(modes), 4096):
-        BA = _census_mats(modes[lo:lo + 4096])
-        A = BA[:, :, 21:]
-        assert kernels._exact_dtype(BA) == np.float64
-        got_B, got_BA = kernels.bareiss_ranks(BA, split=21)
-        want_B, want_BA = kernels._bareiss(BA.astype(np.int64), split=21)
-        assert np.array_equal(got_B, want_B)
-        assert np.array_equal(got_BA, want_BA)
-        assert np.array_equal(kernels.bareiss_ranks(A),
-                              kernels._bareiss(A.astype(np.int64)))
 
 
 def test_mode_symbol_kernel_is_pure_gauge():

@@ -80,18 +80,6 @@ def test_bareiss_leading_zero_columns_and_late_pivots():
         assert len(set(want)) > 2
 
 
-def test_bareiss_split_gives_the_rank_of_the_leading_columns():
-    rng = np.random.default_rng(34)
-    mats = rng.integers(-4, 5, size=(15, 7, 28)).astype(np.int64)
-    mats[::3, 3:, :21] = 0  # leading ranks at most 3, full ranks 7
-    mats[1::3, :, 5:12] = 0
-    want = [_rank_fraction(m) for m in mats]
-    for split in (0, 5, 21, 28):
-        head, full = kernels.bareiss_ranks(mats, split=split)
-        assert head.tolist() == [_rank_fraction(m[:, :split]) for m in mats]
-        assert full.tolist() == want
-
-
 def test_wedge_hodge_kernels_match_tables():
     rng = np.random.default_rng(32)
     ii, jj, oo, ss = tables.wedge_arrays(7, 2, 2)
