@@ -27,10 +27,9 @@ from .exalg import blades, wedge
 from .kernels import backend_name, bareiss_ranks, wedge_fields
 from .scalars import FLOAT, RATIONAL
 from .torus import (Flux, FormField, GaugePotential, TorusGrid, _apply_modes,
-                    _finite_field, _finite_value, _spectral_k, codiff,
-                    curvature, d, field_inner, field_l2, field_mean,
-                    kl_segment_integral, wedge_const, wedge_field,
-                    zero_potential)
+                    _finite_field, _finite_value, _kl_segment, _spectral_k,
+                    codiff, curvature, d, field_inner, field_l2, field_mean,
+                    wedge_const, wedge_field, zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
@@ -62,7 +61,7 @@ def _ascent(pot: GaugePotential, theta_min: float, stage=None) -> FormField:
         stage = E, E2, ddt._theta(E2)
     E, E2, theta = stage
     _theta_guard(pot.grid, theta, theta_min)
-    return FormField._of(pot.grid, 1, ddt._eta(E, E2).values / theta[:, None])
+    return FormField._of(pot.grid, 1, ddt._eta(E, E2).coeffs / theta)
 
 
 def ascent_field(pot: GaugePotential, theta_min: float = 1e-3) -> FormField:
@@ -152,13 +151,20 @@ def _finite(where: str):
 def _diagnostics(pot: GaugePotential):
     """(kl_functional, residual L2 norm, min theta, (E, E ^ E, theta)),
     sharing one d(a); the last is the next step's first stage.  The three
-    floats are checked for inf and NaN."""
+    floats are checked for inf and NaN.
+
+    With D = d(a) and the constant background B, E = D + B and
+    E ^ E = D ^ D + 2 (B ^ D) + B ^ B, so the D ^ D and B ^ B that the
+    functional's segment integral forms are shared, and squaring E takes
+    one constant wedge instead of a field wedge."""
     background = pot.flux.background_form()
     D = d(pot.a)
+    DD = wedge_field(D, D)
+    BB = wedge(background, background)
     E = D + background
-    E2 = wedge_field(E, E)
+    E2 = DD + wedge_const(D, background * 2.0) + BB
     theta = ddt._theta(E2)
-    return (_finite_value(kl_segment_integral(background, D, pot.a), "functional"),
+    return (_finite_value(_kl_segment(background, BB, D, DD, pot.a), "functional"),
             _finite_value(field_l2(ddt._residual(E, E2, 1.0 / 6.0)),
                           "residual norm"),
             _finite_value(float(np.min(theta)), "min theta"),
@@ -272,7 +278,7 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
     pot = zero_potential(grid, flux)
     w = _finite_field(wedge_const(curvature(pot), g2.star_phi_for(FLOAT)),
                       "the instanton system's right-hand side")
-    if np.any(np.ptp(w.values, axis=0) > 1e-9):
+    if np.any(np.ptp(w.coeffs, axis=1) > 1e-9):
         raise NumericalError("instanton system has a nonzero mode right-hand "
                              "side; only quantized constant flux backgrounds "
                              "are supported")
@@ -345,12 +351,12 @@ class _ScaledSystem:
         The adjoint of the mean block sends mu to the constant field mu.
         """
         out = codiff(_wedge_by_w_adjoint(w6, W)) + d(w0)
-        return FormField._of(self.grid, 1, out.values + mu)
+        return FormField._of(self.grid, 1, out.coeffs + mu[:, None])
 
 
 def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
     """Adjoint of the pointwise map x (2-form) -> x ^ W, W a fixed 4-form."""
-    vals = wedge_fields(y.values, W.values, *tables.wedge_adjoint_arrays(7, 2, 4),
+    vals = wedge_fields(y.coeffs, W.coeffs, *tables.wedge_adjoint_arrays(7, 2, 4),
                         len(blades(7, 2)))
     return FormField._of(y.grid, 2, vals)
 
@@ -394,7 +400,8 @@ def _mean_w_inverse(grid: TorusGrid, W: FormField):
     norm1 = [np.abs(m).sum(axis=1).max(axis=1) for m in (blocks, inv)]
     if not np.all(norm1[0] * norm1[1] <= _MAX_BLOCK_COND):
         return None
-    return lambda spec: np.einsum("mab,mb->ma", inv, spec)
+    inv = np.ascontiguousarray(inv.transpose(1, 2, 0))  # mode axis last, as in spec
+    return lambda spec: np.einsum("abm,bm->am", inv, spec)
 
 
 @dataclass(frozen=True)
@@ -473,9 +480,9 @@ def _mean_sector_obstructed(system: _ScaledSystem, W: FormField,
     zmean = np.zeros(7)
     adj = []
     for j in range(7):
-        unit = np.zeros(7)
+        unit = np.zeros((7, system.grid.npts))
         unit[j] = 1.0
-        cf = FormField._of(system.grid, 6, np.tile(unit, (system.grid.npts, 1)))
+        cf = FormField._of(system.grid, 6, unit)
         adj.append(system.apply_jt(W, cf, zero0, zmean))
     G = np.array([[field_inner(adj[i], adj[j]) for j in range(7)]
                   for i in range(7)])

@@ -1,6 +1,8 @@
-"""Batched grid kernels, numpy only.  Fields are (npts, ncoeffs) arrays and
-tables come from ``tables``.  ``wedge_fields`` is the one loop over wedge
-table entries: ``torus.wedge_field`` and the CG adjoint in ``flow`` use it.
+"""Batched grid kernels, numpy only.  Fields are coefficient-major
+(n_coeffs, npts) arrays, one contiguous row per blade, and tables come from
+``tables``.  ``wedge_fields`` is the one loop over wedge table entries:
+``torus.wedge_field`` and the CG adjoint in ``flow`` use it.
+``hodge_fields`` is a signed row gather.
 """
 from __future__ import annotations
 
@@ -11,34 +13,36 @@ _BLOCK_BYTES = 1 << 17
 
 
 def wedge_fields(A, B, ii, jj, ss, dim_out):
-    """out[p, o] = sum_e ss[e] * A[p, ii[e]] * B[p, jj[e]] over o's entries.
+    """out[o, p] = sum_e ss[e] * A[ii[e], p] * B[jj[e], p] over o's entries.
 
     The table must be grouped by output: entries o*m .. o*m + m - 1 belong
     to output o, m = len(ii) // dim_out, as ``tables.wedge_arrays`` orders
-    them, so no output column is passed.  Each block of points gathers the
-    entry products in coefficient-major layout and sums every output's m
-    products with their signs as one stacked (1 x m)(m x points) product.
-    The result dtype follows the inputs.
+    them, so no output row is passed.  Each block of points gathers the
+    entry products as rows and sums every output's m products with their
+    signs as one stacked (1 x m)(m x points) product, written in place into
+    the output's block.  The result dtype follows the inputs.
     """
-    npts = A.shape[0]
+    npts = A.shape[1]
     m = len(ii) // dim_out
     dtype = np.result_type(A, B)
-    At = np.ascontiguousarray(A.T, dtype=dtype)
-    Bt = np.ascontiguousarray(B.T)
+    A = A.astype(dtype, copy=False)
     signs = np.asarray(ss, dtype=dtype).reshape(dim_out, 1, m)
-    out = np.empty((npts, dim_out), dtype)
+    out = np.empty((dim_out, npts), dtype)
     block = max(1, _BLOCK_BYTES // (len(ii) * out.itemsize))
     for lo in range(0, npts, block):
-        prod = At[ii, lo:lo + block]
-        prod *= Bt[jj, lo:lo + block]
-        prod = prod.reshape(dim_out, m, -1)
-        out[lo:lo + block] = np.matmul(signs, prod)[:, 0].T
+        hi = min(lo + block, npts)
+        prod = A[ii, lo:hi]
+        prod *= B[jj, lo:hi]
+        np.matmul(signs, prod.reshape(dim_out, m, -1), out=out[:, None, lo:hi])
     return out
 
 
-def hodge_fields(A, tgt, sgn, dim_out):
-    out = np.empty((A.shape[0], dim_out))
-    out[:, tgt] = A * sgn
+def hodge_fields(A, src, sgn):
+    """out[o] = sgn[o] * A[src[o]]: the Hodge star as a signed row gather,
+    from the gather form ``tables.hodge_gather``.  The sign is applied in
+    place to the gathered copy, never to A."""
+    out = A[src]
+    out *= sgn[:, None]
     return out
 
 

@@ -50,6 +50,17 @@ def hodge_arrays(n: int, k: int):
     return np.ascontiguousarray(t[:, 0]), np.ascontiguousarray(t[:, 1])
 
 
+@lru_cache(maxsize=None)
+def hodge_gather(n: int, k: int):
+    """The Hodge table in gather form: (source, sign) per target blade, so
+    that *(f)[o] = sign[o] * f[source[o]]; source int64, sign float64.  The
+    star maps k-blades one to one onto (n-k)-blades, so the source is the
+    inverse of ``hodge_arrays``' target permutation."""
+    tgt, sgn = hodge_arrays(n, k)
+    src = np.argsort(tgt)
+    return src, sgn[src].astype(np.float64)
+
+
 @lru_cache(maxsize=256)
 def wedge_const_matrix(n: int, p: int, q: int, const_coeffs: tuple) -> np.ndarray:
     """Matrix M with (f ^ c)_out = sum_i M[out, i] f_i for the fixed q-form c.

@@ -9,11 +9,20 @@ matrix along one axis (a real FFT along it on long axes).  Coordinates have
 period 1; quantized line-bundle flux carries the 2*pi, so flux files hold
 literal integers.
 
+Fields are stored coefficient-major: ``FormField.coeffs`` is a
+C-contiguous float64 (n_blades, npts) array, one row per blade, the flat
+grid index in C order over the active axes.  In that layout the wedge
+kernel gathers whole rows, the Hodge star is a signed row gather, a wedge
+with a constant form and the d and codiff combines are left matmuls, and
+each partial derivative works on a (dim * N^i, N, N^j) view of the rows.
+``FormField.values`` is the read-only point-major (npts, n_blades) view of
+the same numbers: the constructor takes that shape, and snapshots store it.
+
 Fourier work on whole fields has one mode table, ``_spectral_k`` (the wave
 vector of each real-FFT mode, Nyquist zeroed), and one round trip,
-``_apply_modes`` (real FFT, a per-mode map, inverse), which
-``coclosed_project`` and ``flow``'s preconditioner use; ``random_field``
-is one complex spectrum and one inverse FFT.
+``_apply_modes`` (real FFT over the trailing grid axes, a per-mode map,
+inverse), which ``coclosed_project`` and ``flow``'s preconditioner use;
+``random_field`` is one complex spectrum and one inverse FFT.
 
 Conventions (the global sign ledger lives in ``ddt``):
 
@@ -108,47 +117,62 @@ class TorusGrid:
         return k
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FormField:
-    """Degree-k form sampled on a grid: values (npts, n_blades), float64.
+    """Degree-k form sampled on a grid, stored coefficient-major.
+
+    ``coeffs`` is a C-contiguous float64 (n_blades, npts) array, one row
+    per blade: the layout every op and kernel works in.  ``values`` is the
+    point-major (npts, n_blades) view of the same numbers, read-only; the
+    constructor takes that shape, snapshots are written in it, and
+    ``values[p]`` is the form at grid point p.
 
     Reads as a float KForm on R^7 (``n``, ``ring``, ``coeffs``), so the
     formulas of ``ddt`` run on it.
 
     ``FormField(grid, k, values)`` is the input path: it checks the degree
-    and shape, makes the values C-contiguous float64 and refuses inf and
-    NaN (``NonFiniteError``).  Op results come from ``_of``, which checks
-    nothing; a non-finite value among them is caught where it leaves a
-    functional or a solver step (see the module docstring)."""
+    and shape of the point-major values, refuses inf and NaN
+    (``NonFiniteError``) and stores a coefficient-major float64 copy.  Op
+    results come from ``_of``, which checks nothing; a non-finite value
+    among them is caught where it leaves a functional or a solver step (see
+    the module docstring)."""
 
     n = 7
     ring = FLOAT
 
     grid: TorusGrid
     k: int
-    values: np.ndarray
+    coeffs: np.ndarray
+
+    def __init__(self, grid: TorusGrid, k: int, values):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", values)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The input checks.  ``coeffs`` holds the caller's point-major
+        values until they pass, and their coefficient-major copy after."""
         if not isinstance(self.k, (int, np.integer)) or not 0 <= self.k <= 7:
             raise InputError(f"form degree must be in 0..7, got {self.k!r}")
         dim = len(blades(7, self.k))
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = np.asarray(self.coeffs, dtype=np.float64)
         if v.shape != (self.grid.npts, dim):
             raise InputError(
                 f"degree-{self.k} field on this grid needs shape "
                 f"({self.grid.npts}, {dim}), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "coeffs", np.ascontiguousarray(v.T))
 
     @staticmethod
-    def _of(grid: TorusGrid, k: int, values: np.ndarray) -> "FormField":
-        """An op result, unchecked: values is already a C-contiguous float64
-        (npts, C(7, k)) array, fixed by the op's tables."""
+    def _of(grid: TorusGrid, k: int, coeffs: np.ndarray) -> "FormField":
+        """An op result, unchecked: coeffs is already a C-contiguous float64
+        (C(7, k), npts) array, fixed by the op's tables."""
         f = object.__new__(FormField)
         object.__setattr__(f, "grid", grid)
         object.__setattr__(f, "k", k)
-        object.__setattr__(f, "values", values)
+        object.__setattr__(f, "coeffs", coeffs)
         return f
 
     @staticmethod
@@ -161,40 +185,42 @@ class FormField:
         return FormField(grid, form.k, np.tile(coeffs, (grid.npts, 1)))
 
     @property
-    def coeffs(self) -> np.ndarray:
-        """Blade-major view of the values, (n_blades, npts)."""
-        return self.values.T
+    def values(self) -> np.ndarray:
+        """Point-major read-only view of the coefficients, (npts, n_blades)."""
+        v = self.coeffs.T
+        v.flags.writeable = False
+        return v
 
     def pointwise(self, p: int) -> KForm:
         """The KForm at flat grid index p (for cross-checks)."""
-        return KForm.from_coeffs(7, self.k, self.values[p].tolist(), FLOAT)
+        return KForm.from_coeffs(7, self.k, self.coeffs[:, p].tolist(), FLOAT)
 
     def _term(self, other) -> np.ndarray:
-        """Values of a field, or the coefficient row of a constant KForm
-        (it broadcasts over the grid), of this degree."""
+        """Coefficients of a field, or the coefficient column of a constant
+        KForm (it broadcasts over the grid), of this degree."""
         if isinstance(other, KForm):
             if other.n != 7 or other.k != self.k:
                 raise InputError("constant form has a different degree")
-            return np.array([float(c) for c in other.coeffs])
+            return np.array([float(c) for c in other.coeffs])[:, None]
         self._compat(other)
-        return other.values
+        return other.coeffs
 
     def __add__(self, other) -> "FormField":
-        return FormField._of(self.grid, self.k, self.values + self._term(other))
+        return FormField._of(self.grid, self.k, self.coeffs + self._term(other))
 
     def __sub__(self, other) -> "FormField":
-        return FormField._of(self.grid, self.k, self.values - self._term(other))
+        return FormField._of(self.grid, self.k, self.coeffs - self._term(other))
 
     def __mul__(self, s) -> "FormField":
         """Times a number, or pointwise times an (npts,) array."""
         if getattr(s, "ndim", 0):
-            return FormField._of(self.grid, self.k, self.values * s[:, None])
-        return FormField._of(self.grid, self.k, self.values * float(s))
+            return FormField._of(self.grid, self.k, self.coeffs * s)
+        return FormField._of(self.grid, self.k, self.coeffs * float(s))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FormField":
-        return FormField._of(self.grid, self.k, -self.values)
+        return FormField._of(self.grid, self.k, -self.coeffs)
 
     def _compat(self, other: "FormField"):
         if self.grid != other.grid or self.k != other.k:
@@ -220,14 +246,15 @@ def _spectral_k(grid: TorusGrid) -> np.ndarray:
 
 def _apply_modes(f: FormField, per_mode) -> FormField:
     """The field whose real-FFT mode table is ``per_mode(spec)``, spec being
-    f's (nspec, dim) complex table in ``_spectral_k`` order, which per_mode
-    may overwrite: the package's one real-FFT round trip."""
+    f's (dim, nspec) complex table, modes in ``_spectral_k`` order, which
+    per_mode may overwrite: the package's one real-FFT round trip, over the
+    trailing grid axes of the (dim,) + grid.shape view of the coefficients."""
     grid = f.grid
-    axes = tuple(range(grid.n_active))
-    spec = np.fft.rfftn(f.values.reshape(grid.shape + (-1,)), axes=axes)
-    out = per_mode(spec.reshape(-1, spec.shape[-1])).reshape(spec.shape)
+    axes = tuple(range(1, grid.n_active + 1))
+    spec = np.fft.rfftn(f.coeffs.reshape((-1,) + grid.shape), axes=axes)
+    out = per_mode(spec.reshape(spec.shape[0], -1)).reshape(spec.shape)
     vals = np.fft.irfftn(out, s=grid.shape, axes=axes)
-    return FormField._of(grid, f.k, vals.reshape(f.values.shape))
+    return FormField._of(grid, f.k, np.ascontiguousarray(vals.reshape(f.coeffs.shape)))
 
 
 # Above this many points per axis, d and codiff take each partial derivative
@@ -251,30 +278,38 @@ def _derivative_matrix(N: int) -> np.ndarray:
     return col[np.subtract.outer(np.arange(N), np.arange(N)) % N]
 
 
-def _axis_partial(cube: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """d/dx along the middle axis of an (A, N, B) view of grid values: one
-    matmul of the cached derivative matrix, or one real FFT along the axis
-    above ``_DENSE_MAX_N``."""
+def _axis_partial(cube: np.ndarray, grid: TorusGrid, out: np.ndarray) -> None:
+    """d/dx along the middle axis of an (A, N, B) view of grid values, into
+    the same-shaped view out.  Up to ``_DENSE_MAX_N`` it is the cached
+    derivative matrix D: a batch of D @ (N, B) products, or, when the axis
+    is the contiguous last one (B = 1), one (A, N) @ D.T product, since a
+    batch of matrix-vector products is several times slower there.  Above
+    it, one real FFT along the axis."""
     N = grid.N
     if N <= _DENSE_MAX_N:
-        return np.matmul(_derivative_matrix(N), cube)
+        D = _derivative_matrix(N)
+        if cube.shape[2] == 1:
+            np.matmul(cube.reshape(-1, N), D.T, out=out.reshape(-1, N))
+        else:
+            np.matmul(D, cube, out=out)
+        return
     spec = np.fft.rfft(cube, axis=1)
     spec *= (2j * math.pi) * grid.wavenumbers()[:N // 2 + 1, None]
-    return np.fft.irfft(spec, n=N, axis=1)
+    out[...] = np.fft.irfft(spec, n=N, axis=1)
 
 
 def _partials(f: FormField) -> np.ndarray:
-    """d/dx of f along each active axis i, from the (N**i, N, -1) view of the
-    values, stacked as (npts, n_active * dim).  One partial is alive at a
-    time beside the stack."""
+    """d/dx of f along each active axis i, from the (dim * N**i, N, -1) view
+    of the coefficients, stacked as (n_active * dim, npts).  Each partial is
+    written into its block of the stack."""
     grid = f.grid
     N, na = grid.N, grid.n_active
-    dim = f.values.shape[1]
-    out = np.empty((grid.npts, na, dim))
+    dim = f.coeffs.shape[0]
+    out = np.empty((na, dim, grid.npts))
     for i in range(na):
-        cube = f.values.reshape(N ** i, N, -1)
-        out[:, i] = _axis_partial(cube, grid).reshape(grid.npts, dim)
-    return out.reshape(grid.npts, na * dim)
+        shape = (dim * N ** i, N, -1)
+        _axis_partial(f.coeffs.reshape(shape), grid, out[i].reshape(shape))
+    return out.reshape(na * dim, grid.npts)
 
 
 @lru_cache(maxsize=None)
@@ -293,14 +328,16 @@ def _d_combine(axes: tuple, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _codiff_combine(axes: tuple, k: int) -> np.ndarray:
     """``_d_combine`` for (-1)^k * d *: block i is (-1)^k H_k S_i H_{8-k},
-    with H the Hodge star as a signed permutation (values @ H) and S_i
-    block i of the d combine on (7-k)-forms."""
-    dim = len(blades(7, k))
-    H_k = hodge_fields(np.eye(dim), *tables.hodge_arrays(7, k), dim)
-    S = _d_combine(axes, 7 - k).reshape(len(axes), dim, -1)
-    C = hodge_fields((H_k @ S).reshape(-1, S.shape[2]),
-                     *tables.hodge_arrays(7, 8 - k), len(blades(7, k - 1)))
-    return (-1) ** k * C
+    with H_k the Hodge star on k-forms as a signed permutation matrix
+    (H_k[i, tgt[i]] = sign[i] from ``tables.hodge_arrays``) and S_i block i
+    of the d combine on (7-k)-forms."""
+    def star(j):
+        tgt, sgn = tables.hodge_arrays(7, j)
+        H = np.zeros((len(tgt), len(tgt)))
+        H[np.arange(len(tgt)), tgt] = sgn
+        return H
+    S = _d_combine(axes, 7 - k).reshape(len(axes), len(blades(7, k)), -1)
+    return (-1) ** k * (star(k) @ S @ star(8 - k)).reshape(-1, len(blades(7, k - 1)))
 
 
 def d(f: FormField) -> FormField:
@@ -310,13 +347,12 @@ def d(f: FormField) -> FormField:
     axis and real FFTs above it, where the matrix is slower or too big."""
     if f.k >= 7:
         raise InputError("d of a top-degree form")
-    vals = _partials(f) @ _d_combine(f.grid.active_axes, f.k)
+    vals = _d_combine(f.grid.active_axes, f.k).T @ _partials(f)
     return FormField._of(f.grid, f.k + 1, vals)
 
 
 def hodge_field(f: FormField) -> FormField:
-    tgt, sgn = tables.hodge_arrays(7, f.k)
-    vals = hodge_fields(f.values, tgt, sgn, len(blades(7, 7 - f.k)))
+    vals = hodge_fields(f.coeffs, *tables.hodge_gather(7, f.k))
     return FormField._of(f.grid, 7 - f.k, vals)
 
 
@@ -325,7 +361,7 @@ def codiff(f: FormField) -> FormField:
     as ``d``, with both Hodge stars and the sign folded into the combine."""
     if f.k == 0:
         raise InputError("codiff of a scalar")
-    vals = _partials(f) @ _codiff_combine(f.grid.active_axes, f.k)
+    vals = _codiff_combine(f.grid.active_axes, f.k).T @ _partials(f)
     return FormField._of(f.grid, f.k - 1, vals)
 
 
@@ -336,12 +372,13 @@ def wedge_field(f: FormField, g: FormField) -> FormField:
         raise InputError(f"wedge of degrees {f.k} and {g.k} exceeds 7")
     ii, jj, _, ss = tables.wedge_arrays(7, f.k, g.k)
     dim_out = len(blades(7, f.k + g.k))
-    vals = wedge_fields(f.values, g.values, ii, jj, ss, dim_out)
+    vals = wedge_fields(f.coeffs, g.coeffs, ii, jj, ss, dim_out)
     return FormField._of(f.grid, f.k + g.k, vals)
 
 
 def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
-    """f ^ c for a constant form c (or c ^ f when left=True), as one matmul.
+    """f ^ c for a constant form c (or c ^ f when left=True), as one left
+    matmul M @ coeffs.
 
     A FLOAT form's coefficient tuple, already floats, is the matrix cache
     key as it stands; other rings are converted to floats first."""
@@ -349,7 +386,7 @@ def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
     if f.k + form.k > 7:
         raise InputError(f"wedge of degrees {f.k} and {form.k} exceeds 7")
     M = tables.wedge_const_matrix(7, f.k, form.k, coeffs)
-    vals = f.values @ M.T
+    vals = M @ f.coeffs
     if left and (f.k * form.k) % 2:
         vals = -vals
     return FormField._of(f.grid, f.k + form.k, vals)
@@ -358,13 +395,13 @@ def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
 def integrate(f: FormField) -> float:
     if f.k != 7:
         raise InputError("integrate expects a top-degree form")
-    return float(np.mean(f.values[:, 0]))
+    return float(np.mean(f.coeffs[0]))
 
 
 def field_inner(f: FormField, g: FormField) -> float:
     """L2 pairing <f, g> = integral of the pointwise blade inner product."""
     f._compat(g)
-    return float(np.mean(np.sum(f.values * g.values, axis=1)))
+    return float(np.mean(np.sum(f.coeffs * g.coeffs, axis=0)))
 
 
 def field_l2(f: FormField) -> float:
@@ -373,7 +410,7 @@ def field_l2(f: FormField) -> float:
 
 def field_mean(f: FormField) -> np.ndarray:
     """Blade-wise mean over the grid."""
-    return np.mean(f.values, axis=0)
+    return np.mean(f.coeffs, axis=1)
 
 
 # --- flux and potentials -----------------------------------------------------
@@ -454,7 +491,8 @@ def zero_potential(grid: TorusGrid, flux: Flux) -> GaugePotential:
 
 def curvature(pot: GaugePotential) -> FormField:
     """E = 2*pi*flux + d a; closed, mean equal to the background."""
-    return FormField._of(pot.grid, 2, pot.flux._background_row() + d(pot.a).values)
+    return FormField._of(pot.grid, 2,
+                         pot.flux._background_row()[:, None] + d(pot.a).coeffs)
 
 
 def _finite_value(x: float, what: str) -> float:
@@ -468,7 +506,7 @@ def _finite_value(x: float, what: str) -> float:
 def _finite_field(f: FormField, what: str) -> FormField:
     """f, or NonFiniteError when it holds inf or NaN: the check on a field
     leaving a solver."""
-    if not np.isfinite(f.values).all():
+    if not np.isfinite(f.coeffs).all():
         raise NonFiniteError(f"{what} contains non-finite values")
     return f
 
@@ -512,8 +550,13 @@ def kl_segment_integral(E0: FormField | KForm, D: FormField,
     product to the exact-table wedge, so for a constant E0 the forms E0^E0,
     r0 and the weight are constants and r1, r2 are one matmul each.
     """
-    E0sq = wedge(E0, E0)
-    DD = wedge_field(D, D)
+    return _kl_segment(E0, wedge(E0, E0), D, wedge_field(D, D), delta)
+
+
+def _kl_segment(E0, E0sq: FormField | KForm, D: FormField, DD: FormField,
+                delta: FormField) -> float:
+    """``kl_segment_integral`` from E0sq = E0 ^ E0 and DD = D ^ D, which
+    ``flow``'s diagnostics share with the square of E0 + D."""
     r0 = ddt._residual(E0, E0sq, _SIXTH)
     r1 = wedge(D, ddt._residual_weight(E0sq, _SIXTH))
     r2 = 0.5 * wedge(E0, DD)
@@ -588,7 +631,7 @@ def dtheta4(pot: GaugePotential, b1: FormField, b2: FormField,
 def _moment_pair_oneform(g1: FormField, g2: FormField, dg1: FormField,
                          dg2: FormField) -> FormField:
     """(g1 dg2 - g2 dg1)/2 as a 1-form field, from dg1 = d(g1), dg2 = d(g2)."""
-    vals = 0.5 * (g1.values[:, :1] * dg2.values - g2.values[:, :1] * dg1.values)
+    vals = 0.5 * (g1.coeffs * dg2.coeffs - g2.coeffs * dg1.coeffs)
     return FormField._of(g1.grid, 1, vals)
 
 
@@ -637,19 +680,18 @@ def gauge_shift(pot: GaugePotential, chi: FormField | None = None,
 # --- randomized band-limited fields ------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _low_modes(axes: tuple, kmax: int) -> tuple:
+def _low_modes(axes: tuple, kmax: int) -> np.ndarray:
     """Nonzero integer modes supported on the active axes, |k|_inf <= kmax,
-    one representative per {k, -k} pair, lexicographic order."""
-    out = []
-    for mode in np.ndindex(*(2 * kmax + 1,) * len(axes)):
-        k = tuple(m - kmax for m in mode)
-        if all(v == 0 for v in k):
-            continue
-        if k < tuple(-v for v in k):
-            continue
-        out.append(k)
-    return tuple(out)
+    one representative per {k, -k} pair, lexicographic order, as a
+    (count, len(axes)) int64 array.
+
+    The codes sum_i (k_i + kmax) (2 kmax + 1)^(n-1-i) of the box run in the
+    lexicographic order of k, and -k's code is k's reflected about the zero
+    mode's, so the representatives k > -k are exactly the codes above the
+    zero mode's, swept in order."""
+    n, side = len(axes), 2 * kmax + 1
+    codes = np.arange((side ** n + 1) // 2, side ** n)
+    return codes[:, None] // side ** np.arange(n - 1, -1, -1) % side - kmax
 
 
 def random_field(grid: TorusGrid, k: int, rng: np.random.Generator,
@@ -666,18 +708,18 @@ def random_field(grid: TorusGrid, k: int, rng: np.random.Generator,
     """
     if not (scale >= 0 and kmax >= 0):
         raise InputError("random fields need scale >= 0 and kmax >= 0")
-    modes = np.array(_low_modes(grid.active_axes, kmax), dtype=np.int64)
+    modes = _low_modes(grid.active_axes, kmax)
     dim = len(blades(7, k))
     amps = rng.normal(0.0, scale / math.sqrt(max(len(modes), 1)),
                       (len(modes), 2, dim))
-    vals = np.empty((grid.npts, dim))  # before the spectrum: fewer page faults
-    spec = np.zeros(grid.shape + (dim,), dtype=np.complex128)
-    np.add.at(spec, tuple(modes.reshape(-1, grid.n_active).T % grid.N),
-              amps[:, 0] - 1j * amps[:, 1])
-    for axis in range(grid.n_active):  # ifftn would keep its input alive
+    vals = np.empty((dim, grid.npts))  # before the spectrum: fewer page faults
+    spec = np.zeros((dim,) + grid.shape, dtype=np.complex128)
+    np.add.at(spec, (slice(None),) + tuple(modes.T % grid.N),
+              (amps[:, 0] - 1j * amps[:, 1]).T)
+    for axis in range(1, grid.n_active + 1):  # ifftn would keep its input alive
         spec = np.fft.ifft(spec, axis=axis)
-    np.multiply(spec.real.reshape(grid.npts, dim), grid.npts, out=vals)
-    return FormField(grid, k, vals)
+    np.multiply(spec.real.reshape(dim, grid.npts), grid.npts, out=vals)
+    return FormField(grid, k, vals.T)
 
 
 def random_potential(grid: TorusGrid, flux: Flux, rng: np.random.Generator,
@@ -694,8 +736,8 @@ def coclosed_project(a: FormField) -> FormField:
     k2 = np.maximum(np.sum(k * k, axis=1), 1)  # dead modes: k = 0, dot = 0
 
     def project(spec):
-        spec -= (np.einsum("mi,mi->m", spec, k) / k2)[:, None] * k
-        spec[0] = 0.0
+        spec -= (np.einsum("im,mi->m", spec, k) / k2) * k.T
+        spec[:, 0] = 0.0
         return spec
     return FormField(a.grid, 1, _apply_modes(a, project).values)
 
@@ -713,7 +755,7 @@ def random_coclosed_potential(grid: TorusGrid, flux: Flux,
 def save_field(path, f: FormField) -> None:
     """Binary snapshot: magic, active axes, N, degree, little-endian doubles.
     A non-finite field is a numerical failure and is not written."""
-    if not np.isfinite(f.values).all():
+    if not np.isfinite(f.coeffs).all():
         raise NumericalError("refusing to save a field with non-finite values")
     axes = list(f.grid.active_axes) + [0] * (7 - f.grid.n_active)
     header = struct.pack("<8sB7BIB", _SNAPSHOT_MAGIC, f.grid.n_active,
@@ -741,7 +783,7 @@ def load_field(path) -> FormField:
     if len(raw) - head != 8 * grid.npts * dim:
         raise InputError(f"{path}: payload size mismatch")
     data = np.frombuffer(raw[head:], dtype="<f8")
-    return FormField(grid, degree, data.reshape(grid.npts, dim).copy())
+    return FormField(grid, degree, data.reshape(grid.npts, dim))
 
 
 def save_flux(path, flux: Flux) -> None:

@@ -1,5 +1,6 @@
 """Batched kernels against independent oracles: the blocked wedge, the
-spectral d and codiff, the CG adjoint table, Hodge and exact ranks."""
+spectral d and codiff, the CG adjoint table, Hodge and exact ranks.
+Kernel inputs and outputs are coefficient-major, (n_blades, npts)."""
 
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from ddt7 import flow, kernels, tables
 from ddt7.exalg import blades
 from ddt7.torus import (FormField, TorusGrid, codiff, d, field_inner,
-                        wedge_field)
+                        hodge_field, random_field, wedge_field)
 
 
 def _rank_fraction(mat) -> int:
@@ -80,31 +81,66 @@ def test_bareiss_leading_zero_columns_and_late_pivots():
         assert len(set(want)) > 2
 
 
+def _normal_rows(rng, npts, dim):
+    """rng.normal(size=(npts, dim)) stored coefficient-major, (dim, npts):
+    the numbers a point-major draw gives, in the kernels' layout."""
+    return np.ascontiguousarray(rng.normal(size=(npts, dim)).T)
+
+
 def test_wedge_hodge_kernels_match_tables():
     rng = np.random.default_rng(32)
     ii, jj, oo, ss = tables.wedge_arrays(7, 2, 2)
-    A = rng.normal(size=(16, 21))
-    B = rng.normal(size=(16, 21))
+    A = _normal_rows(rng, 16, 21)
+    B = _normal_rows(rng, 16, 21)
     out = kernels.wedge_fields(A, B, ii, jj, ss, len(blades(7, 4)))
     # independent accumulation of the same structure constants
     want = np.zeros_like(out)
     for e in range(len(ii)):
-        want[:, oo[e]] += ss[e] * A[:, ii[e]] * B[:, jj[e]]
+        want[oo[e]] += ss[e] * A[ii[e]] * B[jj[e]]
     assert np.allclose(out, want, rtol=0, atol=1e-15)
 
-    tgt, sgn = tables.hodge_arrays(7, 3)
-    C = rng.normal(size=(16, len(blades(7, 3))))
-    H = kernels.hodge_fields(C, tgt, sgn, len(blades(7, 4)))
-    HH = kernels.hodge_fields(H, *tables.hodge_arrays(7, 4),
-                              len(blades(7, 3)))
+    C = _normal_rows(rng, 16, len(blades(7, 3)))
+    H = kernels.hodge_fields(C, *tables.hodge_gather(7, 3))
+    HH = kernels.hodge_fields(H, *tables.hodge_gather(7, 4))
     assert np.allclose(HH, C, rtol=0, atol=0)  # involution in dim 7
+
+
+def test_hodge_gather_is_the_table_scatter_bitwise():
+    """The signed row gather equals out[tgt] = sgn * A from the table, bit
+    for bit (signed zeros too), for every degree."""
+    rng = np.random.default_rng(39)
+    for k in range(8):
+        A = rng.normal(size=(len(blades(7, k)), 33))
+        A[:, :3] = [0.0, -0.0, np.inf]
+        tgt, sgn = tables.hodge_arrays(7, k)
+        want = np.empty_like(A)
+        want[tgt] = A * sgn[:, None]
+        got = kernels.hodge_fields(A, *tables.hodge_gather(7, k))
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), k
+
+
+def test_hodge_sign_flip_never_writes_to_its_input():
+    """The sign is applied in place to the gathered copy only: the input
+    field and a read-only input array are left as they were."""
+    rng = np.random.default_rng(44)
+    grid = TorusGrid((1, 2), 4)
+    for k in range(8):
+        f = random_field(grid, k, rng)
+        before = f.coeffs.copy()
+        h = hodge_field(f)
+        assert f.coeffs.tobytes() == before.tobytes(), k
+        assert not np.shares_memory(h.coeffs, f.coeffs)
+        frozen = before.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(kernels.hodge_fields(frozen, *tables.hodge_gather(7, k)),
+                              h.coeffs)
 
 
 def _wedge_by_entries(A, B, ii, jj, oo, ss, dim_out):
     """Per-entry accumulation of the structure constants, the oracle."""
-    out = np.zeros((A.shape[0], dim_out), dtype=np.result_type(A, B))
+    out = np.zeros((dim_out, A.shape[1]), dtype=np.result_type(A, B))
     for e in range(len(ii)):
-        out[:, oo[e]] += ss[e] * A[:, ii[e]] * B[:, jj[e]]
+        out[oo[e]] += ss[e] * A[ii[e]] * B[jj[e]]
     return out
 
 
@@ -125,8 +161,8 @@ def test_wedge_kernel_matches_entry_accumulation(npts):
     for p, q in DEGREE_PAIRS:
         table = tables.wedge_arrays(7, p, q)
         dim_out = len(blades(7, p + q))
-        A = rng.normal(size=(npts, len(blades(7, p))))
-        B = rng.normal(size=(npts, len(blades(7, q))))
+        A = _normal_rows(rng, npts, len(blades(7, p)))
+        B = _normal_rows(rng, npts, len(blades(7, q)))
         ii, jj, _, ss = table
         got = kernels.wedge_fields(A, B, ii, jj, ss, dim_out)
         want = _wedge_by_entries(A, B, *table, dim_out)
@@ -137,8 +173,8 @@ def test_wedge_kernel_matches_entry_accumulation(npts):
 def test_wedge_kernel_takes_dtype_from_inputs():
     rng = np.random.default_rng(35)
     table = tables.wedge_arrays(7, 1, 3)
-    A = rng.normal(size=(700, 7)) + 1j * rng.normal(size=(700, 7))
-    B = rng.normal(size=(700, 35))
+    A = _normal_rows(rng, 700, 7) + 1j * _normal_rows(rng, 700, 7)
+    B = _normal_rows(rng, 700, 35)
     ii, jj, _, ss = table
     got = kernels.wedge_fields(A, B, ii, jj, ss, 35)
     assert got.dtype == np.complex128

@@ -4,6 +4,7 @@ moves, and the two file formats."""
 import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -154,6 +155,52 @@ def test_random_field_is_the_trigonometric_sum(grid):
         assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.normal() == ref.normal()
+
+
+def _low_modes_by_loop(n_axes, kmax):
+    """The box swept point by point in Python, keeping k > -k: the
+    reference for ``torus._low_modes``."""
+    out = []
+    for mode in np.ndindex(*(2 * kmax + 1,) * n_axes):
+        k = tuple(m - kmax for m in mode)
+        if any(k) and k > tuple(-v for v in k):
+            out.append(k)
+    return np.array(out, dtype=np.int64).reshape(-1, n_axes)
+
+
+def _random_field_point_major(grid, k, rng, scale, kmax):
+    """``random_field`` as one point-major complex spectrum over the loop's
+    mode list, inverse FFT axis by axis: the reference layout."""
+    modes = _low_modes_by_loop(grid.n_active, kmax)
+    dim = len(blades(7, k))
+    amps = rng.normal(0.0, scale / math.sqrt(max(len(modes), 1)),
+                      (len(modes), 2, dim))
+    spec = np.zeros(grid.shape + (dim,), dtype=np.complex128)
+    np.add.at(spec, tuple(modes.T % grid.N), amps[:, 0] - 1j * amps[:, 1])
+    for axis in range(grid.n_active):
+        spec = np.fft.ifft(spec, axis=axis)
+    return spec.real.reshape(grid.npts, dim) * grid.npts
+
+
+LOW_MODE_GRIDS = [TorusGrid((3,), 8), TorusGrid((2, 6), 8), TorusGrid((1, 4, 7), 4),
+                  TorusGrid((1, 2, 3, 4), 4)]
+
+
+@pytest.mark.parametrize("grid", LOW_MODE_GRIDS)
+def test_low_modes_are_the_box_loop(grid):
+    """The code sweep lists the loop's modes in the loop's order, for kmax
+    0, 1, 2 and N - 1, and ``random_field`` built on it equals the
+    point-major reference bitwise, leaving the generator in its state."""
+    for kmax in (0, 1, 2, grid.N - 1):
+        got = torus._low_modes(grid.active_axes, kmax)
+        want = _low_modes_by_loop(grid.n_active, kmax)
+        assert got.dtype == np.int64 and np.array_equal(got, want), kmax
+        for k in (0, 1, 3):
+            rng, ref = np.random.default_rng(50 + k), np.random.default_rng(50 + k)
+            f = random_field(grid, k, rng, 0.7, kmax)
+            want_vals = _random_field_point_major(grid, k, ref, 0.7, kmax)
+            assert f.values.tobytes() == want_vals.tobytes(), (kmax, k)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _coclosed_by_full_fft(a):
@@ -434,6 +481,26 @@ def test_snapshot_roundtrip(tmp_path):
         load_field(trunc)
 
 
+def test_snapshot_bytes_are_point_major_doubles(tmp_path):
+    """A snapshot is the header and the point-major values as little-endian
+    doubles, built here from the struct layout and numpy alone; loading
+    those bytes gives the field back."""
+    rng = np.random.default_rng(14)
+    vals = rng.normal(size=(GRID3.npts, 21))
+    f = FormField(GRID3, 2, vals)
+    path = tmp_path / "f.t7f"
+    save_field(path, f)
+    want = struct.pack("<8sB7BIB", b"T7FIELD1", 3, 1, 2, 3, 0, 0, 0, 0, 8, 2) \
+        + vals.astype("<f8").tobytes()
+    assert path.read_bytes() == want
+    raw = tmp_path / "raw.t7f"
+    raw.write_bytes(want)
+    g = load_field(raw)
+    assert g.grid == GRID3 and g.k == 2
+    assert g.values.tobytes() == vals.tobytes()
+    assert g.coeffs.flags.c_contiguous and g.coeffs.shape == (21, GRID3.npts)
+
+
 def test_form_degree_out_of_range_is_rejected(tmp_path):
     for k in (-1, 8, 9):
         with pytest.raises(InputError):
@@ -482,14 +549,17 @@ def test_grid_sizes_are_cached_and_equality_ignores_them():
 
 
 def _is_op_result(f, grid, k):
-    v = f.values
-    return (f.k == k and v.dtype == np.float64 and v.flags.c_contiguous
-            and v.shape == (grid.npts, len(blades(7, k))))
+    c, v = f.coeffs, f.values
+    return (f.k == k and c.dtype == np.float64 and c.flags.c_contiguous
+            and c.shape == (len(blades(7, k)), grid.npts)
+            and v.shape == (grid.npts, len(blades(7, k)))
+            and not v.flags.writeable and np.shares_memory(v, c))
 
 
 def test_op_results_are_contiguous_float64_of_the_degree_shape():
     """Op results skip the constructor's checks, so each op must itself
-    return C-contiguous float64 values of shape (npts, C(7, k))."""
+    store C-contiguous float64 coefficients of shape (C(7, k), npts); the
+    values are their read-only point-major view."""
     rng = np.random.default_rng(40)
     fs = {k: random_field(GRID2, k, rng) for k in range(8)}
     consts = {k: KForm.from_coeffs(7, k, list(rng.normal(size=len(blades(7, k)))),
