@@ -13,9 +13,15 @@ this substitution
       eta(E) = *( R(E) + (1/2) * (phi ^ *E^2) ^ *E ).
 
 Each formula has one home, a helper below taking E2 = E ^ E (each caller
-squares E once), and runs unchanged on a ``torus.FormField``: ``exalg.wedge``
-and ``hodge`` hand fields to the field kernels.  Formula -> helper: callers
+squares E once), and runs unchanged on a ``torus.FormField``: ``exalg.wedge``,
+``cube`` and ``hodge`` hand fields to the field kernels.  Formula -> helper:
+callers
 
+  E^2 = E ^ E               -> ``exalg.wedge(E, E)`` (``torus.wedge_field``
+                               on fields), one object twice, so the power
+                               table: every caller
+  E^3                       -> ``exalg.cube(E, E2)``: ``_residual``, the
+                               catalog (A2a, A5, CYL), g2, torus
   c E^3 - E ^ *phi          -> ``_residual(E, E2, c)``: torus, flow
   3c E^2 - *phi  (dR/dE)    -> ``_residual_weight(E2, c)``: torus, flow Newton
   *(phi ^ E^2), theta       -> ``_calibration(E2)``, ``_theta(E2)``: flow
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, InputError
 from .scalars import FLOAT, frac, intval
-from .exalg import Endo, KForm, hodge, inner, sharp2, solve_endo, wedge
+from .exalg import Endo, KForm, cube, hodge, inner, sharp2, solve_endo, wedge
 from .g2 import phi_for, star_phi_for
 
 __all__ = [
@@ -65,7 +71,7 @@ def _check_E(E, point=False):
 
 def _residual(E, E2, c):
     """c E^3 - E ^ *phi."""
-    return wedge(E2, E) * c - wedge(E, star_phi_for(E.ring))
+    return cube(E, E2) * c - wedge(E, star_phi_for(E.ring))
 
 
 def _residual_weight(E2, c):

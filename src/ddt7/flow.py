@@ -156,7 +156,9 @@ def _diagnostics(pot: GaugePotential):
     With D = d(a) and the constant background B, E = D + B and
     E ^ E = D ^ D + 2 (B ^ D) + B ^ B, so the D ^ D and B ^ B that the
     functional's segment integral forms are shared, and squaring E takes
-    one constant wedge instead of a field wedge."""
+    one constant wedge instead of a field wedge.  D ^ D takes the power
+    table, being one field wedged with itself, and the residual's E^3 and
+    the segment's D^3 are cubes from their squares, ``exalg.cube``."""
     background = pot.flux.background_form()
     D = d(pot.a)
     DD = wedge_field(D, D)

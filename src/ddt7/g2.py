@@ -21,7 +21,8 @@ from functools import lru_cache
 
 from .errors import InputError
 from .scalars import RATIONAL, frac, intval
-from .exalg import KForm, Vector, blade_index, blades, contract, hodge, inner, sharp1, wedge
+from .exalg import (KForm, Vector, blade_index, blades, contract, cube, hodge, inner, sharp1,
+                    wedge)
 
 __all__ = [
     "G2Data", "standard", "phi_for", "star_phi_for", "basis14_for", "TwoFormDecomp",
@@ -171,7 +172,7 @@ def spin7_pair1(E: KForm, adot: KForm, b: KForm):
     sixth = frac(ring, 1, 6)
     half = frac(ring, 1, 2)
     E2 = wedge(E, E)
-    star_E3 = hodge(wedge(E, E2))
+    star_E3 = hodge(cube(E, E2))
     t1 = inner(adot - star_E3 * sixth, b)
     t2 = inner(E - hodge(wedge(adot, E2)) * half, contract(sharp1(b), phi_for(ring)))
     return t1 + t2

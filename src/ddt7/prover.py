@@ -47,7 +47,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, MultiPoly, PolyRing, frac, intval
 from . import ddt, g2
-from .exalg import (Endo, KForm, Vector, blades, contract, det_endo, hodge,
+from .exalg import (Endo, KForm, Vector, blades, contract, cube, det_endo, hodge,
                     inner, pullback, sharp2, wedge)
 
 __all__ = ["IdentityReport", "verify", "verify_all", "mutate",
@@ -132,7 +132,7 @@ def _build_a1(ring, val, consts):
 
 def _build_a2a(ring, val, consts):
     F = _form(ring, val, _F_NAMES)
-    lhs = wedge(hodge(wedge(F, wedge(F, F))), hodge(F))
+    lhs = wedge(hodge(cube(F, wedge(F, F))), hodge(F))
     return [("annihilation", lhs, KForm.zero(7, 6, ring))]
 
 
@@ -166,7 +166,7 @@ def _build_a4(ring, val, consts):
 def _build_a5(ring, val, consts):
     u = _vector(ring, val, _U_NAMES)
     F7 = contract(u, g2.phi_for(ring))
-    lhs = wedge(F7, wedge(F7, F7))
+    lhs = cube(F7, wedge(F7, F7))
     u2 = sum((x * x for x in u.comps), start=ring.zero)
     rhs = hodge(KForm(7, 1, u.comps, ring)) * (u2 * _c(ring, consts, "rhs-scale"))
     return [("cube", lhs, rhs)]
@@ -398,11 +398,12 @@ def _build_cyl(ring, val, consts):
     E = _form(ring, val, _F_NAMES)
     E2 = wedge(E, E)
     E8 = g2.embed_cylinder(E)
+    E82 = wedge(E8, E8)
     a8 = g2.embed_cylinder(adot)
-    six8 = wedge(E8, wedge(E8, E8)) + g2.dt_wedge(wedge(a8, wedge(E8, E8))) * intval(ring, 3)
+    six8 = cube(E8, E82) + g2.dt_wedge(wedge(a8, E82)) * intval(ring, 3)
     lhs = hodge(six8) * frac(ring, 1, 6)
     rhs = g2.embed_cylinder(hodge(wedge(adot, E2))) * _c(ring, consts, "cross-scale") \
-        + g2.dt_wedge(g2.embed_cylinder(hodge(wedge(E, E2)))) * _c(ring, consts, "time-scale")
+        + g2.dt_wedge(g2.embed_cylinder(hodge(cube(E, E2)))) * _c(ring, consts, "time-scale")
     return [("cylinder-star", lhs, rhs)]
 
 

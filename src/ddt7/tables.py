@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import g2
-from .exalg import blades, hodge_table, wedge_table
+from .exalg import blades, hodge_table, power_table, wedge_table
 from .scalars import RATIONAL
 
 
@@ -27,6 +27,17 @@ def wedge_arrays(n: int, p: int, q: int):
     """
     t = np.asarray(wedge_table(n, p, q), dtype=np.int64).reshape(-1, 4)
     t = t[np.argsort(t[:, 2], kind="stable")]
+    return tuple(np.ascontiguousarray(t[:, c]) for c in range(4))
+
+
+@lru_cache(maxsize=None)
+def power_arrays(n: int, k: int):
+    """(i, j, out, k * sign) columns of ``exalg.power_table``, int64, so
+    that ``wedge_fields(E, P, i, j, k * sign, dim_out)`` is E^k from a 2-form
+    E and P = E^(k-1).  Grouped by output, 2k - 1 entries each, as
+    ``kernels.wedge_fields`` needs."""
+    t = np.asarray(power_table(n, k), dtype=np.int64).reshape(-1, 4)
+    t[:, 3] *= k
     return tuple(np.ascontiguousarray(t[:, c]) for c in range(4))
 
 

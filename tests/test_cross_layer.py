@@ -15,8 +15,8 @@ from ddt7.errors import InputError
 from ddt7.exalg import KForm, hodge, wedge
 from ddt7.scalars import FLOAT
 from ddt7.flow import cylinder_check_samples
-from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, curvature, d,
-                        field_l2, hodge_field, kl_segment_integral, random_field,
+from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, cube_field, curvature,
+                        d, field_l2, hodge_field, kl_segment_integral, random_field,
                         wedge_const, wedge_field)
 
 GRID = TorusGrid((1, 2), 4)  # 16 points
@@ -32,7 +32,7 @@ _STAR_PHI = g2.star_phi_for(FLOAT)
 
 def _residual(E, E2, s=1.0):
     """s^4 E^3/6 - E ^ *phi from E and E2 = E ^ E."""
-    return (float(s) ** 4 / 6.0) * wedge_field(E2, E) - wedge_const(E, _STAR_PHI)
+    return (float(s) ** 4 / 6.0) * cube_field(E, E2) - wedge_const(E, _STAR_PHI)
 
 
 def _residual_weight(E2, s=1.0):
@@ -176,6 +176,17 @@ def test_ddt_on_fields_is_the_field_kernel_reference_bitwise(grid):
     res1, res2 = spin7_residual_fields(E, adot)
     assert np.array_equal(ddt.spin7_res1(E, adot).values, res1.values)
     assert np.array_equal(ddt.spin7_res2(E, adot).values, res2.values)
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID512], ids=["16", "512"])
+def test_power_table_square_and_cube_are_the_full_table_wedges(grid):
+    """E ^ E and E^3 from the power tables against the full-table wedges of
+    two distinct operands, to rounding."""
+    E, _, _ = _fields(grid)
+    E2 = wedge_field(E, E)
+    for got, want in ((E2, wedge_field(E, E * 1.0)), (cube_field(E, E2), wedge_field(E2, E))):
+        scale = np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * scale
 
 
 def test_cylinder_check_rows_are_the_field_kernel_reference_bitwise():

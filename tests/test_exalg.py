@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ddt7 import exalg
 from ddt7.errors import InputError
-from ddt7.exalg import (Endo, KForm, Vector, blades, contract, det_endo,
-                        flat, hodge, inner, pullback, sharp1, sharp2,
-                        solve_endo, wedge)
-from ddt7.scalars import FLOAT, RATIONAL
+from ddt7.exalg import (Endo, KForm, Vector, blades, contract, cube, det_endo,
+                        flat, hodge, inner, power_table, pullback, sharp1, sharp2,
+                        solve_endo, wedge, wedge_table)
+from ddt7.scalars import FLOAT, RATIONAL, PolyRing
 
 
 def _sort_sign(seq):
@@ -55,6 +56,73 @@ def test_wedge_matches_oracle():
         got = wedge(a, b).as_blades()
         want = _wedge_oracle(a.as_blades(), b.as_blades())
         assert {k: v for k, v in got.items() if v != 0} == want
+
+
+def _full_table_wedge(a: KForm, b: KForm) -> KForm:
+    """a ^ b by a plain loop over every entry of the full wedge table."""
+    out = [a.ring.zero] * len(blades(a.n, a.k + b.k))
+    for i, j, o, s in wedge_table(a.n, a.k, b.k):
+        out[o] = out[o] + a.coeffs[i] * b.coeffs[j] * s
+    return KForm(a.n, a.k + b.k, tuple(out), a.ring)
+
+
+def _poly_two_form(n):
+    ring = PolyRing(tuple(f"x{i}" for i in range(len(blades(n, 2)))))
+    rng = np.random.default_rng(n)
+    # some coefficients zero, so the zero skips are exercised too
+    coeffs = [v * int(rng.integers(-2, 3)) for v in ring.vars()]
+    return KForm(n, 2, tuple(coeffs), ring)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_power_table_is_the_filtered_wedge_table(n):
+    for k in (2, 3):
+        table = power_table(n, k)
+        outs = blades(n, 2 * k)
+        assert [e[2] for e in table] == [o for o in range(len(outs)) for _ in range(2 * k - 1)]
+        assert all(blades(n, 2)[i][0] == outs[o][0] for i, _, o, _ in table)
+        want = [e for e in wedge_table(n, 2, 2 * k - 2)
+                if blades(n, 2)[e[0]][0] == outs[e[2]][0]]
+        assert list(table) == sorted(want, key=lambda e: e[2])
+    with pytest.raises(InputError):
+        power_table(7, 4)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_square_and_cube_equal_the_full_table_exactly(n):
+    rng = np.random.default_rng(20 + n)
+    for E in (_poly_two_form(n), _random_form(rng, n, 2)):
+        E2 = wedge(E, E)
+        assert E2.coeffs == _full_table_wedge(E, E).coeffs
+        assert cube(E, E2).coeffs == _full_table_wedge(E2, E).coeffs
+        assert cube(E, E2).coeffs == _full_table_wedge(E, E2).coeffs
+
+
+def test_distinct_and_odd_operands_take_the_full_table(monkeypatch):
+    rng = np.random.default_rng(24)
+    E, F, b, c = (_random_form(rng, 7, k) for k in (2, 2, 1, 3))
+
+    def refuse(*args):
+        raise AssertionError("power table used")
+    monkeypatch.setattr(exalg, "power_table", refuse)
+    assert wedge(E, F).coeffs == _full_table_wedge(E, F).coeffs
+    assert wedge(E, E * 1).coeffs == _full_table_wedge(E, E).coeffs
+    assert wedge(b, b).is_zero() and wedge(c, c).is_zero()
+    with pytest.raises(AssertionError):
+        wedge(E, E)
+
+
+def test_cube_takes_a_two_form_and_a_four_form():
+    rng = np.random.default_rng(25)
+    E, b = _random_form(rng, 7, 2), _random_form(rng, 7, 1)
+    E2 = wedge(E, E)
+    for args in ((E2, E), (b, E2), (E, E), (E, wedge(E, b))):
+        with pytest.raises(InputError):
+            cube(*args)
+    with pytest.raises(InputError):
+        cube(E, KForm(7, 4, tuple(map(float, E2.coeffs)), FLOAT))
+    with pytest.raises(InputError):
+        cube(E, _random_form(rng, 8, 4))
 
 
 def test_wedge_graded_commutativity():

@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddt7 import flow, kernels, tables
-from ddt7.exalg import blades
-from ddt7.torus import (FormField, TorusGrid, codiff, d, field_inner,
-                        hodge_field, random_field, wedge_field)
+from ddt7 import exalg, flow, kernels, tables
+from ddt7.errors import InputError
+from ddt7.exalg import blades, cube, wedge
+from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, codiff, cube_field, d,
+                        field_inner, hodge_field, random_field, theta3, wedge_field)
 
 
 def _rank_fraction(mat) -> int:
@@ -180,6 +181,76 @@ def test_wedge_kernel_takes_dtype_from_inputs():
     assert got.dtype == np.complex128
     want = _wedge_by_entries(A, B, *table, 35)
     assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_power_arrays_are_the_power_table_times_k():
+    for k in (2, 3):
+        ii, jj, oo, ss = tables.power_arrays(7, k)
+        table = np.array(exalg.power_table(7, k))
+        assert np.array_equal(np.stack([ii, jj, oo, ss], axis=1),
+                              table * np.array([1, 1, 1, k]))
+        assert np.array_equal(oo, np.repeat(np.arange(len(blades(7, 2 * k))), 2 * k - 1))
+
+
+POWER_GRIDS = [TorusGrid((1, 2), 4), TorusGrid((1, 2, 3), 8), TorusGrid((1, 2, 3, 4), 8)]
+
+
+@pytest.mark.parametrize("grid", POWER_GRIDS, ids=lambda g: str(g.npts))
+def test_square_and_cube_fields_are_the_full_table_kernel(grid):
+    """The power tables' E ^ E and E^3 against ``wedge_fields`` over the
+    full tables, 1e-15 relative to the largest coefficient."""
+    E = random_field(grid, 2, np.random.default_rng(grid.npts))
+    E2 = wedge_field(E, E)
+    ii, jj, _, ss = tables.wedge_arrays(7, 2, 2)
+    full2 = kernels.wedge_fields(E.coeffs, E.coeffs, ii, jj, ss, 35)
+    ii, jj, _, ss = tables.wedge_arrays(7, 2, 4)
+    full3 = kernels.wedge_fields(E.coeffs, full2, ii, jj, ss, 7)
+    for got, want in ((E2.coeffs, full2), (cube_field(E, E2).coeffs, full3),
+                      (cube(E, E2).coeffs, full3)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_distinct_and_odd_field_operands_take_the_full_table(monkeypatch):
+    grid = TorusGrid((1, 2, 3), 8)
+    rng = np.random.default_rng(50)
+    E, F, b, c = (random_field(grid, k, rng) for k in (2, 2, 1, 3))
+
+    def full(f, g):
+        ii, jj, _, ss = tables.wedge_arrays(7, f.k, g.k)
+        return kernels.wedge_fields(f.coeffs, g.coeffs, ii, jj, ss, len(blades(7, f.k + g.k)))
+
+    def refuse(*args):
+        raise AssertionError("power table used")
+    monkeypatch.setattr(tables, "power_arrays", refuse)
+    for f, g in ((E, F), (F, E), (E, E * 1.0), (b, b), (c, c), (b, E)):
+        got = wedge_field(f, g).coeffs
+        assert got.tobytes() == full(f, g).tobytes()
+    assert not np.any(wedge_field(b, b).coeffs)
+    with pytest.raises(AssertionError):
+        wedge_field(E, E)
+    # a repeated argument still gives exactly 0.0
+    b1, b2 = random_field(grid, 1, rng), random_field(grid, 1, rng)
+    monkeypatch.undo()
+    pot = GaugePotential(random_field(grid, 1, rng, scale=0.05), Flux.zero())
+    assert theta3(pot, b1, b1, b2) == 0.0
+
+
+def test_cube_field_inputs_and_constant_operands():
+    grid = TorusGrid((1, 2), 4)
+    rng = np.random.default_rng(51)
+    E, b = random_field(grid, 2, rng), random_field(grid, 1, rng)
+    E2 = wedge_field(E, E)
+    for args in ((E2, E), (E, E), (b, E2), (E, random_field(TorusGrid((1, 3), 4), 4, rng))):
+        with pytest.raises(InputError):
+            cube_field(*args)
+    # a constant form on either side goes through the constant wedge
+    C = E.pointwise(3)
+    C2 = wedge(C, C)
+    want = cube_field(FormField.constant(grid, C), FormField.constant(grid, C2)).coeffs
+    for got in (cube(C, FormField.constant(grid, C2)), cube(FormField.constant(grid, C), C2)):
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(np.array(cube(C, C2).coeffs) - want[:, 0])) \
+        <= 1e-15 * np.max(np.abs(want))
 
 
 def _d_per_axis(f: FormField) -> np.ndarray:

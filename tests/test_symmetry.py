@@ -1,0 +1,136 @@
+"""Equivariance of the field layer under the signed permutations that fix phi.
+
+An element g of ``tables.phi_symmetries()`` is the linear map
+(g x)_i = sign_i x_perm(i).  When it maps the grid's active axes to
+themselves it maps the grid to itself, and it pulls a field f back to
+(g*f)(x) = g*(f(g x)): a gather of grid points and a signed permutation of
+coefficients.  g fixes phi, *phi and the orientation, so every formula of
+the dDT operator commutes with the pullback, and the functionals are
+invariant.  The plain swap of axes 1 and 2 moves phi, and is the control.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from ddt7 import g2, tables
+from ddt7.exalg import Endo, KForm, blades, pullback
+from ddt7.scalars import RATIONAL
+from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, cube_field,
+                        curvature, kl_functional, random_coclosed_potential,
+                        residual_field, wedge_field)
+
+GRID16 = TorusGrid((1, 2), 4)
+GRID512 = TorusGrid((1, 2, 3), 8)
+FLUXES = {"zero": Flux.zero(), "calibrated": Flux.from_entries({(1, 2): 1, (4, 7): 1})}
+TOL = 1e-13
+SWAP12 = (np.array([1, 0, 2, 3, 4, 5, 6]), np.ones(7, dtype=np.int64))
+
+
+def _coefficient_map(perm, signs, k):
+    """P with (g*form).coeffs = P @ form.coeffs: the pullback of each basis
+    k-blade by g, exactly."""
+    return _coefficient_matrix(tuple(map(int, perm)), tuple(map(int, signs)), k)
+
+
+@lru_cache(maxsize=None)
+def _coefficient_matrix(perm, signs, k):
+    A = Endo(7, tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(7))
+                      for i in range(7)), RATIONAL)
+    n = len(blades(7, k))
+    cols = [pullback(A, KForm(7, k, tuple(RATIONAL.const(int(i == c)) for i in range(n)),
+                              RATIONAL)).coeffs for c in range(n)]
+    return np.array(cols, dtype=np.float64).T
+
+
+def pull_back_field(perm, signs, f: FormField) -> FormField:
+    """g*f on f's grid; g must map the grid's active axes to themselves."""
+    grid = f.grid
+    axes = [a - 1 for a in grid.active_axes]
+    if sorted(perm[axes]) != axes:
+        raise ValueError("the element moves an active axis off the grid")
+    idx = np.indices(grid.shape)
+    src = tuple((signs[a] * idx[axes.index(perm[a])]) % grid.N for a in axes)
+    cube = f.coeffs.reshape((-1,) + grid.shape)[(slice(None),) + src]
+    vals = _coefficient_map(perm, signs, f.k) @ cube.reshape(cube.shape[0], -1)
+    return FormField(grid, f.k, vals.T)
+
+
+def pull_back_flux(perm, signs, flux: Flux) -> Flux:
+    coeffs = _coefficient_map(perm, signs, 2) @ np.array(flux.upper, dtype=np.float64)
+    return Flux(tuple(int(c) for c in coeffs))
+
+
+def pull_back(perm, signs, pot: GaugePotential) -> GaugePotential:
+    return GaugePotential(pull_back_field(perm, signs, pot.a),
+                          pull_back_flux(perm, signs, pot.flux))
+
+
+def _grid_elements(grid):
+    """The elements of the group that map the grid's active axes to themselves."""
+    perms, signs = tables.phi_symmetries()
+    axes = [a - 1 for a in grid.active_axes]
+    keep = np.all(np.isin(perms[:, axes], axes), axis=1)
+    return list(zip(perms[keep], signs[keep]))
+
+
+def _potential(grid, flux):
+    return random_coclosed_potential(grid, flux, np.random.default_rng(41), scale=0.05)
+
+
+def _rel_gap(got, want) -> float:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def _gaps(perm, signs, pot):
+    """Relative equivariance gaps of the square, the cube, residual_field
+    (the field and its norm) and kl_functional at pot."""
+    gpot = pull_back(perm, signs, pot)
+    E, gE = curvature(pot), curvature(gpot)
+    E2, gE2 = wedge_field(E, E), wedge_field(gE, gE)
+    res, norm = residual_field(pot)
+    gres, gnorm = residual_field(gpot)
+    return {
+        "square": _rel_gap(gE2.coeffs, pull_back_field(perm, signs, E2).coeffs),
+        "cube": _rel_gap(cube_field(gE, gE2).coeffs,
+                         pull_back_field(perm, signs, cube_field(E, E2)).coeffs),
+        "residual": _rel_gap(gres.coeffs, pull_back_field(perm, signs, res).coeffs),
+        "residual_norm": _rel_gap(gnorm, norm),
+        "kl_functional": _rel_gap(kl_functional(gpot), kl_functional(pot)),
+    }
+
+
+def test_pullback_helpers_fix_phi_and_move_the_grid():
+    perms, signs = tables.phi_symmetries()
+    P3 = _coefficient_map(perms[5], signs[5], 3)
+    phi = np.array([float(c) for c in g2.phi_for(RATIONAL).coeffs])
+    assert np.array_equal(P3 @ phi, phi)
+    assert not np.array_equal(_coefficient_map(*SWAP12, 3) @ phi, phi)
+    # some usable element moves grid points, not only coefficients
+    assert len(_grid_elements(GRID16)) == 64 and len(_grid_elements(GRID512)) == 192
+    f = random_coclosed_potential(GRID16, Flux.zero(), np.random.default_rng(2)).a
+    moved = [pull_back_field(p, s, f).coeffs for p, s in _grid_elements(GRID16)[1:]]
+    assert all(not np.array_equal(m, f.coeffs) for m in moved)
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid, stride", [(GRID16, 1), (GRID512, 23)], ids=["16", "512"])
+def test_field_formulas_are_equivariant(grid, stride, flux):
+    """Every usable element at 16 points, every 23rd at 512 (9 of 192)."""
+    pot = _potential(grid, FLUXES[flux])
+    for perm, signs in _grid_elements(grid)[::stride]:
+        gaps = _gaps(perm, signs, pot)
+        assert max(gaps.values()) <= TOL, (perm.tolist(), signs.tolist(), gaps)
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid", [GRID16, GRID512], ids=["16", "512"])
+def test_the_swap_of_axes_1_and_2_is_caught(grid, flux):
+    """The swap does not fix phi: the residual and the functional notice.
+    Wedges commute with every linear pullback, so the square and the cube
+    still agree, which shows the helper itself is sound."""
+    gaps = _gaps(*SWAP12, _potential(grid, FLUXES[flux]))
+    assert gaps["square"] <= TOL and gaps["cube"] <= TOL
+    assert gaps["residual"] > 1e-6 and gaps["kl_functional"] > 1e-6
