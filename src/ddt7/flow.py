@@ -23,13 +23,13 @@ import numpy as np
 from . import ddt, g2, tables
 from .errors import (DegenerateMetricError, InputError, NonFiniteError,
                      NumericalError, ObstructionError)
-from .exalg import blades, wedge
-from .kernels import backend_name, bareiss_ranks, wedge_fields
+from .exalg import wedge
+from .kernels import backend_name, bareiss_ranks
 from .scalars import FLOAT, RATIONAL
 from .torus import (Flux, FormField, GaugePotential, TorusGrid, _apply_modes,
                     _finite_field, _finite_value, _kl_segment, _spectral_k,
                     codiff, curvature, d, field_inner, field_l2, field_mean,
-                    wedge_const, wedge_field, zero_potential)
+                    hodge_field, wedge_const, wedge_field, zero_potential)
 
 __all__ = [
     "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
@@ -349,7 +349,7 @@ class _ScaledSystem:
         """Adjoint of apply_j under the mean-based inner products.
 
         The 6-form block factors through d, whose adjoint is codiff; the
-        wedge-by-W factor is transposed against the same coefficient table.
+        adjoint of the wedge-by-W factor is y -> *(W ^ *y).
         The adjoint of the mean block sends mu to the constant field mu.
         """
         out = codiff(_wedge_by_w_adjoint(w6, W)) + d(w0)
@@ -357,10 +357,9 @@ class _ScaledSystem:
 
 
 def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
-    """Adjoint of the pointwise map x (2-form) -> x ^ W, W a fixed 4-form."""
-    vals = wedge_fields(y.coeffs, W.coeffs, *tables.wedge_adjoint_arrays(7, 2, 4),
-                        len(blades(7, 2)))
-    return FormField._of(y.grid, 2, vals)
+    """Adjoint of the pointwise map x (2-form) -> x ^ W, W a fixed 4-form:
+    *(W ^ *y), since <x ^ W, y> vol = x ^ (W ^ *y) and ** = 1 on R^7."""
+    return hodge_field(wedge_field(W, hodge_field(y)))
 
 
 # The blocks have condition 1 at W = -*phi and stay below 2e3 along the

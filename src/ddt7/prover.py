@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, MultiPoly, PolyRing, frac, intval
+from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, PolyRing, frac, intval
 from . import ddt, g2
 from .exalg import (Endo, KForm, Vector, blades, contract, cube, det_endo, hodge,
                     inner, pullback, sharp2, wedge)
@@ -505,23 +505,17 @@ def mutate(identity_id: str, site: str, new_coefficient) -> str:
 
 
 def _count_monomials(x) -> int:
+    """Terms on one side of a component: a ``KForm`` over the polynomial
+    ring or a packed DET side."""
     if isinstance(x, _Packed):
         return len(x.keys) if x.scale else 0
-    if isinstance(x, KForm):
-        return sum(c.nterms() if isinstance(c, MultiPoly) else (0 if c == 0 else 1)
-                   for c in x.coeffs)
-    if isinstance(x, MultiPoly):
-        return x.nterms()
-    return 0 if x == 0 else 1
+    return sum(c.nterms() for c in x.coeffs)
 
 
-def _first_witness(label: str, diff) -> dict | None:
-    """Deterministic witness of a polynomial form or scalar: first nonzero
+def _first_witness(label: str, diff: KForm) -> dict | None:
+    """Deterministic witness of a polynomial form: first nonzero
     coefficient in blade order, lexicographically first monomial within it."""
-    if isinstance(diff, KForm):
-        named = zip(("e^" + "".join(map(str, b)) for b in blades(diff.n, diff.k)), diff.coeffs)
-    else:
-        named = [("scalar", diff)]
+    named = zip(("e^" + "".join(map(str, b)) for b in blades(diff.n, diff.k)), diff.coeffs)
     for blade, c in named:
         if not c.is_zero():
             e, coef = c.leading()

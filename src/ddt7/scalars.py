@@ -122,7 +122,10 @@ class MultiPoly:
 
     Keys are the ring's packed encoding (``PolyRing.key``); coefficients are
     ints when integral, else Fractions.  ``deg`` bounds the total degree from
-    above, so ``__mul__`` can refuse a product whose keys would carry.
+    above, so ``__mul__`` can accept most products without looking at the
+    keys; only when that bound passes the ring's exponent bound does it
+    compare each variable's exponents, and it refuses a product whose keys
+    would carry.
     Immutable by convention; all arithmetic allocates.
     """
 
@@ -200,8 +203,10 @@ class MultiPoly:
         if c is not None:
             return other._scaled(c)
         deg = self.deg + other.deg
-        if deg > self.ring.bound:
-            raise NumericalError(f"product degree bound {deg} exceeds the ring's exponent "
+        if deg > self.ring.bound and any(
+                a + b > self.ring.bound
+                for a, b in zip(self._max_exponents(), other._max_exponents())):
+            raise NumericalError(f"a product exponent exceeds the ring's exponent "
                                  f"bound {self.ring.bound}: monomial keys would carry")
         out: dict = {}
         get = out.get
@@ -242,6 +247,10 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return max((sum(self.ring.exponents(k)) for k in self.terms), default=0)
+
+    def _max_exponents(self) -> tuple:
+        """Each variable's largest exponent over the (nonempty) terms."""
+        return tuple(map(max, zip(*map(self.ring.exponents, self.terms))))
 
     def leading(self):
         """(exponent tuple, coefficient) of the lexicographically first

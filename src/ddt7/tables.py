@@ -2,7 +2,10 @@
 
 Everything here is derived from the exact tables in ``exalg`` and from the
 standard associative 3-form, so the batched numeric path and the symbolic
-path share one source of truth.
+path share one source of truth.  ``wedge_tensor`` is the one place a wedge
+table becomes a dense per-blade tensor: the d and codiff combines in
+``torus`` and the mode symbols below are slices or products of it.  Every
+cached array is read-only, since callers share it.
 """
 from __future__ import annotations
 
@@ -16,6 +19,12 @@ from .exalg import blades, hodge_table, power_table, wedge_table
 from .scalars import RATIONAL
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: for arrays a cache hands to every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=None)
 def wedge_arrays(n: int, p: int, q: int):
     """(i, j, out, sign) columns of the wedge structure table, int64,
@@ -27,7 +36,19 @@ def wedge_arrays(n: int, p: int, q: int):
     """
     t = np.asarray(wedge_table(n, p, q), dtype=np.int64).reshape(-1, 4)
     t = t[np.argsort(t[:, 2], kind="stable")]
-    return tuple(np.ascontiguousarray(t[:, c]) for c in range(4))
+    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+
+
+@lru_cache(maxsize=None)
+def wedge_tensor(n: int, p: int, q: int) -> np.ndarray:
+    """The p^q wedge table as a dense int64 (C(n,p), C(n,p+q), C(n,q))
+    tensor: slice [i] is the matrix of e^{I_i} ^ (.) on q-form
+    coefficients, rows indexing (p+q)-blades."""
+    ii, jj, oo, ss = wedge_arrays(n, p, q)
+    T = np.zeros((len(blades(n, p)), len(blades(n, p + q)), len(blades(n, q))),
+                 dtype=np.int64)
+    T[ii, oo, jj] = ss  # each (i, j) pair occurs once
+    return read_only(T)
 
 
 @lru_cache(maxsize=None)
@@ -38,27 +59,14 @@ def power_arrays(n: int, k: int):
     ``kernels.wedge_fields`` needs."""
     t = np.asarray(power_table(n, k), dtype=np.int64).reshape(-1, 4)
     t[:, 3] *= k
-    return tuple(np.ascontiguousarray(t[:, c]) for c in range(4))
-
-
-@lru_cache(maxsize=None)
-def wedge_adjoint_arrays(n: int, p: int, q: int):
-    """The p^q table regrouped for y, w -> x with <x ^ w, y> = <x, adj>.
-
-    Columns (out, j, sign), stably sorted by the p-form blade i, so that
-    ``wedge_fields(y, w, *wedge_adjoint_arrays(n, p, q), dim_p)`` is the
-    adjoint of x -> x ^ w.  Each p-blade meets C(n-p, q) q-blades.
-    """
-    ii, jj, oo, ss = wedge_arrays(n, p, q)
-    order = np.argsort(ii, kind="stable")
-    return tuple(np.ascontiguousarray(c[order]) for c in (oo, jj, ss))
+    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
 
 
 @lru_cache(maxsize=None)
 def hodge_arrays(n: int, k: int):
     """(target, sign) per source blade, int64."""
     t = np.asarray(hodge_table(n, k), dtype=np.int64)
-    return np.ascontiguousarray(t[:, 0]), np.ascontiguousarray(t[:, 1])
+    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(2))
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +77,7 @@ def hodge_gather(n: int, k: int):
     inverse of ``hodge_arrays``' target permutation."""
     tgt, sgn = hodge_arrays(n, k)
     src = np.argsort(tgt)
-    return src, sgn[src].astype(np.float64)
+    return read_only(src), read_only(sgn[src].astype(np.float64))
 
 
 @lru_cache(maxsize=256)
@@ -84,7 +92,7 @@ def wedge_const_matrix(n: int, p: int, q: int, const_coeffs: tuple) -> np.ndarra
     c = np.asarray(const_coeffs, dtype=np.float64)
     M = np.zeros((len(blades(n, p + q)), len(blades(n, p))))
     M[oo, ii] = ss * c[jj]  # each (out, i) pair occurs once
-    return M
+    return read_only(M)
 
 
 @lru_cache(maxsize=None)
@@ -95,15 +103,11 @@ def mode_weight_tensor() -> np.ndarray:
     b |-> (e_i ^ b) ^ W on 1-form coefficients (rows index 6-form blades),
     so the Fourier symbol of b |-> db ^ W at mode k is 2*pi*i sum_i k_i T[i].
     At W = *phi, T is ``mode_kernel_tensors()[0]``.  Linear in W rather than
-    built per W, so no cache grows with the weights a solver meets.
+    built per W, so no cache grows with the weights a solver meets.  It is
+    the 4^2 wedge tensor after the 1^1 one: (e_i ^ b) ^ W = W ^ (e_i ^ b).
     """
-    ia, ib, io, isg = wedge_arrays(7, 1, 1)
-    axis = np.zeros((7, 21, 7))
-    axis[ia, io, ib] = isg  # e_i ^ e_b, each (i, b) pair once
-    ii, jj, oo, ss = wedge_arrays(7, 2, 4)
-    by_w = np.zeros((35, 7, 21))
-    by_w[jj, oo, ii] = ss  # x ^ e_j for a 2-blade x, each (x, j) pair once
-    return np.einsum("joc,icb->jiob", by_w, axis)
+    S = np.einsum("joc,icb->jiob", wedge_tensor(7, 4, 2), wedge_tensor(7, 1, 1))
+    return read_only(S.astype(np.float64))
 
 
 @lru_cache(maxsize=None)
@@ -113,15 +117,12 @@ def mode_kernel_tensors():
     For an integer mode k, the Fourier symbol of b |-> (dx_k ^ b) ^ *phi on
     1-form coefficients is A_k = sum_i k_i T[i]  (7x7), and the symbol of
     g |-> dx_k ^ g on 5-form coefficients is B_k = sum_i k_i U[i]  (7x21).
-    Rows index 6-form blades.  T's entries are 0 and +-1, so its cast from
-    the float weight tensor is exact.
+    Rows index 6-form blades; U is ``wedge_tensor(7, 1, 5)``.  T's entries
+    are 0 and +-1, so its cast from the float weight tensor is exact.
     """
     star_phi = [int(c) for c in g2.star_phi_for(RATIONAL).coeffs]
     T = np.tensordot(star_phi, mode_weight_tensor(), 1).astype(np.int64)
-    ii, jj, oo, ss = wedge_arrays(7, 1, 5)
-    U = np.zeros((7, 7, 21), dtype=np.int64)
-    U[ii, oo, jj] = ss  # e_i ^ g for a 5-blade g, each (i, g) pair once
-    return T, U
+    return read_only(T), wedge_tensor(7, 1, 5)
 
 
 @lru_cache(maxsize=1)
@@ -149,7 +150,4 @@ def phi_symmetries():
     signs = np.array(list(itertools.product((1, -1), repeat=7)))
     pi, si = np.nonzero(np.all(signs[:, lines].prod(axis=-1) == want[:, None],
                                axis=-1))
-    out = perms[pi], signs[si]
-    for a in out:
-        a.flags.writeable = False
-    return out
+    return read_only(perms[pi]), read_only(signs[si])

@@ -241,7 +241,7 @@ def _spectral_k(grid: TorusGrid) -> np.ndarray:
     out = np.zeros(ks[0].shape + (7,), dtype=np.int64)
     for k, axis in zip(ks, grid.active_axes):
         out[..., axis - 1] = k
-    return out.reshape(-1, 7)
+    return tables.read_only(out.reshape(-1, 7))
 
 
 def _apply_modes(f: FormField, per_mode) -> FormField:
@@ -275,7 +275,7 @@ def _derivative_matrix(N: int) -> np.ndarray:
     m = np.arange(1, N // 2)
     half = math.pi * (-1.0) ** m / np.tan(math.pi * m / N)
     col = np.concatenate(([0.0], half, [0.0], -half[::-1]))
-    return col[np.subtract.outer(np.arange(N), np.arange(N)) % N]
+    return tables.read_only(col[np.subtract.outer(np.arange(N), np.arange(N)) % N])
 
 
 def _axis_partial(cube: np.ndarray, grid: TorusGrid, out: np.ndarray) -> None:
@@ -315,29 +315,21 @@ def _partials(f: FormField) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _d_combine(axes: tuple, k: int) -> np.ndarray:
     """The signed (n_active * dim_k, dim_{k+1}) matrix taking the stacked
-    partials of a k-form to its d: block i is dx^axes[i] ^ (.) from the 1^k
-    wedge table."""
-    ii, jj, oo, ss = tables.wedge_arrays(7, 1, k)
-    C = np.zeros((len(axes), len(blades(7, k)), len(blades(7, k + 1))))
-    for i, axis in enumerate(axes):
-        sel = ii == axis - 1
-        C[i, jj[sel], oo[sel]] = ss[sel]
-    return C.reshape(-1, C.shape[2])
+    partials of a k-form to its d: block i is the transpose of
+    dx^axes[i] ^ (.), a slice of the 1^k wedge tensor."""
+    C = tables.wedge_tensor(7, 1, k)[np.subtract(axes, 1)].transpose(0, 2, 1)
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    return tables.read_only(C.reshape(-1, C.shape[2]))
 
 
 @lru_cache(maxsize=None)
 def _codiff_combine(axes: tuple, k: int) -> np.ndarray:
-    """``_d_combine`` for (-1)^k * d *: block i is (-1)^k H_k S_i H_{8-k},
-    with H_k the Hodge star on k-forms as a signed permutation matrix
-    (H_k[i, tgt[i]] = sign[i] from ``tables.hodge_arrays``) and S_i block i
-    of the d combine on (7-k)-forms."""
-    def star(j):
-        tgt, sgn = tables.hodge_arrays(7, j)
-        H = np.zeros((len(tgt), len(tgt)))
-        H[np.arange(len(tgt)), tgt] = sgn
-        return H
-    S = _d_combine(axes, 7 - k).reshape(len(axes), len(blades(7, k)), -1)
-    return (-1) ** k * (star(k) @ S @ star(8 - k)).reshape(-1, len(blades(7, k - 1)))
+    """``_d_combine`` for the codifferential -sum_i i(e_i) d/dx_i, which is
+    (-1)^k * d * on R^7: the interior product i(e_i) on k-forms is the
+    transpose of e_i ^ (.) on (k-1)-forms, so block i is minus a slice of
+    the 1^(k-1) wedge tensor."""
+    C = -tables.wedge_tensor(7, 1, k - 1)[np.subtract(axes, 1)]
+    return tables.read_only(C.reshape(-1, C.shape[2]).astype(np.float64))
 
 
 def d(f: FormField) -> FormField:
@@ -358,7 +350,7 @@ def hodge_field(f: FormField) -> FormField:
 
 def codiff(f: FormField) -> FormField:
     """Codifferential, the (-1)^k * d * convention on R^7: the same partials
-    as ``d``, with both Hodge stars and the sign folded into the combine."""
+    as ``d``, combined by minus the interior products."""
     if f.k == 0:
         raise InputError("codiff of a scalar")
     vals = _codiff_combine(f.grid.active_axes, f.k).T @ _partials(f)

@@ -298,6 +298,28 @@ def test_normal_symbol_is_the_constant_weight_normal_operator(grid):
             assert field_l2(got - want) <= 1e-12 * field_l2(want)
 
 
+@pytest.mark.parametrize("grid", [GRID, TorusGrid((1, 2, 3), 8)])
+def test_apply_jt_is_the_adjoint_of_apply_j(grid):
+    """<J b, y> = <b, J^T y> at a non-constant W, one block of y at a time."""
+    rng = np.random.default_rng(grid.npts)
+    system = flow._ScaledSystem(CALIBRATED, grid, 0.75)
+    pot = random_coclosed_potential(grid, CALIBRATED, rng, scale=0.3)
+    _, W = system.residual(pot.a)
+    assert np.ptp(W.coeffs, axis=1).max() > 0.1
+    zeros = (FormField.zero(grid, 6), FormField.zero(grid, 0), np.zeros(7))
+    for _ in range(2):
+        b = FormField(grid, 1, rng.normal(size=(grid.npts, 7)))
+        jb = system.apply_j(W, b)
+        for block, y in enumerate((FormField(grid, 6, rng.normal(size=(grid.npts, 7))),
+                                   FormField(grid, 0, rng.normal(size=(grid.npts, 1))),
+                                   rng.normal(size=7))):
+            ys = zeros[:block] + (y,) + zeros[block + 1:]
+            lhs = (float(np.dot(jb[2], y)) if block == 2
+                   else torus.field_inner(jb[block], y))
+            rhs = torus.field_inner(b, system.apply_jt(W, *ys))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 def test_mode_weight_tensor_at_star_phi_is_the_probe_tensor():
     w = np.array([float(c) for c in star_phi_for(FLOAT).coeffs])
     T = np.tensordot(w, tables.mode_weight_tensor(), axes=1)
@@ -323,6 +345,17 @@ def test_mode_kernel_tensors_match_exact_wedges():
     assert got_T.dtype == got_U.dtype == np.int64
     assert np.array_equal(got_T, T)
     assert np.array_equal(got_U, U)
+
+
+def test_mode_weight_tensor_matches_exact_wedges_at_an_integer_weight():
+    """T[i][:, b] is (e_i ^ e_b) ^ W for an integer 4-form W, exactly."""
+    w = [int(c) for c in np.random.default_rng(52).integers(-3, 4, 35)]
+    W = KForm(7, 4, tuple(RATIONAL.const(c) for c in w), RATIONAL)
+    T = np.tensordot(w, tables.mode_weight_tensor(), axes=1)
+    for i, b in itertools.product(range(7), repeat=2):
+        ei, eb = (KForm.from_blades(7, 1, {(x + 1,): 1}, RATIONAL) for x in (i, b))
+        out = wedge(wedge(ei, eb), W)
+        assert np.array_equal(T[i, :, b], [int(c) for c in out.coeffs]), (i, b)
 
 
 @pytest.mark.parametrize("grid", [GRID, TorusGrid((1, 2, 3), 8)])

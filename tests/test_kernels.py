@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddt7 import exalg, flow, kernels, tables
+from ddt7 import exalg, flow, kernels, tables, torus
 from ddt7.errors import InputError
-from ddt7.exalg import blades, cube, wedge
+from ddt7.exalg import KForm, blades, cube, wedge
+from ddt7.scalars import RATIONAL
 from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, codiff, cube_field, d,
                         field_inner, hodge_field, random_field, theta3, wedge_field)
 
@@ -154,6 +155,18 @@ def test_wedge_tables_are_grouped_by_output():
         dim_out = len(blades(7, p + q))
         assert np.array_equal(
             oo, np.repeat(np.arange(dim_out), math.comb(p + q, p)))
+
+
+def test_wedge_tensor_scatters_the_wedge_table():
+    """Slice [i] of ``wedge_tensor(7, p, q)`` holds exactly the table's
+    entries for the p-blade i, at (out, j)."""
+    for p, q in DEGREE_PAIRS:
+        T = tables.wedge_tensor(7, p, q)
+        assert T.dtype == np.int64
+        assert T.shape == (len(blades(7, p)), len(blades(7, p + q)), len(blades(7, q)))
+        entries = exalg.wedge_table(7, p, q)
+        assert np.count_nonzero(T) == len(entries)
+        assert all(T[i, o, j] == sign for i, j, o, sign in entries)
 
 
 @pytest.mark.parametrize("npts", [1, 16, 513, 4096])
@@ -314,8 +327,73 @@ def test_codiff_matches_star_d_star(axes, N):
         _assert_close(codiff(f).values, want, k)
 
 
-def test_wedge_adjoint_table_is_the_adjoint():
-    """<x ^ W, y> = <x, adj(y, W)> for the CG adjoint of x -> x ^ W."""
+def _star_matrix(k: int) -> np.ndarray:
+    """The Hodge star on k-form coefficients as a signed permutation matrix."""
+    tgt, sgn = tables.hodge_arrays(7, k)
+    H = np.zeros((len(tgt), len(tgt)))
+    H[np.arange(len(tgt)), tgt] = sgn
+    return H
+
+
+@pytest.mark.parametrize("axes", [(1,), (2, 5), (1, 2, 3), (3, 4, 6, 7), tuple(range(1, 8))])
+def test_codiff_combine_is_star_d_combine_star(axes):
+    """Minus the interior products equal (-1)^k * d * exactly: block i of
+    the codiff combine is (-1)^k H_k S_i H_{8-k}, S_i block i of the d
+    combine on (7-k)-forms."""
+    for k in range(1, 8):
+        S = torus._d_combine(axes, 7 - k).reshape(len(axes), len(blades(7, k)), -1)
+        want = (-1) ** k * (_star_matrix(k) @ S @ _star_matrix(8 - k))
+        assert np.array_equal(torus._codiff_combine(axes, k),
+                              want.reshape(-1, len(blades(7, k - 1)))), k
+
+
+@pytest.mark.parametrize("axes", [(1,), (2, 5), (1, 2, 3), (3, 4, 6, 7), tuple(range(1, 8))])
+def test_d_combine_blocks_are_exact_wedges(axes):
+    """Row j of block i of the d combine is dx^axes[i] ^ e^{J_j}."""
+    for k in range(7):
+        C = torus._d_combine(axes, k).reshape(len(axes), len(blades(7, k)), -1)
+        for i, axis in enumerate(axes):
+            e = KForm.from_blades(7, 1, {(axis,): 1}, RATIONAL)
+            for j, J in enumerate(blades(7, k)):
+                out = wedge(e, KForm.from_blades(7, k, {J: 1}, RATIONAL))
+                assert np.array_equal(C[i, j], [int(c) for c in out.coeffs]), (axis, J)
+
+
+CACHED_TABLES = {
+    "tables.wedge_arrays": lambda: tables.wedge_arrays(7, 2, 3),
+    "tables.wedge_tensor": lambda: tables.wedge_tensor(7, 1, 5),
+    "tables.power_arrays": lambda: tables.power_arrays(7, 2),
+    "tables.hodge_arrays": lambda: tables.hodge_arrays(7, 3),
+    "tables.hodge_gather": lambda: tables.hodge_gather(7, 3),
+    "tables.wedge_const_matrix": lambda: tables.wedge_const_matrix(7, 2, 4, (1.0,) * 35),
+    "tables.mode_weight_tensor": tables.mode_weight_tensor,
+    "tables.mode_kernel_tensors": tables.mode_kernel_tensors,
+    "tables.phi_symmetries": tables.phi_symmetries,
+    "torus._spectral_k": lambda: torus._spectral_k(TorusGrid((1, 2), 4)),
+    "torus._derivative_matrix": lambda: torus._derivative_matrix(8),
+    "torus._d_combine": lambda: torus._d_combine((1, 2), 2),
+    "torus._codiff_combine": lambda: torus._codiff_combine((1, 2), 2),
+}
+
+
+def test_every_cached_table_is_read_only():
+    """The caches in ``tables`` and ``torus`` hand the same arrays to every
+    caller (``mode_kernel_tensors()[1]`` is ``wedge_tensor(7, 1, 5)`` itself),
+    so a write into any of them raises instead of corrupting the cache."""
+    cached = {f"{m.__name__.split('.')[-1]}.{name}" for m in (tables, torus)
+              for name, fn in vars(m).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == m.__name__}
+    assert cached == set(CACHED_TABLES)
+    assert tables.mode_kernel_tensors()[1] is tables.wedge_tensor(7, 1, 5)
+    for name, call in CACHED_TABLES.items():
+        out = call()
+        for a in out if isinstance(out, tuple) else (out,):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+
+def test_wedge_by_w_adjoint_is_the_adjoint():
+    """<x ^ W, y> = <x, *(W ^ *y)> for the CG adjoint of x -> x ^ W."""
     rng = np.random.default_rng(37)
     grid = TorusGrid((1, 2, 3), 8)
     x = FormField(grid, 2, rng.normal(size=(grid.npts, 21)))

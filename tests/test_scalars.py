@@ -133,13 +133,34 @@ def test_carry_guard_at_the_ring_bound(bound):
     assert p.terms == {key: 1} and p.deg == bound
     assert key == bound * ring.radix and ring.exponents(key) == (bound, 0)
     assert p.leading() == ((bound, 0), 1) and p.monomial_str((bound, 0)) == f"x^{bound}"
-    # one more factor could carry into the next digit: refused before any key forms
+    # one more factor of x would carry into the next digit: refused before
+    # any key forms
     with pytest.raises(NumericalError):
         _ = p * x
     with pytest.raises(NumericalError):
-        _ = p * (ring.var("y") + 1)
+        _ = p * (x + ring.var("y"))
     with pytest.raises(NumericalError):
         ring.key((bound + 1, 0))
+    # a factor in y alone leaves every exponent within the bound
+    q = p * (ring.var("y") + 1)
+    assert q.terms == {ring.key((bound, 1)): 1, key: 1}
+
+
+@pytest.mark.parametrize("bound", [4, EXPONENT_BOUND], ids=["radix5", "shared"])
+def test_product_guard_checks_each_exponent(bound):
+    """A product past the total-degree bound is refused only when one
+    variable's exponent would pass the ring's bound: x^4 * y^4 fits at the
+    shared bound 7, x^4 * x^4 does not."""
+    ring = PolyRing(("x", "y"), bound=bound)
+    x, y = ring.var("x"), ring.var("y")
+    half = bound // 2 + 1
+    xh, yh = x, y
+    for _ in range(half - 1):
+        xh, yh = xh * x, yh * y
+    assert xh.deg + yh.deg > bound
+    assert (xh * yh).terms == {ring.key((half, half)): 1}
+    with pytest.raises(NumericalError):
+        _ = xh * xh
 
 
 @pytest.mark.parametrize("bound", [4, EXPONENT_BOUND], ids=["radix5", "shared"])

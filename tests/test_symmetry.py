@@ -7,6 +7,8 @@ themselves it maps the grid to itself, and it pulls a field f back to
 coefficients.  g fixes phi, *phi and the orientation, so every formula of
 the dDT operator commutes with the pullback, and the functionals are
 invariant.  The plain swap of axes 1 and 2 moves phi, and is the control.
+``d`` and ``codiff`` commute with every signed permutation, the swap
+included; their control moves grid points and leaves the coefficients.
 """
 
 from functools import lru_cache
@@ -17,11 +19,12 @@ import pytest
 from ddt7 import g2, tables
 from ddt7.exalg import Endo, KForm, blades, pullback
 from ddt7.scalars import RATIONAL
-from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, cube_field,
-                        curvature, kl_functional, random_coclosed_potential,
-                        residual_field, wedge_field)
+from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, codiff, cube_field,
+                        curvature, d, hodge_field, kl_functional,
+                        random_coclosed_potential, residual_field, wedge_field)
 
 GRID16 = TorusGrid((1, 2), 4)
+GRID64 = TorusGrid((1, 2, 3), 4)
 GRID512 = TorusGrid((1, 2, 3), 8)
 FLUXES = {"zero": Flux.zero(), "calibrated": Flux.from_entries({(1, 2): 1, (4, 7): 1})}
 TOL = 1e-13
@@ -44,8 +47,9 @@ def _coefficient_matrix(perm, signs, k):
     return np.array(cols, dtype=np.float64).T
 
 
-def pull_back_field(perm, signs, f: FormField) -> FormField:
-    """g*f on f's grid; g must map the grid's active axes to themselves."""
+def move_points(perm, signs, f: FormField) -> FormField:
+    """x -> f(g x) with the coefficients left as they are, on f's grid; g
+    must map the grid's active axes to themselves."""
     grid = f.grid
     axes = [a - 1 for a in grid.active_axes]
     if sorted(perm[axes]) != axes:
@@ -53,8 +57,14 @@ def pull_back_field(perm, signs, f: FormField) -> FormField:
     idx = np.indices(grid.shape)
     src = tuple((signs[a] * idx[axes.index(perm[a])]) % grid.N for a in axes)
     cube = f.coeffs.reshape((-1,) + grid.shape)[(slice(None),) + src]
-    vals = _coefficient_map(perm, signs, f.k) @ cube.reshape(cube.shape[0], -1)
-    return FormField(grid, f.k, vals.T)
+    return FormField(grid, f.k, cube.reshape(cube.shape[0], -1).T)
+
+
+def pull_back_field(perm, signs, f: FormField) -> FormField:
+    """g*f on f's grid: the points moved, then the coefficients pulled back."""
+    moved = move_points(perm, signs, f)
+    vals = _coefficient_map(perm, signs, f.k) @ moved.coeffs
+    return FormField(f.grid, f.k, vals.T)
 
 
 def pull_back_flux(perm, signs, flux: Flux) -> Flux:
@@ -134,3 +144,55 @@ def test_the_swap_of_axes_1_and_2_is_caught(grid, flux):
     gaps = _gaps(*SWAP12, _potential(grid, FLUXES[flux]))
     assert gaps["square"] <= TOL and gaps["cube"] <= TOL
     assert gaps["residual"] > 1e-6 and gaps["kl_functional"] > 1e-6
+
+
+OPERATORS = {"d": (d, range(7)), "codiff": (codiff, range(1, 8)),
+             "hodge_field": (hodge_field, range(8))}
+
+
+def _operator_gaps(name, move, grid):
+    """Relative gaps between op(move(f)) and move(op(f)) for a random f of
+    each degree op takes."""
+    op, degrees = OPERATORS[name]
+    rng = np.random.default_rng(grid.npts)
+    gaps = []
+    for k in degrees:
+        f = FormField(grid, k, rng.normal(size=(grid.npts, len(blades(7, k)))))
+        gaps.append(_rel_gap(op(move(f)).coeffs, move(op(f)).coeffs))
+    return gaps
+
+
+def _moves_the_grid(grid, perm, signs) -> bool:
+    axes = np.array(grid.active_axes) - 1
+    return not (np.array_equal(perm[axes], axes) and np.all(signs[axes] == 1))
+
+
+@pytest.mark.parametrize("name", list(OPERATORS))
+@pytest.mark.parametrize("grid, stride", [(GRID16, 1), (GRID64, 7), (GRID512, 23)],
+                         ids=["16", "64", "512"])
+def test_d_codiff_and_hodge_are_equivariant(grid, stride, name):
+    """Every usable element at 16 points, every 7th at 64 (28 of 192) and
+    every 23rd at 512 (9 of 192), every degree."""
+    for perm, signs in _grid_elements(grid)[::stride]:
+        gaps = _operator_gaps(name, lambda f: pull_back_field(perm, signs, f), grid)
+        assert max(gaps) <= TOL, (perm.tolist(), signs.tolist(), gaps)
+
+
+@pytest.mark.parametrize("grid", [GRID16, GRID64, GRID512], ids=["16", "64", "512"])
+def test_the_swap_of_axes_1_and_2_flips_the_hodge_star(grid):
+    """The swap reverses the orientation, so *(g*f) = -g*(*f), while d and
+    codiff stay natural under it."""
+    swap = lambda f: pull_back_field(*SWAP12, f)
+    assert min(_operator_gaps("hodge_field", swap, grid)) > 1
+    assert max(_operator_gaps("d", swap, grid) + _operator_gaps("codiff", swap, grid)) <= TOL
+
+
+@pytest.mark.parametrize("name", ["d", "codiff"])
+@pytest.mark.parametrize("grid", [GRID16, GRID64, GRID512], ids=["16", "64", "512"])
+def test_moving_points_without_the_coefficients_is_caught(grid, name):
+    """Moving the points alone is no pullback, and d and codiff notice it
+    at every degree, for the first three elements that move the grid."""
+    movers = [e for e in _grid_elements(grid) if _moves_the_grid(grid, *e)][:3]
+    for perm, signs in movers:
+        gaps = _operator_gaps(name, lambda f: move_points(perm, signs, f), grid)
+        assert min(gaps) > 1e-6, (perm.tolist(), signs.tolist(), gaps)
