@@ -2,6 +2,11 @@
 in the scale parameter, product-space consistency, and the per-mode
 kernel/image probe of the linearized equation.
 
+Both obstructions on the torus depend only on the integer flux class F and
+are decided exactly on it: the vector part F ^ *phi leaves no instanton,
+and a nonzero cube F^3 fixes the scaled residual's mean at
+s^4 (2 pi)^3 F^3/6, whatever the potential.
+
 The flow integrates da/dt = eta(E)/theta(E) pointwise over the grid
 (explicit euler or rk4).  theta is guarded: the ascent metric degenerates
 where the calibration weight vanishes, so any grid point with
@@ -23,9 +28,9 @@ import numpy as np
 from . import ddt, g2, tables
 from .errors import (DegenerateMetricError, InputError, NonFiniteError,
                      NumericalError, ObstructionError)
-from .exalg import wedge
+from .exalg import cube, wedge
 from .kernels import backend_name, bareiss_ranks
-from .scalars import FLOAT, RATIONAL
+from .scalars import RATIONAL
 from .torus import (Flux, FormField, GaugePotential, TorusGrid, _apply_modes,
                     _finite_field, _finite_value, _kl_segment, _spectral_k,
                     codiff, curvature, d, field_inner, field_l2, field_mean,
@@ -262,29 +267,37 @@ def _flux_has_vector_part(flux: Flux) -> bool:
     return not wedge(F, g2.star_phi_for(RATIONAL)).is_zero()
 
 
+def _flux_cube_mean(flux: Flux) -> float:
+    """|mean(w6)| / s^4 for the scaled residual w6 at every potential over a
+    flux with F ^ *phi = 0: (2 pi)^3 |F^3| / 6, from the exact integer cube,
+    and 0.0 exactly when F^3 = 0.
+
+    With E = 2 pi F + da, every term of E^3 and E ^ *phi that holds da is
+    exact (d of a periodic form, as F and *phi are closed), so
+    mean(s^4 E^3/6 - E ^ *phi) = s^4 (2 pi)^3 F^3/6 - 2 pi F ^ *phi (on the
+    grid, up to products of modes that alias onto the zero mode).  No
+    potential moves that mean, and the residual norm is at least its norm.
+    """
+    F = flux.form(RATIONAL)
+    F3 = cube(F, wedge(F, F))
+    norm = math.sqrt(sum(int(c) ** 2 for c in F3.coeffs))
+    return (2.0 * math.pi) ** 3 / 6.0 * norm
+
+
 def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential:
     """Mean-zero coclosed potential with (E0 + da) ^ *phi = 0 pointwise.
 
     The obstruction is topological: the vector-type component of the flux
-    form is constant, hence never cancelled by da.  Given that it vanishes,
-    every Fourier mode of the remaining system is homogeneous (the
-    background is constant) and the mode maps kill only pure gauge, so the
-    solution is a = 0.  The right-hand side w = E0 ^ *phi is still checked:
-    its nonzero modes vanish exactly when w is constant, so a spread over
-    1e-9 (a nonconstant background) is caught rather than mis-solved.
+    form is constant, hence never cancelled by da, and it is decided exactly
+    on the integer flux.  Given that it vanishes, every Fourier mode of the
+    remaining system is homogeneous (the background is constant) and the
+    mode maps kill only pure gauge, so the solution is a = 0.
     """
     if grid is None:
         grid = TorusGrid((1, 2), 4)
     if _flux_has_vector_part(flux):
         raise ObstructionError("no instanton in this Chern class on the torus")
-    pot = zero_potential(grid, flux)
-    w = _finite_field(wedge_const(curvature(pot), g2.star_phi_for(FLOAT)),
-                      "the instanton system's right-hand side")
-    if np.any(np.ptp(w.coeffs, axis=1) > 1e-9):
-        raise NumericalError("instanton system has a nonzero mode right-hand "
-                             "side; only quantized constant flux backgrounds "
-                             "are supported")
-    return pot
+    return zero_potential(grid, flux)
 
 
 # --- continuation in the scale parameter --------------------------------------
@@ -307,7 +320,7 @@ class ContinuationStep:
 class ContinuationResult:
     steps: tuple
     termination: str
-    obstructed: bool  # stopped at the mean-sector obstruction
+    obstructed: bool  # stopped at the flux-cube obstruction, F^3 != 0
 
     @property
     def completed(self) -> bool:
@@ -459,42 +472,6 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
     return x, _InnerSolve(it, rel, it == max_iter and rel > tol)
 
 
-def _mean_sector_obstructed(system: _ScaledSystem, W: FormField,
-                            w6: FormField, tol: float) -> bool:
-    """Is the mean of the 6-form residual outside the range of the mean
-    sector of the linearization?
-
-    The mean sector is mu(b) = mean(db ^ W) in R^7; its range equals the
-    range of the Gram matrix G built from the adjoint applied to the seven
-    constant 6-forms.  An unreachable mean kills the Newton step.  On a
-    closed background dE = 0 forces dW = 0, so integration by parts makes
-    the whole sector vanish and mean(w6) = s^4 mean(E^3)/6 is a constant of
-    the iteration: a nonzero value is the cohomological obstruction.  The
-    Gram eigenvalues are therefore truncated at a rounding-noise floor, so
-    that a noise-rank-7 G cannot fake reachability.
-    """
-    mu = field_mean(w6)
-    mu_norm = float(np.linalg.norm(mu))
-    if mu_norm <= tol:
-        return False
-    zero0 = FormField.zero(system.grid, 0)
-    zmean = np.zeros(7)
-    adj = []
-    for j in range(7):
-        unit = np.zeros((7, system.grid.npts))
-        unit[j] = 1.0
-        cf = FormField._of(system.grid, 6, unit)
-        adj.append(system.apply_jt(W, cf, zero0, zmean))
-    G = np.array([[field_inner(adj[i], adj[j]) for j in range(7)]
-                  for i in range(7)])
-    noise = 1e-10 * field_l2(W) * (2.0 * math.pi * system.grid.N)
-    evals, evecs = np.linalg.eigh(G)
-    keep = evals > max(noise * noise, 1e-20 * float(evals[-1]))
-    basis = evecs[:, keep]
-    gap = float(np.linalg.norm(mu - basis @ (basis.T @ mu)))
-    return gap > 1e-6 * mu_norm
-
-
 def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                  max_newton: int = 12, grid: TorusGrid | None = None,
                  initial: GaugePotential | None = None,
@@ -506,8 +483,11 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     solution (warm_start) or from `initial` at every entry (warm_start=False;
     from a = 0 when no initial is given).  Termination is "completed", a
     Newton divergence report (naming an inner solve that stopped at its
-    iteration cap), or a mean-sector rank deficiency, which on the torus
-    signals the cohomological obstruction mean(E^3) != 0.
+    iteration cap), or the cohomological obstruction.  That is decided
+    exactly from the flux: when F^3 != 0 the residual's mean
+    s^4 (2 pi)^3 F^3/6 is the same at every potential
+    (``_flux_cube_mean``), so an entry whose residual norm exceeds tol
+    stops before its first Newton step once that mean's norm does too.
     """
     if grid is None:
         grid = TorusGrid((1, 2), 4)
@@ -519,6 +499,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     if any(s1 >= s2 for s1, s2 in zip(schedule, schedule[1:])):
         raise InputError("continuation schedule must be strictly increasing")
     base = instanton_solve(flux, grid)
+    cube_mean = _flux_cube_mean(flux)
     if initial is not None and initial.grid != grid:
         raise InputError("initial potential lives on a different grid")
     restart = initial if initial is not None else base
@@ -535,12 +516,10 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         cg_iters = []
         failed = None
         iters = 0
-        obstructed = False
-        while rnorm > tol and iters < max_newton:
+        mean_norm = s ** 4 * cube_mean
+        obstructed = rnorm > tol and mean_norm > tol
+        while rnorm > tol and iters < max_newton and not obstructed:
             with _finite(f"newton iteration {iters + 1} at s = {s:g}"):
-                if _mean_sector_obstructed(system, W, parts[0], tol):
-                    obstructed = True
-                    break
                 dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]))
                 cg_iters.append(inner.iterations)
                 if inner.hit_max_iter:
@@ -554,8 +533,10 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         steps.append(ContinuationStep(s, pot, rnorm, iters, tuple(history),
                                       tuple(cg_iters)))
         if obstructed:
-            termination = (f"cohomological obstruction suspected at s = {s:g}: "
-                           "mean-sector rank deficiency in the linearization")
+            termination = (f"cohomological obstruction at s = {s:g}: the flux "
+                           "cube F^3 is nonzero, so the residual's mean "
+                           f"s^4 (2 pi)^3 F^3/6 has norm {mean_norm:.3e} > tol "
+                           "at every potential")
             break
         if rnorm > tol:
             termination = (f"newton divergence at s = {s:g}: residual "

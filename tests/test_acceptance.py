@@ -177,8 +177,8 @@ def test_criterion_7_scale_continuation():
     """Continuation to s = 1 over the doubly calibrated flux: the trivial
     branch stays below 1e-12 at every s; a restart from 1e-2 noise
     re-converges below 1e-10 with quadratically contracting Newton
-    residuals; the flux with a vector-type mean reports the mean-sector
-    obstruction at the first s > 0."""
+    residuals; the flux with no vector part but a nonzero cube F^3 reports
+    the cohomological obstruction at the first s > 0."""
     grid = TorusGrid((1, 2), 4)
 
     trivial = continuation(CALIBRATED, grid=grid)

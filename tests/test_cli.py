@@ -164,7 +164,7 @@ def test_continue_obstructed_exit_code(tmp_path):
     assert r.returncode == 3
     rep = read_report(out)
     assert "obstruction" in rep["termination"]
-    # the mean-sector stop reports the same key as a missing instanton
+    # the flux-cube stop reports the same key as a missing instanton
     assert rep["obstructed"] is True and rep["pass"] is False
     assert rep["completed"] is False
 

@@ -63,23 +63,6 @@ def test_instanton_obstructed_flux():
     assert "Chern class" in str(e.value)
 
 
-@pytest.mark.parametrize("bump, raises", [(1e-6, True), (1e-12, False)])
-def test_instanton_refuses_a_nonconstant_right_hand_side(monkeypatch, bump,
-                                                         raises):
-    """Only a nonconstant background (here a curvature with one varying
-    value) reaches the check; a spread below 1e-9 passes."""
-    def bumped(pot):
-        vals = curvature(pot).values.copy()
-        vals[3, 5] += bump
-        return FormField(pot.grid, 2, vals)
-    monkeypatch.setattr(flow, "curvature", bumped)
-    if raises:
-        with pytest.raises(NumericalError, match="nonzero mode right-hand side"):
-            instanton_solve(CALIBRATED, GRID)
-    else:
-        assert not np.any(instanton_solve(CALIBRATED, GRID).a.values)
-
-
 def test_theta_field_frozen_values():
     two_pi_sq = (2 * math.pi) ** 2
     E = curvature(zero_potential(GRID, CALIBRATED))
@@ -431,6 +414,77 @@ def test_continuation_reports_obstruction():
     assert res.steps[0].s == 0.0
     assert res.steps[0].residual_norm <= 1e-12
     assert res.steps[-1].s == 1.0 / 64
+
+
+GRID512 = TorusGrid((1, 2, 3), 8)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("grid", [GRID, GRID512], ids=["16", "512"])
+def test_the_residual_mean_is_the_flux_cube(grid, s):
+    """Over a flux with F ^ *phi = 0 the scaled residual's mean is
+    s^4 (2 pi)^3 F^3/6 at every potential: each term that holds da is exact,
+    and products of kmax = 1 fields do not alias on these grids.  Its norm
+    is s^4 _flux_cube_mean, zero exactly for the calibrated flux."""
+    rng = np.random.default_rng(9)
+    unit = s ** 4 * (2 * math.pi) ** 3 / 6
+    for flux in (CALIBRATED, OBSTRUCTED):
+        F = flux.form(RATIONAL)
+        F3 = np.array([float(c) for c in exalg.cube(F, wedge(F, F)).coeffs])
+        pot = random_coclosed_potential(grid, flux, rng, scale=0.05)
+        (w6, _, _), _ = flow._ScaledSystem(flux, grid, s).residual(pot.a)
+        mean = field_mean(w6)
+        scale = unit * max(np.max(np.abs(F3)), 1.0)
+        assert np.max(np.abs(mean - unit * F3)) <= 1e-13 * scale
+        assert math.isclose(s ** 4 * flow._flux_cube_mean(flux), np.linalg.norm(mean),
+                            rel_tol=1e-13, abs_tol=1e-13 * unit)
+    assert flow._flux_cube_mean(CALIBRATED) == 0.0
+    assert flow._flux_cube_mean(OBSTRUCTED) > 0.0
+
+
+def test_an_aliased_mean_is_no_obstruction(monkeypatch):
+    """Newton iterates hold every mode of a 4-point axis, whose products
+    alias onto the zero mode, so the residual's mean rises above tol on the
+    way to s = 1.  The flux's cube is zero, so the run completes."""
+    grid = TorusGrid((1, 2, 3), 4)
+    means = []
+    residual = flow._ScaledSystem.residual
+
+    def recording(system, a):
+        out = residual(system, a)
+        means.append(float(np.linalg.norm(field_mean(out[0][0]))))
+        return out
+    monkeypatch.setattr(flow._ScaledSystem, "residual", recording)
+    noise = random_field(grid, 1, np.random.default_rng(0), scale=0.01)
+    start = GaugePotential(coclosed_project(noise), CALIBRATED)
+    res = continuation(CALIBRATED, grid=grid, initial=start, warm_start=False)
+    assert res.completed and not res.obstructed
+    assert max(means) > 1e-10
+
+
+def test_the_obstruction_is_read_against_tol():
+    """From a perturbed start the obstructed flux stops at s = 1/64 on 512
+    points.  At s = 1e-4 the mean's norm, 5e-14, is below tol, so that
+    entry is solved from a restart and the run stops at s = 0.5; a rule on
+    F^3 != 0 alone would stop at s = 1e-4."""
+    rng = np.random.default_rng(1)
+    noise = coclosed_project(random_field(GRID512, 1, rng, scale=0.05))
+    res = continuation(OBSTRUCTED, grid=GRID512,
+                       initial=GaugePotential(noise, OBSTRUCTED))
+    assert res.obstructed and not res.completed
+    assert [st.s for st in res.steps] == [0.0, 1.0 / 64]
+    assert res.steps[0].residual_norm <= 1e-10
+    assert res.steps[1].newton_iterations == 0
+    noise = coclosed_project(random_field(GRID, 1, rng, scale=0.05))
+    res = continuation(OBSTRUCTED, schedule=(0.0, 1e-4, 0.5), grid=GRID,
+                       initial=GaugePotential(noise, OBSTRUCTED), warm_start=False)
+    assert res.obstructed
+    assert [st.s for st in res.steps] == [0.0, 1e-4, 0.5]
+    assert res.steps[1].newton_iterations >= 1 and res.steps[1].residual_norm <= 1e-10
+    assert "at s = 0.5: the flux cube F^3 is nonzero" in res.termination
+    # the decision takes no Newton step, so it holds with none allowed
+    res = continuation(OBSTRUCTED, grid=GRID, max_newton=0)
+    assert res.obstructed and [st.s for st in res.steps] == [0.0, 1.0 / 64]
 
 
 def test_continuation_validation():

@@ -6,7 +6,9 @@ themselves it maps the grid to itself, and it pulls a field f back to
 (g*f)(x) = g*(f(g x)): a gather of grid points and a signed permutation of
 coefficients.  g fixes phi, *phi and the orientation, so every formula of
 the dDT operator commutes with the pullback, and the functionals are
-invariant.  The plain swap of axes 1 and 2 moves phi, and is the control.
+invariant.  The continuation solver commutes with it to its Newton
+tolerance, and the exact flux obstructions are invariant.  The plain swap
+of axes 1 and 2 moves phi, and is the control.
 ``d`` and ``codiff`` commute with every signed permutation, the swap
 included; their control moves grid points and leaves the coefficients.
 """
@@ -16,11 +18,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ddt7 import g2, tables
+from ddt7 import flow, g2, tables
+from ddt7.errors import ObstructionError
 from ddt7.exalg import Endo, KForm, blades, pullback
 from ddt7.scalars import RATIONAL
 from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, codiff, cube_field,
-                        curvature, d, hodge_field, kl_functional,
+                        curvature, d, field_l2, hodge_field, kl_functional,
                         random_coclosed_potential, residual_field, wedge_field)
 
 GRID16 = TorusGrid((1, 2), 4)
@@ -196,3 +199,48 @@ def test_moving_points_without_the_coefficients_is_caught(grid, name):
     for perm, signs in movers:
         gaps = _operator_gaps(name, lambda f: move_points(perm, signs, f), grid)
         assert min(gaps) > 1e-6, (perm.tolist(), signs.tolist(), gaps)
+
+
+CONTINUATION_FLUXES = {"calibrated": FLUXES["calibrated"],
+                       "obstructed": Flux.from_entries({(1, 2): 1, (4, 7): 2, (5, 6): -1})}
+
+
+@pytest.mark.parametrize("flux", list(CONTINUATION_FLUXES), ids=list(CONTINUATION_FLUXES))
+def test_continuation_is_equivariant(flux):
+    """Every 9th usable element at 16 points (8 of 64): from the pulled-back
+    perturbed start, continuation over the pulled-back flux gives the
+    pulled-back potential at every s to the Newton tolerance, with the same
+    Newton counts and the same termination.  The calibrated flux completes
+    and the other stops at its nonzero cube."""
+    flux = CONTINUATION_FLUXES[flux]
+    start = _potential(GRID16, flux)
+    ref = flow.continuation(flux, grid=GRID16, initial=start, warm_start=False)
+    for perm, signs in _grid_elements(GRID16)[::9]:
+        gstart = pull_back(perm, signs, start)
+        got = flow.continuation(gstart.flux, grid=GRID16, initial=gstart, warm_start=False)
+        assert got.termination == ref.termination
+        assert ([st.newton_iterations for st in got.steps]
+                == [st.newton_iterations for st in ref.steps])
+        gaps = [field_l2(mine.potential.a - pull_back_field(perm, signs, theirs.potential.a))
+                for mine, theirs in zip(got.steps, ref.steps)]
+        assert max(gaps) <= 1e-10, (perm.tolist(), signs.tolist(), gaps)
+
+
+def test_the_flux_obstructions_are_invariant():
+    """Both exact obstructions, the vector part and the cube, are the same
+    for a flux and its pullback by every 21st element of the group (64 of
+    1344; a flux needs no grid).  The swap of axes 1 and 2 moves *phi and
+    gives the calibrated flux a vector part, so continuation over it has
+    no instanton to start from."""
+    perms, signs = tables.phi_symmetries()
+    elements = list(zip(perms[::21], signs[::21]))
+    for flux in CONTINUATION_FLUXES.values():
+        vector, cube = flow._flux_has_vector_part(flux), flow._flux_cube_mean(flux)
+        for perm, signs in elements:
+            gflux = pull_back_flux(perm, signs, flux)
+            assert flow._flux_has_vector_part(gflux) == vector
+            assert flow._flux_cube_mean(gflux) == cube
+    swapped = pull_back_flux(*SWAP12, CONTINUATION_FLUXES["calibrated"])
+    assert flow._flux_has_vector_part(swapped)
+    with pytest.raises(ObstructionError):
+        flow.continuation(swapped, grid=GRID16)
