@@ -188,9 +188,13 @@ def _build_a3f(ring, val, consts):
 # integer coefficients, so the column-mask DP of ``exalg`` runs on sorted
 # numpy (uint64 key, int64 coefficient) arrays of the entries' terms (after
 # Monagan & Pearce).  The keys are DET's ring's, radix 5 (exponent bound 4).
-# Each product of two terms is one uint64 word, key << 15 | (coeff + 2^14):
-# one plain sort of a bucket's words orders them by key, and a shift, a mask
-# and one int64 reduceat per bucket sum the coefficients of each key.
+# Each product of two terms is one uint64 word, key << 15 | (coeff + 2^14).
+# A bucket's products are written one row per entry term: one add of the
+# state's words for that term's coefficient (built once per distinct
+# coefficient; DET's entries have only +-1) and the term's own word.  One
+# plain sort of the bucket's words orders them by key; the unbiased fields'
+# int64 prefix sum, read at each key's last word, minus its value at the
+# previous key's last word, is that key's coefficient.
 # * Every key fits its 49-bit field: radix^nvars is checked (5^21 < 2^49).
 # * No key addition carries between digits: before the DP runs, the
 #   per-variable degree of every (partial) product is bounded over all
@@ -198,8 +202,9 @@ def _build_a3f(ring, val, consts):
 # * Every product's coefficient fits the 15-bit field: before each product
 #   of a state with an entry, max|a| * max|b| is checked to stay below
 #   2^14 (the largest is 48).
-# * Per-key sums are exact: the reduceat sums biased fields, each below
-#   2^15, in int64, which cannot wrap before a bucket holds 2^48 words.
+# * Per-key sums are exact: the prefix sum adds fields of size at most 2^14,
+#   so it cannot wrap int64 while a bucket holds at most 2^48 words, which
+#   is checked (the largest bucket holds 6.85M).
 # * The sides are compared as arrays, q*lhs against p*rhs for the scale
 #   p/q, and only the witness key is ever decoded.
 # A failed check raises NumericalError.
@@ -208,6 +213,7 @@ _DET_COEFF_BITS = 15
 _DET_COEFF_BIAS = 1 << (_DET_COEFF_BITS - 1)   # 2^14, also the |coeff| bound
 _DET_COEFF_MASK = (1 << _DET_COEFF_BITS) - 1
 _DET_SUM_LIMIT = 2 ** 62
+_DET_WORDS_MAX = 2 ** 48                        # words one prefix sum may add
 
 
 @dataclass(frozen=True)
@@ -242,33 +248,45 @@ def _det_np_check_bound(ring, bound) -> None:
 
 def _det_np_products(parts):
     """Words key << 15 | (coeff + 2^14) of every pairwise term product of
-    each part (ak, ac, ek, ec), two packed polynomials, in one array.
-    Raises before a product coefficient could leave the 15-bit field."""
+    each part (ak, ac, ek, ec), two packed polynomials, in one array, one
+    row of ak.size words per entry term.  Raises before a product
+    coefficient could leave the 15-bit field."""
     words = np.empty(sum(ak.size * ek.size for ak, _, ek, _ in parts), dtype=np.uint64)
     lo = 0
     for ak, ac, ek, ec in parts:
         if int(np.max(np.abs(ac))) * int(np.max(np.abs(ec))) >= _DET_COEFF_BIAS:
             raise NumericalError("determinant coefficient exceeds the packed field")
-        out = words[lo:lo + ak.size * ek.size].reshape(ak.size, ek.size)
-        np.add((ak << _DET_COEFF_BITS)[:, None],
-               (ek << _DET_COEFF_BITS) | _DET_COEFF_BIAS, out=out)
-        # modulo 2^64 a negative coefficient borrows from the bias only
-        out += (ac[:, None] * ec).view(np.uint64)
-        lo += out.size
+        block = words[lo:lo + ek.size * ak.size].reshape(ek.size, ak.size)
+        eword = (ek << _DET_COEFF_BITS) | _DET_COEFF_BIAS
+        for c in np.unique(ec):
+            # modulo 2^64 a negative coefficient borrows from the bias only
+            row = (ak << _DET_COEFF_BITS) + (ac * c).view(np.uint64)
+            for r in np.flatnonzero(ec == c):
+                np.add(row, eword[r], out=block[r])
+        lo += block.size
     return words
 
 
 def _det_np_combine(words):
     """Sort the words in place and sum the coefficients of equal keys
     exactly; returns sorted unique keys with their nonzero int64 totals."""
+    if words.size > _DET_WORDS_MAX:
+        raise NumericalError(f"{words.size} packed words exceed the exact "
+                             f"prefix sum's {_DET_WORDS_MAX}")
     words.sort()
     keys = words >> _DET_COEFF_BITS
-    words &= _DET_COEFF_MASK
-    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
-    tot = np.add.reduceat(words.view(np.int64), starts) \
-        - _DET_COEFF_BIAS * np.diff(starts, append=words.size)
+    last = np.empty(words.size, dtype=bool)   # the last word of its key
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1:] = True
+    ends = np.flatnonzero(last)
+    cs = words.view(np.int64)
+    cs &= _DET_COEFF_MASK
+    cs -= _DET_COEFF_BIAS
+    np.cumsum(cs, out=cs)
+    tot = cs[ends]
+    tot[1:] = np.diff(tot)
     nz = tot != 0
-    return keys[starts[nz]], tot[nz]
+    return keys[ends[nz]], tot[nz]
 
 
 def _det_np_dp(ring, entries, bound=None):

@@ -1,6 +1,7 @@
 """Symbolic catalog: every identity cancels exactly, every canonical
 single-site mutation is caught with a concrete witness monomial."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -387,6 +388,87 @@ def test_packed_combine_guards_per_key_magnitude():
     for a, b in ((2 ** 7, 2 ** 7), (2 ** 14, 1), (-1, -(2 ** 14))):
         with pytest.raises(NumericalError):
             prover._det_np_products([part, (one, np.array([a]), one, np.array([1, b]))])
+
+
+def _combine_reference(keys, coeffs):
+    out = {}
+    for k, c in zip(keys.tolist(), coeffs.tolist()):
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _words(keys, coeffs):
+    return (np.asarray(keys, dtype=np.uint64) << 15) \
+        | (np.asarray(coeffs, dtype=np.int64) + 2 ** 14).astype(np.uint64)
+
+
+def test_packed_combine_matches_a_dict_reference():
+    top = prover._DET_COEFF_BIAS - 1
+    # key 0 (first) and key 9 (last) cancel; key 2 appears once; keys 3 and
+    # 5 are runs of negatives, at the field's edge for key 3
+    fixed = ([0, 0, 2, 3, 3, 3, 5, 5, 9, 9, 9],
+             [top, -top, -7, -top, -top, -1, -2, -3, 4, -top, top - 4])
+    cases = [fixed, ([4], [-top]), ([], [])]
+    rng = np.random.default_rng(22)
+    for size in (1, 2, 17, 500, 4000):
+        keys = rng.integers(0, max(2, size // 3), size)
+        coeffs = rng.integers(-top, top + 1, size)
+        coeffs[rng.random(size) < 0.2] = rng.choice((-top, top))
+        cases.append((keys, coeffs))
+        # every run all negative, and every key cancelling but one
+        cases.append((keys, -np.maximum(np.abs(coeffs), 1)))
+        pair = np.concatenate([coeffs, -coeffs])
+        pair[0] += 1 if pair[0] < top else -1
+        cases.append((np.concatenate([keys, keys]), pair))
+    for keys, coeffs in cases:
+        keys, coeffs = np.asarray(keys, dtype=np.uint64), np.asarray(coeffs, dtype=np.int64)
+        order = rng.permutation(keys.size)
+        k, c = prover._det_np_combine(_words(keys[order], coeffs[order]))
+        assert k.dtype == np.uint64 and c.dtype == np.int64
+        assert np.all(k[:-1] < k[1:]) and np.all(c != 0)
+        assert dict(zip(k.tolist(), c.tolist())) == _combine_reference(keys, coeffs)
+
+
+def test_packed_combine_checks_the_prefix_sum_bound(monkeypatch):
+    monkeypatch.setattr(prover, "_DET_WORDS_MAX", 4)
+    k, c = prover._det_np_combine(_words([1, 2, 1, 3], [1, 1, 2, -1]))
+    assert k.tolist() == [1, 2, 3] and c.tolist() == [3, 1, -1]
+    with pytest.raises(NumericalError):
+        prover._det_np_combine(_words([1, 2, 1, 3, 3], [1, 1, 2, -1, 2]))
+
+
+def _pairwise(parts):
+    """Keys and coefficients of every term product of each part."""
+    prods = [(int(a) + int(b), int(x) * int(y)) for ak, ac, ek, ec in parts
+             for a, x in zip(ak, ac) for b, y in zip(ek, ec)]
+    return np.array([k for k, _ in prods]), np.array([c for _, c in prods])
+
+
+def test_packed_products_with_repeated_non_unit_coefficients():
+    # the square path: one part, a polynomial times itself, whose repeated
+    # coefficients (not only +-1) each give their own state row
+    keys = np.array([0, 1, 3, 7, 8, 20, 25, 31], dtype=np.uint64)
+    coeffs = np.array([3, -3, 5, 3, -2, 5, -2, 1], dtype=np.int64)
+    # ... and several parts of different shapes in one array, part by part
+    for parts in ([(keys, coeffs, keys, coeffs)],
+                  [(keys[:3], coeffs[:3], keys[2:], -coeffs[2:]),
+                   (keys[5:], coeffs[5:], keys[:1], coeffs[:1])]):
+        words = prover._det_np_products(parts)
+        assert np.array_equal(np.sort(words), np.sort(_words(*_pairwise(parts))))
+    k, c = prover._det_np_square((keys, coeffs))
+    assert dict(zip(k.tolist(), c.tolist())) == \
+        _combine_reference(*_pairwise([(keys, coeffs, keys, coeffs)]))
+
+
+def test_det_sides_fingerprint():
+    """Both packed sides of DET at scale 1, pinned bit for bit."""
+    spec = prover._lookup("DET")
+    (_, lhs, rhs), = prover._build_det(_RING, _RING.var, spec.consts)
+    for side in (lhs, rhs):
+        assert side.keys.size == 403663
+        assert int(np.abs(side.coeffs).max()) == 48
+        digest = hashlib.sha256(side.keys.tobytes() + side.coeffs.tobytes()).hexdigest()
+        assert digest == "89d673adff850970c89f83b2f288835c7741de089f08d9f5e8ec186ab3b80568"
 
 
 def test_packing_bound_is_checked():
