@@ -10,12 +10,15 @@ this substitution
 * almost-calibrated weight 1 + (1/2)*(phi ^ F^2)  becomes
       theta(E) = 1 - (1/2)*(phi ^ E^2),
 * the gradient direction of the curvature functional is eta(E)/theta(E) with
-      eta(E) = *( R(E) + (1/2) * (phi ^ *E^2) ^ *E ).
+      eta(E) = *( R(E) + (1/2) * (phi ^ *E^2) ^ *E ),
+  which the catalog's A1 proves equal to the transport
+      eta(E) = (1 - E#E#)^* *R(E) = *R - i(i(*R)E)E,
+  the form every caller evaluates (i is ``exalg.interior``).
 
-Each formula has one home, a helper below taking E2 = E ^ E (each caller
-squares E once), and runs unchanged on a ``torus.FormField``: ``exalg.wedge``,
-``cube`` and ``hodge`` hand fields to the field kernels.  Formula -> helper:
-callers
+Each formula has one home, a helper below taking E2 = E ^ E or R (each
+caller squares E once and forms R once), and runs unchanged on a
+``torus.FormField``: ``exalg.wedge``, ``cube``, ``interior`` and ``hodge``
+hand fields to the field kernels.  Formula -> helper: callers
 
   E^2 = E ^ E               -> ``exalg.wedge(E, E)`` (``torus.wedge_field``
                                on fields), one object twice, so the power
@@ -25,7 +28,11 @@ callers
   c E^3 - E ^ *phi          -> ``_residual(E, E2, c)``: torus, flow
   3c E^2 - *phi  (dR/dE)    -> ``_residual_weight(E2, c)``: torus, flow Newton
   *(phi ^ E^2), theta       -> ``_calibration(E2)``, ``_theta(E2)``: flow
-  phi ^ *E^2, (.) ^ *E, eta -> ``_phi_star_sq``, ``_correction``, ``_eta``: flow
+  eta = *R - i(i(*R)E)E     -> ``_eta(E, R)``, from the caller's R: flow,
+                               ``eta``, ``point_residual``, ``grad_density``,
+                               ``spin7_combined``
+  phi ^ *E^2, (.) ^ *E      -> ``_phi_star_sq``, ``_correction``: the
+                               catalog (A1, A2b, A4, A3F), ``_res2``
   the evolution residuals   -> ``_res1``, ``_res2`` (with ``_adot_E_phi``):
                                flow's cylinder check
 
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, InputError
 from .scalars import FLOAT, frac, intval
-from .exalg import Endo, KForm, cube, hodge, inner, sharp2, solve_endo, wedge
+from .exalg import Endo, KForm, cube, hodge, inner, interior, sharp2, solve_endo, wedge
 from .g2 import phi_for, star_phi_for
 
 __all__ = [
@@ -99,10 +106,11 @@ def _correction(E, E2):
     return wedge(hodge(_phi_star_sq(E2)), hodge(E))
 
 
-def _eta(E, E2):
-    """The 1-form *(R(E) + (1/2) * (phi ^ *E^2) ^ *E)."""
-    half, sixth = frac(E.ring, 1, 2), frac(E.ring, 1, 6)
-    return hodge(_residual(E, E2, sixth) + _correction(E, E2) * half)
+def _eta(E, R):
+    """The 1-form eta from E and R = R(E): A1's transport (1 - E#E#)^* *R,
+    which is *R - i(i(*R)E)E, two interior products after one star."""
+    w = hodge(R)
+    return w - interior(interior(w, E), E)
 
 
 def ddt_residual(E):
@@ -119,9 +127,10 @@ def scaled_residual(E, s):
 
 
 def eta(E):
-    """The 1-form eta(E) = *( R(E) + (1/2)*(phi ^ *E^2) ^ *E )."""
+    """The 1-form eta(E) = *( R(E) + (1/2)*(phi ^ *E^2) ^ *E ), evaluated
+    as *R - i(i(*R)E)E (A1)."""
     _check_E(E)
-    return _eta(E, wedge(E, E))
+    return _eta(E, ddt_residual(E))
 
 
 def theta_weight(E):
@@ -134,7 +143,7 @@ def point_residual(E) -> PointResidual:
     _check_E(E)
     E2 = wedge(E, E)
     r6 = _residual(E, E2, frac(E.ring, 1, 6))
-    return PointResidual(r6=r6, eta=_eta(E, E2), theta=_theta(E2))
+    return PointResidual(r6=r6, eta=_eta(E, r6), theta=_theta(E2))
 
 
 def deformed_inner(E: KForm, a: KForm, b: KForm):
@@ -163,7 +172,7 @@ def grad_density(E: KForm, theta_tol: float = THETA_TOL) -> KForm:
                 "left the almost-calibrated set", theta=th)
     elif E.ring.is_zero(th):
         raise DegenerateMetricError("theta = 0: gradient direction undefined", theta=th)
-    return _eta(E, E2) / th
+    return _eta(E, _residual(E, E2, frac(E.ring, 1, 6))) / th
 
 
 def _adot_E_phi(E, adot):
@@ -203,4 +212,5 @@ def spin7_combined(E, adot):
     """
     _check_E(E)
     E2 = wedge(E, E)
-    return hodge(_eta(E, E2)) - hodge(adot) * _theta(E2)  # ** is 1 on 1-forms
+    eta_ = _eta(E, _residual(E, E2, frac(E.ring, 1, 6)))
+    return hodge(eta_) - hodge(adot) * _theta(E2)  # ** is 1 on 1-forms

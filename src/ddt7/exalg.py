@@ -12,9 +12,9 @@ Conventions fixed here and shared by every other module:
 * ``hodge``: *(e^I) = sign(I, I^c) e^{I^c} with sign the permutation parity
   of (I, I^c) against (1..n);
 * ``sharp2``: g(F#(u), v) = F(u, v), so the matrix of F# is antisymmetric;
-* ``wedge`` and ``hodge`` hand a ``torus.FormField`` operand to its kernels;
-  a 2-form wedged with itself (the same object) and ``cube`` take the power
-  table, which forms each product once.
+* ``wedge``, ``interior`` and ``hodge`` hand a ``torus.FormField`` operand
+  to its kernels; a 2-form wedged with itself (the same object) and
+  ``cube`` take the power table, which forms each product once.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .scalars import FLOAT, RATIONAL
 
 __all__ = [
     "KForm", "Vector", "Endo", "blades", "blade_index",
-    "wedge", "cube", "contract", "hodge", "inner", "sharp2", "pullback",
+    "wedge", "cube", "contract", "interior", "hodge", "inner", "sharp2", "pullback",
     "flat", "sharp1", "solve_endo", "det_endo",
 ]
 
@@ -364,6 +364,20 @@ def contract(v: Vector, a: KForm) -> KForm:
         c, x = a.coeffs[i], v.comps[axis - 1]
         out[o] = out[o] + x * c if s > 0 else out[o] - x * c
     return KForm(a.n, a.k - 1, tuple(out), ring)
+
+
+def interior(b: KForm, a: KForm) -> KForm:
+    """i(b#) a: the interior product of a 2-form a by the vector that the
+    Euclidean metric makes of the 1-form b, ``contract(sharp1(b), a)``.
+    Two fields go to ``torus.interior_field``."""
+    if b.k != 1 or a.k != 2:
+        raise InputError(f"interior product takes a 1-form and a 2-form, "
+                         f"got degrees {b.k} and {a.k}")
+    if b.__class__ is not KForm or a.__class__ is not KForm:
+        if b.__class__ is KForm or a.__class__ is KForm:
+            raise InputError("interior product of a field and a constant form")
+        return sys.modules[_TORUS].interior_field(b, a)
+    return contract(sharp1(b), a)
 
 
 def hodge(a: KForm) -> KForm:

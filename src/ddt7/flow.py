@@ -8,9 +8,14 @@ and a nonzero cube F^3 fixes the scaled residual's mean at
 s^4 (2 pi)^3 F^3/6, whatever the potential.
 
 The flow integrates da/dt = eta(E)/theta(E) pointwise over the grid
-(explicit euler or rk4).  theta is guarded: the ascent metric degenerates
-where the calibration weight vanishes, so any grid point with
-theta <= theta_min aborts the run with the offending point attached.
+(explicit euler or rk4).  eta is A1's transport *R - i(i(*R)E)E of the
+residual R = R(E) (see ``ddt``): a stage forms E ^ E, theta and R from it,
+then one star of R and two interior products.  ``flow_run`` hands each
+step the (E, R, theta) of its diagnostics as the first stage.  theta is
+guarded: the ascent metric degenerates where the calibration weight
+vanishes, so any grid point with theta <= theta_min aborts the run with
+the offending point attached; theta_min and dt must be finite and
+positive.
 
 Fields inside a solver are unchecked op results (see ``torus``).  Each
 solver checks what leaves it: the potential after every flow step and the
@@ -20,6 +25,7 @@ residual; inf or NaN raises ``NumericalError`` naming where.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -58,19 +64,28 @@ def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
             point=point, theta=float(theta[worst]))
 
 
+def _positive(name: str, value) -> None:
+    """Refuse a step size or theta floor that is not a finite positive
+    number: a NaN floor would pass every theta, and a NaN or inf step
+    poisons the potential."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def _ascent(pot: GaugePotential, theta_min: float, stage=None) -> FormField:
-    """ascent_field, from the (E, E ^ E, theta) at pot when they are known."""
+    """ascent_field, from the (E, R(E), theta) at pot when they are known."""
     if stage is None:
         E = curvature(pot)
         E2 = wedge_field(E, E)
-        stage = E, E2, ddt._theta(E2)
-    E, E2, theta = stage
+        stage = E, ddt._residual(E, E2, 1.0 / 6.0), ddt._theta(E2)
+    E, R, theta = stage
     _theta_guard(pot.grid, theta, theta_min)
-    return FormField._of(pot.grid, 1, ddt._eta(E, E2).coeffs / theta)
+    return FormField._of(pot.grid, 1, ddt._eta(E, R).coeffs / theta)
 
 
 def ascent_field(pot: GaugePotential, theta_min: float = 1e-3) -> FormField:
     """eta/theta over the grid; errors if any point leaves the guarded set."""
+    _positive("theta_min", theta_min)
     return _ascent(pot, theta_min)
 
 
@@ -83,14 +98,12 @@ class FlowConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InputError("dt must be positive")
+        _positive("dt", self.dt)
+        _positive("theta_min", self.theta_min)
         if self.steps < 1:
             raise InputError("steps must be at least 1")
         if self.scheme not in ("euler", "rk4"):
             raise InputError("scheme must be euler or rk4")
-        if self.theta_min <= 0:
-            raise InputError("theta_min must be positive")
         if self.record_every < 1:
             raise InputError("record_every must be at least 1")
 
@@ -118,12 +131,14 @@ class Trajectory:
 def flow_step(pot: GaugePotential, dt: float, scheme: str = "euler",
               theta_min: float = 1e-3) -> GaugePotential:
     """One explicit time step of da/dt = eta/theta."""
+    _positive("dt", dt)
+    _positive("theta_min", theta_min)
     return _step(pot, dt, scheme, theta_min, None)
 
 
 def _step(pot: GaugePotential, dt: float, scheme: str, theta_min: float,
           first) -> GaugePotential:
-    """``flow_step``, given the first stage's (E, E ^ E, theta) when known.
+    """``flow_step``, given the first stage's (E, R(E), theta) when known.
     The new potential is checked for inf and NaN."""
     if scheme not in ("euler", "rk4"):
         raise InputError("scheme must be euler or rk4")
@@ -133,7 +148,7 @@ def _step(pot: GaugePotential, dt: float, scheme: str, theta_min: float,
             a = pot.a + dt * k1
         else:
             def vf(a: FormField) -> FormField:
-                return ascent_field(GaugePotential(a, pot.flux), theta_min)
+                return _ascent(GaugePotential(a, pot.flux), theta_min)
             k2 = vf(pot.a + (0.5 * dt) * k1)
             k3 = vf(pot.a + (0.5 * dt) * k2)
             k4 = vf(pot.a + dt * k3)
@@ -154,7 +169,7 @@ def _finite(where: str):
 
 
 def _diagnostics(pot: GaugePotential):
-    """(kl_functional, residual L2 norm, min theta, (E, E ^ E, theta)),
+    """(kl_functional, residual L2 norm, min theta, (E, R(E), theta)),
     sharing one d(a); the last is the next step's first stage.  The three
     floats are checked for inf and NaN.
 
@@ -171,11 +186,11 @@ def _diagnostics(pot: GaugePotential):
     E = D + background
     E2 = DD + wedge_const(D, background * 2.0) + BB
     theta = ddt._theta(E2)
+    R = ddt._residual(E, E2, 1.0 / 6.0)
     return (_finite_value(_kl_segment(background, BB, D, DD, pot.a), "functional"),
-            _finite_value(field_l2(ddt._residual(E, E2, 1.0 / 6.0)),
-                          "residual norm"),
+            _finite_value(field_l2(R), "residual norm"),
             _finite_value(float(np.min(theta)), "min theta"),
-            (E, E2, theta))
+            (E, R, theta))
 
 
 def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:

@@ -1,8 +1,9 @@
 """Batched grid kernels, numpy only.  Fields are coefficient-major
 (n_coeffs, npts) arrays, one contiguous row per blade, and tables come from
 ``tables``.  ``wedge_fields`` is the one loop over wedge table entries,
-and only ``torus`` calls it (``wedge_field`` and ``cube_field``; the CG
-adjoint in ``flow`` is a ``wedge_field`` between two Hodge stars).
+and only ``torus`` calls it (``wedge_field``, ``cube_field`` and, over the
+contraction table, ``interior_field``; the CG adjoint in ``flow`` is a
+``wedge_field`` between two Hodge stars).
 ``hodge_fields`` is a signed row gather.
 """
 from __future__ import annotations

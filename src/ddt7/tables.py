@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import g2
-from .exalg import blades, hodge_table, power_table, wedge_table
+from .exalg import blades, contract_table, hodge_table, power_table, wedge_table
 from .scalars import RATIONAL
 
 
@@ -59,6 +59,19 @@ def power_arrays(n: int, k: int):
     ``kernels.wedge_fields`` needs."""
     t = np.asarray(power_table(n, k), dtype=np.int64).reshape(-1, 4)
     t[:, 3] *= k
+    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+
+
+@lru_cache(maxsize=None)
+def interior_arrays():
+    """(axis, blade, out, sign) columns of ``exalg.contract_table(7, 2)``,
+    int64, stably sorted by output, so that ``wedge_fields(b, a, axis,
+    blade, sign, 7)`` is i(b#) a for a 1-form b and a 2-form a on R^7: a
+    0-based axis indexes b's rows.  Each of the 7 outputs has 6 entries,
+    one per other axis, as ``kernels.wedge_fields`` needs."""
+    t = np.asarray(contract_table(7, 2), dtype=np.int64)
+    t = t[np.argsort(t[:, 2], kind="stable")][:, [1, 0, 2, 3]]
+    t[:, 0] -= 1
     return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
 
 

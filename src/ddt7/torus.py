@@ -60,7 +60,7 @@ from .scalars import FLOAT, RATIONAL
 __all__ = [
     "TorusGrid", "FormField", "Flux", "GaugePotential",
     "d", "codiff", "integrate", "field_inner", "field_l2",
-    "wedge_field", "cube_field", "wedge_const", "hodge_field",
+    "wedge_field", "cube_field", "interior_field", "wedge_const", "hodge_field",
     "curvature", "residual_field",
     "kl_oneform", "kl_functional", "kl_segment", "kl_segment_integral",
     "theta3", "dtheta4", "nu", "nu_derivative_check", "gauge_shift",
@@ -379,6 +379,18 @@ def cube_field(E: FormField, E2: FormField) -> FormField:
     if E.k != 2 or E2.k != 4:
         raise InputError(f"cube takes a 2-form and its square, got degrees {E.k} and {E2.k}")
     return _wedge_by(E, E2, tables.power_arrays(7, 3))
+
+
+def interior_field(b: FormField, a: FormField) -> FormField:
+    """i(b#) a for a 1-form field b and a 2-form field a: the blocked wedge
+    kernel over ``tables.interior_arrays``, 6 products per output."""
+    if b.grid != a.grid:
+        raise InputError("fields live on different grids")
+    if b.k != 1 or a.k != 2:
+        raise InputError(f"interior product takes a 1-form and a 2-form, "
+                         f"got degrees {b.k} and {a.k}")
+    ii, jj, _, ss = tables.interior_arrays()
+    return FormField._of(b.grid, 1, wedge_fields(b.coeffs, a.coeffs, ii, jj, ss, 7))
 
 
 def _wedge_by(f: FormField, g: FormField, table) -> FormField:

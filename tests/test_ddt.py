@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ddt7 import ddt, g2
+from ddt7 import ddt, g2, prover
 from ddt7.errors import DegenerateMetricError, InputError
 from ddt7.exalg import KForm, Vector, contract, hodge, inner, wedge
-from ddt7.scalars import FLOAT, RATIONAL
+from ddt7.scalars import FLOAT, RATIONAL, PolyRing, frac
 
 
 def _iu_phi(u_comps, ring=RATIONAL):
@@ -84,6 +84,21 @@ def test_grad_density_guards_degenerate_theta():
     Ef = _iu_phi([math.sqrt(1.0 / 3.0), 0, 0, 0, 0, 0, 0], FLOAT)
     with pytest.raises(DegenerateMetricError):
         ddt.grad_density(Ef)
+
+
+def test_eta_transport_is_the_corrected_form_exactly():
+    """A1 as eta's formula: over the polynomial ring of the 21 coefficients
+    F_ij (DET's ring), *R - i(i(*R)E)E is *(R + (1/2)(phi ^ *E^2) ^ *E)
+    coefficient by coefficient, and ``eta`` is the transport."""
+    ring = PolyRing(prover._F_NAMES, 4)
+    E = KForm(7, 2, tuple(ring.var(name) for name in prover._F_NAMES), ring)
+    E2 = wedge(E, E)
+    R = ddt._residual(E, E2, frac(ring, 1, 6))
+    want = hodge(R + ddt._correction(E, E2) * frac(ring, 1, 2))
+    got = ddt._eta(E, R)
+    assert not want.is_zero()
+    assert (got - want).is_zero()
+    assert ddt.eta(E).coeffs == got.coeffs
 
 
 def test_point_residual_bundles_the_three_quantities():

@@ -41,6 +41,58 @@ def test_flowconfig_validation():
         flow_step(zero_potential(GRID, Flux.zero()), 1e-3, scheme="midpoint")
 
 
+def test_non_finite_or_non_positive_dt_and_theta_min_are_refused():
+    """A NaN theta floor would pass every theta (NaN comparisons are false):
+    the field below, whose least theta is -38.5, would integrate without a
+    degenerate-metric error.  An inf or NaN step would poison the potential."""
+    pot = zero_potential(GRID, Flux.from_entries({(1, 2): 1, (4, 7): -1}))
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1e-3, "1e-3", None):
+        for kw in ({"dt": bad}, {"theta_min": bad}):
+            with pytest.raises(InputError, match="finite positive"):
+                FlowConfig(**kw)
+        with pytest.raises(InputError, match="finite positive"):
+            flow_step(pot, bad)
+        with pytest.raises(InputError, match="finite positive"):
+            flow_step(pot, 1e-3, "rk4", theta_min=bad)
+        with pytest.raises(InputError, match="finite positive"):
+            ascent_field(pot, theta_min=bad)
+    with pytest.raises(DegenerateMetricError, match="-38.47"):
+        ascent_field(pot, theta_min=1e-3)
+
+
+def _kernel_calls(monkeypatch, fn):
+    """fn's calls of the star, wedge and constant-wedge kernels, counted by
+    wrapping the names ``torus`` calls them by."""
+    calls = {"hodge_fields": 0, "wedge_fields": 0, "wedge_const": 0}
+    for name in calls:
+        real = getattr(torus, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(torus, name, counted)
+    fn()
+    monkeypatch.undo()
+    return calls
+
+
+def test_rk4_step_kernel_calls_are_pinned(monkeypatch):
+    """A stage forms E ^ E and E^3 (2 wedge kernels), E ^ *phi and
+    phi ^ E ^ E (2 constant wedges), theta's star and *R (2 stars) and two
+    interior products (2 wedge kernels).  flow_run's steps take the first
+    stage from the diagnostics, which hold R: one star and two interior
+    products there.  The corrected form of eta, with its star of E ^ E,
+    would show here."""
+    pot = random_coclosed_potential(GRID, CALIBRATED, np.random.default_rng(27), scale=0.05)
+    step = lambda: flow_step(pot, 1e-3, "rk4")
+    assert _kernel_calls(monkeypatch, step) == {
+        "hodge_fields": 8, "wedge_fields": 16, "wedge_const": 8}
+    stage = flow._diagnostics(pot)[3]
+    first = lambda: flow._step(pot, 1e-3, "rk4", 1e-3, stage)
+    assert _kernel_calls(monkeypatch, first) == {
+        "hodge_fields": 7, "wedge_fields": 14, "wedge_const": 6}
+
+
 def test_instanton_zero_flux():
     pot = instanton_solve(Flux.zero(), GRID)
     assert not np.any(pot.a.values)

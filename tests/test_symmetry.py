@@ -6,9 +6,10 @@ themselves it maps the grid to itself, and it pulls a field f back to
 (g*f)(x) = g*(f(g x)): a gather of grid points and a signed permutation of
 coefficients.  g fixes phi, *phi and the orientation, so every formula of
 the dDT operator commutes with the pullback, and the functionals are
-invariant.  The continuation solver commutes with it to its Newton
-tolerance, and the exact flux obstructions are invariant.  The plain swap
-of axes 1 and 2 moves phi, and is the control.
+invariant.  An rk4 flow step commutes with it and a flow's functional
+trace is invariant, both to rounding; the continuation solver commutes
+with it to its Newton tolerance, and the exact flux obstructions are
+invariant.  The plain swap of axes 1 and 2 moves phi, and is the control.
 ``d`` and ``codiff`` commute with every signed permutation, the swap
 included; their control moves grid points and leaves the coefficients.
 """
@@ -199,6 +200,49 @@ def test_moving_points_without_the_coefficients_is_caught(grid, name):
     for perm, signs in movers:
         gaps = _operator_gaps(name, lambda f: move_points(perm, signs, f), grid)
         assert min(gaps) > 1e-6, (perm.tolist(), signs.tolist(), gaps)
+
+
+FLOW_DT = 1e-2
+FLOW_CONFIG = flow.FlowConfig(dt=FLOW_DT, steps=4, scheme="rk4")
+
+
+def _flow_gaps(perm, signs, pot, ref_step, ref_run):
+    """Relative gaps of one rk4 flow_step from the pulled-back potential
+    against the pulled-back step, and of a 4-step rk4 flow_run's functional
+    trace against the reference trace (over their common length)."""
+    gpot = pull_back(perm, signs, pot)
+    step = flow.flow_step(gpot, FLOW_DT, "rk4")
+    run = flow.flow_run(gpot, FLOW_CONFIG)
+    n = min(len(run.functional), len(ref_run.functional))
+    return {"step": _rel_gap(step.a.coeffs, pull_back_field(perm, signs, ref_step.a).coeffs),
+            "trace": _rel_gap(run.functional[:n], ref_run.functional[:n]),
+            "termination": run.termination == ref_run.termination}
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid, stride", [(GRID16, 3), (GRID64, 7)], ids=["16", "64"])
+def test_flow_step_and_flow_trace_are_equivariant(grid, stride, flux):
+    """Every 3rd usable element at 16 points (22 of 64) and every 7th at 64
+    (28 of 192): the step to 1e-13 relative, the trace the same, and the
+    same termination."""
+    pot = _potential(grid, FLUXES[flux])
+    ref_step = flow.flow_step(pot, FLOW_DT, "rk4")
+    ref_run = flow.flow_run(pot, FLOW_CONFIG)
+    assert ref_run.termination == "completed"
+    for perm, signs in _grid_elements(grid)[::stride]:
+        gaps = _flow_gaps(perm, signs, pot, ref_step, ref_run)
+        assert gaps.pop("termination"), (perm.tolist(), signs.tolist())
+        assert max(gaps.values()) <= TOL, (perm.tolist(), signs.tolist(), gaps)
+
+
+@pytest.mark.parametrize("grid", [GRID16, GRID64], ids=["16", "64"])
+def test_the_swap_of_axes_1_and_2_moves_the_flow(grid):
+    """The control, over the zero flux (the swap moves the calibrated flux
+    out of the almost-calibrated set): the step and the trace both move."""
+    pot = _potential(grid, FLUXES["zero"])
+    gaps = _flow_gaps(*SWAP12, pot, flow.flow_step(pot, FLOW_DT, "rk4"),
+                      flow.flow_run(pot, FLOW_CONFIG))
+    assert gaps["step"] > 1e-6 and gaps["trace"] > 1e-6
 
 
 CONTINUATION_FLUXES = {"calibrated": FLUXES["calibrated"],
