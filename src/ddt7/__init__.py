@@ -17,8 +17,8 @@ The ddt7 console script (ddt7.cli) drives all of it from JSON configs.
 from .errors import (DegenerateMetricError, InputError, NumericalError,
                      ObstructionError)
 from .scalars import FLOAT, RATIONAL, MultiPoly, PolyRing
-from .exalg import (Endo, KForm, Vector, blades, contract, det_endo, hodge,
-                    inner, pullback, sharp2, solve_endo, wedge)
+from .exalg import (Endo, KForm, blades, det_endo, hodge, inner, interior,
+                    pullback, sharp2, solve_endo, wedge)
 from .g2 import (G2Data, TwoFormDecomp, decompose2, dt_wedge, embed_cylinder,
                  spin7_pair1, spin7_pair2, standard, star_wedge_phi)
 from .ddt import (PointResidual, ddt_residual, deformed_inner, eta,

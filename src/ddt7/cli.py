@@ -302,7 +302,7 @@ def cmd_decompose(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     ok = all(v <= tol for v in checks.values()) and det > 0.0
     report.update(
         coefficients=coeffs,
-        u=[float(c) for c in dec.u.comps],
+        u=[float(c) for c in dec.u.coeffs],
         f7=[float(c) for c in dec.f7.coeffs],
         f14=[float(c) for c in dec.f14.coeffs],
         norms=norms,

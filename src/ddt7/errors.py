@@ -1,8 +1,9 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the one check of a count.
 
 InputError maps to CLI exit code 2, NumericalError (and subclasses) to 3,
 verification failures to 1.
 """
+import numbers
 
 
 class InputError(ValueError):
@@ -28,3 +29,12 @@ class DegenerateMetricError(NumericalError):
 
 class ObstructionError(NumericalError):
     """Topological obstruction: no solution exists in this Chern class."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer of at least ``least``: a float
+    (even 4.0) or a bool is refused, a numpy integer taken."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be at least {least}, got {value}")

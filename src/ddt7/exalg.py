@@ -11,6 +11,9 @@ Conventions fixed here and shared by every other module:
 * orientation: vol = e^{1..n}; on R^8 the cylinder coordinate t is axis 1;
 * ``hodge``: *(e^I) = sign(I, I^c) e^{I^c} with sign the permutation parity
   of (I, I^c) against (1..n);
+* vectors are 1-forms: in the orthonormal frame the Euclidean metric gives
+  a vector v and its 1-form g(v, .) the same coefficients, so there is no
+  vector type, and ``interior(b, a)`` = i(b#) a takes the 1-form b;
 * ``sharp2``: g(F#(u), v) = F(u, v), so the matrix of F# is antisymmetric;
 * ``wedge``, ``interior`` and ``hodge`` hand a ``torus.FormField`` operand
   to its kernels; a 2-form wedged with itself (the same object) and
@@ -27,9 +30,9 @@ from .errors import InputError, NumericalError
 from .scalars import FLOAT, RATIONAL
 
 __all__ = [
-    "KForm", "Vector", "Endo", "blades", "blade_index",
-    "wedge", "cube", "contract", "interior", "hodge", "inner", "sharp2", "pullback",
-    "flat", "sharp1", "solve_endo", "det_endo",
+    "KForm", "Endo", "blades", "blade_index",
+    "wedge", "cube", "interior", "hodge", "inner", "sharp2", "pullback",
+    "solve_endo", "det_endo",
 ]
 
 
@@ -204,37 +207,6 @@ class KForm:
 
 
 @dataclass(frozen=True)
-class Vector:
-    """Tangent vector with n components."""
-
-    n: int
-    comps: tuple
-    ring: object
-
-    def __post_init__(self):
-        if len(self.comps) != self.n:
-            raise InputError(f"vector on R^{self.n} needs {self.n} components")
-
-    @staticmethod
-    def from_comps(n: int, comps, ring=FLOAT) -> "Vector":
-        return Vector(n, tuple(ring.coerce(c) for c in comps), ring)
-
-    @staticmethod
-    def basis(n: int, i: int, ring=FLOAT) -> "Vector":
-        comps = _zeros(ring, n)
-        comps[i - 1] = ring.one
-        return Vector(n, tuple(comps), ring)
-
-    def __add__(self, other):
-        return Vector(self.n, tuple(a + b for a, b in zip(self.comps, other.comps)), self.ring)
-
-    def __mul__(self, s):
-        return Vector(self.n, tuple(c * s for c in self.comps), self.ring)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
 class Endo:
     """Endomorphism of R^n as a row-major matrix: (Av)_i = sum_j mat[i][j] v_j."""
 
@@ -347,37 +319,31 @@ def cube(E: KForm, E2: KForm) -> KForm:
     return _power(E, E2, 3)
 
 
-def contract(v: Vector, a: KForm) -> KForm:
-    """Interior product i(v) a."""
-    if a.k == 0:
-        raise InputError("cannot contract a 0-form")
-    if v.n != a.n:
-        raise InputError(f"dimension mismatch: {v.n} vs {a.n}")
-    if v.ring is not a.ring:
-        raise InputError(f"scalar backend mismatch: {v.ring.name} vs {a.ring.name}")
-    ring = a.ring
-    out = _zeros(ring, len(blades(a.n, a.k - 1)))
-    za, zv = _zero_flags(a.coeffs, ring), _zero_flags(v.comps, ring)
-    for i, axis, o, s in contract_table(a.n, a.k):
-        if za[i] or zv[axis - 1]:
-            continue
-        c, x = a.coeffs[i], v.comps[axis - 1]
-        out[o] = out[o] + x * c if s > 0 else out[o] - x * c
-    return KForm(a.n, a.k - 1, tuple(out), ring)
-
-
 def interior(b: KForm, a: KForm) -> KForm:
-    """i(b#) a: the interior product of a 2-form a by the vector that the
-    Euclidean metric makes of the 1-form b, ``contract(sharp1(b), a)``.
-    Two fields go to ``torus.interior_field``."""
-    if b.k != 1 or a.k != 2:
-        raise InputError(f"interior product takes a 1-form and a 2-form, "
-                         f"got degrees {b.k} and {a.k}")
+    """i(b#) a: the interior product of a form a of degree 1 to 7 by the
+    vector that the Euclidean metric makes of the 1-form b (the same
+    coefficients).  Two fields go to ``torus.interior_field``, which takes
+    2-forms only."""
     if b.__class__ is not KForm or a.__class__ is not KForm:
         if b.__class__ is KForm or a.__class__ is KForm:
             raise InputError("interior product of a field and a constant form")
         return sys.modules[_TORUS].interior_field(b, a)
-    return contract(sharp1(b), a)
+    if b.k != 1 or a.k == 0:
+        raise InputError(f"interior product takes a 1-form and a form of degree 1 or more, "
+                         f"got degrees {b.k} and {a.k}")
+    if b.n != a.n:
+        raise InputError(f"dimension mismatch: {b.n} vs {a.n}")
+    if b.ring is not a.ring:
+        raise InputError(f"scalar backend mismatch: {b.ring.name} vs {a.ring.name}")
+    ring = a.ring
+    out = _zeros(ring, len(blades(a.n, a.k - 1)))
+    za, zb = _zero_flags(a.coeffs, ring), _zero_flags(b.coeffs, ring)
+    for i, axis, o, s in contract_table(a.n, a.k):
+        if za[i] or zb[axis - 1]:
+            continue
+        c, x = a.coeffs[i], b.coeffs[axis - 1]
+        out[o] = out[o] + x * c if s > 0 else out[o] - x * c
+    return KForm(a.n, a.k - 1, tuple(out), ring)
 
 
 def hodge(a: KForm) -> KForm:
@@ -477,18 +443,6 @@ def _det_rows(rows, ring):
 def det_endo(A: Endo):
     """Exact determinant of the matrix of A (any backend)."""
     return _det_rows(A.mat, A.ring)
-
-
-def flat(v: Vector) -> KForm:
-    """v -> g(v, .); components copy over in the orthonormal frame."""
-    return KForm(v.n, 1, v.comps, v.ring)
-
-
-def sharp1(b: KForm) -> Vector:
-    """Inverse of flat on 1-forms."""
-    if b.k != 1:
-        raise InputError("sharp1 requires a 1-form")
-    return Vector(b.n, b.coeffs, b.ring)
 
 
 def solve_endo(A: Endo, b: KForm) -> KForm:

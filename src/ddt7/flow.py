@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ddt, g2, tables
 from .errors import (DegenerateMetricError, InputError, NonFiniteError,
-                     NumericalError, ObstructionError)
+                     NumericalError, ObstructionError, check_count)
 from .exalg import cube, wedge
 from .kernels import backend_name, bareiss_ranks
 from .scalars import RATIONAL
@@ -100,12 +100,10 @@ class FlowConfig:
     def __post_init__(self):
         _positive("dt", self.dt)
         _positive("theta_min", self.theta_min)
-        if self.steps < 1:
-            raise InputError("steps must be at least 1")
+        check_count("steps", self.steps, 1)
         if self.scheme not in ("euler", "rk4"):
             raise InputError("scheme must be euler or rk4")
-        if self.record_every < 1:
-            raise InputError("record_every must be at least 1")
+        check_count("record_every", self.record_every, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,8 +588,7 @@ def kernel_probe(kmax: int) -> dict:
     is the number of modes eliminated and ``representatives`` the number of
     lines through the origin (half the primitive modes, gcd 1).
     """
-    if kmax < 1:
-        raise InputError("kmax must be at least 1")
+    check_count("kmax", kmax, 1)
     if kmax > _KMAX_CAP:
         raise InputError(f"kmax must be at most {_KMAX_CAP}")
     T, U = tables.mode_kernel_tensors()

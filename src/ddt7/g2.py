@@ -2,7 +2,8 @@
 
 phi = e^123 + e^145 + e^167 + e^246 - e^257 - e^347 - e^356, with the
 Euclidean metric and vol = e^{1..7}.  Under the induced action on 2-forms,
-Lambda^2 = Lambda^2_7 + Lambda^2_14 with Lambda^2_7 = {i(u)phi} and
+Lambda^2 = Lambda^2_7 + Lambda^2_14 with Lambda^2_7 = {i(u#)phi}, u a
+1-form (the metric makes it the vector u#, with the same coefficients), and
 Lambda^2_14 = ker(. ^ *phi); the operator F -> *(phi ^ F) has eigenvalues
 2 and -1 on the two summands.
 
@@ -21,8 +22,7 @@ from functools import lru_cache
 
 from .errors import InputError
 from .scalars import RATIONAL, frac, intval
-from .exalg import (KForm, Vector, blade_index, blades, contract, cube, hodge, inner, sharp1,
-                    wedge)
+from .exalg import KForm, blade_index, blades, cube, hodge, inner, interior, wedge
 
 __all__ = [
     "G2Data", "standard", "phi_for", "star_phi_for", "basis14_for", "TwoFormDecomp",
@@ -93,10 +93,10 @@ def standard() -> G2Data:
     star_phi = star_phi_for(ring)
     vol = hodge(KForm.from_blades(7, 0, {(): 1}, ring))
     # orientation self-check: (i(e1)phi) ^ *phi must equal +3*(e^1)
-    probe = wedge(contract(Vector.basis(7, 1, ring), phi), star_phi)
+    probe = wedge(interior(KForm.from_blades(7, 1, {(1,): 1}, ring), phi), star_phi)
     expect = hodge(KForm.from_blades(7, 1, {(1,): 3}, ring))
     if probe.coeffs != expect.coeffs:
-        raise AssertionError("orientation self-check failed: F ^ *phi = 3*u_flat "
+        raise AssertionError("orientation self-check failed: F ^ *phi = 3 *u "
                              "does not hold with vol = e^{1..7}")
     basis14 = _kernel_basis14(star_phi)
     if len(basis14) != 14:
@@ -136,9 +136,9 @@ def basis14_for(ring) -> tuple:
 
 @dataclass(frozen=True)
 class TwoFormDecomp:
-    """F = i(u)phi + f14 with f14 ^ *phi = 0."""
+    """F = i(u#)phi + f14 with f14 ^ *phi = 0, for the 1-form u."""
 
-    u: Vector
+    u: KForm
     f7: KForm
     f14: KForm
 
@@ -146,15 +146,14 @@ class TwoFormDecomp:
 def decompose2(F: KForm) -> TwoFormDecomp:
     """Split a 2-form into its 7- and 14-dimensional components.
 
-    u is recovered from u_flat = (1/3) * (F ^ *phi), which pins both the
-    component and the orientation convention.
+    The 1-form u is *(F ^ *phi) / 3, which pins both the component and the
+    orientation convention.
     """
     if F.k != 2 or F.n != 7:
         raise InputError("decompose2 requires a 2-form on R^7")
     ring = F.ring
-    u_flat = hodge(wedge(F, star_phi_for(ring))) * frac(ring, 1, 3)
-    u = sharp1(u_flat)
-    f7 = contract(u, phi_for(ring))
+    u = hodge(wedge(F, star_phi_for(ring))) * frac(ring, 1, 3)
+    f7 = interior(u, phi_for(ring))
     return TwoFormDecomp(u=u, f7=f7, f14=F - f7)
 
 
@@ -174,7 +173,7 @@ def spin7_pair1(E: KForm, adot: KForm, b: KForm):
     E2 = wedge(E, E)
     star_E3 = hodge(cube(E, E2))
     t1 = inner(adot - star_E3 * sixth, b)
-    t2 = inner(E - hodge(wedge(adot, E2)) * half, contract(sharp1(b), phi_for(ring)))
+    t2 = inner(E - hodge(wedge(adot, E2)) * half, interior(b, phi_for(ring)))
     return t1 + t2
 
 
@@ -182,7 +181,7 @@ def spin7_pair2(E: KForm, adot: KForm, b: KForm):
     """Second evolution pairing: <2 adot ^ E, i(b#)*phi> - <E^2, b ^ phi>."""
     _check_pair_args(E, adot, b)
     ring = E.ring
-    t1 = inner(wedge(adot, E) * intval(ring, 2), contract(sharp1(b), star_phi_for(ring)))
+    t1 = inner(wedge(adot, E) * intval(ring, 2), interior(b, star_phi_for(ring)))
     t2 = inner(wedge(E, E), wedge(b, phi_for(ring)))
     return t1 - t2
 

@@ -12,16 +12,16 @@ The catalog ids are stable keys used by the CLI and the acceptance suite:
 A1        endomorphism transport of the dual residual: the pullback of
           *R(F) by I - (F#)^2 equals eta(F)
 A2a       the 1-form *(F^3) annihilates *F under wedge
-A2b       contraction formula *(phi ^ *F^2) = -6 i(u)F on a decomposed F
+A2b       contraction formula *(phi ^ *F^2) = -6 i(u#)F on a decomposed F
 A4        pairing of the corrected residual with F ^ phi reproduces half the
           calibration weight times phi ^ *F^2
-A5        cube of a vector-type 2-form: (i(u)phi)^3 = 6|u|^2 *u_flat
+A5        cube of a vector-type 2-form: (i(u#)phi)^3 = 6|u|^2 *u
 A3F       theta-cleared elimination identity reducing the coupled evolution
           system to the single combined equation
 DET       determinant factorization det(I - (F#)^2) = det(I + F#)^2
 EIG7      *(phi ^ .) doubles vector-type 2-forms
 EIG14     *(phi ^ .) negates annihilator-type 2-forms
-W3        F ^ *phi = 3 *u_flat for a decomposed F
+W3        F ^ *phi = 3 *u for a decomposed F
 SF        Hodge star of a 2-form by type: *F7 = (1/2) F7 ^ phi,
           *F14 = -F14 ^ phi
 CYL       product-space star expansion of the curvature cube on R x R^7
@@ -44,11 +44,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_count
 from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, PolyRing, frac, intval
 from . import ddt, g2
-from .exalg import (Endo, KForm, Vector, blades, contract, cube, det_endo, hodge,
-                    inner, pullback, sharp2, wedge)
+from .exalg import (Endo, KForm, blades, cube, det_endo, hodge, inner, interior,
+                    pullback, sharp2, wedge)
 
 __all__ = ["IdentityReport", "verify", "verify_all", "mutate",
            "catalog_ids", "canonical_mutations", "identity_sites",
@@ -98,14 +98,10 @@ def _form(ring, val, names, n=7, k=2) -> KForm:
     return KForm(n, k, tuple(val(nm) for nm in names), ring)
 
 
-def _vector(ring, val, names) -> Vector:
-    return Vector(7, tuple(val(nm) for nm in names), ring)
-
-
 def _decomposed_F(ring, val):
-    """F = i(u)phi + sum c_m B_m with indeterminate u and c."""
-    u = _vector(ring, val, _U_NAMES)
-    F7 = contract(u, g2.phi_for(ring))
+    """F = i(u#)phi + sum c_m B_m with an indeterminate 1-form u and c."""
+    u = _form(ring, val, _U_NAMES, k=1)
+    F7 = interior(u, g2.phi_for(ring))
     F = F7
     for cm, B in zip(_C_NAMES, g2.basis14_for(ring)):
         F = F + B * val(cm)
@@ -139,7 +135,7 @@ def _build_a2a(ring, val, consts):
 def _build_a2b(ring, val, consts):
     u, F7, F = _decomposed_F(ring, val)
     lhs = hodge(ddt._phi_star_sq(wedge(F, F)))
-    rhs = contract(u, F) * _c(ring, consts, "rhs-scale")
+    rhs = interior(u, F) * _c(ring, consts, "rhs-scale")
     return [("contraction", lhs, rhs)]
 
 
@@ -164,11 +160,10 @@ def _build_a4(ring, val, consts):
 
 
 def _build_a5(ring, val, consts):
-    u = _vector(ring, val, _U_NAMES)
-    F7 = contract(u, g2.phi_for(ring))
+    u = _form(ring, val, _U_NAMES, k=1)
+    F7 = interior(u, g2.phi_for(ring))
     lhs = cube(F7, wedge(F7, F7))
-    u2 = sum((x * x for x in u.comps), start=ring.zero)
-    rhs = hodge(KForm(7, 1, u.comps, ring)) * (u2 * _c(ring, consts, "rhs-scale"))
+    rhs = hodge(u) * (inner(u, u) * _c(ring, consts, "rhs-scale"))
     return [("cube", lhs, rhs)]
 
 
@@ -380,8 +375,8 @@ def _build_det(ring, val, consts):
 
 
 def _build_eig7(ring, val, consts):
-    u = _vector(ring, val, _U_NAMES)
-    F7 = contract(u, g2.phi_for(ring))
+    u = _form(ring, val, _U_NAMES, k=1)
+    F7 = interior(u, g2.phi_for(ring))
     lhs = hodge(wedge(g2.phi_for(ring), F7))
     return [("vector-type", lhs, F7 * _c(ring, consts, "eig-scale"))]
 
@@ -397,7 +392,7 @@ def _build_eig14(ring, val, consts):
 def _build_w3(ring, val, consts):
     u, F7, F = _decomposed_F(ring, val)
     lhs = wedge(F, g2.star_phi_for(ring))
-    rhs = hodge(KForm(7, 1, u.comps, ring)) * _c(ring, consts, "rhs-scale")
+    rhs = hodge(u) * _c(ring, consts, "rhs-scale")
     return [("coassociative", lhs, rhs)]
 
 
@@ -635,7 +630,7 @@ def decomposition_checks(F: KForm):
     """
     dec = g2.decompose2(F)
     scale = np.maximum(_absmax(F), 1.0)
-    u2 = sum((c * c for c in dec.u.comps), start=F.ring.zero)
+    u2 = inner(dec.u, dec.u)
     f7sq = inner(dec.f7, dec.f7)
     f14sq = inner(dec.f14, dec.f14)
     th = ddt.theta_weight(F)
@@ -662,8 +657,7 @@ def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
     21 coefficients of F, all uniform in [-1, 1]; the samples run through
     the BATCH ring, ``FLOAT_BATCH`` at a time, and each maximum is taken
     over them."""
-    if samples < 1:
-        raise InputError("float suite needs at least 1 sample")
+    check_count("samples", samples, 1)
     rng = np.random.default_rng(seed)
     specs = [_lookup(i) for i in catalog_ids()]
     ends = np.cumsum([len(spec.variables) for spec in specs]).tolist()

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import ddt, tables
-from .errors import InputError, NonFiniteError, NumericalError
+from .errors import InputError, NonFiniteError, NumericalError, check_count
 from .exalg import KForm, blades, cube, wedge
 from .kernels import hodge_fields, wedge_fields
 from .scalars import FLOAT, RATIONAL
@@ -86,8 +86,9 @@ class TorusGrid:
             raise InputError("axes must lie in 1..7")
         if tuple(sorted(axes)) != axes:
             raise InputError("active_axes must be sorted")
-        if self.N < 2 or (self.N & (self.N - 1)) != 0:
-            raise InputError("N must be a power of two, at least 2")
+        check_count("N", self.N, 2)
+        if self.N & (self.N - 1):
+            raise InputError(f"N must be a power of two, got {self.N}")
         object.__setattr__(self, "active_axes", axes)
 
     # cached per instance; not fields, so equality and hashing ignore them
@@ -732,8 +733,9 @@ def random_field(grid: TorusGrid, k: int, rng: np.random.Generator,
     Band-limiting keeps products of a few such fields alias-free on the
     grid, which the moment-map and closedness checks rely on.
     """
-    if not (scale >= 0 and kmax >= 0):
-        raise InputError("random fields need scale >= 0 and kmax >= 0")
+    if not scale >= 0:
+        raise InputError("random fields need scale >= 0")
+    check_count("kmax", kmax, 0)
     modes = _low_modes(grid.active_axes, kmax)
     dim = len(blades(7, k))
     amps = rng.normal(0.0, scale / math.sqrt(max(len(modes), 1)),

@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from ddt7 import ddt, g2, prover
-from ddt7.exalg import KForm, Vector, blades, contract, hodge, inner
+from ddt7.exalg import KForm, blades, hodge, inner, interior
 from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, continuation,
                        cylinder_check, flow_run, instanton_solve,
                        kernel_probe)
@@ -215,8 +215,8 @@ def test_criterion_8_pointwise_residual_closed_form():
     """For u along e_1 the residual of the contracted background is
     (|u|^2 - 3) * u-flat: exact at u = (26/15) e_1, and below 1e-12 in
     float at the root |u| = sqrt(3)."""
-    u = Vector(7, (rational(26, 15),) + (RATIONAL.zero,) * 6, RATIONAL)
-    E = contract(u, g2.phi_for(RATIONAL))
+    u = KForm(7, 1, (rational(26, 15),) + (RATIONAL.zero,) * 6, RATIONAL)
+    E = interior(u, g2.phi_for(RATIONAL))
     R = ddt.ddt_residual(E)
     expected = hodge(KForm.from_blades(7, 1, {(1,): frac(RATIONAL, 26, 3375)},
                                        RATIONAL))
@@ -225,7 +225,7 @@ def test_criterion_8_pointwise_residual_closed_form():
     assert norm_sq == frac(RATIONAL, 26 * 26, 3375 * 3375)
 
     r3 = math.sqrt(3.0)
-    uf = Vector(7, (r3,) + (0.0,) * 6, FLOAT)
-    Ef = contract(uf, g2.phi_for(FLOAT))
+    uf = KForm(7, 1, (r3,) + (0.0,) * 6, FLOAT)
+    Ef = interior(uf, g2.phi_for(FLOAT))
     Rf = ddt.ddt_residual(Ef)
     assert max(abs(float(c)) for c in Rf.coeffs) <= 1e-12

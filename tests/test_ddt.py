@@ -8,13 +8,12 @@ import pytest
 
 from ddt7 import ddt, g2, prover
 from ddt7.errors import DegenerateMetricError, InputError
-from ddt7.exalg import KForm, Vector, contract, hodge, inner, wedge
+from ddt7.exalg import KForm, hodge, inner, interior, wedge
 from ddt7.scalars import FLOAT, RATIONAL, PolyRing, frac
 
 
 def _iu_phi(u_comps, ring=RATIONAL):
-    u = Vector.from_comps(7, u_comps, ring)
-    return contract(u, g2.phi_for(ring))
+    return interior(KForm.from_coeffs(7, 1, u_comps, ring), g2.phi_for(ring))
 
 
 def test_residual_of_vector_type_curvature_is_exact():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddt7 import ddt, exalg, flow, kernels, tables, torus
+from ddt7 import ddt, exalg, flow, kernels, prover, tables, torus
 from ddt7.errors import (DegenerateMetricError, InputError, NonFiniteError,
                          NumericalError, ObstructionError)
 from ddt7.exalg import Endo, KForm, blades, wedge
@@ -39,6 +39,28 @@ def test_flowconfig_validation():
             FlowConfig(**kw)
     with pytest.raises(InputError):
         flow_step(zero_potential(GRID, Flux.zero()), 1e-3, scheme="midpoint")
+
+
+COUNT_SITES = {
+    "FlowConfig.steps": lambda n: FlowConfig(steps=n),
+    "FlowConfig.record_every": lambda n: FlowConfig(record_every=n),
+    "TorusGrid.N": lambda n: TorusGrid((1, 2), n),
+    "kernel_probe": kernel_probe,
+    "float_suite": prover.float_suite,
+    "random_field.kmax": lambda n: random_field(GRID, 1, np.random.default_rng(0), kmax=n),
+}
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_counts_refuse_floats_and_bools_and_take_numpy_integers(site):
+    """Each count goes through ``errors.check_count``.  A float count used
+    to end in a bare TypeError or IndexError, or, as record_every=1.5,
+    to sample only the steps that are multiples of 1.5; True passed as 1."""
+    make = COUNT_SITES[site]
+    for bad in (2.5, 4.0, True, np.float64(2.0)):
+        with pytest.raises(InputError, match="must be an integer"):
+            make(bad)
+    make(np.int64(2))
 
 
 def test_non_finite_or_non_positive_dt_and_theta_min_are_refused():

@@ -7,7 +7,7 @@ import pytest
 
 from ddt7 import g2
 from ddt7.errors import InputError
-from ddt7.exalg import KForm, Vector, blades, contract, hodge, inner, wedge
+from ddt7.exalg import KForm, blades, hodge, inner, interior, wedge
 from ddt7.scalars import FLOAT, RATIONAL
 
 PHI_ORACLE = {
@@ -31,16 +31,16 @@ def test_phi_wedge_star_phi_is_seven_volumes():
 
 
 def test_contraction_of_phi():
-    e3 = Vector.basis(7, 3, RATIONAL)
-    got = contract(e3, g2.phi_for(RATIONAL)).as_blades()
+    e3 = KForm.from_blades(7, 1, {(3,): 1}, RATIONAL)
+    got = interior(e3, g2.phi_for(RATIONAL)).as_blades()
     assert got == {(1, 2): 1, (4, 7): -1, (5, 6): -1}
 
 
 def test_orientation_normalization():
     # (i(e1)phi) ^ *phi = 3 * hodge(e^1) pins the orientation convention
     d = g2.standard()
-    e1 = Vector.basis(7, 1, RATIONAL)
-    lhs = wedge(contract(e1, d.phi), d.star_phi)
+    e1 = KForm.from_blades(7, 1, {(1,): 1}, RATIONAL)
+    lhs = wedge(interior(e1, d.phi), d.star_phi)
     rhs = hodge(KForm.from_blades(7, 1, {(1,): 3}, RATIONAL))
     assert lhs.coeffs == rhs.coeffs
 
@@ -49,7 +49,7 @@ def test_decompose_single_blade():
     F = KForm.from_blades(7, 2, {(1, 2): 1}, RATIONAL)
     dec = g2.decompose2(F)
     third = Fraction(1, 3)
-    assert dec.u.comps == (0, 0, third, 0, 0, 0, 0)
+    assert dec.u.coeffs == (0, 0, third, 0, 0, 0, 0)
     assert dec.f7.as_blades() == {(1, 2): third, (4, 7): -third, (5, 6): -third}
     assert (dec.f7 + dec.f14).coeffs == F.coeffs
     assert wedge(dec.f14, g2.star_phi_for(RATIONAL)).is_zero()
@@ -58,7 +58,7 @@ def test_decompose_single_blade():
 def test_decompose_pure_fourteen_part():
     F = KForm.from_blades(7, 2, {(1, 2): 1, (4, 7): 1}, RATIONAL)
     dec = g2.decompose2(F)
-    assert all(c == 0 for c in dec.u.comps)
+    assert all(c == 0 for c in dec.u.coeffs)
     assert dec.f7.is_zero()
     assert dec.f14.coeffs == F.coeffs
 
@@ -132,5 +132,5 @@ def test_float_and_rational_backends_agree():
     df = g2.decompose2(Ff)
     for cq, cf in zip(dq.f14.coeffs, df.f14.coeffs):
         assert abs(float(cq) - cf) < 1e-12
-    uq = [float(c) for c in dq.u.comps]
-    assert np.allclose(uq, df.u.comps, atol=1e-12)
+    uq = [float(c) for c in dq.u.coeffs]
+    assert np.allclose(uq, df.u.coeffs, atol=1e-12)

@@ -221,7 +221,7 @@ def test_interior_arrays_are_the_contract_table_grouped_by_output():
 
 @pytest.mark.parametrize("grid", POWER_GRIDS, ids=lambda g: str(g.npts))
 def test_interior_field_is_the_pointwise_contraction(grid):
-    """i(b#) a on fields against ``exalg.contract`` of the vector of b at
+    """i(b#) a on fields against ``exalg.interior`` of the two forms at
     every point (every 37th point at 4096), to 1e-15 relative."""
     rng = np.random.default_rng(grid.npts + 1)
     b, a = random_field(grid, 1, rng), random_field(grid, 2, rng)
@@ -229,7 +229,7 @@ def test_interior_field_is_the_pointwise_contraction(grid):
     assert got.k == 1 and np.array_equal(exalg.interior(b, a).coeffs, got.coeffs)
     scale = np.max(np.abs(got.coeffs))
     for p in range(0, grid.npts, 1 if grid.npts <= 512 else 37):
-        want = exalg.contract(exalg.sharp1(b.pointwise(p)), a.pointwise(p))
+        want = exalg.interior(b.pointwise(p), a.pointwise(p))
         assert np.max(np.abs(got.values[p] - want.coeffs)) <= 1e-15 * scale
 
 
@@ -242,11 +242,22 @@ def test_interior_refuses_wrong_degrees_and_mixed_operands():
             torus.interior_field(*args)
         with pytest.raises(InputError):
             exalg.interior(*args)
-        with pytest.raises(InputError):
-            exalg.interior(*(f.pointwise(0) for f in args))
     with pytest.raises(InputError):
         torus.interior_field(b, random_field(TorusGrid((1, 3), 4), 2, rng))
     for args in ((b.pointwise(0), a), (b, a.pointwise(0))):
+        with pytest.raises(InputError):
+            exalg.interior(*args)
+
+
+def test_pointwise_interior_refuses_a_b_not_a_1_form_and_a_0_form_a():
+    """On KForms b must be a 1-form and a of degree 1 to 7 (the adjoint
+    test in test_exalg takes every such degree), both on one R^n over one
+    ring."""
+    b = KForm.zero(7, 1)
+    refused = [(KForm.zero(7, k), KForm.zero(7, 2)) for k in (0, 2, 3)]
+    refused += [(b, KForm.zero(7, 0)), (KForm.zero(8, 1), KForm.zero(7, 2)),
+                (b, KForm.zero(7, 2, RATIONAL))]
+    for args in refused:
         with pytest.raises(InputError):
             exalg.interior(*args)
 

@@ -94,3 +94,35 @@ def test_the_unread_private_name_check_finds_one():
 def test_every_private_name_is_read_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _unread_private_names(sources) == []
+
+
+def _unbound_exports(source: str) -> list:
+    """Each name of the module's ``__all__`` that its top level does not
+    bind by a def, a class, an assignment or an import."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [e.value for e in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_the_unbound_export_check_finds_one():
+    source = ("from math import pi as tau\nimport os.path\n"
+              "__all__ = ['tau', 'os', 'f', 'C', 'X', 'gone']\n"
+              "X: int = 1\n\ndef f():\n    gone = 2\n\nclass C:\n    pass\n")
+    assert _unbound_exports(source) == ["gone"]
+
+
+def test_every_exported_name_is_bound_in_its_module():
+    """A stale ``__all__`` entry breaks only ``from module import *``."""
+    stale = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _unbound_exports(path.read_text())]
+    assert stale == []

@@ -147,7 +147,7 @@ def _ref_rel_gap(a, b):
 def _ref_decomposition_checks(F):
     dec = g2.decompose2(F)
     scale = max(_ref_absmax(F), 1.0)
-    u2 = sum(float(c) * float(c) for c in dec.u.comps)
+    u2 = sum(float(c) * float(c) for c in dec.u.coeffs)
     f7sq = float(inner(dec.f7, dec.f7))
     f14sq = float(inner(dec.f14, dec.f14))
     th = float(ddt.theta_weight(F))

@@ -24,8 +24,9 @@ from ddt7.errors import ObstructionError
 from ddt7.exalg import Endo, KForm, blades, pullback
 from ddt7.scalars import RATIONAL
 from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, codiff, cube_field,
-                        curvature, d, field_l2, hodge_field, kl_functional,
-                        random_coclosed_potential, residual_field, wedge_field)
+                        curvature, d, field_l2, hodge_field, kl_functional, nu,
+                        nu_derivative_check, random_coclosed_potential, random_field,
+                        residual_field, theta3, wedge_field)
 
 GRID16 = TorusGrid((1, 2), 4)
 GRID64 = TorusGrid((1, 2, 3), 4)
@@ -130,9 +131,11 @@ def test_pullback_helpers_fix_phi_and_move_the_grid():
 
 
 @pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
-@pytest.mark.parametrize("grid, stride", [(GRID16, 1), (GRID512, 23)], ids=["16", "512"])
+@pytest.mark.parametrize("grid, stride", [(GRID16, 1), (GRID64, 7), (GRID512, 23)],
+                         ids=["16", "64", "512"])
 def test_field_formulas_are_equivariant(grid, stride, flux):
-    """Every usable element at 16 points, every 23rd at 512 (9 of 192)."""
+    """Every usable element at 16 points, every 7th at 64 (28 of 192) and
+    every 23rd at 512 (9 of 192)."""
     pot = _potential(grid, FLUXES[flux])
     for perm, signs in _grid_elements(grid)[::stride]:
         gaps = _gaps(perm, signs, pot)
@@ -140,7 +143,7 @@ def test_field_formulas_are_equivariant(grid, stride, flux):
 
 
 @pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
-@pytest.mark.parametrize("grid", [GRID16, GRID512], ids=["16", "512"])
+@pytest.mark.parametrize("grid", [GRID16, GRID64, GRID512], ids=["16", "64", "512"])
 def test_the_swap_of_axes_1_and_2_is_caught(grid, flux):
     """The swap does not fix phi: the residual and the functional notice.
     Wedges commute with every linear pullback, so the square and the cube
@@ -148,6 +151,49 @@ def test_the_swap_of_axes_1_and_2_is_caught(grid, flux):
     gaps = _gaps(*SWAP12, _potential(grid, FLUXES[flux]))
     assert gaps["square"] <= TOL and gaps["cube"] <= TOL
     assert gaps["residual"] > 1e-6 and gaps["kl_functional"] > 1e-6
+
+
+def _moment_args(grid):
+    """Two scalar fields and three 1-forms for the moment scalars."""
+    rng = np.random.default_rng(grid.npts + 3)
+    return tuple(random_field(grid, k, rng) for k in (0, 0, 1, 1, 1))
+
+
+def _moment_values(pot, g1, g2, b1, b2, b3) -> dict:
+    lhs, rhs = nu_derivative_check(pot, g1, g2, b1)
+    return {"theta3": theta3(pot, b1, b2, b3), "nu": nu(pot, g1, g2),
+            "nu_derivative": lhs, "theta3_of_dg": rhs}
+
+
+def _moment_gaps(perm, signs, pot, args, ref):
+    """Relative gaps of theta3, nu and both numbers of nu_derivative_check
+    at the pulled-back arguments against their values ``ref`` at the
+    arguments."""
+    got = _moment_values(pull_back(perm, signs, pot),
+                         *(pull_back_field(perm, signs, f) for f in args))
+    return {name: _rel_gap(got[name], ref[name]) for name in ref}
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid, stride", [(GRID16, 3), (GRID64, 7)], ids=["16", "64"])
+def test_moment_scalars_are_invariant(grid, stride, flux):
+    """Every 3rd usable element at 16 points (22 of 64) and every 7th at
+    64 (28 of 192).  dtheta4 is left out: it is a closedness residual near
+    0, so its invariance says nothing."""
+    pot, args = _potential(grid, FLUXES[flux]), _moment_args(grid)
+    ref = _moment_values(pot, *args)
+    for perm, signs in _grid_elements(grid)[::stride]:
+        gaps = _moment_gaps(perm, signs, pot, args, ref)
+        assert max(gaps.values()) <= TOL, (perm.tolist(), signs.tolist(), gaps)
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid", [GRID16, GRID64], ids=["16", "64"])
+def test_the_swap_of_axes_1_and_2_moves_the_moment_scalars(grid, flux):
+    """The swap reverses the orientation and moves *phi: every value moves."""
+    pot, args = _potential(grid, FLUXES[flux]), _moment_args(grid)
+    gaps = _moment_gaps(*SWAP12, pot, args, _moment_values(pot, *args))
+    assert min(gaps.values()) > 1e-6, gaps
 
 
 OPERATORS = {"d": (d, range(7)), "codiff": (codiff, range(1, 8)),
