@@ -520,6 +520,12 @@ def cmd_moment(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
         raise InputError("samples must be at least 1")
     scale = cfg["scale"]
     kmax = _as_kmax(cfg, grid)
+    # the widest integrands (nu, its derivative, theta3 of dg, dtheta4) each
+    # multiply five fields of modes up to kmax; the grid sums their means
+    # exactly only while no product reaches mode N
+    if 5 * kmax >= grid.N:
+        raise InputError(f"moment needs 5 * kmax < N, so that its five-factor "
+                         f"integrands do not alias: kmax {kmax} on N = {grid.N}")
     rng = np.random.default_rng(cfg["seed"])
     worst = {"derivative_match": 0.0, "theta3_antisymmetry": 0.0,
              "dtheta4_closedness": 0.0, "gauge_kl": 0.0, "gauge_nu": 0.0,

@@ -187,9 +187,12 @@ def _build_a3f(ring, val, consts):
 # A bucket's products are written one row per entry term: one add of the
 # state's words for that term's coefficient (built once per distinct
 # coefficient; DET's entries have only +-1) and the term's own word.  One
-# plain sort of the bucket's words orders them by key; the unbiased fields'
-# int64 prefix sum, read at each key's last word, minus its value at the
-# previous key's last word, is that key's coefficient.
+# plain in-place sort of the bucket's words orders them by key.  The sorted
+# words are then walked in chunks of _DET_CHUNK: the unbiased fields' int64
+# prefix sum, carried across chunks, read at each key's last word, minus its
+# value at the previous key's last word, is that key's coefficient.  Keys
+# and key ends go to two reused chunk-sized buffers, so no array the size of
+# the bucket is allocated besides its words.
 # * Every key fits its 49-bit field: radix^nvars is checked (5^21 < 2^49).
 # * No key addition carries between digits: before the DP runs, the
 #   per-variable degree of every (partial) product is bounded over all
@@ -209,6 +212,7 @@ _DET_COEFF_BIAS = 1 << (_DET_COEFF_BITS - 1)   # 2^14, also the |coeff| bound
 _DET_COEFF_MASK = (1 << _DET_COEFF_BITS) - 1
 _DET_SUM_LIMIT = 2 ** 62
 _DET_WORDS_MAX = 2 ** 48                        # words one prefix sum may add
+_DET_CHUNK = 1 << 17                            # words the combine walks at once
 
 
 @dataclass(frozen=True)
@@ -264,24 +268,45 @@ def _det_np_products(parts):
 
 def _det_np_combine(words):
     """Sort the words in place and sum the coefficients of equal keys
-    exactly; returns sorted unique keys with their nonzero int64 totals."""
+    exactly; returns sorted unique keys with their nonzero int64 totals.
+
+    After the sort the words are walked in chunks of ``_DET_CHUNK``: each
+    chunk's keys and key ends go to two reused buffers, and its fields are
+    unbiased and prefix-summed in place, the sum carried from chunk to
+    chunk.  No other array the size of the words is allocated."""
     if words.size > _DET_WORDS_MAX:
         raise NumericalError(f"{words.size} packed words exceed the exact "
                              f"prefix sum's {_DET_WORDS_MAX}")
     words.sort()
-    keys = words >> _DET_COEFF_BITS
-    last = np.empty(words.size, dtype=bool)   # the last word of its key
-    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    last[-1:] = True
-    ends = np.flatnonzero(last)
+    n = words.size
     cs = words.view(np.int64)
-    cs &= _DET_COEFF_MASK
-    cs -= _DET_COEFF_BIAS
-    np.cumsum(cs, out=cs)
-    tot = cs[ends]
-    tot[1:] = np.diff(tot)
-    nz = tot != 0
-    return keys[ends[nz]], tot[nz]
+    key_buf = np.empty(min(n, _DET_CHUNK), dtype=np.uint64)
+    last_buf = np.empty(key_buf.size, dtype=bool)   # the last word of its key
+    out_keys, out_tots = [np.zeros(0, dtype=np.uint64)], [np.zeros(0, dtype=np.int64)]
+    prefix = prev = 0   # the sum before the chunk; the sum at the last key end
+    for lo in range(0, n, _DET_CHUNK):
+        hi = min(lo + _DET_CHUNK, n)
+        keys, last, c = key_buf[:hi - lo], last_buf[:hi - lo], cs[lo:hi]
+        np.right_shift(words[lo:hi], _DET_COEFF_BITS, out=keys)
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        # the next chunk's words are not unbiased yet
+        last[-1] = hi == n or words[hi] >> _DET_COEFF_BITS != keys[-1]
+        c &= _DET_COEFF_MASK
+        c -= _DET_COEFF_BIAS
+        c[0] += prefix
+        np.cumsum(c, out=c)
+        prefix = int(c[-1])
+        ends = np.flatnonzero(last)
+        if ends.size:   # else one key's run covers the whole chunk
+            tot = c[ends]
+            end = int(tot[-1])
+            tot[1:] = np.diff(tot)
+            tot[0] -= prev
+            prev = end
+            nz = tot != 0
+            out_keys.append(keys[ends[nz]])
+            out_tots.append(tot[nz])
+    return np.concatenate(out_keys), np.concatenate(out_tots)
 
 
 def _det_np_dp(ring, entries, bound=None):

@@ -676,8 +676,12 @@ def nu_derivative_check(pot: GaugePotential, g1: FormField, g2: FormField,
     """(analytic derivative of nu along b, theta3(dg1, dg2, b)).
 
     The derivative uses the exact linearization of the residual,
-    dR(b) = db ^ (E^2/2 - *phi).  The two numbers agree for any input; the
-    equality is the defining property of the multi-moment map.  The weight
+    dR(b) = db ^ (E^2/2 - *phi).  The equality of the two numbers is the
+    defining property of the multi-moment map.  Each integrand is a product
+    of five band-limited fields (db, E twice and g dg; or dg1, dg2, b and E
+    twice).  For fields of modes up to kmax the grid sums both exactly while
+    5 * kmax < N, and the numbers agree to rounding; on coarser grids the
+    products can alias and the numbers differ.  The weight
     W, d(g1) and d(g2) are built once and shared with ``_theta3``, so the
     right-hand side equals ``theta3(pot, d(g1), d(g2), b)`` bitwise.
     """

@@ -417,6 +417,9 @@ CONFIG_FUZZ = [
     # band limit is checked before the snapshot is read
     ("continue", {"kmax": 99}),
     ("flow", {"kmax": 99, "initial_snapshot": "no/such/snapshot.t7f"}),
+    # moment grids too coarse for its five-factor products (5 * kmax >= N)
+    ("moment", {"grid": {"axes": [1, 2, 3], "N": 4}, "kmax": 1}),
+    ("moment", {"grid": {"axes": [1, 2, 3], "N": 8}, "kmax": 2}),
 ]
 
 
@@ -452,6 +455,29 @@ def test_kmax_beyond_half_the_grid_exits_2(tmp_path, capsys, command,
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: kmax must lie in 0..2 on this grid\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n, kmax", [(2, 1), (4, 1), (8, 2), (16, 4)])
+def test_moment_grid_that_aliases_its_products_exits_2(tmp_path, capsys, n, kmax):
+    # the parent reported these grids' aliasing as failed identities (exit 1);
+    # N = 2 draws only Nyquist modes, where d is zero, so its checks were vacuous
+    cfg = write_config(tmp_path, "c.json", {"grid": {"axes": [1, 2, 3], "N": n},
+                                            "kmax": kmax, "samples": 1})
+    out = tmp_path / "o"
+    assert cli.main(["moment", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "5 * kmax < N" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_moment_grid_just_fine_enough_passes(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"grid": {"axes": [1, 2, 3], "N": 16},
+                                            "kmax": 3, "samples": 1,
+                                            "flux": {"1,2": 1, "4,7": 1}})
+    out = tmp_path / "o"
+    r = run_cli("moment", "--config", cfg, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert read_report(out)["pass"] is True
 
 
 # inputs that overflow float64 inside the run: exit 3, and no report

@@ -4,6 +4,7 @@ single-site mutation is caught with a concrete witness monomial."""
 import hashlib
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -402,7 +403,22 @@ def _words(keys, coeffs):
         | (np.asarray(coeffs, dtype=np.int64) + 2 ** 14).astype(np.uint64)
 
 
-def test_packed_combine_matches_a_dict_reference():
+# chunk sizes for the combine's walk over the sorted words: every edge case
+# of a short bucket, and the default
+CHUNKS = (1, 2, 3, 4, 16, prover._DET_CHUNK)
+
+
+def _assert_combines(keys, coeffs, order):
+    """The combine of the words in ``order`` against the dict reference."""
+    keys, coeffs = np.asarray(keys, dtype=np.uint64), np.asarray(coeffs, dtype=np.int64)
+    k, c = prover._det_np_combine(_words(keys[order], coeffs[order]))
+    assert k.dtype == np.uint64 and c.dtype == np.int64
+    assert np.all(k[:-1] < k[1:]) and np.all(c != 0)
+    assert dict(zip(k.tolist(), c.tolist())) == _combine_reference(keys, coeffs), \
+        prover._DET_CHUNK
+
+
+def test_packed_combine_matches_a_dict_reference(monkeypatch):
     top = prover._DET_COEFF_BIAS - 1
     # key 0 (first) and key 9 (last) cancel; key 2 appears once; keys 3 and
     # 5 are runs of negatives, at the field's edge for key 3
@@ -420,21 +436,58 @@ def test_packed_combine_matches_a_dict_reference():
         pair = np.concatenate([coeffs, -coeffs])
         pair[0] += 1 if pair[0] < top else -1
         cases.append((np.concatenate([keys, keys]), pair))
-    for keys, coeffs in cases:
-        keys, coeffs = np.asarray(keys, dtype=np.uint64), np.asarray(coeffs, dtype=np.int64)
-        order = rng.permutation(keys.size)
-        k, c = prover._det_np_combine(_words(keys[order], coeffs[order]))
-        assert k.dtype == np.uint64 and c.dtype == np.int64
-        assert np.all(k[:-1] < k[1:]) and np.all(c != 0)
-        assert dict(zip(k.tolist(), c.tolist())) == _combine_reference(keys, coeffs)
+    for chunk in CHUNKS:
+        monkeypatch.setattr(prover, "_DET_CHUNK", chunk)
+        for keys, coeffs in cases:
+            _assert_combines(keys, coeffs, rng.permutation(len(keys)))
+
+
+def test_packed_combine_across_chunk_edges(monkeypatch):
+    """With chunks of 4 words: a run crossing an edge, a run longer than a
+    chunk (a chunk with no key end), keys cancelling at an edge and across
+    one, and buckets whose last word ends a chunk.  Within a key the sort
+    orders the words by coefficient, so the runs' positions are fixed."""
+    cases = [
+        ([0, 0, 0, 1, 1, 1, 2], [1, 2, 3, 4, 5, 6, 7]),         # key 1 on words 3-5
+        ([0] + [1] * 10 + [2], [-1] + [3] * 10 + [2]),          # words 4-7 all key 1
+        ([0, 0, 1, 1, 2, 2], [5, 6, -4, 4, 1, 2]),              # key 1 cancels at word 3
+        ([0, 1, 1, 1, 1, 2], [9, -3, -1, 1, 3, -2]),            # key 1 cancels on 1-4
+        ([0, 0, 1, 1, 2, 3, 3, 3], [1, 1, -2, 3, 4, -5, 6, 7]),  # 8 words: two chunks
+        ([5, 5, 5, 5], [1, 2, -4, 1]),                           # one chunk, cancelling
+        ([7] * 8, [2, -1, 3, -4, 1, 1, -1, 2]),                  # one key, two chunks
+    ]
+    for chunk in CHUNKS:
+        monkeypatch.setattr(prover, "_DET_CHUNK", chunk)
+        for keys, coeffs in cases:
+            _assert_combines(keys, coeffs, np.arange(len(keys))[::-1])
+
+
+def test_packed_combine_allocates_no_bucket_sized_array():
+    """After its in-place sort the combine holds only chunk-sized buffers
+    and its outputs: on 2^21 words over at most 2^12 keys its traced peak
+    stays below a quarter of the words' bytes."""
+    rng = np.random.default_rng(25)
+    keys = rng.integers(0, 2 ** 12, 2 ** 21)
+    coeffs = rng.integers(-2 ** 14 + 1, 2 ** 14, 2 ** 21)
+    words = _words(keys, coeffs)
+    tracemalloc.start()
+    try:
+        k, c = prover._det_np_combine(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < words.nbytes / 4, peak
+    assert k.size <= 2 ** 12 and int(c.sum()) == int(coeffs.sum())
 
 
 def test_packed_combine_checks_the_prefix_sum_bound(monkeypatch):
     monkeypatch.setattr(prover, "_DET_WORDS_MAX", 4)
-    k, c = prover._det_np_combine(_words([1, 2, 1, 3], [1, 1, 2, -1]))
-    assert k.tolist() == [1, 2, 3] and c.tolist() == [3, 1, -1]
-    with pytest.raises(NumericalError):
-        prover._det_np_combine(_words([1, 2, 1, 3, 3], [1, 1, 2, -1, 2]))
+    for chunk in CHUNKS:
+        monkeypatch.setattr(prover, "_DET_CHUNK", chunk)
+        k, c = prover._det_np_combine(_words([1, 2, 1, 3], [1, 1, 2, -1]))
+        assert k.tolist() == [1, 2, 3] and c.tolist() == [3, 1, -1], chunk
+        with pytest.raises(NumericalError):
+            prover._det_np_combine(_words([1, 2, 1, 3, 3], [1, 1, 2, -1, 2]))
 
 
 def _pairwise(parts):

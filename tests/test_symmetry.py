@@ -196,6 +196,47 @@ def test_the_swap_of_axes_1_and_2_moves_the_moment_scalars(grid, flux):
     assert min(gaps.values()) > 1e-6, gaps
 
 
+CYLINDER_TIMES = (0.0, 0.1, 0.2)
+
+
+def _cylinder_samples(grid, flux):
+    """Three independent random potentials at uniform times: far from any
+    flow, so both product-space residual norms are far from zero."""
+    rng = np.random.default_rng(grid.npts + 5)
+    return [random_coclosed_potential(grid, flux, rng, scale=0.05) for _ in CYLINDER_TIMES]
+
+
+def _cylinder_gaps(perm, signs, pots, ref):
+    """Relative gaps of cylinder_check_samples' two residual norms over
+    the pulled-back samples against their values ``ref`` over the samples."""
+    (got,) = flow.cylinder_check_samples(
+        CYLINDER_TIMES, [pull_back(perm, signs, p) for p in pots])["samples"]
+    return {name: _rel_gap(got[name], ref[name]) for name in ("res1_l2", "res2_l2")}
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid, stride", [(GRID16, 3), (GRID64, 7)], ids=["16", "64"])
+def test_cylinder_check_is_invariant(grid, stride, flux):
+    """Every 3rd usable element at 16 points (22 of 64) and every 7th at
+    64 (28 of 192): both residual norms to 1e-13 relative."""
+    pots = _cylinder_samples(grid, FLUXES[flux])
+    (ref,) = flow.cylinder_check_samples(CYLINDER_TIMES, pots)["samples"]
+    assert min(ref["res1_l2"], ref["res2_l2"]) > 1e-3, ref
+    for perm, signs in _grid_elements(grid)[::stride]:
+        gaps = _cylinder_gaps(perm, signs, pots, ref)
+        assert max(gaps.values()) <= TOL, (perm.tolist(), signs.tolist(), gaps)
+
+
+@pytest.mark.parametrize("flux", list(FLUXES), ids=list(FLUXES))
+@pytest.mark.parametrize("grid", [GRID16, GRID64], ids=["16", "64"])
+def test_the_swap_of_axes_1_and_2_moves_the_cylinder_check(grid, flux):
+    """The swap moves phi and *phi, so both residual norms move."""
+    pots = _cylinder_samples(grid, FLUXES[flux])
+    (ref,) = flow.cylinder_check_samples(CYLINDER_TIMES, pots)["samples"]
+    gaps = _cylinder_gaps(*SWAP12, pots, ref)
+    assert min(gaps.values()) > 1e-6, gaps
+
+
 OPERATORS = {"d": (d, range(7)), "codiff": (codiff, range(1, 8)),
              "hodge_field": (hodge_field, range(8))}
 
