@@ -108,11 +108,13 @@ def _read_config(path: str | None) -> dict:
 
 
 def _flux_from(value) -> Flux:
-    """Flux from config: {'i,j': n} object or a list of 21 integers."""
+    """Flux from config: {'i,j': n} object or a list of 21 integers.  A key
+    is two integers split by commas or spaces; two keys naming one pair
+    are refused."""
     if value is None:
         return Flux.zero()
     if isinstance(value, dict):
-        entries = {}
+        entries, keys = {}, {}
         for key, v in value.items():
             parts = str(key).replace(",", " ").split()
             try:
@@ -124,7 +126,10 @@ def _flux_from(value) -> Flux:
                 raise InputError(f"flux key {key!r} is not an index pair 'i,j'")
             if not _is_int(v):
                 raise InputError(f"flux entry {key!r} must be an integer")
-            entries[ij] = v
+            if ij in keys:
+                raise InputError(f"flux keys {keys[ij]!r} and {key!r} both name "
+                                 f"the pair {ij}")
+            entries[ij], keys[ij] = v, key
         return Flux.from_entries(entries)
     if isinstance(value, list):
         if not all(_is_int(v) for v in value):
@@ -157,9 +162,12 @@ def _as_kmax(cfg: dict, grid: TorusGrid) -> int:
 def _initial_snapshot(cfg: dict, grid: TorusGrid):
     """The 1-form field of config key 'initial_snapshot' on the config grid,
     or None."""
-    if cfg["initial_snapshot"] is None:
+    src = cfg["initial_snapshot"]
+    if src is None:
         return None
-    f = torus.load_field(str(cfg["initial_snapshot"]))
+    if not isinstance(src, str) or not src:
+        raise InputError("config key 'initial_snapshot' must name a snapshot file")
+    f = torus.load_field(src)
     if f.k != 1:
         raise InputError("initial snapshot must hold a 1-form field")
     if f.grid != grid:

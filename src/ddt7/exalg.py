@@ -17,7 +17,11 @@ Conventions fixed here and shared by every other module:
 * ``sharp2``: g(F#(u), v) = F(u, v), so the matrix of F# is antisymmetric;
 * ``wedge``, ``interior`` and ``hodge`` hand a ``torus.FormField`` operand
   to its kernels; a 2-form wedged with itself (the same object) and
-  ``cube`` take the power table, which forms each product once.
+  ``cube`` take the power table, which forms each product once;
+* the wedge, power and contraction tables share the entry layout (i, j,
+  out, sign), out[o] += sign * a_i * b_j, walked by ``_accumulate``;
+* ``_gauss_jordan`` is the one elimination: ``solve_endo`` and the
+  Lambda^2_14 basis of ``g2``.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InputError, NumericalError
 from .scalars import FLOAT, RATIONAL
@@ -107,12 +113,12 @@ def hodge_table(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def contract_table(n: int, k: int) -> tuple:
-    """Entries (blade, axis, target, sign): i(e_axis) e^I = sign e^{I minus axis}."""
+    """Entries (axis - 1, blade, target, sign): i(e_axis) e^I = sign e^{I minus axis}."""
     out_pos = blade_index(n, k - 1)
     entries = []
     for i, I in enumerate(blades(n, k)):
         for t, axis in enumerate(I):
-            entries.append((i, axis, out_pos[I[:t] + I[t + 1:]], -1 if t % 2 else 1))
+            entries.append((axis - 1, i, out_pos[I[:t] + I[t + 1:]], -1 if t % 2 else 1))
     return tuple(entries)
 
 
@@ -261,16 +267,12 @@ def _wedge_fields(a, b):
     return torus.wedge_field(a, b)
 
 
-def _check_pair(a: KForm, b: KForm) -> int:
-    """The degree of a ^ b, after checking that the two forms can meet."""
+def _check_pair(a: KForm, b: KForm) -> None:
+    """Refuse two forms on different spaces or over different rings."""
     if a.n != b.n:
         raise InputError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.ring is not b.ring:
         raise InputError(f"scalar backend mismatch: {a.ring.name} vs {b.ring.name}")
-    k = a.k + b.k
-    if k > a.n:
-        raise InputError(f"wedge degree {k} exceeds dimension {a.n}")
-    return k
 
 
 def _accumulate(a: KForm, b: KForm, table, dim: int) -> list:
@@ -298,7 +300,10 @@ def wedge(a: KForm, b: KForm) -> KForm:
     takes the power table: 3 products per output instead of 6."""
     if a.__class__ is not KForm or b.__class__ is not KForm:
         return _wedge_fields(a, b)
-    k = _check_pair(a, b)
+    _check_pair(a, b)
+    k = a.k + b.k
+    if k > a.n:
+        raise InputError(f"wedge degree {k} exceeds dimension {a.n}")
     if a is b and a.k == 2:
         return _power(a, a, 2)
     return KForm(a.n, k, tuple(_accumulate(a, b, wedge_table(a.n, a.k, b.k),
@@ -331,19 +336,9 @@ def interior(b: KForm, a: KForm) -> KForm:
     if b.k != 1 or a.k == 0:
         raise InputError(f"interior product takes a 1-form and a form of degree 1 or more, "
                          f"got degrees {b.k} and {a.k}")
-    if b.n != a.n:
-        raise InputError(f"dimension mismatch: {b.n} vs {a.n}")
-    if b.ring is not a.ring:
-        raise InputError(f"scalar backend mismatch: {b.ring.name} vs {a.ring.name}")
-    ring = a.ring
-    out = _zeros(ring, len(blades(a.n, a.k - 1)))
-    za, zb = _zero_flags(a.coeffs, ring), _zero_flags(b.coeffs, ring)
-    for i, axis, o, s in contract_table(a.n, a.k):
-        if za[i] or zb[axis - 1]:
-            continue
-        c, x = a.coeffs[i], b.coeffs[axis - 1]
-        out[o] = out[o] + x * c if s > 0 else out[o] - x * c
-    return KForm(a.n, a.k - 1, tuple(out), ring)
+    _check_pair(b, a)
+    out = _accumulate(b, a, contract_table(a.n, a.k), len(blades(a.n, a.k - 1)))
+    return KForm(a.n, a.k - 1, tuple(out), a.ring)
 
 
 def hodge(a: KForm) -> KForm:
@@ -445,43 +440,49 @@ def det_endo(A: Endo):
     return _det_rows(A.mat, A.ring)
 
 
+def _gauss_jordan(rows, ring) -> list:
+    """Reduce a FLOAT or RATIONAL matrix, a list of row lists, in place to
+    reduced row echelon form, and return its pivot columns.  Each column
+    pivots on its largest-magnitude entry at or below the next pivot row;
+    an exact matrix has one reduced form, whichever rows pivot."""
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]))
+        if ring.is_zero(rows[p][c]):
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [ring.div(x, pivot) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and not ring.is_zero(f):
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve_endo(A: Endo, b: KForm) -> KForm:
     """Return ((A)^{-1})* b, i.e. the 1-form x with pullback(A, x) = b.
 
     Since (A* x)_j = sum_i x_i A_ij, this solves A^T-style equations:
-    componentwise  sum_i x_i A[i][j] = b_j.
+    componentwise  sum_i x_i A[i][j] = b_j, by ``_gauss_jordan`` on the
+    augmented system; a FLOAT matrix of condition number over 1e14 is refused.
     """
     if b.k != 1:
         raise InputError("solve_endo requires a 1-form right-hand side")
     if A.n != b.n:
         raise InputError(f"dimension mismatch: {A.n} vs {b.n}")
     n, ring = A.n, A.ring
+    if ring is not FLOAT and ring is not RATIONAL:
+        raise InputError("solve_endo supports float and rational backends only")
+    M = [[A.mat[i][j] for i in range(n)] + [b.coeffs[j]] for j in range(n)]
     if ring is FLOAT:
-        import numpy as np
-
-        M = np.array([[float(A.mat[i][j]) for i in range(n)] for j in range(n)])
-        rhs = np.array([float(c) for c in b.coeffs])
-        cond = np.linalg.cond(M)
+        cond = np.linalg.cond(np.array(M, dtype=float)[:, :n])
         if not np.isfinite(cond) or cond > 1e14:
             raise NumericalError(f"singular endomorphism in solve_endo (cond ~ {cond:.3e})")
-        x = np.linalg.solve(M, rhs)
-        return KForm(n, 1, tuple(float(v) for v in x), ring)
-    if ring is RATIONAL:
-        # exact Gaussian elimination on the transposed system
-        M = [[A.mat[i][j] for i in range(n)] + [b.coeffs[j]] for j in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not ring.is_zero(M[r][col])), None)
-            if piv is None:
-                raise NumericalError("singular endomorphism in solve_endo (exact rank deficiency)")
-            M[col], M[piv] = M[piv], M[col]
-            inv = M[col][col]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = ring.div(M[r][col], inv)
-                if ring.is_zero(f):
-                    continue
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-        x = [ring.div(M[i][n], M[i][i]) for i in range(n)]
-        return KForm(n, 1, tuple(x), ring)
-    raise InputError("solve_endo supports float and rational backends only")
+    if _gauss_jordan(M, ring)[:n] != list(range(n)):
+        raise NumericalError("singular endomorphism in solve_endo (exact rank deficiency)")
+    return KForm(n, 1, tuple(row[n] for row in M), ring)

@@ -7,6 +7,9 @@ Lambda^2 = Lambda^2_7 + Lambda^2_14 with Lambda^2_7 = {i(u#)phi}, u a
 Lambda^2_14 = ker(. ^ *phi); the operator F -> *(phi ^ F) has eigenvalues
 2 and -1 on the two summands.
 
+The exact Lambda^2_14 basis (the catalog's c_m variables) is read off the
+free columns of F -> F ^ *phi, reduced by ``exalg._gauss_jordan``.
+
 ``phi_for``/``star_phi_for`` serve the formulas of ``ddt`` (the calibration
 scalar among them) on every call; each ring object builds them once, from
 its ``const``, and keeps them in its ``memo``.
@@ -22,7 +25,8 @@ from functools import lru_cache
 
 from .errors import InputError
 from .scalars import RATIONAL, frac, intval
-from .exalg import KForm, blade_index, blades, cube, hodge, inner, interior, wedge
+from .exalg import (KForm, _gauss_jordan, blade_index, blades, cube, hodge, inner,
+                    interior, wedge)
 
 __all__ = [
     "G2Data", "standard", "phi_for", "star_phi_for", "basis14_for", "TwoFormDecomp",
@@ -47,41 +51,18 @@ class G2Data:
 
 
 def _kernel_basis14(phi4: KForm) -> tuple:
-    """Exact kernel of F -> F ^ *phi on 2-forms, echelon-reduced, pivot-ordered."""
-    ring = RATIONAL
-    n2 = len(blades(7, 2))
+    """Exact kernel of F -> F ^ *phi on 2-forms: one element per free column
+    of the reduced row echelon form (``exalg._gauss_jordan``), in order,
+    with that column's variable 1 and each pivot variable solved from its row."""
+    ring, bl = RATIONAL, blades(7, 2)
     # rows: 6-form components, columns: 2-form blade coefficients
-    rows = [[ring.zero] * n2 for _ in range(len(blades(7, 6)))]
-    for col in range(n2):
-        coeffs = [ring.zero] * n2
-        coeffs[col] = ring.one
-        image = wedge(KForm(7, 2, tuple(coeffs), ring), phi4)
-        for r, c in enumerate(image.coeffs):
-            rows[r][col] = c
-    # exact RREF
-    pivots = []
-    r = 0
-    for c in range(n2):
-        piv = next((i for i in range(r, len(rows)) if not ring.is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [ring.div(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not ring.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n2) if c not in pivots]
+    images = [wedge(KForm.from_blades(7, 2, {b: 1}, ring), phi4).coeffs for b in bl]
+    rows = [list(row) for row in zip(*images)]
+    pivots = _gauss_jordan(rows, ring)
     basis = []
-    for fc in free:
-        vec = [ring.zero] * n2
-        vec[fc] = ring.one
-        for prow, pc in zip(rows, pivots):
-            vec[pc] = -prow[fc]
-        basis.append(KForm(7, 2, tuple(vec), ring))
+    for fc in (c for c in range(len(bl)) if c not in pivots):
+        solved = {bl[pc]: -row[fc] for row, pc in zip(rows, pivots)}
+        basis.append(KForm.from_blades(7, 2, {bl[fc]: 1, **solved}, ring))
     return tuple(basis)
 
 

@@ -49,25 +49,19 @@ def hodge_fields(A, src, sgn):
 
 
 def bareiss_ranks(mats):
-    """Exact ranks of a batch of integer matrices, fraction-free elimination
-    on Python ints (object dtype), so no entry can overflow."""
-    return _bareiss(np.array(mats, dtype=object))
-
-
-def _bareiss(M):
-    """``bareiss_ranks`` on M, eliminated in place in M's own integer dtype.
+    """Exact ranks of a batch of integer matrices, by fraction-free
+    (Bareiss) elimination on Python ints in an object array, so no entry
+    can overflow and each Bareiss quotient is exact.
 
     Vectorized over the batch with a per-matrix row pointer, since matrices
     may skip pivot columns independently.  Each step updates only columns
     ``col:`` (in the rows still being eliminated, and in the pivot row,
     every column left of ``col`` is already zero) and only rows below the
     lowest row pointer among the matrices that found a pivot.  Rows at or
-    above a matrix's own pivot are computed but not written.  Each written
-    entry is a minor of the input and each Bareiss quotient exact.  In a
-    fixed-width dtype the pre-division products must stay in range, which
-    the caller bounds; wrapped products can appear in the discarded lanes,
-    and only the written lanes are exact.
+    above a matrix's own pivot are computed but not written; each written
+    entry is a minor of the input.
     """
+    M = np.array(mats, dtype=object)
     nb, nr, nc = M.shape
     r = np.zeros(nb, dtype=np.int64)
     prev = np.ones(nb, dtype=M.dtype)

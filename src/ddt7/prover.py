@@ -389,7 +389,9 @@ def _build_det(ring, val, consts):
     lin, quad = eye + Fs, eye - (Fs @ Fs)
     if not isinstance(ring, PolyRing):
         d = det_endo(lin)
-        return [("factorization", det_endo(quad), d * d * _c(ring, consts, "rhs-scale"))]
+        rhs = d * d * _c(ring, consts, "rhs-scale")
+        return [("factorization", KForm(7, 0, (det_endo(quad),), ring),
+                 KForm(7, 0, (rhs,), ring))]
     lin, quad = ([[e.terms for e in row] for row in A.mat] for A in (lin, quad))
     lin_bound = _det_np_degree_bound(ring, lin)
     _det_np_check_bound(ring, 2 * lin_bound)  # rhs squares det(lin)
@@ -594,14 +596,7 @@ def evaluate_at_point(identity_id: str, rng) -> bool:
     point = {name: Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 40)))
              for name in spec.variables}
     components = spec.build(RATIONAL, lambda nm: point[nm], spec.consts)
-    for _, lhs, rhs in components:
-        diff = lhs - rhs
-        if isinstance(diff, KForm):
-            if not diff.is_zero():
-                return False
-        elif diff != 0:
-            return False
-    return True
+    return all((lhs - rhs).is_zero() for _, lhs, rhs in components)
 
 
 # float samples evaluated per batch: bounds the suite's memory for any count
@@ -618,8 +613,6 @@ def _float_gaps(spec: _IdentitySpec, columns) -> np.ndarray:
     point = dict(zip(spec.variables, columns))
     worst = np.zeros(columns.shape[1])
     for _, lhs, rhs in spec.build(BATCH, point.__getitem__, spec.consts):
-        if not isinstance(lhs, KForm):  # DET compares scalars
-            lhs, rhs = (KForm(7, 0, (x,), BATCH) for x in (lhs, rhs))
         worst = np.maximum(worst, _rel_gap(lhs, rhs))
     return worst
 

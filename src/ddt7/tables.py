@@ -25,6 +25,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _columns_by_output(table):
+    """The (i, j, out, sign) columns of a structure table, int64, stably
+    sorted by output and read-only."""
+    t = np.asarray(table, dtype=np.int64).reshape(-1, 4)
+    t = t[np.argsort(t[:, 2], kind="stable")]
+    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+
+
 @lru_cache(maxsize=None)
 def wedge_arrays(n: int, p: int, q: int):
     """(i, j, out, sign) columns of the wedge structure table, int64,
@@ -34,9 +42,7 @@ def wedge_arrays(n: int, p: int, q: int):
     ``out`` is ``repeat(arange(dim_out), C(p+q, p))``: the grouping
     ``kernels.wedge_fields`` relies on.
     """
-    t = np.asarray(wedge_table(n, p, q), dtype=np.int64).reshape(-1, 4)
-    t = t[np.argsort(t[:, 2], kind="stable")]
-    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+    return _columns_by_output(wedge_table(n, p, q))
 
 
 @lru_cache(maxsize=None)
@@ -57,22 +63,17 @@ def power_arrays(n: int, k: int):
     that ``wedge_fields(E, P, i, j, k * sign, dim_out)`` is E^k from a 2-form
     E and P = E^(k-1).  Grouped by output, 2k - 1 entries each, as
     ``kernels.wedge_fields`` needs."""
-    t = np.asarray(power_table(n, k), dtype=np.int64).reshape(-1, 4)
-    t[:, 3] *= k
-    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+    return _columns_by_output([(i, j, o, k * s) for i, j, o, s in power_table(n, k)])
 
 
 @lru_cache(maxsize=None)
 def interior_arrays():
-    """(axis, blade, out, sign) columns of ``exalg.contract_table(7, 2)``,
-    int64, stably sorted by output, so that ``wedge_fields(b, a, axis,
-    blade, sign, 7)`` is i(b#) a for a 1-form b and a 2-form a on R^7: a
-    0-based axis indexes b's rows.  Each of the 7 outputs has 6 entries,
-    one per other axis, as ``kernels.wedge_fields`` needs."""
-    t = np.asarray(contract_table(7, 2), dtype=np.int64)
-    t = t[np.argsort(t[:, 2], kind="stable")][:, [1, 0, 2, 3]]
-    t[:, 0] -= 1
-    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+    """(axis - 1, blade, out, sign) columns of ``exalg.contract_table(7, 2)``,
+    int64, stably sorted by output, so that ``wedge_fields(b, a, axis - 1,
+    blade, sign, 7)`` is i(b#) a for a 1-form b and a 2-form a on R^7.
+    Each of the 7 outputs has 6 entries, one per other axis, as
+    ``kernels.wedge_fields`` needs."""
+    return _columns_by_output(contract_table(7, 2))
 
 
 @lru_cache(maxsize=None)

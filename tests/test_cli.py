@@ -374,6 +374,19 @@ def _snapshot_cases():
     return cases
 
 
+# bad configs whose refusal names the fault: one flux pair named by two
+# keys, and a snapshot that is not a file name
+NAMED_FUZZ = [
+    ("instanton", {"flux": {"1,2": 1, "1 2": 5}},
+     "flux keys '1,2' and '1 2' both name the pair (1, 2)"),
+    ("continue", {"flux": {"1,2": 1, " 1,2,": 1}},
+     "flux keys '1,2' and ' 1,2,' both name the pair (1, 2)"),
+    ("flow", {"initial_snapshot": 5},
+     "config key 'initial_snapshot' must name a snapshot file"),
+    ("continue", {"initial_snapshot": ""},
+     "config key 'initial_snapshot' must name a snapshot file"),
+]
+
 CONFIG_FUZZ = [
     ("decompose", {"coefficients": "abc"}),
     ("decompose", {"coefficients": [1.0] * 20}),
@@ -420,7 +433,7 @@ CONFIG_FUZZ = [
     # moment grids too coarse for its five-factor products (5 * kmax >= N)
     ("moment", {"grid": {"axes": [1, 2, 3], "N": 4}, "kmax": 1}),
     ("moment", {"grid": {"axes": [1, 2, 3], "N": 8}, "kmax": 2}),
-]
+] + [(command, payload) for command, payload, _ in NAMED_FUZZ]
 
 
 def _assert_contract(code, capsys, out_dir=None):
@@ -434,10 +447,20 @@ def _assert_contract(code, capsys, out_dir=None):
 @pytest.mark.parametrize("command, payload", CONFIG_FUZZ)
 def test_fuzzed_config_follows_the_exit_contract(tmp_path, capsys,
                                                  command, payload):
+    """Every entry is a bad config: exit 2, an error line, no output."""
     cfg = write_config(tmp_path, "c.json", payload)
     out = tmp_path / "o"
-    _assert_contract(cli.main([command, "--config", cfg, "--out", str(out)]),
-                     capsys, out)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, payload, message", NAMED_FUZZ)
+def test_refused_config_names_its_fault(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, with_snapshot", [

@@ -270,6 +270,21 @@ def test_solve_endo_inverts_pullback():
         solve_endo(singular, b)
 
 
+def test_solve_endo_float_agrees_with_numpy_and_refuses_ill_conditioning():
+    from ddt7.errors import NumericalError
+
+    rng = np.random.default_rng(13)
+    M = rng.uniform(-1.0, 1.0, (7, 7)) + 3.0 * np.eye(7)
+    b = KForm(7, 1, tuple(rng.uniform(-1.0, 1.0, 7)), FLOAT)
+    x = solve_endo(Endo.from_rows(7, M.tolist(), FLOAT), b)
+    want = np.linalg.solve(M.T, b.coeffs)
+    assert np.allclose(x.coeffs, want, rtol=1e-13, atol=0.0)
+    # rows 0 and 1 agree to 1e-15: condition number about 2e15, above 1e14
+    M[1] = M[0] + 1e-15 * M[1]
+    with pytest.raises(NumericalError, match="cond"):
+        solve_endo(Endo.from_rows(7, M.tolist(), FLOAT), b)
+
+
 def test_kform_validation():
     with pytest.raises(InputError):
         KForm(7, 2, (1,) * 20, RATIONAL)

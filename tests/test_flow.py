@@ -593,9 +593,21 @@ def test_kernel_probe_all_modes_once():
         kernel_probe(17)
 
 
+def _ranks_svd(M):
+    """Ranks of a batch of integer matrices from their singular values: the
+    oracle's own method, apart from the census's Bareiss elimination.  The
+    nonzero singular values of an integer matrix of rank r multiply to the
+    root of a sum of squared r x r minors, at least 1, so none lies below
+    s_max^(1 - r).  On the boxes tested here (s_max < 8, r <= 7) that is
+    above 3e-6: far over the 1e-9 cut, itself far over float rounding."""
+    s = np.linalg.svd(M.astype(np.float64), compute_uv=False)
+    assert np.all(s[..., 0] < 8)
+    return np.count_nonzero(s > 1e-9, axis=-1)
+
+
 def _kernel_probe_all_modes(kmax):
-    """The census on every nonzero mode of the box, three int64
-    eliminations per mode: the oracle for the census by orbits."""
+    """The census on every nonzero mode of the box, three ranks per mode
+    from singular values: the oracle for the census by orbits."""
     T, U = tables.mode_kernel_tensors()
     side = np.arange(-kmax, kmax + 1, dtype=np.int64)
     modes = np.stack(np.meshgrid(*([side] * 7), indexing="ij"),
@@ -609,9 +621,9 @@ def _kernel_probe_all_modes(kmax):
         K = modes[lo:lo + chunk]
         A = np.einsum("mi,ijb->mjb", K, T)
         B = np.einsum("mi,ijg->mjg", K, U)
-        rA = kernels._bareiss(A.astype(np.int64))
-        rB = kernels._bareiss(B.astype(np.int64))
-        rAB = kernels._bareiss(np.concatenate([A, B], axis=2))
+        rA = _ranks_svd(A)
+        rB = _ranks_svd(B)
+        rAB = _ranks_svd(np.concatenate([A, B], axis=2))
         kernel_dims[lo:lo + chunk] = 7 - rA
         image_ok[lo:lo + chunk] = (rA == rB) & (rB == rAB)
     hist = {int(k): int(c) for k, c in
@@ -813,11 +825,11 @@ def test_kernel_probe_refuses_kmax_above_cap():
 
 
 def test_census_int64_bound_at_kmax_16():
-    # a margin check on the int64 elimination of the all-modes oracle
-    # (_kernel_probe_all_modes runs kernels._bareiss in int64): even at
-    # kmax = 16, four times flow._KMAX_CAP, every pre-division product of
-    # every census matrix fits in int64.  Corner modes carry the largest
-    # entries; seeded modes on the outer shell cover the rest.
+    # kernels.bareiss_ranks against Python-int Bareiss on large entries, and
+    # a margin: even at kmax = 16, four times flow._KMAX_CAP, every
+    # pre-division product of every census matrix would fit in int64.
+    # Corner modes carry the largest entries; seeded modes on the outer
+    # shell cover the rest.
     T, U = tables.mode_kernel_tensors()
     signs = np.array(list(itertools.product((1, -1), repeat=6)))
     corners = 16 * np.hstack([np.ones((64, 1), np.int64), signs])

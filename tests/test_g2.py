@@ -1,5 +1,6 @@
 """Structure constants and representation-theoretic splits of the standard
 G2 package: every identity here is exact over the rationals."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,16 @@ def test_basis14_spans_the_annihilator():
     # linear independence: coefficient matrix has rank 14
     M = np.array([[float(c) for c in B.coeffs] for B in d.basis14])
     assert np.linalg.matrix_rank(M) == 14
+
+
+def test_basis14_fingerprint():
+    """The exact basis of Lambda^2_14, the catalog's c_m variables, pinned by
+    its Fraction strings: one line of 21 comma-separated coefficients per
+    element, in order."""
+    text = "\n".join(",".join(map(str, B.coeffs)) for B in g2.standard().basis14)
+    assert text.splitlines()[0] == "0,0,0,0,0,1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4de09514a33108c791d038d5e40a4a83c62d053ea8007876858e6782ef5e3935"
 
 
 def test_spin7_pair1_at_zero_curvature_is_the_plain_inner_product():

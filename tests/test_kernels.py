@@ -214,7 +214,7 @@ def test_interior_arrays_are_the_contract_table_grouped_by_output():
     ii, jj, oo, ss = tables.interior_arrays()
     assert np.array_equal(oo, np.repeat(np.arange(7), 6))
     assert all(a.dtype == np.int64 for a in (ii, jj, oo, ss))
-    rows = zip(jj.tolist(), (ii + 1).tolist(), oo.tolist(), ss.tolist())
+    rows = zip(ii.tolist(), jj.tolist(), oo.tolist(), ss.tolist())
     assert sorted(rows) == sorted(exalg.contract_table(7, 2))
     assert all(set(ii[oo == o]) == set(range(7)) - {o} for o in range(7))
 

@@ -129,8 +129,6 @@ def _ref_evaluate_float(identity_id, rng, tol=1e-10):
     components = spec.build(FLOAT, lambda nm: point[nm], spec.consts)
     worst = 0.0
     for _, lhs, rhs in components:
-        if not isinstance(lhs, KForm):  # DET compares scalars
-            lhs, rhs = (KForm(7, 0, (float(x),), FLOAT) for x in (lhs, rhs))
         worst = max(worst, _ref_rel_gap(lhs, rhs))
     return {"identity": identity_id, "max_rel_residual": worst,
             "pass": bool(worst <= tol)}
