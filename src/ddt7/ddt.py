@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateMetricError, InputError
-from .scalars import FLOAT, frac, intval
+from .scalars import FLOAT, frac
 from .exalg import Endo, KForm, cube, hodge, inner, interior, sharp2, solve_endo, wedge
 from .g2 import phi_for, star_phi_for
 
@@ -93,7 +93,7 @@ def _calibration(E2):
 
 def _theta(E2):
     """theta = 1 - (1/2) * (phi ^ E^2)."""
-    return intval(E2.ring, 1) - _calibration(E2) * frac(E2.ring, 1, 2)
+    return E2.ring.one - _calibration(E2) * frac(E2.ring, 1, 2)
 
 
 def _phi_star_sq(E2):

@@ -21,7 +21,9 @@ Conventions fixed here and shared by every other module:
 * the wedge, power and contraction tables share the entry layout (i, j,
   out, sign), out[o] += sign * a_i * b_j, walked by ``_accumulate``;
 * ``_gauss_jordan`` is the one elimination: ``solve_endo`` and the
-  Lambda^2_14 basis of ``g2``.
+  Lambda^2_14 basis of ``g2``;
+* ``_check_pair`` is the one dimension and ring check of two operands,
+  forms or endomorphisms; each operation checks its own degrees.
 """
 from __future__ import annotations
 
@@ -185,10 +187,9 @@ class KForm:
     def _compat(self, other: "KForm"):
         if other.__class__ is not KForm:  # else a field would leave arrays in a KForm
             raise InputError("add a constant form to a field as field + form")
-        if self.n != other.n or self.k != other.k:
-            raise InputError(f"form mismatch: ({self.n},{self.k}) vs ({other.n},{other.k})")
-        if self.ring is not other.ring:
-            raise InputError(f"scalar backend mismatch: {self.ring.name} vs {other.ring.name}")
+        _check_pair(self, other)
+        if self.k != other.k:
+            raise InputError(f"degree mismatch: {self.k} vs {other.k}")
 
     def __add__(self, other):
         self._compat(other)
@@ -230,6 +231,7 @@ class Endo:
         return Endo(n, tuple(tuple(ring.coerce(c) for c in row) for row in rows), ring)
 
     def __matmul__(self, other: "Endo") -> "Endo":
+        _check_pair(self, other)
         n = self.n
         return Endo(n, tuple(
             tuple(sum((self.mat[i][k] * other.mat[k][j] for k in range(n)),
@@ -237,10 +239,12 @@ class Endo:
             for i in range(n)), self.ring)
 
     def __add__(self, other: "Endo") -> "Endo":
+        _check_pair(self, other)
         return Endo(self.n, tuple(tuple(a + b for a, b in zip(ra, rb))
                                   for ra, rb in zip(self.mat, other.mat)), self.ring)
 
     def __sub__(self, other: "Endo") -> "Endo":
+        _check_pair(self, other)
         return Endo(self.n, tuple(tuple(a - b for a, b in zip(ra, rb))
                                   for ra, rb in zip(self.mat, other.mat)), self.ring)
 
@@ -267,8 +271,9 @@ def _wedge_fields(a, b):
     return torus.wedge_field(a, b)
 
 
-def _check_pair(a: KForm, b: KForm) -> None:
-    """Refuse two forms on different spaces or over different rings."""
+def _check_pair(a, b) -> None:
+    """Refuse two forms or endomorphisms on different spaces or over
+    different rings."""
     if a.n != b.n:
         raise InputError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.ring is not b.ring:
@@ -353,11 +358,9 @@ def hodge(a: KForm) -> KForm:
 
 def inner(a: KForm, b: KForm) -> object:
     """Metric pairing <a, b>, normalized so orthonormal blades have norm 1."""
-    if a.n != b.n or a.k != b.k:
-        raise InputError(f"inner product needs matching forms: "
-                         f"({a.n},{a.k}) vs ({b.n},{b.k})")
-    if a.ring is not b.ring:
-        raise InputError(f"scalar backend mismatch: {a.ring.name} vs {b.ring.name}")
+    _check_pair(a, b)
+    if a.k != b.k:
+        raise InputError(f"inner product needs matching degrees: {a.k} vs {b.k}")
     return sum((x * y for x, y in zip(a.coeffs, b.coeffs)), start=a.ring.zero)
 
 
@@ -379,17 +382,10 @@ def pullback(A: Endo, a: KForm) -> KForm:
 
     Coefficientwise: (A* a)_J = sum_I a_I det(A[I rows, J cols]).
     """
-    if A.n != a.n:
-        raise InputError(f"dimension mismatch: {A.n} vs {a.n}")
-    if A.ring is not a.ring:
-        raise InputError(f"scalar backend mismatch: {A.ring.name} vs {a.ring.name}")
+    _check_pair(A, a)
     k, n, ring = a.k, a.n, a.ring
     if k == 0:
         return a
-    if k == 1:
-        out = [sum((a.coeffs[i] * A.mat[i][j] for i in range(n)), start=ring.zero)
-               for j in range(n)]
-        return KForm(n, 1, tuple(out), ring)
     zero = ring.is_zero
     bl = blades(n, k)
     out = _zeros(ring, len(bl))
@@ -473,8 +469,7 @@ def solve_endo(A: Endo, b: KForm) -> KForm:
     """
     if b.k != 1:
         raise InputError("solve_endo requires a 1-form right-hand side")
-    if A.n != b.n:
-        raise InputError(f"dimension mismatch: {A.n} vs {b.n}")
+    _check_pair(A, b)
     n, ring = A.n, A.ring
     if ring is not FLOAT and ring is not RATIONAL:
         raise InputError("solve_endo supports float and rational backends only")

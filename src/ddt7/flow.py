@@ -276,7 +276,7 @@ def cylinder_check(traj: Trajectory) -> dict:
 
 def _flux_has_vector_part(flux: Flux) -> bool:
     """Exact check of F ^ *phi != 0 for the constant flux form."""
-    F = flux.form(RATIONAL)
+    F = flux.form()
     return not wedge(F, g2.star_phi_for(RATIONAL)).is_zero()
 
 
@@ -291,7 +291,7 @@ def _flux_cube_mean(flux: Flux) -> float:
     grid, up to products of modes that alias onto the zero mode).  No
     potential moves that mean, and the residual norm is at least its norm.
     """
-    F = flux.form(RATIONAL)
+    F = flux.form()
     F3 = cube(F, wedge(F, F))
     norm = math.sqrt(sum(int(c) ** 2 for c in F3.coeffs))
     return (2.0 * math.pi) ** 3 / 6.0 * norm

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .scalars import RATIONAL, frac, intval
+from .scalars import RATIONAL, frac
 from .exalg import (KForm, _gauss_jordan, blade_index, blades, cube, hodge, inner,
                     interior, wedge)
 
@@ -92,7 +92,7 @@ def phi_for(ring) -> KForm:
     """phi with coefficients in the requested ring (one per ring object)."""
     phi = ring.memo.get("phi")
     if phi is None:
-        phi = ring.memo["phi"] = KForm(7, 3, tuple(ring.const(PHI_BLADES.get(b, 0))
+        phi = ring.memo["phi"] = KForm(7, 3, tuple(ring.coerce(PHI_BLADES.get(b, 0))
                                                    for b in blades(7, 3)), ring)
     return phi
 
@@ -111,7 +111,7 @@ def basis14_for(ring) -> tuple:
     basis = ring.memo.get("basis14")
     if basis is None:
         basis = ring.memo["basis14"] = tuple(
-            KForm(7, 2, tuple(map(ring.const, B.coeffs)), ring) for B in standard().basis14)
+            KForm(7, 2, tuple(map(ring.coerce, B.coeffs)), ring) for B in standard().basis14)
     return basis
 
 
@@ -162,7 +162,7 @@ def spin7_pair2(E: KForm, adot: KForm, b: KForm):
     """Second evolution pairing: <2 adot ^ E, i(b#)*phi> - <E^2, b ^ phi>."""
     _check_pair_args(E, adot, b)
     ring = E.ring
-    t1 = inner(wedge(adot, E) * intval(ring, 2), interior(b, star_phi_for(ring)))
+    t1 = inner(wedge(adot, E) * ring.coerce(2), interior(b, star_phi_for(ring)))
     t2 = inner(wedge(E, E), wedge(b, phi_for(ring)))
     return t1 - t2
 

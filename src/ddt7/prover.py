@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalError, check_count
-from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, PolyRing, frac, intval
+from .scalars import BATCH, EXPONENT_BOUND, RATIONAL, PolyRing, frac
 from . import ddt, g2
 from .exalg import (Endo, KForm, blades, cube, det_endo, hodge, inner, interior,
                     pullback, sharp2, wedge)
@@ -71,17 +71,15 @@ class IdentityReport:
     elapsed_s: float
     components: int = 1
 
-    def to_dict(self, deterministic: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The report's fields without ``elapsed_s``: the same for every run."""
+        return {
             "identity": self.identity,
             "reduced_to_zero": self.reduced_to_zero,
             "witness": self.witness,
             "monomial_count_before_cancellation": self.monomial_count_before_cancellation,
             "components": self.components,
         }
-        if not deterministic:
-            out["elapsed_s"] = self.elapsed_s
-        return out
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class _IdentitySpec:
     consts: dict          # site name -> default Fraction
     build: object         # callable(ring, val, consts) -> [(label, lhs, rhs)]
     bound: int            # per-variable exponent bound of its PolyRing
-    mutated_from: str | None = None
 
 
 def _form(ring, val, names, n=7, k=2) -> KForm:
@@ -140,7 +137,7 @@ def _build_a2b(ring, val, consts):
 
 
 def _theta_poly(ring, F2, inner_scale):
-    return intval(ring, 1) - ddt._calibration(F2) * inner_scale
+    return ring.one - ddt._calibration(F2) * inner_scale
 
 
 def _corrected_residual(ring, F, F2, consts):
@@ -440,7 +437,7 @@ def _build_cyl(ring, val, consts):
     E8 = g2.embed_cylinder(E)
     E82 = wedge(E8, E8)
     a8 = g2.embed_cylinder(adot)
-    six8 = cube(E8, E82) + g2.dt_wedge(wedge(a8, E82)) * intval(ring, 3)
+    six8 = cube(E8, E82) + g2.dt_wedge(wedge(a8, E82)) * ring.coerce(3)
     lhs = hodge(six8) * frac(ring, 1, 6)
     rhs = g2.embed_cylinder(hodge(wedge(adot, E2))) * _c(ring, consts, "cross-scale") \
         + g2.dt_wedge(g2.embed_cylinder(hodge(cube(E, E2)))) * _c(ring, consts, "time-scale")
@@ -523,8 +520,6 @@ def mutate(identity_id: str, site: str, new_coefficient) -> str:
     base = _CATALOG.get(identity_id)
     if base is None:
         raise InputError(f"unknown identity {identity_id!r}")
-    if base.mutated_from is not None:
-        raise InputError("cannot mutate a mutated identity")
     if not base.consts:
         raise InputError(f"identity {identity_id} has no mutable sites")
     if site not in base.consts:
@@ -539,8 +534,7 @@ def mutate(identity_id: str, site: str, new_coefficient) -> str:
     consts = dict(base.consts)
     consts[site] = value
     mid = f"{identity_id}[{site}={value}]"
-    _derived[mid] = dataclasses.replace(base, id=mid, consts=consts,
-                                        mutated_from=identity_id)
+    _derived[mid] = dataclasses.replace(base, id=mid, consts=consts)
     return mid
 
 

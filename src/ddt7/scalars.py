@@ -9,9 +9,10 @@ Four interchangeable coefficient rings:
 * ``PolyRing``   -- sparse multivariate polynomials with exact rational
   coefficients over named indeterminates.
 
-Every ring exposes the same small protocol (``zero``, ``one``, ``const``,
-``coerce``, ``is_zero``, ``div``, and a ``memo`` dict for constants built
-once per ring object) so the form operations never branch on the backend.
+Every ring exposes the same small protocol (``zero``, ``one``, ``coerce``,
+``is_zero``, ``div``, ``name``, and a ``memo`` dict for constants built once
+per ring object) so the form operations never branch on the backend.
+``coerce`` is the one conversion into a ring.
 """
 from __future__ import annotations
 
@@ -32,11 +33,6 @@ class FloatRing:
 
     def __init__(self):
         self.memo = {}
-
-    @staticmethod
-    def const(c):
-        """The rational number c (an int or a fraction) as a ring element."""
-        return float(c)
 
     @staticmethod
     def coerce(x):
@@ -81,8 +77,6 @@ class RationalRing:
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise InputError(f"cannot coerce {type(x).__name__} into the rational ring")
-
-    const = coerce
 
     @staticmethod
     def is_zero(x):
@@ -355,9 +349,6 @@ class PolyRing:
         names = self.names if prefix is None else [n for n in self.names if n.startswith(prefix)]
         return [self.var(n) for n in names]
 
-    def const(self, c) -> MultiPoly:
-        return MultiPoly.const(self, c)
-
     def monomial_str(self, e) -> str:
         """Print an exponent tuple as a product of named powers."""
         parts = [f"{self.names[i]}^{p}" if p > 1 else self.names[i]
@@ -383,9 +374,4 @@ class PolyRing:
 def frac(ring, p: int, q: int):
     """The fraction p/q as an element of the given ring (one correctly
     rounded division in the float rings)."""
-    return ring.div(ring.const(p), ring.const(q))
-
-
-def intval(ring, v: int):
-    """The integer v as an element of the given ring."""
-    return ring.const(v)
+    return ring.div(ring.coerce(p), ring.coerce(q))

@@ -480,9 +480,9 @@ class Flux:
     def zero() -> "Flux":
         return Flux((0,) * 21)
 
-    def form(self, ring=RATIONAL) -> KForm:
-        """The integer 2-form (without the 2*pi)."""
-        return KForm.from_coeffs(7, 2, list(self.upper), ring)
+    def form(self) -> KForm:
+        """The integer 2-form (without the 2*pi), exact over RATIONAL."""
+        return KForm.from_coeffs(7, 2, list(self.upper), RATIONAL)
 
     def _background_row(self) -> np.ndarray:
         """The 21 coefficients 2*pi*n of the background curvature."""

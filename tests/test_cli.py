@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddt7 import cli
+from ddt7 import cli, prover
 from ddt7.torus import FormField, TorusGrid, load_field, load_flux, save_field
 
 E12 = [1.0] + [0.0] * 20
@@ -53,6 +53,22 @@ def test_verify_mutated_identity_fails(tmp_path):
     (ident,) = rep["identities"]
     assert not ident["reduced_to_zero"]
     assert ident["witness"]["monomial"] == "u_7^3"
+
+
+def test_every_canonical_mutation_runs_as_id_dot_site(tmp_path):
+    """``--mutate ID.site`` reaches each canonical mutation, spelled as the
+    keys of perfbench/witnesses.json; each exits 1 with that witness."""
+    bench = json.loads((Path(SRC).parent / "perfbench" / "witnesses.json").read_text())
+    assert set(bench) == {f"{i}.{s}" for i, s, _ in prover.canonical_mutations()}
+    for spelling, want in bench.items():
+        out = tmp_path / spelling
+        assert cli.main(["verify", "--mutate", spelling, "--out", str(out)]) == 1
+        rep = read_report(out)
+        identity, site = spelling.split(".")
+        assert (rep["mutation"]["identity"], rep["mutation"]["site"]) == (identity, site)
+        (ident,) = rep["identities"]
+        keys = ("blade", "monomial", "coefficient")
+        assert {k: ident["witness"][k] for k in keys} == {k: want[k] for k in keys}, spelling
 
 
 def test_verify_full_catalog_and_determinism(tmp_path):
@@ -385,7 +401,41 @@ NAMED_FUZZ = [
      "config key 'initial_snapshot' must name a snapshot file"),
     ("continue", {"initial_snapshot": ""},
      "config key 'initial_snapshot' must name a snapshot file"),
+    ("verify", {"mutate": "A4.theta-inner"},
+     "identity A4 has no canonical mutation at site 'theta-inner'; "
+     "canonical sites: rhs-scale, corr-scale"),
+    ("flow", {"steps": 10 ** 400},
+     "config key 'steps' must be a non-negative integer within float64"),
 ]
+
+
+def _scalar_keys(defaults, path=()):
+    """(key path, default) of each scalar key, nested objects included."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            yield from _scalar_keys(default, path + (key,))
+        elif isinstance(default, (bool, int, float, str)):
+            yield path + (key,), default
+
+
+def _scalar_sweep():
+    """Every scalar key of every subcommand's defaults (``grid.N`` too) with
+    a wrong type, a negative, NaN and Infinity; a bool key also with 1, and
+    a number key also with a JSON integer beyond float64."""
+    cases = []
+    for command, (defaults, _, _) in cli._COMMANDS.items():
+        for path, default in _scalar_keys(defaults):
+            bad = [1 if isinstance(default, str) else "1", -1,
+                   float("nan"), float("inf")]
+            if isinstance(default, bool):
+                bad.append(1)
+            elif not isinstance(default, str):
+                bad.append(10 ** 400)
+            for payload in bad:
+                for key in reversed(path):
+                    payload = {key: payload}
+                cases.append((command, payload))
+    return cases
 
 CONFIG_FUZZ = [
     ("decompose", {"coefficients": "abc"}),
@@ -433,7 +483,7 @@ CONFIG_FUZZ = [
     # moment grids too coarse for its five-factor products (5 * kmax >= N)
     ("moment", {"grid": {"axes": [1, 2, 3], "N": 4}, "kmax": 1}),
     ("moment", {"grid": {"axes": [1, 2, 3], "N": 8}, "kmax": 2}),
-] + [(command, payload) for command, payload, _ in NAMED_FUZZ]
+] + [(command, payload) for command, payload, _ in NAMED_FUZZ] + _scalar_sweep()
 
 
 def _assert_contract(code, capsys, out_dir=None):

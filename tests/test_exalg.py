@@ -292,3 +292,29 @@ def test_kform_validation():
         wedge(KForm.zero(7, 2, RATIONAL), KForm.zero(8, 2, RATIONAL))
     with pytest.raises(InputError):
         KForm.from_blades(7, 2, {(2, 1): 1}, RATIONAL)
+
+
+_SPACES = [(7, RATIONAL), (8, RATIONAL), (7, FLOAT)]
+
+
+def _one_form(n, ring):
+    return KForm.from_blades(n, 1, {(1,): 1}, ring)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, y: Endo.identity(*x) + Endo.identity(*y),
+    lambda x, y: Endo.identity(*x) - Endo.identity(*y),
+    lambda x, y: Endo.identity(*x) @ Endo.identity(*y),
+    lambda x, y: solve_endo(Endo.identity(*x), _one_form(*y)),
+    lambda x, y: pullback(Endo.identity(*x), _one_form(*y)),
+    lambda x, y: inner(_one_form(*x), _one_form(*y)),
+    lambda x, y: _one_form(*x) + _one_form(*y),
+], ids=["endo-add", "endo-sub", "endo-matmul", "solve_endo", "pullback", "inner", "form-add"])
+def test_operands_on_other_spaces_or_rings_are_refused(op):
+    """A dimension or ring mismatch raises in either order: zip would
+    truncate a matrix, and a float entry would sit in a rational object."""
+    for x in _SPACES:
+        for y in _SPACES:
+            if x != y:
+                with pytest.raises(InputError):
+                    op(x, y)

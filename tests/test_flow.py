@@ -407,7 +407,7 @@ def test_mode_kernel_tensors_match_exact_wedges():
 def test_mode_weight_tensor_matches_exact_wedges_at_an_integer_weight():
     """T[i][:, b] is (e_i ^ e_b) ^ W for an integer 4-form W, exactly."""
     w = [int(c) for c in np.random.default_rng(52).integers(-3, 4, 35)]
-    W = KForm(7, 4, tuple(RATIONAL.const(c) for c in w), RATIONAL)
+    W = KForm(7, 4, tuple(RATIONAL.coerce(c) for c in w), RATIONAL)
     T = np.tensordot(w, tables.mode_weight_tensor(), axes=1)
     for i, b in itertools.product(range(7), repeat=2):
         ei, eb = (KForm.from_blades(7, 1, {(x + 1,): 1}, RATIONAL) for x in (i, b))
@@ -503,7 +503,7 @@ def test_the_residual_mean_is_the_flux_cube(grid, s):
     rng = np.random.default_rng(9)
     unit = s ** 4 * (2 * math.pi) ** 3 / 6
     for flux in (CALIBRATED, OBSTRUCTED):
-        F = flux.form(RATIONAL)
+        F = flux.form()
         F3 = np.array([float(c) for c in exalg.cube(F, wedge(F, F)).coeffs])
         pot = random_coclosed_potential(grid, flux, rng, scale=0.05)
         (w6, _, _), _ = flow._ScaledSystem(flux, grid, s).residual(pot.a)

@@ -240,11 +240,10 @@ def test_every_canonical_mutation_fails_in_every_batched_sample():
 
 
 def test_reports_are_deterministic():
-    a = prover.verify("A1").to_dict(deterministic=True)
-    b = prover.verify("A1").to_dict(deterministic=True)
+    a = prover.verify("A1").to_dict()
+    b = prover.verify("A1").to_dict()
     assert a == b
     assert "elapsed_s" not in a
-    assert "elapsed_s" in prover.verify("A1").to_dict()
     assert prover.float_suite(4, seed=9) == prover.float_suite(4, seed=9)
 
 

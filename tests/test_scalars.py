@@ -1,14 +1,15 @@
 """Ring protocol and sparse polynomial arithmetic against a Fraction oracle."""
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ddt7 import g2
+from ddt7 import g2, scalars
 from ddt7.errors import InputError, NumericalError
 from ddt7.exalg import KForm, hodge
 from ddt7.scalars import (BATCH, EXPONENT_BOUND, FLOAT, RATIONAL, MultiPoly, PolyRing,
-                          frac, intval, rational)
+                          frac, rational)
 
 
 def test_float_ring_protocol():
@@ -42,7 +43,7 @@ def _random_terms(rng, nvars, nterms=5):
 def _poly_from_terms(ring, terms):
     p = ring.zero
     for e, c in terms.items():
-        mono = ring.const(c)
+        mono = ring.coerce(c)
         for v, power in zip(ring.vars(), e):
             for _ in range(power):
                 mono = mono * v
@@ -102,7 +103,7 @@ def test_poly_division_rules():
     ring = PolyRing(("x",))
     x = ring.var("x")
     assert (x * 6) / 2 == x * 3
-    assert x / ring.const(2) == x * Fraction(1, 2)
+    assert x / ring.coerce(2) == x * Fraction(1, 2)
     with pytest.raises(InputError):
         _ = x / x
     with pytest.raises(ZeroDivisionError):
@@ -181,7 +182,7 @@ def test_key_order_is_lexicographic_order(bound):
     lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x + 0.25, lambda x: 0.25 + x,
     lambda x: x - 0.25, lambda x: 0.25 - x, lambda x: x / 0.5,
     lambda x: x * np.float64(2), lambda x: np.float64(2) * x, lambda x: x + np.int64(1),
-    lambda x: x.ring.const(0.5), lambda x: x.ring.coerce(np.float64(1.0))],
+    lambda x: MultiPoly.const(x.ring, 0.5), lambda x: x.ring.coerce(np.float64(1.0))],
     ids=["mul", "rmul", "add", "radd", "sub", "rsub", "div", "mul-np", "rmul-np",
          "add-npint", "const", "coerce"])
 def test_float_coefficients_are_refused(op):
@@ -194,7 +195,7 @@ def test_coefficients_are_int_when_integral():
     ring = PolyRing(("x",))
     x = ring.var("x")
     for p in (x * Fraction(4, 2), (x * 3) / 3, x / Fraction(1, 2),
-              x * Fraction(1, 2) + x * Fraction(1, 2), ring.const(Fraction(6, 3))):
+              x * Fraction(1, 2) + x * Fraction(1, 2), ring.coerce(Fraction(6, 3))):
         assert all(type(c) is int for c in p.terms.values()), p
     assert type((x / 3).terms[ring.key((1,))]) is Fraction
 
@@ -204,8 +205,6 @@ def test_ring_helpers():
     assert frac(FLOAT, 1, 2) == 0.5
     assert frac(RATIONAL, 1, 3) * 3 == 1
     assert frac(ring, 1, 3) * 3 == ring.one
-    assert intval(FLOAT, 4) == 4.0
-    assert intval(ring, 4) == ring.const(4)
     with pytest.raises(InputError):
         ring.var("missing")
     with pytest.raises(InputError):
@@ -227,9 +226,8 @@ def test_ring_protocol_constants_and_g2_forms(ring):
         return Fraction(float(c)) if ring is FLOAT or ring is BATCH else Fraction(c)
 
     for c in (0, 3, -7, Fraction(1, 2), Fraction(-5, 4), rational(2, 3)):
-        assert _as_fraction(ring, ring.const(c)) == want(c)
+        assert _as_fraction(ring, ring.coerce(c)) == want(c)
     assert _as_fraction(ring, frac(ring, 1, 6)) == want(Fraction(1, 6))
-    assert _as_fraction(ring, intval(ring, -4)) == -4
     phi, star_phi = g2.phi_for(ring), g2.star_phi_for(ring)
     assert phi.ring is ring and star_phi.ring is ring
     assert g2.phi_for(ring) is phi and g2.star_phi_for(ring) is star_phi
@@ -265,3 +263,14 @@ def test_batch_ring_arithmetic_is_the_float_ring_per_sample():
     for s in range(3):
         want = hodge(KForm(7, 1, (float(x[s]),) + (0.0,) * 6, FLOAT) * frac(FLOAT, 1, 3))
         assert [np.broadcast_to(c, 3)[s] for c in got.coeffs] == list(want.coeffs)
+
+
+def test_every_ring_has_the_documented_protocol_and_one_conversion():
+    """Each ring exposes the attributes the ``scalars`` docstring lists, and
+    none keeps a second conversion, ``const``, beside ``coerce``."""
+    listed = scalars.__doc__.split("protocol (", 1)[1].split(")", 1)[0]
+    protocol = re.findall(r"``(\w+)``", listed)
+    assert protocol == ["zero", "one", "coerce", "is_zero", "div", "name", "memo"]
+    for ring in (FLOAT, BATCH, RATIONAL, PolyRing(("x",))):
+        assert all(hasattr(ring, attr) for attr in protocol), ring
+        assert not hasattr(ring, "const"), ring

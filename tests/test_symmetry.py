@@ -47,7 +47,7 @@ def _coefficient_matrix(perm, signs, k):
     A = Endo(7, tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(7))
                       for i in range(7)), RATIONAL)
     n = len(blades(7, k))
-    cols = [pullback(A, KForm(7, k, tuple(RATIONAL.const(int(i == c)) for i in range(n)),
+    cols = [pullback(A, KForm(7, k, tuple(RATIONAL.coerce(int(i == c)) for i in range(n)),
                               RATIONAL)).coeffs for c in range(n)]
     return np.array(cols, dtype=np.float64).T
 
