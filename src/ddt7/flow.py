@@ -326,7 +326,7 @@ class ContinuationStep:
     residual_norm: float
     newton_iterations: int
     residual_history: tuple
-    cg_iterations: tuple = ()  # one inner-solve count per Newton iteration
+    iterates: tuple = ()  # one _NewtonIterate per accepted Newton step
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,13 +354,19 @@ class _ScaledSystem:
         self.s = float(s)
 
     def residual(self, a: FormField):
-        """The three blocks at a, and the weight W of the linearization there
-        (both from one E ^ E)."""
+        """The three blocks at a, the weight W of the linearization there,
+        and theta_s over the grid, all from one E ^ E.
+
+        s^4 E^3/6 - E ^ *phi is 1/s^2 times the dDT residual of the
+        curvature s^2 E, so the equation is elliptic where theta_s, the
+        theta of s^2 E, is positive: theta_s = 1 - (s^4/2) *(phi ^ E^2),
+        identically 1 at s = 0 and ``ddt._theta`` of E at s = 1.
+        """
         E = curvature(GaugePotential(a, self.flux))
         E2 = wedge_field(E, E)
         c = self.s ** 4 / 6.0
         return ((ddt._residual(E, E2, c), codiff(a), field_mean(a)),
-                ddt._residual_weight(E2, c))
+                ddt._residual_weight(E2, c), ddt._theta(E2 * self.s ** 4))
 
     def res_norm(self, parts) -> float:
         w6, w0, mu = parts
@@ -485,6 +491,45 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
     return x, _InnerSolve(it, rel, it == max_iter and rel > tol)
 
 
+@dataclass(frozen=True)
+class _NewtonIterate:
+    """One accepted Newton step: its inner solve, the inner solve's
+    tolerance, the step length the line search accepted, and min theta_s at
+    the new iterate."""
+
+    inner: _InnerSolve
+    inner_tol: float
+    step_length: float
+    theta_min: float
+
+
+# The line search halves the step from 1 at most _MAX_HALVINGS times.  It
+# accepts a step of length lam whose residual norm is at most
+# (1 - _ARMIJO lam) times the current one (Armijo's rule) and whose min
+# theta_s stays above _THETA_FRACTION of the current min theta_s.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 10
+_THETA_FRACTION = 0.25
+
+
+def _line_search(system: _ScaledSystem, a: FormField, dx: FormField,
+                 rnorm: float, theta_min: float):
+    """The first of a + dx, a + dx/2, ... that the line search accepts, as
+    (step length, iterate, parts, W, theta_s, residual norm, min theta_s),
+    so the next Newton step reuses its residual; None when no halving is
+    accepted.  Every trial and its two norms are checked for inf and NaN."""
+    lam = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        trial = _finite_field(a + lam * dx, "the Newton iterate")
+        parts, W, theta = system.residual(trial)
+        r = _finite_value(system.res_norm(parts), "residual norm")
+        t = _finite_value(float(np.min(theta)), "min theta_s")
+        if r <= (1.0 - _ARMIJO * lam) * rnorm and t > _THETA_FRACTION * theta_min:
+            return lam, trial, parts, W, theta, r, t
+        lam *= 0.5
+    return None
+
+
 def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                  max_newton: int = 12, grid: TorusGrid | None = None,
                  initial: GaugePotential | None = None,
@@ -494,13 +539,26 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     Each schedule entry runs Gauss-Newton with preconditioned conjugate-
     gradient inner solves (``_cgnr``), starting from the previously accepted
     solution (warm_start) or from `initial` at every entry (warm_start=False;
-    from a = 0 when no initial is given).  Termination is "completed", a
-    Newton divergence report (naming an inner solve that stopped at its
-    iteration cap), or the cohomological obstruction.  That is decided
-    exactly from the flux: when F^3 != 0 the residual's mean
-    s^4 (2 pi)^3 F^3/6 is the same at every potential
+    from a = 0 when no initial is given).
+
+    The scaled equation is elliptic where theta_s > 0 (see
+    ``_ScaledSystem.residual``), and the Newton iterates stay there.  An
+    entry that starts with min theta_s <= 0 ends the run at once, its
+    termination naming the grid point and the value (``_theta_guard``); the
+    steps before it are kept.  Each Newton step is backtracked
+    (``_line_search``): step lengths 1, 1/2, 1/4, ... until the residual
+    norm falls by Armijo's rule and min theta_s stays above a quarter of its
+    current value.  When no halving passes, the entry ends with a
+    termination naming the line search; the step is never taken anyway.
+
+    Termination is "completed", a theta_s or line-search report as above, a
+    Newton divergence report after max_newton steps (naming an inner solve
+    that stopped at its iteration cap), or the cohomological obstruction.
+    That is decided exactly from the flux: when F^3 != 0 the residual's
+    mean s^4 (2 pi)^3 F^3/6 is the same at every potential
     (``_flux_cube_mean``), so an entry whose residual norm exceeds tol
     stops before its first Newton step once that mean's norm does too.
+    Each ``ContinuationStep`` keeps a ``_NewtonIterate`` per Newton step.
     """
     if grid is None:
         grid = TorusGrid((1, 2), 4)
@@ -519,47 +577,66 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     current = restart
     steps = []
     termination = "completed"
+    obstructed = False
     for s in schedule:
         system = _ScaledSystem(flux, grid, s)
         a = (current if warm_start else restart).a
-        with _finite(f"continuation at s = {s:g}"):
-            parts, W = system.residual(a)
-            rnorm = _finite_value(system.res_norm(parts), "residual norm")
-        history = [rnorm]
-        cg_iters = []
-        failed = None
-        iters = 0
-        mean_norm = s ** 4 * cube_mean
-        obstructed = rnorm > tol and mean_norm > tol
-        while rnorm > tol and iters < max_newton and not obstructed:
-            with _finite(f"newton iteration {iters + 1} at s = {s:g}"):
-                dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]))
-                cg_iters.append(inner.iterations)
-                if inner.hit_max_iter:
-                    failed = inner
-                a = _finite_field(a + dx, "the Newton iterate")
-                parts, W = system.residual(a)
+        try:
+            with _finite(f"continuation at s = {s:g}"):
+                parts, W, theta = system.residual(a)
                 rnorm = _finite_value(system.res_norm(parts), "residual norm")
+                mean_norm = s ** 4 * cube_mean
+                obstructed = rnorm > tol and mean_norm > tol
+                if not obstructed:
+                    _theta_guard(grid, theta, 0.0)
+        except DegenerateMetricError as e:
+            termination = f"left almost-calibrated set at s = {s:g}: {e}"
+            break
+        theta_min = float(np.min(theta))
+        history = [rnorm]
+        iterates = []
+        capped = None  # the last inner solve that stopped at its cap
+        stalled = False
+        while rnorm > tol and len(iterates) < max_newton and not obstructed:
+            with _finite(f"newton iteration {len(iterates) + 1} at s = {s:g}"):
+                inner_tol = 1e-12
+                dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]),
+                                  tol=inner_tol)
+                if inner.hit_max_iter:
+                    capped = inner
+                accepted = _line_search(system, a, dx, rnorm, theta_min)
+            if accepted is None:
+                stalled = True
+                break
+            lam, a, parts, W, theta, rnorm, theta_min = accepted
+            iterates.append(_NewtonIterate(inner, inner_tol, lam, theta_min))
             history.append(rnorm)
-            iters += 1
         pot = GaugePotential(a, flux)
-        steps.append(ContinuationStep(s, pot, rnorm, iters, tuple(history),
-                                      tuple(cg_iters)))
+        steps.append(ContinuationStep(s, pot, rnorm, len(iterates),
+                                      tuple(history), tuple(iterates)))
         if obstructed:
             termination = (f"cohomological obstruction at s = {s:g}: the flux "
                            "cube F^3 is nonzero, so the residual's mean "
                            f"s^4 (2 pi)^3 F^3/6 has norm {mean_norm:.3e} > tol "
                            "at every potential")
             break
-        if rnorm > tol:
+        if stalled:
+            termination = (f"line search failed at s = {s:g}, newton iteration "
+                           f"{len(iterates) + 1}: no step "
+                           f"length down to 2^-{_MAX_HALVINGS} lowered the "
+                           f"residual {rnorm:.3e} by Armijo's rule with min "
+                           f"theta_s above {_THETA_FRACTION:g} of {theta_min:.6g}")
+        elif rnorm > tol:
             termination = (f"newton divergence at s = {s:g}: residual "
-                           f"{rnorm:.3e} after {iters} iterations")
-            if failed is not None:
-                termination += (f"; inner solve hit {failed.iterations} "
-                                f"iterations at relative residual "
-                                f"{failed.rel_residual:.1e}")
-            break
-        current = pot
+                           f"{rnorm:.3e} after {len(iterates)} iterations")
+        else:
+            current = pot
+            continue
+        if capped is not None:
+            termination += (f"; inner solve hit {capped.iterations} "
+                            f"iterations at relative residual "
+                            f"{capped.rel_residual:.1e}")
+        break
     return ContinuationResult(tuple(steps), termination, obstructed)
 
 

@@ -28,6 +28,7 @@ from ddt7.g2 import phi_for, star_phi_for
 from ddt7.scalars import FLOAT, RATIONAL
 
 GRID = TorusGrid((1, 2), 4)
+GRID512 = TorusGrid((1, 2, 3), 8)
 CALIBRATED = Flux.from_entries({(1, 2): 1, (4, 7): 1})
 OBSTRUCTED = Flux.from_entries({(1, 2): 1, (4, 7): 2, (5, 6): -1})
 
@@ -361,7 +362,7 @@ def test_apply_jt_is_the_adjoint_of_apply_j(grid):
     rng = np.random.default_rng(grid.npts)
     system = flow._ScaledSystem(CALIBRATED, grid, 0.75)
     pot = random_coclosed_potential(grid, CALIBRATED, rng, scale=0.3)
-    _, W = system.residual(pot.a)
+    _, W, _ = system.residual(pot.a)
     assert np.ptp(W.coeffs, axis=1).max() > 0.1
     zeros = (FormField.zero(grid, 6), FormField.zero(grid, 0), np.zeros(7))
     for _ in range(2):
@@ -428,9 +429,9 @@ def test_inner_solves_at_s0_stop_at_once(grid):
                        initial=start, warm_start=False)
     first = res.steps[0]
     assert first.s == 0.0 and first.newton_iterations >= 1
-    assert all(1 <= n <= 2 for n in first.cg_iterations)
+    assert all(1 <= it.inner.iterations <= 2 for it in first.iterates)
     for st in res.steps:
-        assert len(st.cg_iterations) == st.newton_iterations
+        assert len(st.iterates) == st.newton_iterations
 
 
 @pytest.mark.parametrize("grid", [GRID, TorusGrid((1, 2, 3), 8),
@@ -480,6 +481,62 @@ def test_newton_divergence_names_the_failed_inner_solve(monkeypatch):
     assert "inner solve hit 1 iterations at relative residual" in res.termination
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+def test_scaled_theta_is_the_theta_of_the_scaled_curvature(s):
+    """theta_s from the residual's E ^ E is theta of s^2 E: 1 at s = 0, and
+    ``ddt._theta`` of E itself at s = 1."""
+    rng = np.random.default_rng(12)
+    pot = random_coclosed_potential(GRID512, CALIBRATED, rng, scale=0.3)
+    _, _, theta = flow._ScaledSystem(CALIBRATED, GRID512, s).residual(pot.a)
+    E = curvature(pot) * s ** 2
+    want = ddt._theta(torus.wedge_field(E, E))
+    assert np.max(np.abs(theta - want)) <= 1e-12 * np.max(np.abs(want))
+    if s == 0.0:
+        assert np.all(theta == 1.0)
+
+
+def _noisy_start(grid, scale, seed):
+    """The calibrated instanton plus coclosed noise, as ``ddt7 continue``
+    draws it from perturb_scale and seed."""
+    noise = coclosed_project(random_field(grid, 1, np.random.default_rng(seed), scale))
+    return GaugePotential(instanton_solve(CALIBRATED, grid).a + noise, CALIBRATED)
+
+
+@pytest.mark.parametrize("seed, theta", [(1, "-1.29981"), (2, "-2.86213")])
+def test_continuation_stops_at_a_start_outside_theta_positive(seed, theta):
+    """From 0.4 noise every cold start up to s = 1/4 solves, and the start at
+    s = 1/2 has theta_s <= 0: the run ends there, naming the point, and
+    keeps the entries before it."""
+    res = continuation(CALIBRATED, grid=GRID512, warm_start=False,
+                       initial=_noisy_start(GRID512, 0.4, seed))
+    assert not res.completed and not res.obstructed
+    assert res.termination.startswith(
+        f"left almost-calibrated set at s = 0.5: theta = {theta} <= 0.0 at grid point {{")
+    assert [st.s for st in res.steps] == list(DEFAULT_SCHEDULE[:6])
+    assert all(st.residual_norm <= 1e-10 for st in res.steps)
+
+
+def test_a_failing_line_search_ends_the_entry(monkeypatch):
+    """An uphill direction passes no halving: the entry ends, naming the
+    line search, and the step is not taken."""
+    cgnr = flow._cgnr
+
+    def uphill(*args, **kwargs):
+        dx, inner = cgnr(*args, **kwargs)
+        return -dx, inner
+    monkeypatch.setattr(flow, "_cgnr", uphill)
+    start = _noisy_start(GRID, 1e-2, 3)
+    res = continuation(CALIBRATED, grid=GRID, initial=start)
+    assert not res.completed
+    assert res.termination.startswith(
+        "line search failed at s = 0, newton iteration 1: no step length "
+        f"down to 2^-{flow._MAX_HALVINGS} lowered the residual")
+    (st,) = res.steps
+    assert st.newton_iterations == 0 and st.iterates == ()
+    assert st.residual_history == (st.residual_norm,)
+    assert np.array_equal(st.potential.a.coeffs, start.a.coeffs)
+
+
 def test_continuation_reports_obstruction():
     res = continuation(OBSTRUCTED, grid=GRID)
     assert not res.completed
@@ -489,8 +546,6 @@ def test_continuation_reports_obstruction():
     assert res.steps[0].residual_norm <= 1e-12
     assert res.steps[-1].s == 1.0 / 64
 
-
-GRID512 = TorusGrid((1, 2, 3), 8)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0])
@@ -506,7 +561,7 @@ def test_the_residual_mean_is_the_flux_cube(grid, s):
         F = flux.form()
         F3 = np.array([float(c) for c in exalg.cube(F, wedge(F, F)).coeffs])
         pot = random_coclosed_potential(grid, flux, rng, scale=0.05)
-        (w6, _, _), _ = flow._ScaledSystem(flux, grid, s).residual(pot.a)
+        (w6, _, _), _, _ = flow._ScaledSystem(flux, grid, s).residual(pot.a)
         mean = field_mean(w6)
         scale = unit * max(np.max(np.abs(F3)), 1.0)
         assert np.max(np.abs(mean - unit * F3)) <= 1e-13 * scale
@@ -891,7 +946,7 @@ def test_solver_op_results_are_contiguous_float64():
     rng = np.random.default_rng(43)
     pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.05)
     system = flow._ScaledSystem(CALIBRATED, GRID, 0.5)
-    (w6, w0, mu), W = system.residual(pot.a)
+    (w6, w0, mu), W, _ = system.residual(pot.a)
     for got, k in ((flow._ascent(pot, 1e-3), 1),
                    (flow._wedge_by_w_adjoint(w6, W), 2),
                    (torus._apply_modes(pot.a, flow._mean_w_inverse(GRID, W)), 1),
