@@ -8,6 +8,10 @@ config and the versions, the command's own keys, and ``pass``, true
 exactly when the exit code is 0.  Reports, CSV files, and snapshots are
 byte-identical across runs with the same config and seed; wall time is
 printed to stdout and kept out of the report for exactly that reason.
+``_run`` also writes <out>/run.json, the run record, when the command
+fills one (only ``continue`` so far: per schedule entry, one record per
+Newton step of its inner solve, forcing tolerance, step length and
+min theta_s).  Nothing of the record enters the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 unreadable or unwritable path), 3 numerical failure (Newton divergence,
@@ -221,16 +225,19 @@ def _non_finite_key(x, path: str = "report") -> str | None:
     return None
 
 
-def _write_report(out_dir: str, report: dict) -> None:
-    """Write <out_dir>/report.json; a non-finite number in it is a numerical
-    failure, raised before anything is written."""
-    bad = _non_finite_key(report)
-    if bad is not None:
-        raise NumericalError(f"{bad} is not finite")
+def _write_json(out_dir: str, files: dict) -> None:
+    """Write each <out_dir>/<name> of ``files``, a dict per name; a non-finite
+    number in any of them is a numerical failure, raised before anything
+    is written."""
+    for name, payload in files.items():
+        bad = _non_finite_key(payload, name.removesuffix(".json"))
+        if bad is not None:
+            raise NumericalError(f"{bad} is not finite")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
-                            default=_jsonable) + "\n")
+    for name, payload in files.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2,
+                                allow_nan=False, default=_jsonable) + "\n")
 
 
 def _save_potential(out_dir: str, a, flux: Flux) -> dict:
@@ -264,7 +271,8 @@ def _canonical_mutation(spelling: str):
                      f"{', '.join(m[1] for m in entries)}")
 
 
-def cmd_verify(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_verify(cfg: dict, out_dir: str, report: dict,
+               record: dict) -> tuple[int, list]:
     if cfg["mutate"] is not None:
         identity, site, value = _canonical_mutation(str(cfg["mutate"]))
         mutated_id = prover.mutate(identity, site, value)
@@ -296,7 +304,8 @@ def cmd_verify(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
 _DECOMPOSE_DEFAULTS = {"seed": 0, "coefficients": None, "tol": 1e-10}
 
 
-def cmd_decompose(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_decompose(cfg: dict, out_dir: str, report: dict,
+                  record: dict) -> tuple[int, list]:
     tol = cfg["tol"]
     if cfg["coefficients"] is not None:
         raw = cfg["coefficients"]
@@ -337,7 +346,8 @@ def cmd_decompose(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
 _INSTANTON_DEFAULTS = {"flux": None, "grid": {"axes": [1, 2], "N": 4}}
 
 
-def cmd_instanton(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_instanton(cfg: dict, out_dir: str, report: dict,
+                  record: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
     report["flux_upper"] = list(flux.upper)
@@ -365,7 +375,8 @@ _CONTINUE_DEFAULTS = {
 }
 
 
-def cmd_continue(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_continue(cfg: dict, out_dir: str, report: dict,
+                 record: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
     if cfg["schedule"] is None:  # echoed in the report as run
@@ -396,6 +407,16 @@ def cmd_continue(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
     report["termination"] = result.termination
     report["completed"] = result.completed
     report["obstructed"] = result.obstructed
+    record["steps"] = [
+        {"s": st.s, "newton": [
+            {"cg_iterations": it.inner.iterations,
+             "cg_rel_residual": it.inner.rel_residual,
+             "cg_hit_max_iter": it.inner.hit_max_iter,
+             "inner_tol": it.inner_tol, "step_length": it.step_length,
+             "theta_min": it.theta_min}
+            for it in st.iterates]}
+        for st in result.steps
+    ]
     if result.steps:
         report.update(_save_potential(out_dir, result.steps[-1].potential.a,
                                       flux))
@@ -416,7 +437,8 @@ _FLOW_DEFAULTS = {
 }
 
 
-def cmd_flow(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_flow(cfg: dict, out_dir: str, report: dict,
+             record: dict) -> tuple[int, list]:
     flux = _flux_from(cfg["flux"])
     grid = _grid_from(cfg["grid"])
     kmax = _as_kmax(cfg, grid)
@@ -476,7 +498,8 @@ def cmd_flow(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
 _CYLINDER_DEFAULTS = {"trajectory": None, "tol": None}
 
 
-def cmd_cylinder(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_cylinder(cfg: dict, out_dir: str, report: dict,
+                 record: dict) -> tuple[int, list]:
     src = cfg["trajectory"]
     if not isinstance(src, str) or not src:
         raise InputError("config key 'trajectory' must name a flow output "
@@ -525,7 +548,8 @@ _MOMENT_DEFAULTS = {
 }
 
 
-def cmd_moment(cfg: dict, out_dir: str, report: dict) -> tuple[int, list]:
+def cmd_moment(cfg: dict, out_dir: str, report: dict,
+               record: dict) -> tuple[int, list]:
     grid = _grid_from(cfg["grid"])
     flux = _flux_from(cfg["flux"])
     samples = cfg["samples"]
@@ -618,20 +642,25 @@ _COMMANDS = {
 
 
 def _run(command: str, cfg: dict, out_dir: str) -> int:
-    """Run one subcommand and write its report; the exit code.
+    """Run one subcommand and write its report and run record; the exit code.
 
     The report starts as the envelope (command, effective config, versions);
     the command adds its own keys and returns its exit code and summary
-    lines.  An obstruction exits 3 with the keys added so far.
+    lines.  An obstruction exits 3 with the keys added so far.  The run
+    record starts empty; run.json is written when the command filled it.
     """
     report = {"command": command, "config": cfg, "versions": _versions()}
+    record = {}
     try:
-        code, lines = _COMMANDS[command][1](cfg, out_dir, report)
+        code, lines = _COMMANDS[command][1](cfg, out_dir, report, record)
     except ObstructionError as e:
         report.update(obstructed=True, message=str(e))
         code, lines = 3, [f"obstruction: {e}"]
     report["pass"] = code == 0
-    _write_report(out_dir, report)
+    files = {"report.json": report}
+    if record:
+        files["run.json"] = record
+    _write_json(out_dir, files)
     for line in lines:
         print(line)
     return code

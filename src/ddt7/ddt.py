@@ -27,7 +27,8 @@ hand fields to the field kernels.  Formula -> helper: callers
                                catalog (A2a, A5, CYL), g2, torus
   c E^3 - E ^ *phi          -> ``_residual(E, E2, c)``: torus, flow
   3c E^2 - *phi  (dR/dE)    -> ``_residual_weight(E2, c)``: torus, flow Newton
-  *(phi ^ E^2), theta       -> ``_calibration(E2)``, ``_theta(E2)``: flow
+  *(phi ^ E^2), theta       -> ``_calibration(E2)``, ``_theta(E2)``: flow,
+                               flow Newton (theta_s, of s^4 E2)
   eta = *R - i(i(*R)E)E     -> ``_eta(E, R)``, from the caller's R: flow,
                                ``eta``, ``point_residual``, ``grad_density``,
                                ``spin7_combined``

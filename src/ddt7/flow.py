@@ -19,8 +19,9 @@ positive.
 
 Fields inside a solver are unchecked op results (see ``torus``).  Each
 solver checks what leaves it: the potential after every flow step and the
-step's diagnostics, every Newton iterate and residual norm, and every CG
-residual; inf or NaN raises ``NumericalError`` naming where.
+step's diagnostics, every Newton trial iterate with its residual norm and
+min theta_s, and every CG residual; inf or NaN raises ``NumericalError``
+naming where.
 """
 from __future__ import annotations
 
@@ -437,6 +438,15 @@ def _mean_w_inverse(grid: TorusGrid, W: FormField):
     return lambda spec: np.einsum("abm,bm->am", inv, spec)
 
 
+# The forcing term: each inner solve stops at relative tolerance
+# max(_INNER_TOL, min(_FORCING_CAP, |r|)) for the outer residual norm |r|,
+# which keeps Newton locally quadratic (Dembo, Eisenstat and Steihaug
+# 1982).  A cap of 0.1 let 0.1-noise cold starts walk min theta_s from 27
+# to 0.5 and stall there.
+_INNER_TOL = 1e-12
+_FORCING_CAP = 1e-2
+
+
 @dataclass(frozen=True)
 class _InnerSolve:
     """How one inner solve ended: CG iterations, |J^T r| / |J^T rhs| at the
@@ -447,8 +457,8 @@ class _InnerSolve:
     hit_max_iter: bool
 
 
-def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts, tol: float = 1e-12,
-          max_iter: int = 2000):
+def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts,
+          tol: float = _INNER_TOL, max_iter: int = 2000):
     """Preconditioned CG on the normal equations J^T J x = J^T rhs.
 
     The preconditioner is the exact inverse of J^T J with W replaced by its
@@ -539,7 +549,11 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     Each schedule entry runs Gauss-Newton with preconditioned conjugate-
     gradient inner solves (``_cgnr``), starting from the previously accepted
     solution (warm_start) or from `initial` at every entry (warm_start=False;
-    from a = 0 when no initial is given).
+    from a = 0 when no initial is given).  The inner solves are inexact: each
+    stops at the forcing term max(1e-12, min(1e-2, |r|)) of the residual
+    norm |r| it starts from, so far from the solution a step takes few CG
+    iterations and near it Newton stays quadratic.  tol stops the outer
+    iteration alone.
 
     The scaled equation is elliptic where theta_s > 0 (see
     ``_ScaledSystem.residual``), and the Newton iterates stay there.  An
@@ -599,7 +613,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
         stalled = False
         while rnorm > tol and len(iterates) < max_newton and not obstructed:
             with _finite(f"newton iteration {len(iterates) + 1} at s = {s:g}"):
-                inner_tol = 1e-12
+                inner_tol = max(_INNER_TOL, min(_FORCING_CAP, rnorm))
                 dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]),
                                   tol=inner_tol)
                 if inner.hit_max_iter:
@@ -622,10 +636,10 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
             break
         if stalled:
             termination = (f"line search failed at s = {s:g}, newton iteration "
-                           f"{len(iterates) + 1}: no step "
-                           f"length down to 2^-{_MAX_HALVINGS} lowered the "
-                           f"residual {rnorm:.3e} by Armijo's rule with min "
-                           f"theta_s above {_THETA_FRACTION:g} of {theta_min:.6g}")
+                           f"{len(iterates) + 1}: no step length down to "
+                           f"2^-{_MAX_HALVINGS} lowered the residual {rnorm:.3e} "
+                           "by Armijo's rule with min theta_s above "
+                           f"{_THETA_FRACTION:g} of {theta_min:.6g}")
         elif rnorm > tol:
             termination = (f"newton divergence at s = {s:g}: residual "
                            f"{rnorm:.3e} after {len(iterates)} iterations")

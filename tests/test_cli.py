@@ -185,6 +185,51 @@ def test_continue_obstructed_exit_code(tmp_path):
     assert rep["completed"] is False
 
 
+def test_continue_writes_a_run_record_beside_a_stable_report(tmp_path):
+    """run.json holds one record per Newton step of every entry, and none of
+    it enters report.json, which is byte-identical across two runs."""
+    cfg = write_config(tmp_path, "c.json", {
+        "flux": {"1,2": 1, "4,7": 1}, "perturb_scale": 0.01, "seed": 3,
+        "warm_start": False, "schedule": [0.0, 0.5, 1.0]})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        r = run_cli("continue", "--config", cfg, "--out", str(out))
+        assert r.returncode == 0, r.stderr
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    rep = read_report(outs[0])
+    run = json.loads((outs[0] / "run.json").read_text())
+    assert [st["s"] for st in run["steps"]] == [st["s"] for st in rep["steps"]]
+    for st, rec in zip(rep["steps"], run["steps"]):
+        assert st["newton_iterations"] >= 1
+        assert len(rec["newton"]) == st["newton_iterations"]
+        for it in rec["newton"]:
+            assert set(it) == {"cg_iterations", "cg_rel_residual", "cg_hit_max_iter",
+                               "inner_tol", "step_length", "theta_min"}
+            assert it["cg_iterations"] >= 1 and it["theta_min"] > 0
+    assert "cg_iterations" not in (outs[0] / "report.json").read_text()
+
+
+def test_continue_stops_where_theta_s_is_not_positive(tmp_path):
+    """From 0.4 noise the cold start at s = 1/2 has theta_s <= 0: exit 3,
+    with a report of the entries before it and the termination naming the
+    point, and the run record."""
+    cfg = write_config(tmp_path, "c.json", {
+        "flux": {"1,2": 1, "4,7": 1}, "grid": {"axes": [1, 2, 3], "N": 8},
+        "perturb_scale": 0.4, "seed": 2, "warm_start": False})
+    out = tmp_path / "out"
+    r = run_cli("continue", "--config", cfg, "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    rep = read_report(out)
+    assert rep["pass"] is False and rep["completed"] is False
+    assert rep["obstructed"] is False
+    assert rep["termination"] == ("left almost-calibrated set at s = 0.5: theta = "
+                                  "-2.86213 <= 0.0 at grid point {1: 0, 2: 4, 3: 3}")
+    assert [st["s"] for st in rep["steps"]] == [0.0, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4]
+    assert load_field(out / "potential.t7f").k == 1
+    run = json.loads((out / "run.json").read_text())
+    assert len(run["steps"]) == len(rep["steps"])
+
+
 def test_continue_rejects_snapshot_of_bad_degree(tmp_path):
     grid = TorusGrid((1, 2), 4)
     snap = tmp_path / "deg9.t7f"
@@ -279,7 +324,7 @@ def test_overflowing_moment_draw_is_a_numerical_failure(tmp_path):
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path):
-    def boom(cfg, out_dir, report):
+    def boom(cfg, out_dir, report, record):
         raise RuntimeError("boom\nsecond line")
     defaults, _, help_text = cli._COMMANDS["decompose"]
     monkeypatch.setitem(cli._COMMANDS, "decompose", (defaults, boom, help_text))
@@ -290,7 +335,7 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys, tmp_path
 
 def test_non_finite_report_value_is_a_numerical_failure(monkeypatch, capsys,
                                                        tmp_path):
-    def nan_report(cfg, out_dir, report):
+    def nan_report(cfg, out_dir, report, record):
         report["checks"] = {"sym": [0.0, float("nan")]}
         return 0, []
     defaults, _, help_text = cli._COMMANDS["decompose"]
@@ -300,6 +345,20 @@ def test_non_finite_report_value_is_a_numerical_failure(monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err == "numerical failure: report.checks.sym[1] is not finite\n"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_non_finite_run_record_value_writes_neither_file(monkeypatch, capsys,
+                                                         tmp_path):
+    def nan_record(cfg, out_dir, report, record):
+        record["steps"] = [{"theta_min": float("inf")}]
+        return 0, []
+    defaults, _, help_text = cli._COMMANDS["decompose"]
+    monkeypatch.setitem(cli._COMMANDS, "decompose",
+                        (defaults, nan_record, help_text))
+    assert cli.main(["decompose", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: run.steps[0].theta_min is not finite\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_report_has_the_envelope_and_pass_means_exit_0(tmp_path, capsys):

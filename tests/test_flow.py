@@ -516,6 +516,25 @@ def test_continuation_stops_at_a_start_outside_theta_positive(seed, theta):
     assert all(st.residual_norm <= 1e-10 for st in res.steps)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cold_starts_at_a_tenth_of_noise_complete(seed):
+    """Undamped, the first Gauss-Newton step at s = 1 took min theta from
+    about 26 to below 0 and the run stalled.  Backtracked, every entry
+    converges; each inner tolerance is the forcing term of the residual
+    it starts from, and min theta_s ends at the instanton's value."""
+    res = continuation(CALIBRATED, grid=GRID512, warm_start=False,
+                       initial=_noisy_start(GRID512, 0.1, seed))
+    assert res.completed
+    assert all(st.residual_norm <= 1e-10 for st in res.steps)
+    last = res.steps[-1]
+    assert last.s == 1.0 and last.iterates[-1].theta_min > 0
+    assert any(it.step_length < 1.0 for it in last.iterates)
+    for st in res.steps:
+        for r, it in zip(st.residual_history, st.iterates):
+            assert it.inner_tol == max(1e-12, min(1e-2, r))
+            assert it.theta_min > 0
+
+
 def test_a_failing_line_search_ends_the_entry(monkeypatch):
     """An uphill direction passes no halving: the entry ends, naming the
     line search, and the step is not taken."""
