@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -407,16 +408,8 @@ def cmd_continue(cfg: dict, out_dir: str, report: dict,
     report["termination"] = result.termination
     report["completed"] = result.completed
     report["obstructed"] = result.obstructed
-    record["steps"] = [
-        {"s": st.s, "newton": [
-            {"cg_iterations": it.inner.iterations,
-             "cg_rel_residual": it.inner.rel_residual,
-             "cg_hit_max_iter": it.inner.hit_max_iter,
-             "inner_tol": it.inner_tol, "step_length": it.step_length,
-             "theta_min": it.theta_min}
-            for it in st.iterates]}
-        for st in result.steps
-    ]
+    record["steps"] = [{"s": st.s, "newton": [asdict(it) for it in st.iterates]}
+                       for st in result.steps]
     if result.steps:
         report.update(_save_potential(out_dir, result.steps[-1].potential.a,
                                       flux))

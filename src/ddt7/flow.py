@@ -623,6 +623,7 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                 stalled = True
                 break
             lam, a, parts, W, theta, rnorm, theta_min = accepted
+            del accepted  # else it keeps this W alive into the next entry
             iterates.append(_NewtonIterate(inner, inner_tol, lam, theta_min))
             history.append(rnorm)
         pot = GaugePotential(a, flux)

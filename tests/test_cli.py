@@ -203,10 +203,10 @@ def test_continue_writes_a_run_record_beside_a_stable_report(tmp_path):
         assert st["newton_iterations"] >= 1
         assert len(rec["newton"]) == st["newton_iterations"]
         for it in rec["newton"]:
-            assert set(it) == {"cg_iterations", "cg_rel_residual", "cg_hit_max_iter",
-                               "inner_tol", "step_length", "theta_min"}
-            assert it["cg_iterations"] >= 1 and it["theta_min"] > 0
-    assert "cg_iterations" not in (outs[0] / "report.json").read_text()
+            assert set(it) == {"inner", "inner_tol", "step_length", "theta_min"}
+            assert set(it["inner"]) == {"iterations", "rel_residual", "hit_max_iter"}
+            assert it["inner"]["iterations"] >= 1 and it["theta_min"] > 0
+    assert "inner_tol" not in (outs[0] / "report.json").read_text()
 
 
 def test_continue_stops_where_theta_s_is_not_positive(tmp_path):
