@@ -9,9 +9,10 @@ exactly when the exit code is 0.  Reports, CSV files, and snapshots are
 byte-identical across runs with the same config and seed; wall time is
 printed to stdout and kept out of the report for exactly that reason.
 ``_run`` also writes <out>/run.json, the run record, when the command
-fills one (only ``continue`` so far: per schedule entry, one record per
-Newton step of its inner solve, forcing tolerance, step length and
-min theta_s).  Nothing of the record enters the report.
+fills one: ``verify`` records each identity's wall time (``elapsed_s``) in
+the order run, and ``continue`` per schedule entry one record per Newton
+step of its inner solve, forcing tolerance, step length and min theta_s.
+Nothing of the record enters the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 unreadable or unwritable path), 3 numerical failure (Newton divergence,
@@ -272,6 +273,11 @@ def _canonical_mutation(spelling: str):
                      f"{', '.join(m[1] for m in entries)}")
 
 
+def _identity_times(reports) -> list:
+    """verify's run record: each identity's wall time, in the order run."""
+    return [{"identity": r.identity, "elapsed_s": r.elapsed_s} for r in reports]
+
+
 def cmd_verify(cfg: dict, out_dir: str, report: dict,
                record: dict) -> tuple[int, list]:
     if cfg["mutate"] is not None:
@@ -281,6 +287,7 @@ def cmd_verify(cfg: dict, out_dir: str, report: dict,
         report["mutation"] = {"identity": identity, "site": site,
                               "value": str(value)}
         report["identities"] = [rep.to_dict()]
+        record["identities"] = _identity_times([rep])
         ok = rep.reduced_to_zero
         state = "reduced to zero" if ok else "nonzero witness found"
         return (0 if ok else 1), [f"{mutated_id}: {state}"]
@@ -291,6 +298,7 @@ def cmd_verify(cfg: dict, out_dir: str, report: dict,
     suite = prover.float_suite(cfg["float_samples"], seed=cfg["seed"],
                                tol=cfg["tol"])
     report["identities"] = [r.to_dict() for r in reports]
+    record["identities"] = _identity_times(reports)
     report["float_suite"] = suite
     ok = all(r.reduced_to_zero for r in reports) and suite["pass"]
     lines = [f"{r.identity}: {'pass' if r.reduced_to_zero else 'FAIL'}"
@@ -493,10 +501,12 @@ _CYLINDER_DEFAULTS = {"trajectory": None, "tol": None}
 
 def cmd_cylinder(cfg: dict, out_dir: str, report: dict,
                  record: dict) -> tuple[int, list]:
-    src = cfg["trajectory"]
+    src, tol = cfg["trajectory"], cfg["tol"]
     if not isinstance(src, str) or not src:
         raise InputError("config key 'trajectory' must name a flow output "
                          "directory")
+    if tol is not None:  # a number, checked as the keys with numeric defaults
+        _check_scalar("tol", 0.0, tol)
     report_path = os.path.join(src, "report.json")
     try:
         with open(report_path) as fh:
@@ -521,9 +531,6 @@ def cmd_cylinder(cfg: dict, out_dir: str, report: dict,
     flux = torus.load_flux(os.path.join(src, flux_file))
     pots = [GaugePotential(torus.load_field(os.path.join(src, name)), flux)
             for name in files]
-    tol = cfg["tol"]
-    if tol is not None and not _is_num(tol):
-        raise InputError("config key 'tol' must be a finite number")
     result = flow.cylinder_check_samples(times, pots)
     ok = tol is None or (result["max_res1"] <= tol
                          and result["max_res2"] <= tol)

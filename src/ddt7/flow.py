@@ -318,27 +318,37 @@ def instanton_solve(flux: Flux, grid: TorusGrid | None = None) -> GaugePotential
 
 
 DEFAULT_SCHEDULE = (0.0, 1.0 / 64, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0)
+_OBSTRUCTION = "cohomological obstruction"  # its termination's first words
 
 
 @dataclass(frozen=True, eq=False)
 class ContinuationStep:
     s: float
     potential: GaugePotential
-    residual_norm: float
-    newton_iterations: int
-    residual_history: tuple
+    residual_history: tuple  # the residual norm at the start and after each step
     iterates: tuple = ()  # one _NewtonIterate per accepted Newton step
+
+    @property
+    def residual_norm(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def newton_iterations(self) -> int:
+        return len(self.iterates)
 
 
 @dataclass(frozen=True, eq=False)
 class ContinuationResult:
     steps: tuple
     termination: str
-    obstructed: bool  # stopped at the flux-cube obstruction, F^3 != 0
 
     @property
     def completed(self) -> bool:
         return self.termination == "completed"
+
+    @property
+    def obstructed(self) -> bool:  # stopped at the flux cube, F^3 != 0
+        return self.termination.startswith(_OBSTRUCTION)
 
 
 class _ScaledSystem:
@@ -369,11 +379,6 @@ class _ScaledSystem:
         return ((ddt._residual(E, E2, c), codiff(a), field_mean(a)),
                 ddt._residual_weight(E2, c), ddt._theta(E2 * self.s ** 4))
 
-    def res_norm(self, parts) -> float:
-        w6, w0, mu = parts
-        return math.sqrt(field_inner(w6, w6) + field_inner(w0, w0)
-                         + float(np.dot(mu, mu)))
-
     def apply_j(self, W: FormField, b: FormField):
         return wedge_field(d(b), W), codiff(b), field_mean(b)
 
@@ -387,6 +392,12 @@ class _ScaledSystem:
         """
         out = codiff(_wedge_by_w_adjoint(w6, W)) + d(w0)
         return FormField._of(self.grid, 1, out.coeffs + mu[:, None])
+
+
+def _sq_norm(blocks) -> float:
+    """|w6|^2 + |w0|^2 + |mu|^2 of blocks (w6, w0, mu), mean-based."""
+    w6, w0, mu = blocks
+    return field_inner(w6, w6) + field_inner(w0, w0) + float(np.dot(mu, mu))
 
 
 def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
@@ -457,19 +468,19 @@ class _InnerSolve:
     hit_max_iter: bool
 
 
-def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts,
+def _cgnr(system: _ScaledSystem, W: FormField, r,
           tol: float = _INNER_TOL, max_iter: int = 2000):
-    """Preconditioned CG on the normal equations J^T J x = J^T rhs.
+    """Preconditioned CG on the normal equations J^T J x = J^T r for a block
+    triple r, which the iteration then carries as the residual r - J x.
 
     The preconditioner is the exact inverse of J^T J with W replaced by its
     mean, applied per Fourier mode (Concus and Golub 1973).  The stop rule
-    reads the unpreconditioned gradient, |J^T r| <= tol * |J^T rhs|.
+    reads the unpreconditioned gradient, |J^T (r - J x)| <= tol * |J^T r|.
     Returns (x, _InnerSolve); a non-finite residual raises
     ``NonFiniteError`` rather than running on to max_iter.
     """
     x = FormField.zero(system.grid, 1)
-    r6, r0, rm = rhs_parts
-    g = system.apply_jt(W, r6, r0, rm)
+    g = system.apply_jt(W, *r)
     g0 = _finite_value(field_l2(g), "CG gradient norm")
     if g0 == 0.0:
         return x, _InnerSolve(0, 0.0, False)
@@ -480,16 +491,14 @@ def _cgnr(system: _ScaledSystem, W: FormField, rhs_parts,
     rel = 1.0
     it = 0
     while it < max_iter:
-        j6, j0, jm = system.apply_j(W, p)
-        denom = field_inner(j6, j6) + field_inner(j0, j0) + float(np.dot(jm, jm))
+        jp = system.apply_j(W, p)
+        denom = _sq_norm(jp)
         if denom == 0.0:
             break
         alpha = gz / denom
         x = x + alpha * p
-        r6 = r6 - alpha * j6
-        r0 = r0 - alpha * j0
-        rm = rm - alpha * jm
-        g = system.apply_jt(W, r6, r0, rm)
+        r = tuple(ri - alpha * ji for ri, ji in zip(r, jp))
+        g = system.apply_jt(W, *r)
         it += 1
         rel = _finite_value(field_l2(g), "CG gradient norm") / g0
         if rel <= tol:
@@ -525,19 +534,68 @@ _THETA_FRACTION = 0.25
 def _line_search(system: _ScaledSystem, a: FormField, dx: FormField,
                  rnorm: float, theta_min: float):
     """The first of a + dx, a + dx/2, ... that the line search accepts, as
-    (step length, iterate, parts, W, theta_s, residual norm, min theta_s),
-    so the next Newton step reuses its residual; None when no halving is
-    accepted.  Every trial and its two norms are checked for inf and NaN."""
+    (step length, iterate, parts, W, residual norm, min theta_s), so the
+    next Newton step reuses its residual; None when no halving is accepted.
+    Every trial and its two norms are checked for inf and NaN."""
     lam = 1.0
     for _ in range(_MAX_HALVINGS + 1):
         trial = _finite_field(a + lam * dx, "the Newton iterate")
         parts, W, theta = system.residual(trial)
-        r = _finite_value(system.res_norm(parts), "residual norm")
+        r = _finite_value(math.sqrt(_sq_norm(parts)), "residual norm")
         t = _finite_value(float(np.min(theta)), "min theta_s")
         if r <= (1.0 - _ARMIJO * lam) * rnorm and t > _THETA_FRACTION * theta_min:
-            return lam, trial, parts, W, theta, r, t
+            return lam, trial, parts, W, r, t
         lam *= 0.5
     return None
+
+
+def _schedule_entry(system: _ScaledSystem, a: FormField, tol: float,
+                    max_newton: int, cube_mean: float):
+    """Gauss-Newton from a at s = system.s, as (ContinuationStep, stop), stop
+    the run's termination or None when the entry converged; the step is None
+    when the start has min theta_s <= 0.  No W outlives the entry."""
+    s = system.s
+    try:
+        with _finite(f"continuation at s = {s:g}"):
+            parts, W, theta = system.residual(a)
+            rnorm = _finite_value(math.sqrt(_sq_norm(parts)), "residual norm")
+            mean_norm = s ** 4 * cube_mean
+            if rnorm > tol and mean_norm > tol:
+                return (ContinuationStep(s, GaugePotential(a, system.flux), (rnorm,)),
+                        f"{_OBSTRUCTION} at s = {s:g}: the flux cube F^3 is nonzero, "
+                        "so the residual's mean s^4 (2 pi)^3 F^3/6 has norm "
+                        f"{mean_norm:.3e} > tol at every potential")
+            _theta_guard(system.grid, theta, 0.0)
+    except DegenerateMetricError as e:
+        return None, f"left almost-calibrated set at s = {s:g}: {e}"
+    theta_min = float(np.min(theta))
+    history, iterates, cap_note = [rnorm], [], ""
+
+    def done(stop):
+        return (ContinuationStep(s, GaugePotential(a, system.flux),
+                                 tuple(history), tuple(iterates)), stop)
+    while rnorm > tol:
+        if len(iterates) == max_newton:
+            return done(f"newton divergence at s = {s:g}: residual "
+                        f"{rnorm:.3e} after {len(iterates)} iterations" + cap_note)
+        with _finite(f"newton iteration {len(iterates) + 1} at s = {s:g}"):
+            inner_tol = max(_INNER_TOL, min(_FORCING_CAP, rnorm))
+            dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]),
+                              tol=inner_tol)
+            if inner.hit_max_iter:
+                cap_note = (f"; inner solve hit {inner.iterations} iterations "
+                            f"at relative residual {inner.rel_residual:.1e}")
+            accepted = _line_search(system, a, dx, rnorm, theta_min)
+        if accepted is None:
+            return done(f"line search failed at s = {s:g}, newton iteration "
+                        f"{len(iterates) + 1}: no step length down to "
+                        f"2^-{_MAX_HALVINGS} lowered the residual {rnorm:.3e} "
+                        "by Armijo's rule with min theta_s above "
+                        f"{_THETA_FRACTION:g} of {theta_min:.6g}" + cap_note)
+        lam, a, parts, W, rnorm, theta_min = accepted
+        iterates.append(_NewtonIterate(inner, inner_tol, lam, theta_min))
+        history.append(rnorm)
+    return done(None)
 
 
 def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
@@ -546,33 +604,29 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
                  warm_start: bool = True) -> ContinuationResult:
     """Trace the gauge-fixed scaled equation along increasing s.
 
-    Each schedule entry runs Gauss-Newton with preconditioned conjugate-
-    gradient inner solves (``_cgnr``), starting from the previously accepted
-    solution (warm_start) or from `initial` at every entry (warm_start=False;
-    from a = 0 when no initial is given).  The inner solves are inexact: each
-    stops at the forcing term max(1e-12, min(1e-2, |r|)) of the residual
-    norm |r| it starts from, so far from the solution a step takes few CG
-    iterations and near it Newton stays quadratic.  tol stops the outer
-    iteration alone.
+    Each schedule entry (``_schedule_entry``) runs Gauss-Newton from the
+    previous entry's solution (warm_start) or from `initial`
+    (warm_start=False; a = 0 when no initial is given).  Its inner solves
+    (``_cgnr``) are inexact: each stops at the forcing term
+    max(1e-12, min(1e-2, |r|)) of the residual norm |r| it starts from, so
+    far from the solution a step takes few CG iterations and near it Newton
+    stays quadratic; tol stops the outer iteration alone.  The scaled
+    equation is elliptic where theta_s > 0 (``_ScaledSystem.residual``), and
+    the iterates stay there: each step is backtracked (``_line_search``),
+    lengths 1, 1/2, 1/4, ... until the residual norm falls by Armijo's rule
+    and min theta_s stays above a quarter of its current value.
 
-    The scaled equation is elliptic where theta_s > 0 (see
-    ``_ScaledSystem.residual``), and the Newton iterates stay there.  An
-    entry that starts with min theta_s <= 0 ends the run at once, its
-    termination naming the grid point and the value (``_theta_guard``); the
-    steps before it are kept.  Each Newton step is backtracked
-    (``_line_search``): step lengths 1, 1/2, 1/4, ... until the residual
-    norm falls by Armijo's rule and min theta_s stays above a quarter of its
-    current value.  When no halving passes, the entry ends with a
-    termination naming the line search; the step is never taken anyway.
-
-    Termination is "completed", a theta_s or line-search report as above, a
-    Newton divergence report after max_newton steps (naming an inner solve
-    that stopped at its iteration cap), or the cohomological obstruction.
-    That is decided exactly from the flux: when F^3 != 0 the residual's
-    mean s^4 (2 pi)^3 F^3/6 is the same at every potential
-    (``_flux_cube_mean``), so an entry whose residual norm exceeds tol
-    stops before its first Newton step once that mean's norm does too.
-    Each ``ContinuationStep`` keeps a ``_NewtonIterate`` per Newton step.
+    The first entry that does not converge ends the run.  Each entry that
+    ran keeps a ``ContinuationStep`` with a ``_NewtonIterate`` per Newton
+    step, but for one whose start has min theta_s <= 0.  Termination is
+    "completed" or names that start's grid point and value
+    (``_theta_guard``), a line search that no halving passed (the step is
+    not taken), Newton divergence after max_newton steps (these two also
+    name an inner solve that stopped at its iteration cap), or the
+    cohomological obstruction.  That is decided exactly from the flux: when
+    F^3 != 0 the residual's mean s^4 (2 pi)^3 F^3/6 is the same at every
+    potential (``_flux_cube_mean``), so an entry whose residual norm exceeds
+    tol stops before its first Newton step once that mean's norm does too.
     """
     if grid is None:
         grid = TorusGrid((1, 2), 4)
@@ -587,72 +641,18 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     cube_mean = _flux_cube_mean(flux)
     if initial is not None and initial.grid != grid:
         raise InputError("initial potential lives on a different grid")
-    restart = initial if initial is not None else base
-    current = restart
+    a = (initial if initial is not None else base).a
     steps = []
-    termination = "completed"
-    obstructed = False
     for s in schedule:
-        system = _ScaledSystem(flux, grid, s)
-        a = (current if warm_start else restart).a
-        try:
-            with _finite(f"continuation at s = {s:g}"):
-                parts, W, theta = system.residual(a)
-                rnorm = _finite_value(system.res_norm(parts), "residual norm")
-                mean_norm = s ** 4 * cube_mean
-                obstructed = rnorm > tol and mean_norm > tol
-                if not obstructed:
-                    _theta_guard(grid, theta, 0.0)
-        except DegenerateMetricError as e:
-            termination = f"left almost-calibrated set at s = {s:g}: {e}"
-            break
-        theta_min = float(np.min(theta))
-        history = [rnorm]
-        iterates = []
-        capped = None  # the last inner solve that stopped at its cap
-        stalled = False
-        while rnorm > tol and len(iterates) < max_newton and not obstructed:
-            with _finite(f"newton iteration {len(iterates) + 1} at s = {s:g}"):
-                inner_tol = max(_INNER_TOL, min(_FORCING_CAP, rnorm))
-                dx, inner = _cgnr(system, W, (-parts[0], -parts[1], -parts[2]),
-                                  tol=inner_tol)
-                if inner.hit_max_iter:
-                    capped = inner
-                accepted = _line_search(system, a, dx, rnorm, theta_min)
-            if accepted is None:
-                stalled = True
-                break
-            lam, a, parts, W, theta, rnorm, theta_min = accepted
-            del accepted  # else it keeps this W alive into the next entry
-            iterates.append(_NewtonIterate(inner, inner_tol, lam, theta_min))
-            history.append(rnorm)
-        pot = GaugePotential(a, flux)
-        steps.append(ContinuationStep(s, pot, rnorm, len(iterates),
-                                      tuple(history), tuple(iterates)))
-        if obstructed:
-            termination = (f"cohomological obstruction at s = {s:g}: the flux "
-                           "cube F^3 is nonzero, so the residual's mean "
-                           f"s^4 (2 pi)^3 F^3/6 has norm {mean_norm:.3e} > tol "
-                           "at every potential")
-            break
-        if stalled:
-            termination = (f"line search failed at s = {s:g}, newton iteration "
-                           f"{len(iterates) + 1}: no step length down to "
-                           f"2^-{_MAX_HALVINGS} lowered the residual {rnorm:.3e} "
-                           "by Armijo's rule with min theta_s above "
-                           f"{_THETA_FRACTION:g} of {theta_min:.6g}")
-        elif rnorm > tol:
-            termination = (f"newton divergence at s = {s:g}: residual "
-                           f"{rnorm:.3e} after {len(iterates)} iterations")
-        else:
-            current = pot
-            continue
-        if capped is not None:
-            termination += (f"; inner solve hit {capped.iterations} "
-                            f"iterations at relative residual "
-                            f"{capped.rel_residual:.1e}")
-        break
-    return ContinuationResult(tuple(steps), termination, obstructed)
+        step, stop = _schedule_entry(_ScaledSystem(flux, grid, s), a, tol,
+                                     max_newton, cube_mean)
+        if step is not None:
+            steps.append(step)
+        if stop is not None:
+            return ContinuationResult(tuple(steps), stop)
+        if warm_start:
+            a = step.potential.a
+    return ContinuationResult(tuple(steps), "completed")
 
 
 # --- per-mode kernel/image probe ----------------------------------------------
@@ -668,8 +668,9 @@ def kernel_probe(kmax: int) -> dict:
     For every integer mode k with 0 < |k|_inf <= kmax, the symbol A_k of
     b -> (dx_k ^ b) ^ *phi on 1-forms must have kernel dimension exactly 1
     (the pure gauge direction span{k}), and its column span must equal that
-    of B_k, the symbol of gamma -> dx_k ^ gamma on 5-forms: rank A_k ==
-    rank B_k == rank [A_k|B_k].
+    of B_k, the symbol of gamma -> dx_k ^ gamma on 5-forms.  A_k = B_k L
+    for the integer matrix L of b -> b ^ *phi, so span A_k lies in span B_k
+    and the spans are equal exactly when rank A_k == rank B_k.
 
     Each signed permutation g of ``tables.phi_symmetries()`` fixes phi and
     *phi and commutes with the Hodge star, so A_{gk} and B_{gk} are A_k and
@@ -688,10 +689,8 @@ def kernel_probe(kmax: int) -> dict:
     A = np.einsum("mi,ijb->mjb", reps, T)
     B = np.einsum("mi,ijg->mjg", reps, U)
     rA = bareiss_ranks(A)
-    rB = bareiss_ranks(B)
-    rAB = bareiss_ranks(np.concatenate([A, B], axis=2))
     kernel_dims = 7 - rA
-    image_ok = (rA == rB) & (rB == rAB)
+    image_ok = rA == bareiss_ranks(B)
     primitive = np.gcd.reduce(reps, axis=1) == 1
     hist = {int(k): int(sizes[kernel_dims == k].sum())
             for k in np.unique(kernel_dims)}

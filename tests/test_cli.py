@@ -84,6 +84,25 @@ def test_verify_full_catalog_and_determinism(tmp_path):
     assert len(rep["identities"]) == 12
     assert rep["float_suite"]["pass"] is True
     assert "wall" not in json.dumps(rep)  # timing never lands in the report
+    run = json.loads((out1 / "run.json").read_text())
+    assert [r["identity"] for r in run["identities"]] == list(prover.CATALOG_ORDER)
+    assert all(r["elapsed_s"] > 0 for r in run["identities"])
+    assert "elapsed_s" not in (out1 / "report.json").read_text()
+
+
+def test_verify_run_record_leaves_the_report_as_it_was(tmp_path):
+    """A mutation's run.json names the identity run with its wall time; the
+    report holds the identity's ``to_dict()`` alone, the same bytes twice."""
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert cli.main(["verify", "--mutate", "A4", "--out", str(out)]) == 1
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    rep = read_report(outs[0])
+    mutated = prover.mutate(*cli._canonical_mutation("A4"))
+    assert rep["identities"] == [prover.verify(mutated).to_dict()]
+    (timed,) = json.loads((outs[0] / "run.json").read_text())["identities"]
+    assert set(timed) == {"identity", "elapsed_s"}
+    assert timed["identity"] == mutated and timed["elapsed_s"] > 0
 
 
 def test_decompose_known_form(tmp_path):
@@ -150,6 +169,13 @@ def test_flow_then_cylinder_pipeline(tmp_path):
     assert crep["pass"] is True
     assert crep["check"]["spacing"] == pytest.approx(0.01)
     assert crep["check"]["max_res1"] < 1e-2
+    # a negative tol is refused like every numeric key, not read as a failed check
+    bad_cfg = write_config(tmp_path, "bad.json",
+                           {"trajectory": str(flow_out), "tol": -1})
+    r3 = run_cli("cylinder", "--config", bad_cfg, "--out", str(tmp_path / "bad"))
+    assert r3.returncode == 2
+    assert r3.stderr == "error: config key 'tol' must be a finite non-negative number\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_continue_short_schedule(tmp_path):
@@ -542,7 +568,11 @@ CONFIG_FUZZ = [
     # moment grids too coarse for its five-factor products (5 * kmax >= N)
     ("moment", {"grid": {"axes": [1, 2, 3], "N": 4}, "kmax": 1}),
     ("moment", {"grid": {"axes": [1, 2, 3], "N": 8}, "kmax": 2}),
-] + [(command, payload) for command, payload, _ in NAMED_FUZZ] + _scalar_sweep()
+] + [(command, payload) for command, payload, _ in NAMED_FUZZ] + _scalar_sweep() + [
+    # a key that defaults to None is checked where used, before any file is
+    # read (appended, so earlier ids stay put)
+    ("cylinder", {"trajectory": "no/such/dir", "tol": -1}),
+]
 
 
 def _assert_contract(code, capsys, out_dir=None):

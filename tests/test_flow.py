@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,36 @@ def test_mode_kernel_tensors_match_exact_wedges():
     assert np.array_equal(got_U, U)
 
 
+def test_mode_symbol_factors_through_the_five_form_symbol():
+    """T[i] = U[i] L exactly, L the 21x7 integer matrix of b -> b ^ *phi,
+    since (e_i ^ b) ^ *phi = e_i ^ (b ^ *phi).  So A_k = B_k L: span A_k
+    lies in span B_k for every k, and equal ranks mean equal spans, which
+    is all ``kernel_probe`` checks of the image."""
+    star_phi = star_phi_for(RATIONAL)
+    L = np.zeros((21, 7), dtype=np.int64)
+    for b in range(7):
+        eb = KForm.from_blades(7, 1, {(b + 1,): 1}, RATIONAL)
+        L[:, b] = [int(c) for c in wedge(eb, star_phi).coeffs]
+    T, U = tables.mode_kernel_tensors()
+    assert np.array_equal(T, np.matmul(U, L))
+
+
+def test_mode_symbol_normal_operator_is_k_squared_off_the_gauge_line():
+    """sum_ij k_i k_j T_i^T T_j + k k^T = |k|^2 I, as 28 integer identities
+    in the coefficients of k_i k_j.  So A_k^T A_k = |k|^2 I - k k^T, whose
+    kernel is span{k}: ker A_k = span{k} for every nonzero k, not only for
+    the modes the census sweeps."""
+    T = tables.mode_kernel_tensors()[0]
+    eye = np.eye(7, dtype=np.int64)
+    pairs = list(itertools.combinations_with_replacement(range(7), 2))
+    assert len(pairs) == 28
+    for i, j in pairs:
+        got = T[i].T @ T[j] + np.outer(eye[i], eye[j])
+        if i != j:  # k_i k_j collects the (i, j) and (j, i) terms
+            got = got + got.T
+        assert np.array_equal(got, eye if i == j else 0 * eye), (i, j)
+
+
 def test_mode_weight_tensor_matches_exact_wedges_at_an_integer_weight():
     """T[i][:, b] is (e_i ^ e_b) ^ W for an integer 4-form W, exactly."""
     w = [int(c) for c in np.random.default_rng(52).integers(-3, 4, 35)]
@@ -554,6 +585,26 @@ def test_a_failing_line_search_ends_the_entry(monkeypatch):
     assert st.newton_iterations == 0 and st.iterates == ()
     assert st.residual_history == (st.residual_norm,)
     assert np.array_equal(st.potential.a.coeffs, start.a.coeffs)
+
+
+def test_no_weight_outlives_its_entry(monkeypatch):
+    """Each entry's W dies with the entry: when an entry forms its first
+    residual, no W that an earlier entry's residuals returned is alive."""
+    residual = flow._ScaledSystem.residual
+    weights, stale = [], []
+
+    def tracking(system, a):
+        if all(s != system.s for s, _ in weights):  # this entry's first residual
+            stale.extend(s for s, ref in weights if ref() is not None)
+        out = residual(system, a)
+        weights.append((system.s, weakref.ref(out[1])))
+        return out
+    monkeypatch.setattr(flow._ScaledSystem, "residual", tracking)
+    res = continuation(CALIBRATED, grid=GRID, initial=_noisy_start(GRID, 1e-2, 3),
+                       warm_start=False)
+    assert res.completed and all(st.newton_iterations >= 1 for st in res.steps)
+    assert sorted({s for s, _ in weights}) == list(DEFAULT_SCHEDULE)
+    assert stale == []
 
 
 def test_continuation_reports_obstruction():
