@@ -10,8 +10,10 @@ byte-identical across runs with the same config and seed; wall time is
 printed to stdout and kept out of the report for exactly that reason.
 ``_run`` also writes <out>/run.json, the run record, when the command
 fills one: ``verify`` records each identity's wall time (``elapsed_s``) in
-the order run, and ``continue`` per schedule entry one record per Newton
-step of its inner solve, forcing tolerance, step length and min theta_s.
+the order run, ``continue`` per schedule entry one record per Newton
+step of its inner solve, forcing tolerance, step length and min theta_s,
+and ``flow`` one record per row of trajectory.csv (step 0 is the start):
+the step's wall time and the grid point of least theta, with that theta.
 Nothing of the record enters the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
@@ -455,6 +457,11 @@ def cmd_flow(cfg: dict, out_dir: str, report: dict,
         pot0 = torus.random_coclosed_potential(
             grid, flux, rng, cfg["initial_scale"], kmax)
     traj = flow.flow_run(pot0, run_cfg)
+    record["steps"] = [
+        {"step": i, "elapsed_s": float(secs), "theta_min": float(th),
+         "theta_min_point": flow._grid_point(grid, int(at))}
+        for i, (secs, th, at) in enumerate(zip(
+            traj.step_seconds, traj.theta_min_per_step, traj.theta_argmin))]
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -51,6 +52,12 @@ __all__ = [
 ]
 
 
+def _grid_point(grid: TorusGrid, index: int) -> dict:
+    """{active axis: coordinate} of the grid point at a flat index."""
+    coords = np.unravel_index(index, grid.shape)
+    return dict(zip(grid.active_axes, (int(c) for c in coords)))
+
+
 def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
     """Raise at the grid point of least theta if theta <= theta_min there.
     argmin stops at a NaN, so a non-finite theta is found here too; it is a
@@ -58,8 +65,7 @@ def _theta_guard(grid: TorusGrid, theta: np.ndarray, theta_min: float) -> None:
     worst = int(np.argmin(theta))
     _finite_value(float(theta[worst]), "theta")
     if theta[worst] <= theta_min:
-        coords = np.unravel_index(worst, grid.shape)
-        point = dict(zip(grid.active_axes, (int(c) for c in coords)))
+        point = _grid_point(grid, worst)
         raise DegenerateMetricError(
             f"theta = {theta[worst]:.6g} <= {theta_min} at grid point {point}",
             point=point, theta=float(theta[worst]))
@@ -109,12 +115,19 @@ class FlowConfig:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Flow diagnostics: per-step scalars plus potentials at sample times."""
+    """Flow diagnostics: per-step scalars plus potentials at sample times.
+
+    Each step also has the flat grid index where theta is least
+    (``theta_argmin``, the point ``_grid_point`` names) and its wall
+    seconds (``step_seconds``: the step and its diagnostics; step 0 is the
+    start's diagnostics), which the run record reads."""
 
     times: np.ndarray
     functional: np.ndarray
     residual_l2: np.ndarray
     theta_min_per_step: np.ndarray
+    theta_argmin: np.ndarray
+    step_seconds: np.ndarray
     sample_times: tuple
     samples: tuple
     termination: str
@@ -123,7 +136,8 @@ class Trajectory:
     def __post_init__(self):
         n = len(self.times)
         if not (len(self.functional) == len(self.residual_l2)
-                == len(self.theta_min_per_step) == n):
+                == len(self.theta_min_per_step) == len(self.theta_argmin)
+                == len(self.step_seconds) == n):
             raise InputError("trajectory arrays disagree in length")
 
 
@@ -141,18 +155,21 @@ def _step(pot: GaugePotential, dt: float, scheme: str, theta_min: float,
     The new potential is checked for inf and NaN."""
     if scheme not in ("euler", "rk4"):
         raise InputError("scheme must be euler or rk4")
+    grid, a0 = pot.grid, pot.a.coeffs
     with _finite(f"{scheme} step of dt = {dt:g}"):
-        k1 = _ascent(pot, theta_min, first)
+        k1 = _ascent(pot, theta_min, first).coeffs
         if scheme == "euler":
-            a = pot.a + dt * k1
+            a = a0 + dt * k1
         else:
-            def vf(a: FormField) -> FormField:
-                return _ascent(GaugePotential(a, pot.flux), theta_min)
-            k2 = vf(pot.a + (0.5 * dt) * k1)
-            k3 = vf(pot.a + (0.5 * dt) * k2)
-            k4 = vf(pot.a + dt * k3)
-            a = pot.a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return GaugePotential(_finite_field(a, "the new potential"), pot.flux)
+            def vf(a: np.ndarray) -> np.ndarray:
+                pot_a = GaugePotential(FormField._of(grid, 1, a), pot.flux)
+                return _ascent(pot_a, theta_min).coeffs
+            k2 = vf(a0 + (0.5 * dt) * k1)
+            k3 = vf(a0 + (0.5 * dt) * k2)
+            k4 = vf(a0 + dt * k3)
+            a = a0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return GaugePotential(_finite_field(FormField._of(grid, 1, a), "the new potential"),
+                              pot.flux)
 
 
 @contextmanager
@@ -168,28 +185,31 @@ def _finite(where: str):
 
 
 def _diagnostics(pot: GaugePotential):
-    """(kl_functional, residual L2 norm, min theta, (E, R(E), theta)),
-    sharing one d(a); the last is the next step's first stage.  The three
-    floats are checked for inf and NaN.
+    """(kl_functional, residual L2 norm, min theta, (E, R(E), theta), the
+    flat grid index of min theta), sharing one d(a); the fourth is the next
+    step's first stage.  The three floats are checked for inf and NaN.
 
     With D = d(a) and the constant background B, E = D + B and
-    E ^ E = D ^ D + 2 (B ^ D) + B ^ B, so the D ^ D and B ^ B that the
-    functional's segment integral forms are shared, and squaring E takes
-    one constant wedge instead of a field wedge.  D ^ D takes the power
+    E ^ E = D ^ D + 2 (B ^ D) + B ^ B, so the D ^ D that the functional's
+    segment integral forms is shared, and squaring E takes one constant
+    wedge instead of a field wedge.  B's row, 2B, B ^ B and the segment's
+    constants are the flux's, made once per Flux.  D ^ D takes the power
     table, being one field wedged with itself, and the residual's E^3 and
     the segment's D^3 are cubes from their squares, ``exalg.cube``."""
-    background = pot.flux.background_form()
+    flux = pot.flux
     D = d(pot.a)
     DD = wedge_field(D, D)
-    BB = wedge(background, background)
-    E = D + background
-    E2 = DD + wedge_const(D, background * 2.0) + BB
+    E = FormField._of(pot.grid, 2, D.coeffs + flux._background_row[:, None])
+    E2 = FormField._of(pot.grid, 4, DD.coeffs + wedge_const(D, flux._twice_background).coeffs
+                       + flux._background_sq)
     theta = ddt._theta(E2)
     R = ddt._residual(E, E2, 1.0 / 6.0)
-    return (_finite_value(_kl_segment(background, BB, D, DD, pot.a), "functional"),
+    worst = int(np.argmin(theta))
+    functional = _kl_segment(flux._background, flux._kl_constants, D, DD, pot.a)
+    return (_finite_value(functional, "functional"),
             _finite_value(field_l2(R), "residual norm"),
-            _finite_value(float(np.min(theta)), "min theta"),
-            (E, R, theta))
+            _finite_value(float(theta[worst]), "min theta"),
+            (E, R, theta), worst)
 
 
 def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
@@ -202,10 +222,12 @@ def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
     values raise NumericalError naming the step.
     """
     times, funcs, resids, thetas, sample_times, samples = [], [], [], [], [], []
+    worsts, seconds = [], []
     pot = pot0
     termination = "completed"
     stage = None
     for step in range(cfg.steps + 1):
+        t0 = time.perf_counter()
         if step:
             try:
                 pot = _step(pot, cfg.dt, cfg.scheme, cfg.theta_min, stage)
@@ -216,16 +238,19 @@ def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
                 raise NumericalError(f"flow step {step}: {e}") from None
         t = step * cfg.dt
         with _finite(f"flow step {step}"):
-            q, r, tmin, stage = _diagnostics(pot)
+            q, r, tmin, stage, worst = _diagnostics(pot)
+        seconds.append(time.perf_counter() - t0)
         times.append(t)
         funcs.append(q)
         resids.append(r)
         thetas.append(tmin)
+        worsts.append(worst)
         if step % cfg.record_every == 0 or step == cfg.steps:
             sample_times.append(t)
             samples.append(pot)
     return Trajectory(np.array(times), np.array(funcs), np.array(resids),
-                      np.array(thetas), tuple(sample_times), tuple(samples),
+                      np.array(thetas), np.array(worsts, dtype=np.int64),
+                      np.array(seconds), tuple(sample_times), tuple(samples),
                       termination, cfg)
 
 

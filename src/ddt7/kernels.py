@@ -19,18 +19,28 @@ def wedge_fields(A, B, ii, jj, ss, dim_out):
 
     The table must be grouped by output: entries o*m .. o*m + m - 1 belong
     to output o, m = len(ii) // dim_out, as ``tables.wedge_arrays`` orders
-    them, so no output row is passed.  Each block of points gathers the
-    entry products as rows and sums every output's m products with their
-    signs as one stacked (1 x m)(m x points) product, written in place into
-    the output's block.  The result dtype follows the inputs.
+    them, so no output row is passed.  ss is the table's sign column, or
+    its ``signs``: the same signs as a float64 (dim_out, 1, m) array, made
+    once per table, which float64 inputs use as they stand (other dtypes
+    convert them).  Each block of points gathers the entry products as rows
+    and sums every output's m products with their signs as one stacked
+    (1 x m)(m x points) product, written in place into the output's block.
+    When one block holds every point, the gathers take whole rows.  The
+    result dtype follows the inputs.
     """
     npts = A.shape[1]
     m = len(ii) // dim_out
     dtype = np.result_type(A, B)
     A = A.astype(dtype, copy=False)
-    signs = np.asarray(ss, dtype=dtype).reshape(dim_out, 1, m)
+    signs = ss
+    if ss.dtype != dtype or ss.ndim != 3:
+        signs = np.asarray(ss, dtype=dtype).reshape(dim_out, 1, m)
+    block = max(1, _BLOCK_BYTES // (len(ii) * dtype.itemsize))
+    if block >= npts:
+        prod = A.take(ii, axis=0)
+        prod *= B.take(jj, axis=0)
+        return np.matmul(signs, prod.reshape(dim_out, m, npts)).reshape(dim_out, npts)
     out = np.empty((dim_out, npts), dtype)
-    block = max(1, _BLOCK_BYTES // (len(ii) * out.itemsize))
     for lo in range(0, npts, block):
         hi = min(lo + block, npts)
         prod = A[ii, lo:hi]

@@ -25,12 +25,25 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _columns_by_output(table):
-    """The (i, j, out, sign) columns of a structure table, int64, stably
-    sorted by output and read-only."""
+class GroupedTable(tuple):
+    """A structure table's (i, j, out, sign) columns, int64, stably sorted
+    by output and read-only, as a 4-tuple, with ``signs``: the sign column
+    as a read-only float64 (dim_out, 1, m) array, m entries per output,
+    the form ``kernels.wedge_fields`` multiplies by, made once per table."""
+
+    signs: np.ndarray
+
+
+def _columns_by_output(table) -> GroupedTable:
+    """The ``GroupedTable`` of a structure table whose outputs all hold the
+    same number of entries."""
     t = np.asarray(table, dtype=np.int64).reshape(-1, 4)
     t = t[np.argsort(t[:, 2], kind="stable")]
-    return tuple(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+    cols = GroupedTable(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
+    dim_out = len(np.unique(cols[2]))
+    m = len(t) // max(dim_out, 1)  # an empty table has no outputs
+    cols.signs = read_only(cols[3].astype(np.float64).reshape(dim_out, 1, m))
+    return cols
 
 
 @lru_cache(maxsize=None)

@@ -171,9 +171,7 @@ class FormField:
         """An op result, unchecked: coeffs is already a C-contiguous float64
         (C(7, k), npts) array, fixed by the op's tables."""
         f = object.__new__(FormField)
-        object.__setattr__(f, "grid", grid)
-        object.__setattr__(f, "k", k)
-        object.__setattr__(f, "coeffs", coeffs)
+        f.__dict__.update(grid=grid, k=k, coeffs=coeffs)
         return f
 
     @staticmethod
@@ -202,7 +200,7 @@ class FormField:
         if isinstance(other, KForm):
             if other.n != 7 or other.k != self.k:
                 raise InputError("constant form has a different degree")
-            return np.array([float(c) for c in other.coeffs])[:, None]
+            return _column(other)
         self._compat(other)
         return other.coeffs
 
@@ -224,8 +222,20 @@ class FormField:
         return FormField._of(self.grid, self.k, -self.coeffs)
 
     def _compat(self, other: "FormField"):
-        if self.grid != other.grid or self.k != other.k:
+        if not _same_grid(self, other) or self.k != other.k:
             raise InputError("fields live on different grids or degrees")
+
+
+def _column(form: KForm) -> np.ndarray:
+    """The float64 coefficient column (dim, 1) of a constant form, which
+    broadcasts over a field's (dim, npts) coefficients."""
+    return np.array([float(c) for c in form.coeffs])[:, None]
+
+
+def _same_grid(f: FormField, g: FormField) -> bool:
+    """Whether two fields live on one grid; an op's operands usually share
+    the grid object, which is tested before the field-wise equality."""
+    return f.grid is g.grid or f.grid == g.grid
 
 
 @lru_cache(maxsize=8)
@@ -361,7 +371,7 @@ def codiff(f: FormField) -> FormField:
 def wedge_field(f: FormField, g: FormField) -> FormField:
     """f ^ g.  A 2-form field wedged with itself (the same object) takes
     the power table, 3 products per output instead of 6."""
-    if f.grid != g.grid:
+    if not _same_grid(f, g):
         raise InputError("fields live on different grids")
     if f.k + g.k > 7:
         raise InputError(f"wedge of degrees {f.k} and {g.k} exceeds 7")
@@ -369,36 +379,34 @@ def wedge_field(f: FormField, g: FormField) -> FormField:
         table = tables.power_arrays(7, 2)
     else:
         table = tables.wedge_arrays(7, f.k, g.k)
-    return _wedge_by(f, g, table)
+    return _wedge_by(f, g, table, f.k + g.k)
 
 
 def cube_field(E: FormField, E2: FormField) -> FormField:
     """E^3 from a 2-form field E and its square E2 = E ^ E, through the
     power table: 5 products per output instead of 15."""
-    if E.grid != E2.grid:
+    if not _same_grid(E, E2):
         raise InputError("fields live on different grids")
     if E.k != 2 or E2.k != 4:
         raise InputError(f"cube takes a 2-form and its square, got degrees {E.k} and {E2.k}")
-    return _wedge_by(E, E2, tables.power_arrays(7, 3))
+    return _wedge_by(E, E2, tables.power_arrays(7, 3), 6)
 
 
 def interior_field(b: FormField, a: FormField) -> FormField:
     """i(b#) a for a 1-form field b and a 2-form field a: the blocked wedge
     kernel over ``tables.interior_arrays``, 6 products per output."""
-    if b.grid != a.grid:
+    if not _same_grid(b, a):
         raise InputError("fields live on different grids")
     if b.k != 1 or a.k != 2:
         raise InputError(f"interior product takes a 1-form and a 2-form, "
                          f"got degrees {b.k} and {a.k}")
-    ii, jj, _, ss = tables.interior_arrays()
-    return FormField._of(b.grid, 1, wedge_fields(b.coeffs, a.coeffs, ii, jj, ss, 7))
+    return _wedge_by(b, a, tables.interior_arrays(), 1)
 
 
-def _wedge_by(f: FormField, g: FormField, table) -> FormField:
-    ii, jj, _, ss = table
-    k = f.k + g.k
-    return FormField._of(f.grid, k, wedge_fields(f.coeffs, g.coeffs, ii, jj, ss,
-                                                 len(blades(7, k))))
+def _wedge_by(f: FormField, g: FormField, table, k: int) -> FormField:
+    """The degree-k field of ``wedge_fields`` over a grouped table."""
+    return FormField._of(f.grid, k, wedge_fields(f.coeffs, g.coeffs, table[0], table[1],
+                                                 table.signs, len(table.signs)))
 
 
 def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:
@@ -452,6 +460,13 @@ class Flux:
 
     The background curvature contribution is 2*pi * sum_{i<j} n_ij dx^i^dx^j.
     Entries are bounded by 2^53 in absolute value, so float64 holds each.
+
+    The background's constants, which every flow step and functional
+    reads, are derived once per Flux object, as cached properties (like
+    ``TorusGrid.npts``; equality and hashing ignore them): its coefficient
+    row, its float form B, 2B, the column of B ^ B, and the KL segment's
+    ``_kl_constants`` at B.  Each is at most 35 numbers, never field data,
+    and each array is read-only.
     """
 
     upper: tuple
@@ -484,14 +499,35 @@ class Flux:
         """The integer 2-form (without the 2*pi), exact over RATIONAL."""
         return KForm.from_coeffs(7, 2, list(self.upper), RATIONAL)
 
+    @cached_property
     def _background_row(self) -> np.ndarray:
-        """The 21 coefficients 2*pi*n of the background curvature."""
-        return 2.0 * math.pi * np.array(self.upper, dtype=np.float64)
+        """The 21 coefficients 2*pi*n of the background curvature, read-only."""
+        return tables.read_only(2.0 * math.pi * np.array(self.upper, dtype=np.float64))
+
+    @cached_property
+    def _background(self) -> KForm:
+        return KForm(7, 2, tuple(self._background_row.tolist()), FLOAT)
 
     def background_form(self) -> KForm:
         """The background curvature 2*pi*n as a constant float KForm; a
         field operand takes it through ``exalg.wedge`` or ``+``."""
-        return KForm(7, 2, tuple(self._background_row().tolist()), FLOAT)
+        return self._background
+
+    @cached_property
+    def _twice_background(self) -> KForm:
+        return self._background * 2.0
+
+    @cached_property
+    def _background_sq(self) -> np.ndarray:
+        """The (35, 1) coefficient column of B ^ B."""
+        return tables.read_only(_column(wedge(self._background, self._background)))
+
+    @cached_property
+    def _kl_constants(self) -> tuple:
+        """``_kl_constants`` at the constant start curvature B."""
+        B = self._background
+        r0, w0 = _kl_constants(B, wedge(B, B))
+        return tables.read_only(r0), w0
 
 
 @dataclass(frozen=True)
@@ -517,7 +553,7 @@ def zero_potential(grid: TorusGrid, flux: Flux) -> GaugePotential:
 def curvature(pot: GaugePotential) -> FormField:
     """E = 2*pi*flux + d a; closed, mean equal to the background."""
     return FormField._of(pot.grid, 2,
-                         pot.flux._background_row()[:, None] + d(pot.a).coeffs)
+                         pot.flux._background_row[:, None] + d(pot.a).coeffs)
 
 
 def _finite_value(x: float, what: str) -> float:
@@ -575,27 +611,39 @@ def kl_segment_integral(E0: FormField | KForm, D: FormField,
     product to the exact-table wedge, so for a constant E0 the forms E0^E0,
     r0 and the weight are constants and r1, r2 are one matmul each.
     """
-    return _kl_segment(E0, wedge(E0, E0), D, wedge_field(D, D), delta)
+    return _kl_segment(E0, _kl_constants(E0, wedge(E0, E0)), D, wedge_field(D, D),
+                       delta)
 
 
-def _kl_segment(E0, E0sq: FormField | KForm, D: FormField, DD: FormField,
-                delta: FormField) -> float:
-    """``kl_segment_integral`` from E0sq = E0 ^ E0 and DD = D ^ D, which
-    ``flow``'s diagnostics share with the square of E0 + D.  The cubes
-    E0^3 (in r0) and D^3 (in r3) are each formed from their square by
-    ``exalg.cube``: a KForm power for a constant E0, ``cube_field`` for D."""
+def _kl_constants(E0, E0sq: FormField | KForm) -> tuple:
+    """(r0, w0) at E0, from E0sq = E0 ^ E0: the coefficients of the
+    residual r0 (a field's, or a constant's column) and the residual weight
+    w0 = E0^2/2 - *phi.  The cube E0^3 in r0 is formed from its square by
+    ``exalg.cube``.  For the flux background they are
+    ``Flux._kl_constants``."""
     r0 = ddt._residual(E0, E0sq, _SIXTH)
-    r1 = wedge(D, ddt._residual_weight(E0sq, _SIXTH))
+    r0 = _column(r0) if r0.__class__ is KForm else r0.coeffs
+    return r0, ddt._residual_weight(E0sq, _SIXTH)
+
+
+def _kl_segment(E0, constants: tuple, D: FormField, DD: FormField,
+                delta: FormField) -> float:
+    """``kl_segment_integral`` from E0's ``_kl_constants`` and DD = D ^ D,
+    which ``flow``'s diagnostics share with the square of E0 + D.  The cube
+    D^3 in r3 is formed from DD by ``cube_field``."""
+    r0, w0 = constants
+    r1 = wedge(D, w0)
     r2 = 0.5 * wedge(E0, DD)
     r3 = (1.0 / 6.0) * cube(D, DD)
-    avg = 0.5 * r1 + r0 + (1.0 / 3.0) * r2 + 0.25 * r3  # a field first: r0 may be a KForm
-    return integrate(wedge_field(delta, avg))
+    avg = 0.5 * r1.coeffs + r0 + (1.0 / 3.0) * r2.coeffs + 0.25 * r3.coeffs
+    return integrate(wedge_field(delta, FormField._of(D.grid, 6, avg)))
 
 
 def kl_functional(pot: GaugePotential) -> float:
     """Potential of the one-form, normalized to 0 at a = 0."""
+    flux, D = pot.flux, d(pot.a)
     return _finite_value(
-        kl_segment_integral(pot.flux.background_form(), d(pot.a), pot.a),
+        _kl_segment(flux._background, flux._kl_constants, D, wedge_field(D, D), pot.a),
         "kl_functional")
 
 

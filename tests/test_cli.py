@@ -3,6 +3,7 @@ and byte-level determinism; a seeded table of malformed configs and
 snapshots run in-process through ``cli.main`` against the exit-code
 contract."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddt7 import cli, prover
-from ddt7.torus import FormField, TorusGrid, load_field, load_flux, save_field
+from ddt7 import cli, ddt, prover
+from ddt7.torus import (FormField, GaugePotential, TorusGrid, curvature, load_field,
+                        load_flux, save_field)
 
 E12 = [1.0] + [0.0] * 20
 
@@ -233,6 +235,56 @@ def test_continue_writes_a_run_record_beside_a_stable_report(tmp_path):
             assert set(it["inner"]) == {"iterations", "rel_residual", "hit_max_iter"}
             assert it["inner"]["iterations"] >= 1 and it["theta_min"] > 0
     assert "inner_tol" not in (outs[0] / "report.json").read_text()
+
+
+# sha256 of a 20-step 16-point rk4 flow's outputs (seed 7), as written
+# before the run record existed: trajectory.csv then each sample file, and
+# report.json without its versions (keys sorted, no indent).  Taken with
+# numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64 with AVX-512; a change that
+# moves these floats by rounding updates them and says so.
+FLOW_OUTPUTS_SHA256 = "4dd1ac0ca3401db6e9d702a341f08d618e7396eb4285782243dada62deea2812"
+FLOW_REPORT_SHA256 = "ebda48ce8ce6111a30e59b877386be7f5730aebeb71ead7196ccf3bb71a28846"
+
+
+def test_flow_writes_a_run_record_beside_unchanged_outputs(tmp_path):
+    """run.json holds one record per row of trajectory.csv (step 0 is the
+    start): its wall seconds, min theta and the grid point where theta is
+    least, named as the theta guard names it.  report.json, trajectory.csv
+    and the samples are byte-identical across two runs and keep the
+    bytes they had before the record."""
+    cfg = write_config(tmp_path, "f.json", {
+        "flux": {"1,2": 1, "4,7": 1}, "scheme": "rk4", "steps": 20,
+        "record_every": 10, "seed": 7})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        r = run_cli("flow", "--config", cfg, "--out", str(out))
+        assert r.returncode == 0, r.stderr
+    rep = read_report(outs[0])
+    files = ["report.json", "trajectory.csv"] + rep["sample_files"]
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    data = b"".join((outs[0] / name).read_bytes() for name in files[1:])
+    assert hashlib.sha256(data).hexdigest() == FLOW_OUTPUTS_SHA256
+    del rep["versions"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() \
+        == FLOW_REPORT_SHA256
+    run = json.loads((outs[0] / "run.json").read_text())
+    rows = (outs[0] / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(run["steps"]) == len(rows) == rep["steps_taken"] + 1 == 21
+    for i, (rec, row) in enumerate(zip(run["steps"], rows)):
+        assert set(rec) == {"step", "elapsed_s", "theta_min", "theta_min_point"}
+        assert rec["step"] == i and rec["elapsed_s"] > 0
+        assert rec["theta_min"] == float(row.split(",")[3])
+        point = rec["theta_min_point"]
+        assert list(point) == ["1", "2"] and all(0 <= c < 4 for c in point.values())
+    flux = load_flux(outs[0] / "flux.txt")
+    for t, name in zip(rep["sample_times"], rep["sample_files"]):
+        pot = GaugePotential(load_field(outs[0] / name), flux)
+        theta = ddt.theta_weight(curvature(pot))
+        worst = np.unravel_index(int(np.argmin(theta)), (4, 4))
+        point = run["steps"][round(t / 1e-3)]["theta_min_point"]
+        assert point == {"1": int(worst[0]), "2": int(worst[1])}
+    assert "elapsed_s" not in (outs[0] / "report.json").read_text()
 
 
 def test_continue_stops_where_theta_s_is_not_positive(tmp_path):

@@ -260,6 +260,67 @@ def test_flow_diagnostics_equal_the_public_functionals():
     assert np.all(np.abs(traj.theta_min_per_step - theta) <= 1e-13 * theta)
 
 
+def test_flow_run_steps_repeat_no_exact_layer_work(monkeypatch):
+    """Work counts that need no timing: in a 16-point rk4 ``flow_run`` over
+    a fresh Flux, the background's constants (B ^ B, the segment's r0 and
+    weight) take the exact layer's ``_accumulate`` only at the start's
+    diagnostics; every later step makes none, and 18 wedge-kernel calls
+    (14 for the step, 4 for its diagnostics)."""
+    flux = Flux(CALIBRATED.upper)
+    pot0 = random_coclosed_potential(GRID, flux, np.random.default_rng(28), scale=0.02)
+    calls = {"_accumulate": 0, "wedge_fields": 0}
+    at_diagnostics = []
+    for module, name in ((exalg, "_accumulate"), (torus, "wedge_fields")):
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    real_diagnostics = flow._diagnostics
+
+    def diagnostics(pot):
+        out = real_diagnostics(pot)
+        at_diagnostics.append(dict(calls))
+        return out
+    monkeypatch.setattr(flow, "_diagnostics", diagnostics)
+    traj = flow_run(pot0, FlowConfig(dt=1e-3, steps=6, scheme="rk4", record_every=3))
+    assert traj.termination == "completed" and len(at_diagnostics) == 7
+    assert at_diagnostics[0]["_accumulate"] > 0
+    for before, after in zip(at_diagnostics, at_diagnostics[1:]):
+        assert after["_accumulate"] == before["_accumulate"]
+        assert after["wedge_fields"] - before["wedge_fields"] == 18
+
+
+def test_flux_constants_are_made_once_and_shared():
+    """A Flux derives its background's constants once: the row is
+    read-only, an equal fresh Flux derives the same numbers, and the
+    functional that ``flow_run`` records from them is ``kl_functional``
+    of each sample bit for bit, here on a fresh Flux equal to the run's."""
+    flux = Flux(CALIBRATED.upper)
+    row = flux._background_row
+    assert row is flux._background_row
+    assert np.array_equal(row, 2.0 * math.pi * np.array(flux.upper, dtype=np.float64))
+    r0, w0 = flux._kl_constants
+    for a in (row, flux._background_sq, r0):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    fresh = Flux(CALIBRATED.upper)
+    assert fresh == flux and hash(fresh) == hash(flux)
+    assert fresh._background_row is not row
+    for name in ("_background_row", "_background_sq"):
+        assert getattr(fresh, name).tobytes() == getattr(flux, name).tobytes(), name
+    for name in ("_background", "_twice_background"):
+        assert getattr(fresh, name).coeffs == getattr(flux, name).coeffs, name
+    assert fresh.background_form() is fresh._background
+    assert fresh._kl_constants[0].tobytes() == r0.tobytes()
+    assert fresh._kl_constants[1].coeffs == w0.coeffs
+    pot0 = random_coclosed_potential(GRID, flux, np.random.default_rng(29), scale=0.02)
+    traj = flow_run(pot0, FlowConfig(dt=1e-3, steps=8, scheme="rk4", record_every=1))
+    assert np.array_equal(traj.functional, [
+        kl_functional(GaugePotential(p.a, Flux(CALIBRATED.upper))) for p in traj.samples])
+
+
 def test_spin7_residuals_vanish_along_ascent():
     rng = np.random.default_rng(22)
     pot = random_coclosed_potential(GRID, CALIBRATED, rng, scale=0.1)

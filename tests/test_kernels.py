@@ -196,6 +196,46 @@ def test_wedge_kernel_takes_dtype_from_inputs():
     assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
+KERNEL_TABLES = ([tables.wedge_arrays(7, p, q) for p, q in DEGREE_PAIRS]
+                 + [tables.power_arrays(7, 2), tables.power_arrays(7, 3),
+                    tables.interior_arrays()])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_one_block_gather_is_the_blocked_kernel_bitwise(monkeypatch, dtype):
+    """Every table the kernel serves gives the same bits on 512 points when
+    one block holds them all (whole-row ``take``) and when ``_BLOCK_BYTES``
+    cuts them into 64-point blocks of column slices, with the table's float
+    ``signs`` or its int64 sign column.  The stacked matmul rounds a block
+    whose width is not a multiple of the SIMD width differently in its
+    tail, so uneven blocks (here 4 KiB ones) agree only to rounding."""
+    rng = np.random.default_rng(36)
+    itemsize = np.dtype(dtype).itemsize
+    for table in KERNEL_TABLES:
+        ii, jj, oo, ss = table
+        dim_out = len(table.signs)
+        assert table.signs.shape == (dim_out, 1, len(ii) // dim_out)
+        assert np.array_equal(table.signs.ravel(), ss)
+        A, B = (_normal_rows(rng, 512, int(idx.max()) + 1).astype(dtype)
+                for idx in (ii, jj))
+        if dtype is np.complex128:
+            A += 1j * _normal_rows(rng, 512, A.shape[0])
+            B += 1j * _normal_rows(rng, 512, B.shape[0])
+        outs = {}
+        for path, block_bytes in (("one", 1 << 40), ("64", 64 * len(ii) * itemsize),
+                                  ("uneven", 1 << 12)):
+            monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
+            for signs in (table.signs, ss):
+                out = kernels.wedge_fields(A, B, ii, jj, signs, dim_out)
+                assert out.dtype == dtype and out.flags.c_contiguous
+                outs.setdefault(path, []).append(out)
+        want = outs["one"][0]
+        for out in outs["one"][1:] + outs["64"]:
+            assert out.tobytes() == want.tobytes(), len(ii)
+        for out in outs["uneven"]:
+            assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_power_arrays_are_the_power_table_times_k():
     for k in (2, 3):
         ii, jj, oo, ss = tables.power_arrays(7, k)
