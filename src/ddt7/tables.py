@@ -40,8 +40,8 @@ def _columns_by_output(table) -> GroupedTable:
     t = np.asarray(table, dtype=np.int64).reshape(-1, 4)
     t = t[np.argsort(t[:, 2], kind="stable")]
     cols = GroupedTable(read_only(np.ascontiguousarray(t[:, c])) for c in range(4))
-    dim_out = len(np.unique(cols[2]))
-    m = len(t) // max(dim_out, 1)  # an empty table has no outputs
+    dim_out = int(cols[2][-1]) + 1 if len(t) else 0  # outputs run 0 .. dim_out - 1
+    m = len(t) // max(dim_out, 1)
     cols.signs = read_only(cols[3].astype(np.float64).reshape(dim_out, 1, m))
     return cols
 
