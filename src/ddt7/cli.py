@@ -8,13 +8,15 @@ config and the versions, the command's own keys, and ``pass``, true
 exactly when the exit code is 0.  Reports, CSV files, and snapshots are
 byte-identical across runs with the same config and seed; wall time is
 printed to stdout and kept out of the report for exactly that reason.
-``_run`` also writes <out>/run.json, the run record, when the command
-fills one: ``verify`` records each identity's wall time (``elapsed_s``) in
-the order run, ``continue`` per schedule entry one record per Newton
-step of its inner solve, forcing tolerance, step length and min theta_s,
-and ``flow`` one record per row of trajectory.csv (step 0 is the start):
-the step's wall time and the grid point of least theta, with that theta.
-Nothing of the record enters the report.
+``_run`` also writes <out>/run.json, the run record, for every command:
+its ``process`` block holds the minor page faults taken over the command
+(``minor_faults``) and the process's peak resident set (``peak_rss_mib``).
+``verify`` adds each identity's wall time (``elapsed_s``) in the order
+run, ``continue`` per schedule entry one record per Newton step of its
+inner solve, forcing tolerance, step length and min theta_s, and ``flow``
+one record per row of trajectory.csv (step 0 is the start): the step's
+wall time and the grid point of least theta, with that theta.  Nothing
+of the record enters the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 unreadable or unwritable path), 3 numerical failure (Newton divergence,
@@ -28,6 +30,7 @@ import copy
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -653,21 +656,23 @@ def _run(command: str, cfg: dict, out_dir: str) -> int:
 
     The report starts as the envelope (command, effective config, versions);
     the command adds its own keys and returns its exit code and summary
-    lines.  An obstruction exits 3 with the keys added so far.  The run
-    record starts empty; run.json is written when the command filled it.
+    lines.  An obstruction exits 3 with the keys added so far.  The command
+    fills the run record as it goes, and the record ends with the process
+    block: minor page faults over the command and the peak resident set.
     """
     report = {"command": command, "config": cfg, "versions": _versions()}
     record = {}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         code, lines = _COMMANDS[command][1](cfg, out_dir, report, record)
     except ObstructionError as e:
         report.update(obstructed=True, message=str(e))
         code, lines = 3, [f"obstruction: {e}"]
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    record["process"] = {"minor_faults": usage.ru_minflt - faults,
+                         "peak_rss_mib": usage.ru_maxrss / 1024}  # KiB on Linux
     report["pass"] = code == 0
-    files = {"report.json": report}
-    if record:
-        files["run.json"] = record
-    _write_json(out_dir, files)
+    _write_json(out_dir, {"report.json": report, "run.json": record})
     for line in lines:
         print(line)
     return code

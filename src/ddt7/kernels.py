@@ -5,13 +5,56 @@ and only ``torus`` calls it (``wedge_field``, ``cube_field`` and, over the
 contraction table, ``interior_field``; the CG adjoint in ``flow`` is a
 ``wedge_field`` between two Hodge stars).
 ``hodge_fields`` is a signed row gather.
+
+Importing this module sets the C library's malloc thresholds once, for the
+whole process, when that library is glibc (see ``_hold_freed_heap``).
 """
 from __future__ import annotations
 
+import ctypes
+import os
+
 import numpy as np
 
-# bytes per gathered temporary; 256 KiB blocks ran slower end to end
+# bytes per gathered temporary.  Block width fixes each point's rounding
+# (the tail of a block whose width is not a multiple of the SIMD width
+# rounds differently), so changing it moves outputs.  256 KiB blocks ran
+# slower when freed temporaries were still trimmed and faulted back in
+# (see _hold_freed_heap); not measured since.
 _BLOCK_BYTES = 1 << 17
+
+# glibc's mallopt parameters (malloc.h) and the ceiling its adaptive rule
+# reaches: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, trim at twice that
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _hold_freed_heap() -> None:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB.
+
+    glibc starts both near 128 KiB and raises them only when the process
+    frees an mmapped block, up to these values once it frees a 32 MiB one.
+    At desk and benchmark scale the field solvers never free a block that
+    large, so their short-lived (npts x 35) temporaries were trimmed from
+    the top of the heap and faulted back in on every rk4 stage.  Setting
+    the ceiling at once keeps blocks under 32 MiB on the heap and up to
+    64 MiB of free heap top mapped.  Process-wide, when the module is first
+    imported; nothing runs on another C library, and no arithmetic changes.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt  # int mallopt(int, int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_hold_freed_heap()
 
 
 def wedge_fields(A, B, ii, jj, ss, dim_out):

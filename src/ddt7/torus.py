@@ -792,7 +792,9 @@ def random_field(grid: TorusGrid, k: int, rng: np.random.Generator,
     dim = len(blades(7, k))
     amps = rng.normal(0.0, scale / math.sqrt(max(len(modes), 1)),
                       (len(modes), 2, dim))
-    vals = np.empty((dim, grid.npts))  # before the spectrum: fewer page faults
+    # allocated before the spectrum, an order that faulted less while glibc
+    # still trimmed freed heap (see kernels._hold_freed_heap); not re-measured
+    vals = np.empty((dim, grid.npts))
     spec = np.zeros((dim,) + grid.shape, dtype=np.complex128)
     np.add.at(spec, (slice(None),) + tuple(modes.T % grid.N),
               (amps[:, 0] - 1j * amps[:, 1]).T)

@@ -474,6 +474,39 @@ def test_every_report_has_the_envelope_and_pass_means_exit_0(tmp_path, capsys):
             assert stdout.startswith("obstruction: ")
 
 
+def test_every_command_writes_a_process_record_beside_a_stable_report(tmp_path,
+                                                                      capsys):
+    """Each of the seven subcommands writes run.json with its process block
+    (minor page faults over the command, peak RSS), and two runs of each
+    write report.json with the same bytes."""
+    calibrated = {"1,2": 1, "4,7": 1}
+    runs = [
+        (["verify", "--mutate", "A5"], None, 1),
+        (["decompose"], {"coefficients": E12}, 0),
+        (["instanton"], {"flux": calibrated}, 0),
+        (["continue"], {"flux": calibrated, "schedule": [0.0, 1.0]}, 0),
+        (["flow"], {"flux": calibrated, "steps": 20}, 0),
+        (["cylinder"], {"trajectory": str(tmp_path / "flow" / "a")}, 0),
+        (["moment"], {"samples": 1}, 0),
+    ]
+    assert [argv[0] for argv, _, _ in runs] == list(cli._COMMANDS)
+    for argv, payload, want in runs:
+        if payload is not None:
+            argv = argv + ["--config", write_config(tmp_path, "c.json", payload)]
+        outs = [tmp_path / argv[0] / side for side in "ab"]
+        for out in outs:
+            assert cli.main(argv + ["--out", str(out)]) == want, argv
+        capsys.readouterr()
+        assert (outs[0] / "report.json").read_bytes() \
+            == (outs[1] / "report.json").read_bytes(), argv[0]
+        for out in outs:
+            process = json.loads((out / "run.json").read_text())["process"]
+            assert set(process) == {"minor_faults", "peak_rss_mib"}
+            assert isinstance(process["minor_faults"], int)
+            assert process["minor_faults"] >= 0 and process["peak_rss_mib"] > 0
+        assert "minor_faults" not in (outs[0] / "report.json").read_text()
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["flow"], {"initial_scale": -0.5}),
     (["moment"], {"scale": -0.05}),

@@ -4,11 +4,7 @@ calibrated-background solve, scale continuation, and the per-mode probe."""
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -841,23 +837,16 @@ def test_kernel_probe_counts_by_orbit(kmax):
     assert out["all_pass"]
 
 
-def test_kernel_probe_at_the_cap_in_bounded_memory():
+def test_kernel_probe_at_the_cap_in_bounded_memory(run_child):
     """kernel_probe at kmax = 4 (4,782,968 modes) in a child limited to
     512 MiB of address space, one BLAS thread so the limit does not depend
     on the core count."""
     kmax = flow._KMAX_CAP
     modes = (2 * kmax + 1) ** 7 - 1
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({512 << 20},) * 2)\n"
-            "import json\n"
-            "from ddt7 import flow\n"
-            f"print(json.dumps(flow.kernel_probe({kmax})))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=600, env=env)
+    run = run_child("import json\n"
+                    "from ddt7 import flow\n"
+                    f"print(json.dumps(flow.kernel_probe({kmax})))\n",
+                    address_limit=512 << 20)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     assert (out["orbits"], out["representatives"]) == CENSUS_COUNTS[kmax]

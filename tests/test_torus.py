@@ -3,12 +3,8 @@ moves, and the two file formats."""
 
 import itertools
 import math
-import os
 import struct
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,24 +236,17 @@ def test_coclosed_project_matches_the_full_fft_formula(grid):
 _ADDRESS_LIMIT = 512 * 2 ** 20
 
 
-def test_largest_cli_grid_builds_a_coclosed_potential_in_bounded_memory():
+def test_largest_cli_grid_builds_a_coclosed_potential_in_bounded_memory(run_child):
     """random_coclosed_potential on the CLI's largest 6-axis grid (N = 8,
     262,144 points) in a child limited to 512 MiB of address space, one
     BLAS thread so the limit does not depend on the core count."""
-    code = ("import resource\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({_ADDRESS_LIMIT},) * 2)\n"
-            "import numpy as np\n"
-            "from ddt7 import torus\n"
-            "grid = torus.TorusGrid((1, 2, 3, 4, 5, 6), 8)\n"
-            "pot = torus.random_coclosed_potential(\n"
-            "    grid, torus.Flux.zero(), np.random.default_rng(0))\n"
-            "print(pot.a.values.shape)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=600, env=env)
+    run = run_child("import numpy as np\n"
+                    "from ddt7 import torus\n"
+                    "grid = torus.TorusGrid((1, 2, 3, 4, 5, 6), 8)\n"
+                    "pot = torus.random_coclosed_potential(\n"
+                    "    grid, torus.Flux.zero(), np.random.default_rng(0))\n"
+                    "print(pot.a.values.shape)\n",
+                    address_limit=_ADDRESS_LIMIT)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "(262144, 7)"
 
