@@ -12,11 +12,12 @@ printed to stdout and kept out of the report for exactly that reason.
 its ``process`` block holds the minor page faults taken over the command
 (``minor_faults``) and the process's peak resident set (``peak_rss_mib``).
 ``verify`` adds each identity's wall time (``elapsed_s``) in the order
-run, ``continue`` per schedule entry one record per Newton step of its
-inner solve, forcing tolerance, step length and min theta_s, and ``flow``
-one record per row of trajectory.csv (step 0 is the start): the step's
-wall time and the grid point of least theta, with that theta.  Nothing
-of the record enters the report.
+run, ``moment`` each draw's wall time (``elapsed_s``) in order,
+``continue`` per schedule entry one record per Newton step of its inner
+solve, forcing tolerance, step length and min theta_s, and ``flow`` one
+record per row of trajectory.csv (step 0 is the start): the step's wall
+time and the grid point of least theta, with that theta.  Nothing of the
+record enters the report.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 unreadable or unwritable path), 3 numerical failure (Newton divergence,
@@ -577,7 +578,9 @@ def cmd_moment(cfg: dict, out_dir: str, report: dict,
     worst = {"derivative_match": 0.0, "theta3_antisymmetry": 0.0,
              "dtheta4_closedness": 0.0, "gauge_kl": 0.0, "gauge_nu": 0.0,
              "gauge_theta3": 0.0, "gauge_residual": 0.0}
+    record["draws"] = []
     for i in range(samples):
+        start = time.perf_counter()
         with flow._finite(f"moment draw {i + 1}"):
             pot = torus.random_potential(grid, flux, rng, scale, kmax)
             g1f = torus.random_field(grid, 0, rng, scale, kmax)
@@ -622,6 +625,8 @@ def cmd_moment(cfg: dict, out_dir: str, report: dict,
             _, r1 = torus.residual_field(shifted)
             worst["gauge_residual"] = max(worst["gauge_residual"],
                                           abs(r1 - r0) / max(1.0, r0))
+        record["draws"].append({"draw": i + 1,
+                                "elapsed_s": time.perf_counter() - start})
     tol = cfg["tol"]
     report["checks"] = {name: {"max": v, "pass": bool(v <= tol)}
                         for name, v in worst.items()}

@@ -16,12 +16,12 @@ import os
 
 import numpy as np
 
-# bytes per gathered temporary.  Block width fixes each point's rounding
-# (the tail of a block whose width is not a multiple of the SIMD width
-# rounds differently), so changing it moves outputs.  256 KiB blocks ran
-# slower when freed temporaries were still trimmed and faulted back in
-# (see _hold_freed_heap); not measured since.
-_BLOCK_BYTES = 1 << 17
+# bytes per gathered temporary: at 512 points every float64 table of up to
+# 128 entries is one block, and at 4096 points a block fits a 2 MiB L2.
+# Blocks are cut at multiples of 64 points (at least 64, past the budget
+# if need be), so every block's SIMD lanes fall where one whole-row block's
+# would and a point's bits do not depend on the budget.
+_BLOCK_BYTES = 1 << 19
 
 # glibc's mallopt parameters (malloc.h) and the ceiling its adaptive rule
 # reaches: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit, trim at twice that
@@ -68,7 +68,11 @@ def wedge_fields(A, B, ii, jj, ss, dim_out):
     convert them).  Each block of points gathers the entry products as rows
     and sums every output's m products with their signs as one stacked
     (1 x m)(m x points) product, written in place into the output's block.
-    When one block holds every point, the gathers take whole rows.  The
+    A block is the widest multiple of 64 points whose products fit in
+    ``_BLOCK_BYTES`` (64 points if none does); when one block holds every
+    point, the gathers take whole rows.  Each point's bits are the same
+    for any budget (but for complex inputs of odd width under a threaded
+    BLAS, whose whole-row product splits where no block would).  The
     result dtype follows the inputs.
     """
     npts = A.shape[1]
@@ -78,7 +82,7 @@ def wedge_fields(A, B, ii, jj, ss, dim_out):
     signs = ss
     if ss.dtype != dtype or ss.ndim != 3:
         signs = np.asarray(ss, dtype=dtype).reshape(dim_out, 1, m)
-    block = max(1, _BLOCK_BYTES // (len(ii) * dtype.itemsize))
+    block = max(64, _BLOCK_BYTES // (len(ii) * dtype.itemsize) // 64 * 64)
     if block >= npts:
         prod = A.take(ii, axis=0)
         prod *= B.take(jj, axis=0)

@@ -334,6 +334,20 @@ def test_moment_checks_pass(tmp_path):
     assert rep["checks"]["theta3_antisymmetry"]["max"] == 0.0
 
 
+def test_moment_records_each_draw_in_order(tmp_path, capsys):
+    """run.json holds one entry per draw, numbered from 1 in the order run,
+    with its wall seconds; none of it enters report.json."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.json", {"samples": 3, "seed": 4})
+    assert cli.main(["moment", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    draws = json.loads((out / "run.json").read_text())["draws"]
+    assert len(draws) == read_report(out)["config"]["samples"] == 3
+    assert [d["draw"] for d in draws] == [1, 2, 3]
+    assert all(set(d) == {"draw", "elapsed_s"} and d["elapsed_s"] > 0 for d in draws)
+    assert "elapsed_s" not in (out / "report.json").read_text()
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"tyop": 1})
     r = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "o"))

@@ -202,39 +202,96 @@ KERNEL_TABLES = ([tables.wedge_arrays(7, p, q) for p, q in DEGREE_PAIRS]
                     tables.interior_arrays()])
 
 
+def _kernel_inputs(rng, table, npts, dtype):
+    """Unit-normal A and B for ``table`` on ``npts`` points, in ``dtype``."""
+    ii, jj, _, _ = table
+    A, B = (_normal_rows(rng, npts, int(idx.max()) + 1).astype(dtype) for idx in (ii, jj))
+    if dtype is np.complex128:
+        A += 1j * _normal_rows(rng, npts, A.shape[0])
+        B += 1j * _normal_rows(rng, npts, B.shape[0])
+    return A, B
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_one_block_gather_is_the_blocked_kernel_bitwise(monkeypatch, dtype):
-    """Every table the kernel serves gives the same bits on 512 points when
-    one block holds them all (whole-row ``take``) and when ``_BLOCK_BYTES``
-    cuts them into 64-point blocks of column slices, with the table's float
-    ``signs`` or its int64 sign column.  The stacked matmul rounds a block
-    whose width is not a multiple of the SIMD width differently in its
-    tail, so uneven blocks (here 4 KiB ones) agree only to rounding."""
+    """Every table the kernel serves gives the same bits on 512 and on 600
+    points when one block holds them all (whole-row ``take``), when
+    ``_BLOCK_BYTES`` cuts them into 64-point blocks of column slices, and
+    when a 4 KiB budget does (64-point blocks, or 512 for a one-entry
+    table), with the table's float ``signs`` or its int64 sign column.
+    Widths are multiples of 64 points, so each block's SIMD lanes fall
+    where the whole row's do; 600 points end in a short 24-point block."""
     rng = np.random.default_rng(36)
     itemsize = np.dtype(dtype).itemsize
-    for table in KERNEL_TABLES:
-        ii, jj, oo, ss = table
-        dim_out = len(table.signs)
-        assert table.signs.shape == (dim_out, 1, len(ii) // dim_out)
-        assert np.array_equal(table.signs.ravel(), ss)
-        A, B = (_normal_rows(rng, 512, int(idx.max()) + 1).astype(dtype)
-                for idx in (ii, jj))
-        if dtype is np.complex128:
-            A += 1j * _normal_rows(rng, 512, A.shape[0])
-            B += 1j * _normal_rows(rng, 512, B.shape[0])
-        outs = {}
-        for path, block_bytes in (("one", 1 << 40), ("64", 64 * len(ii) * itemsize),
-                                  ("uneven", 1 << 12)):
-            monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
-            for signs in (table.signs, ss):
-                out = kernels.wedge_fields(A, B, ii, jj, signs, dim_out)
-                assert out.dtype == dtype and out.flags.c_contiguous
-                outs.setdefault(path, []).append(out)
-        want = outs["one"][0]
-        for out in outs["one"][1:] + outs["64"]:
-            assert out.tobytes() == want.tobytes(), len(ii)
-        for out in outs["uneven"]:
-            assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+    for npts in (512, 600):
+        for table in KERNEL_TABLES:
+            ii, jj, oo, ss = table
+            dim_out = len(table.signs)
+            assert table.signs.shape == (dim_out, 1, len(ii) // dim_out)
+            assert np.array_equal(table.signs.ravel(), ss)
+            A, B = _kernel_inputs(rng, table, npts, dtype)
+            outs = []
+            for block_bytes in (1 << 40, 64 * len(ii) * itemsize, 1 << 12):
+                monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
+                for signs in (table.signs, ss):
+                    out = kernels.wedge_fields(A, B, ii, jj, signs, dim_out)
+                    assert out.dtype == dtype and out.flags.c_contiguous
+                    outs.append(out.tobytes())
+            assert outs == outs[:1] * len(outs), (npts, len(ii))
+
+
+class _ColumnSpy(np.ndarray):
+    """A kernel input that records the point range of each gather from it:
+    (lo, hi) per block of column slices, (0, npts) for a whole-row take."""
+
+    def __getitem__(self, key):
+        self.spans.append((key[1].start, key[1].stop))
+        return self.view(np.ndarray)[key]
+
+    def take(self, *args, **kwargs):
+        self.spans.append((0, self.shape[1]))
+        return self.view(np.ndarray).take(*args, **kwargs)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12], ids=["default", "4KiB"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_block_widths_are_multiples_of_64_points_within_the_budget(monkeypatch, dtype,
+                                                                   budget):
+    """For every table in either dtype, under the module's budget and a
+    4 KiB one, the kernel cuts the points into blocks that start at
+    multiples of 64, each as wide as the first but a shorter last one.
+    The width is the widest multiple of 64 points whose products fit in
+    ``_BLOCK_BYTES``, or 64 when none does; one block that holds every
+    point fits the budget.  Under the module's budget (512 KiB), every
+    float64 table of up to 128 entries is one block at 512 points."""
+    if budget is None:
+        budget = kernels._BLOCK_BYTES
+        assert budget == 1 << 19
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(53)
+    itemsize = np.dtype(dtype).itemsize
+    for npts in (512, 4096):
+        for table in KERNEL_TABLES:
+            ii, jj, _, ss = table
+            row = len(ii) * itemsize  # bytes of one point's entry products
+            A, B = _kernel_inputs(rng, table, npts, dtype)
+            A = A.view(_ColumnSpy)
+            A.spans = []
+            kernels.wedge_fields(A, B, ii, jj, table.signs, len(table.signs))
+            los, his = zip(*A.spans)
+            widths = [hi - lo for lo, hi in A.spans]
+            assert los[0] == 0 and his[-1] == npts and list(los[1:]) == list(his[:-1])
+            if npts == 512 and budget == 1 << 19 and dtype is np.float64 and len(ii) <= 128:
+                assert len(widths) == 1, len(ii)
+            if len(widths) == 1:
+                assert npts * row <= budget, (npts, len(ii))
+                continue
+            width = widths[0]
+            assert width % 64 == 0 and width >= 64
+            assert all(lo % 64 == 0 for lo in los)
+            assert widths[:-1] == [width] * (len(widths) - 1) and widths[-1] <= width
+            assert width == 64 or width * row <= budget, (npts, len(ii))
+            assert (width + 64) * row > budget, (npts, len(ii))
 
 
 def test_power_arrays_are_the_power_table_times_k():
