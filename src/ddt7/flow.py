@@ -433,7 +433,8 @@ def _wedge_by_w_adjoint(y: FormField, W: FormField) -> FormField:
 
 # The blocks have condition 1 at W = -*phi and stay below 2e3 along the
 # continuation of a 1e-2 perturbation to s = 1; near-singular mean weights
-# (condition 1e7 and up) made PCG slower than plain CG, or stall at max_iter.
+# (condition 1e7 and up) made PCG slower than plain CG, or stall at its
+# iteration cap.
 _MAX_BLOCK_COND = 1e6
 
 
@@ -481,12 +482,14 @@ def _mean_w_inverse(grid: TorusGrid, W: FormField):
 # to 0.5 and stall there.
 _INNER_TOL = 1e-12
 _FORCING_CAP = 1e-2
+# CG iterations an inner solve may take before it stops short of its tolerance
+_MAX_CG_ITER = 2000
 
 
 @dataclass(frozen=True)
 class _InnerSolve:
     """How one inner solve ended: CG iterations, |J^T r| / |J^T rhs| at the
-    end, and whether it stopped at max_iter short of the tolerance."""
+    end, and whether it stopped at _MAX_CG_ITER short of the tolerance."""
 
     iterations: int
     rel_residual: float
@@ -494,7 +497,7 @@ class _InnerSolve:
 
 
 def _cgnr(system: _ScaledSystem, W: FormField, r,
-          tol: float = _INNER_TOL, max_iter: int = 2000):
+          tol: float = _INNER_TOL):
     """Preconditioned CG on the normal equations J^T J x = J^T r for a block
     triple r, which the iteration then carries as the residual r - J x.
 
@@ -502,7 +505,7 @@ def _cgnr(system: _ScaledSystem, W: FormField, r,
     mean, applied per Fourier mode (Concus and Golub 1973).  The stop rule
     reads the unpreconditioned gradient, |J^T (r - J x)| <= tol * |J^T r|.
     Returns (x, _InnerSolve); a non-finite residual raises
-    ``NonFiniteError`` rather than running on to max_iter.
+    ``NonFiniteError`` rather than running on to _MAX_CG_ITER.
     """
     x = FormField.zero(system.grid, 1)
     g = system.apply_jt(W, *r)
@@ -515,7 +518,7 @@ def _cgnr(system: _ScaledSystem, W: FormField, r,
     gz = field_inner(g, z)
     rel = 1.0
     it = 0
-    while it < max_iter:
+    while it < _MAX_CG_ITER:
         jp = system.apply_j(W, p)
         denom = _sq_norm(jp)
         if denom == 0.0:
@@ -532,7 +535,7 @@ def _cgnr(system: _ScaledSystem, W: FormField, r,
         gz_new = field_inner(g, z)
         p = z + (gz_new / gz) * p
         gz = gz_new
-    return x, _InnerSolve(it, rel, it == max_iter and rel > tol)
+    return x, _InnerSolve(it, rel, it == _MAX_CG_ITER and rel > tol)
 
 
 @dataclass(frozen=True)

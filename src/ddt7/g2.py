@@ -11,8 +11,9 @@ The exact Lambda^2_14 basis (the catalog's c_m variables) is read off the
 free columns of F -> F ^ *phi, reduced by ``exalg._gauss_jordan``.
 
 ``phi_for``/``star_phi_for`` serve the formulas of ``ddt`` (the calibration
-scalar among them) on every call; each ring object builds them once, from
-its ``const``, and keeps them in its ``memo``.
+scalar among them) on every call; each ring object builds them once, phi
+from its integer coefficients through the ring's ``coerce`` and *phi as
+phi's Hodge star, and keeps them in its ``memo``.
 
 Also hosts the two scalar pairings that characterize the evolution equations
 on a product R x T^7 (t the first coordinate, vol_8 = dt ^ vol_7), and the

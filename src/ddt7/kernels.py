@@ -1,4 +1,4 @@
-"""Batched grid kernels, numpy only.  Fields are coefficient-major
+"""Batched grid kernels, numpy only.  Fields are coefficient-major float64
 (n_coeffs, npts) arrays, one contiguous row per blade, and tables come from
 ``tables``.  ``wedge_fields`` is the one loop over wedge table entries,
 and only ``torus`` calls it (``wedge_field``, ``cube_field`` and, over the
@@ -57,37 +57,29 @@ def _hold_freed_heap() -> None:
 _hold_freed_heap()
 
 
-def wedge_fields(A, B, ii, jj, ss, dim_out):
-    """out[o, p] = sum_e ss[e] * A[ii[e], p] * B[jj[e], p] over o's entries.
+def wedge_fields(A, B, ii, jj, signs):
+    """out[o, p] = sum_e signs[o, 0, e - o*m] * A[ii[e], p] * B[jj[e], p]
+    over o's entries, for float64 fields A and B.
 
     The table must be grouped by output: entries o*m .. o*m + m - 1 belong
-    to output o, m = len(ii) // dim_out, as ``tables.wedge_arrays`` orders
-    them, so no output row is passed.  ss is the table's sign column, or
-    its ``signs``: the same signs as a float64 (dim_out, 1, m) array, made
-    once per table, which float64 inputs use as they stand (other dtypes
-    convert them).  Each block of points gathers the entry products as rows
-    and sums every output's m products with their signs as one stacked
-    (1 x m)(m x points) product, written in place into the output's block.
-    A block is the widest multiple of 64 points whose products fit in
-    ``_BLOCK_BYTES`` (64 points if none does); when one block holds every
-    point, the gathers take whole rows.  Each point's bits are the same
-    for any budget (but for complex inputs of odd width under a threaded
-    BLAS, whose whole-row product splits where no block would).  The
-    result dtype follows the inputs.
+    to output o, as ``tables.wedge_arrays`` orders them, so no output row
+    is passed.  ``signs`` is the grouped table's float64 (dim_out, 1, m)
+    sign array, which gives dim_out and m.  Each block of points gathers
+    the entry products as rows and sums every output's m products with
+    their signs as one stacked (1 x m)(m x points) product, written in
+    place into the output's block.  A block is the widest multiple of 64
+    points whose products fit in ``_BLOCK_BYTES`` (64 points if none
+    does); when one block holds every point, the gathers take whole rows.
+    Each point's bits are the same for any budget.
     """
+    dim_out, _, m = signs.shape
     npts = A.shape[1]
-    m = len(ii) // dim_out
-    dtype = np.result_type(A, B)
-    A = A.astype(dtype, copy=False)
-    signs = ss
-    if ss.dtype != dtype or ss.ndim != 3:
-        signs = np.asarray(ss, dtype=dtype).reshape(dim_out, 1, m)
-    block = max(64, _BLOCK_BYTES // (len(ii) * dtype.itemsize) // 64 * 64)
+    block = max(64, _BLOCK_BYTES // (len(ii) * A.itemsize) // 64 * 64)
     if block >= npts:
         prod = A.take(ii, axis=0)
         prod *= B.take(jj, axis=0)
         return np.matmul(signs, prod.reshape(dim_out, m, npts)).reshape(dim_out, npts)
-    out = np.empty((dim_out, npts), dtype)
+    out = np.empty((dim_out, npts))
     for lo in range(0, npts, block):
         hi = min(lo + block, npts)
         prod = A[ii, lo:hi]

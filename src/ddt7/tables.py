@@ -29,7 +29,7 @@ class GroupedTable(tuple):
     """A structure table's (i, j, out, sign) columns, int64, stably sorted
     by output and read-only, as a 4-tuple, with ``signs``: the sign column
     as a read-only float64 (dim_out, 1, m) array, m entries per output,
-    the form ``kernels.wedge_fields`` multiplies by, made once per table."""
+    the form ``kernels.wedge_fields`` takes, made once per table."""
 
     signs: np.ndarray
 
@@ -73,9 +73,9 @@ def wedge_tensor(n: int, p: int, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def power_arrays(n: int, k: int):
     """(i, j, out, k * sign) columns of ``exalg.power_table``, int64, so
-    that ``wedge_fields(E, P, i, j, k * sign, dim_out)`` is E^k from a 2-form
-    E and P = E^(k-1).  Grouped by output, 2k - 1 entries each, as
-    ``kernels.wedge_fields`` needs."""
+    that ``wedge_fields(E, P, i, j, signs)``, with the table's ``signs``, is
+    E^k from a 2-form E and P = E^(k-1).  Grouped by output, 2k - 1
+    entries each, as ``kernels.wedge_fields`` needs."""
     return _columns_by_output([(i, j, o, k * s) for i, j, o, s in power_table(n, k)])
 
 
@@ -83,9 +83,9 @@ def power_arrays(n: int, k: int):
 def interior_arrays():
     """(axis - 1, blade, out, sign) columns of ``exalg.contract_table(7, 2)``,
     int64, stably sorted by output, so that ``wedge_fields(b, a, axis - 1,
-    blade, sign, 7)`` is i(b#) a for a 1-form b and a 2-form a on R^7.
-    Each of the 7 outputs has 6 entries, one per other axis, as
-    ``kernels.wedge_fields`` needs."""
+    blade, signs)``, with the table's ``signs``, is i(b#) a for a 1-form b
+    and a 2-form a on R^7.  Each of the 7 outputs has 6 entries, one per
+    other axis, as ``kernels.wedge_fields`` needs."""
     return _columns_by_output(contract_table(7, 2))
 
 

@@ -371,8 +371,6 @@ def codiff(f: FormField) -> FormField:
 def wedge_field(f: FormField, g: FormField) -> FormField:
     """f ^ g.  A 2-form field wedged with itself (the same object) takes
     the power table, 3 products per output instead of 6."""
-    if not _same_grid(f, g):
-        raise InputError("fields live on different grids")
     if f.k + g.k > 7:
         raise InputError(f"wedge of degrees {f.k} and {g.k} exceeds 7")
     if f is g and f.k == 2:
@@ -385,8 +383,6 @@ def wedge_field(f: FormField, g: FormField) -> FormField:
 def cube_field(E: FormField, E2: FormField) -> FormField:
     """E^3 from a 2-form field E and its square E2 = E ^ E, through the
     power table: 5 products per output instead of 15."""
-    if not _same_grid(E, E2):
-        raise InputError("fields live on different grids")
     if E.k != 2 or E2.k != 4:
         raise InputError(f"cube takes a 2-form and its square, got degrees {E.k} and {E2.k}")
     return _wedge_by(E, E2, tables.power_arrays(7, 3), 6)
@@ -395,8 +391,6 @@ def cube_field(E: FormField, E2: FormField) -> FormField:
 def interior_field(b: FormField, a: FormField) -> FormField:
     """i(b#) a for a 1-form field b and a 2-form field a: the blocked wedge
     kernel over ``tables.interior_arrays``, 6 products per output."""
-    if not _same_grid(b, a):
-        raise InputError("fields live on different grids")
     if b.k != 1 or a.k != 2:
         raise InputError(f"interior product takes a 1-form and a 2-form, "
                          f"got degrees {b.k} and {a.k}")
@@ -404,9 +398,12 @@ def interior_field(b: FormField, a: FormField) -> FormField:
 
 
 def _wedge_by(f: FormField, g: FormField, table, k: int) -> FormField:
-    """The degree-k field of ``wedge_fields`` over a grouped table."""
+    """The degree-k field of ``wedge_fields`` over a grouped table, for two
+    fields on one grid: the one grid check of every field wedge."""
+    if not _same_grid(f, g):
+        raise InputError("fields live on different grids")
     return FormField._of(f.grid, k, wedge_fields(f.coeffs, g.coeffs, table[0], table[1],
-                                                 table.signs, len(table.signs)))
+                                                 table.signs))
 
 
 def wedge_const(f: FormField, form: KForm, left: bool = False) -> FormField:

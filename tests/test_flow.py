@@ -557,9 +557,7 @@ def test_near_singular_mean_weight_falls_back():
 
 
 def test_newton_divergence_names_the_failed_inner_solve(monkeypatch):
-    cgnr = flow._cgnr
-    monkeypatch.setattr(flow, "_cgnr",
-                        lambda *a, **k: cgnr(*a, **dict(k, max_iter=1)))
+    monkeypatch.setattr(flow, "_MAX_CG_ITER", 1)
     rng = np.random.default_rng(2)
     start = GaugePotential(coclosed_project(random_field(GRID, 1, rng, scale=0.2)),
                            CALIBRATED)

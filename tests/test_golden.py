@@ -11,9 +11,9 @@ and page faults, so both are compared by their keys and list lengths only.
 A change that moves an expected value rewrites the files in the same
 commit and lists each moved key in CHANGES.md.  From the repository root,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
-rewrites every case from the current sources.
+rewrites the named cases, or every case, from the current sources.
 """
 
 import json
@@ -28,6 +28,7 @@ from ddt7 import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CALIBRATED = {"1,2": 1, "4,7": 1}
+GRID16 = {"axes": [1, 2], "N": 4}
 GRID512 = {"axes": [1, 2, 3], "N": 8}
 
 # case: (command, config, exit code)
@@ -42,6 +43,12 @@ CASES = {
     "continue512": ("continue", {"flux": CALIBRATED, "grid": GRID512,
                                  "perturb_scale": 1e-2, "seed": 1,
                                  "warm_start": False}, 0),
+    "decompose": ("decompose", {"seed": 3}, 0),
+    "instanton16": ("instanton", {"flux": CALIBRATED, "grid": GRID16}, 0),
+    # the flux's vector-type part is a topological obstruction
+    "instanton16_obstructed": ("instanton", {"flux": {"1,2": 1}, "grid": GRID16}, 3),
+    "continue16_obstructed": ("continue", {"flux": {"1,2": 1, "4,7": 2, "5,6": -1},
+                                           "grid": GRID16}, 3),
 }
 ROUNDING = 1e-14
 
@@ -103,10 +110,11 @@ def test_outputs_match_the_golden_files(tmp_path, capsys, name):
     _assert_same(_outputs(tmp_path), want, name)
 
 
-def main() -> None:
-    """Rewrite every case's golden file from the current sources."""
+def main(names) -> None:
+    """Rewrite the named cases' golden files, or every case's, from the
+    current sources."""
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CASES):
+    for name in names or sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             code = _run(name, Path(tmp))
             if code != CASES[name][2]:
@@ -116,4 +124,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

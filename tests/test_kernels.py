@@ -2,6 +2,7 @@
 spectral d and codiff, the CG adjoint table, Hodge and exact ranks.
 Kernel inputs and outputs are coefficient-major, (n_blades, npts)."""
 
+import json
 import math
 import platform
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 from ddt7 import exalg, flow, kernels, tables, torus
 from ddt7.errors import InputError
 from ddt7.exalg import KForm, blades, cube, wedge
-from ddt7.scalars import RATIONAL
+from ddt7.g2 import phi_for, star_phi_for
+from ddt7.scalars import FLOAT, RATIONAL
 from ddt7.torus import (FormField, Flux, GaugePotential, TorusGrid, codiff, cube_field, d,
                         field_inner, hodge_field, random_field, theta3, wedge_field)
 
@@ -92,10 +94,11 @@ def _normal_rows(rng, npts, dim):
 
 def test_wedge_hodge_kernels_match_tables():
     rng = np.random.default_rng(32)
-    ii, jj, oo, ss = tables.wedge_arrays(7, 2, 2)
+    table = tables.wedge_arrays(7, 2, 2)
+    ii, jj, oo, ss = table
     A = _normal_rows(rng, 16, 21)
     B = _normal_rows(rng, 16, 21)
-    out = kernels.wedge_fields(A, B, ii, jj, ss, len(blades(7, 4)))
+    out = kernels.wedge_fields(A, B, ii, jj, table.signs)
     # independent accumulation of the same structure constants
     want = np.zeros_like(out)
     for e in range(len(ii)):
@@ -141,7 +144,7 @@ def test_hodge_sign_flip_never_writes_to_its_input():
 
 def _wedge_by_entries(A, B, ii, jj, oo, ss, dim_out):
     """Per-entry accumulation of the structure constants, the oracle."""
-    out = np.zeros((dim_out, A.shape[1]), dtype=np.result_type(A, B))
+    out = np.zeros((dim_out, A.shape[1]))
     for e in range(len(ii)):
         out[oo[e]] += ss[e] * A[ii[e]] * B[jj[e]]
     return out
@@ -178,23 +181,10 @@ def test_wedge_kernel_matches_entry_accumulation(npts):
         dim_out = len(blades(7, p + q))
         A = _normal_rows(rng, npts, len(blades(7, p)))
         B = _normal_rows(rng, npts, len(blades(7, q)))
-        ii, jj, _, ss = table
-        got = kernels.wedge_fields(A, B, ii, jj, ss, dim_out)
+        got = kernels.wedge_fields(A, B, table[0], table[1], table.signs)
         want = _wedge_by_entries(A, B, *table, dim_out)
         assert got.shape == want.shape and got.dtype == np.float64
         assert np.allclose(got, want, rtol=0, atol=1e-13), (p, q)
-
-
-def test_wedge_kernel_takes_dtype_from_inputs():
-    rng = np.random.default_rng(35)
-    table = tables.wedge_arrays(7, 1, 3)
-    A = _normal_rows(rng, 700, 7) + 1j * _normal_rows(rng, 700, 7)
-    B = _normal_rows(rng, 700, 35)
-    ii, jj, _, ss = table
-    got = kernels.wedge_fields(A, B, ii, jj, ss, 35)
-    assert got.dtype == np.complex128
-    want = _wedge_by_entries(A, B, *table, 35)
-    assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
 KERNEL_TABLES = ([tables.wedge_arrays(7, p, q) for p, q in DEGREE_PAIRS]
@@ -202,25 +192,22 @@ KERNEL_TABLES = ([tables.wedge_arrays(7, p, q) for p, q in DEGREE_PAIRS]
                     tables.interior_arrays()])
 
 
-def _kernel_inputs(rng, table, npts, dtype):
-    """Unit-normal A and B for ``table`` on ``npts`` points, in ``dtype``."""
+def _kernel_inputs(rng, table, npts):
+    """Unit-normal float64 A and B for ``table`` on ``npts`` points."""
     ii, jj, _, _ = table
-    A, B = (_normal_rows(rng, npts, int(idx.max()) + 1).astype(dtype) for idx in (ii, jj))
-    if dtype is np.complex128:
-        A += 1j * _normal_rows(rng, npts, A.shape[0])
-        B += 1j * _normal_rows(rng, npts, B.shape[0])
-    return A, B
+    return (_normal_rows(rng, npts, int(idx.max()) + 1) for idx in (ii, jj))
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+# The kernel's one dtype; a parameter, so the test ids name it.
+@pytest.mark.parametrize("dtype", [np.float64])
 def test_one_block_gather_is_the_blocked_kernel_bitwise(monkeypatch, dtype):
     """Every table the kernel serves gives the same bits on 512 and on 600
     points when one block holds them all (whole-row ``take``), when
     ``_BLOCK_BYTES`` cuts them into 64-point blocks of column slices, and
     when a 4 KiB budget does (64-point blocks, or 512 for a one-entry
-    table), with the table's float ``signs`` or its int64 sign column.
-    Widths are multiples of 64 points, so each block's SIMD lanes fall
-    where the whole row's do; 600 points end in a short 24-point block."""
+    table).  Widths are multiples of 64 points, so each block's SIMD lanes
+    fall where the whole row's do; 600 points end in a short 24-point
+    block.  Each table's ``signs`` are its sign column, grouped by output."""
     rng = np.random.default_rng(36)
     itemsize = np.dtype(dtype).itemsize
     for npts in (512, 600):
@@ -228,17 +215,78 @@ def test_one_block_gather_is_the_blocked_kernel_bitwise(monkeypatch, dtype):
             ii, jj, oo, ss = table
             dim_out = len(table.signs)
             assert table.signs.shape == (dim_out, 1, len(ii) // dim_out)
-            assert np.array_equal(table.signs.ravel(), ss)
-            A, B = _kernel_inputs(rng, table, npts, dtype)
+            assert table.signs.dtype == dtype and np.array_equal(table.signs.ravel(), ss)
+            A, B = _kernel_inputs(rng, table, npts)
             outs = []
             for block_bytes in (1 << 40, 64 * len(ii) * itemsize, 1 << 12):
                 monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
-                for signs in (table.signs, ss):
-                    out = kernels.wedge_fields(A, B, ii, jj, signs, dim_out)
-                    assert out.dtype == dtype and out.flags.c_contiguous
-                    outs.append(out.tobytes())
+                out = kernels.wedge_fields(A, B, ii, jj, table.signs)
+                assert out.dtype == dtype and out.flags.c_contiguous
+                outs.append(out.tobytes())
             assert outs == outs[:1] * len(outs), (npts, len(ii))
 
+
+# Every kernel table on float64 inputs at two odd widths, under two BLAS
+# threads, at a 4 KiB budget, a table's 64-point width, 512 KiB and
+# unbounded: the tables' entry counts, and those whose bytes differ.
+_BLOCK_BITS = """\
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "2"
+import json
+import numpy as np
+from ddt7 import kernels, tables
+tabs = [tables.wedge_arrays(7, p, q) for p in range(8) for q in range(8 - p)]
+tabs += [tables.power_arrays(7, 2), tables.power_arrays(7, 3), tables.interior_arrays()]
+rng = np.random.default_rng(55)
+differ = []
+for npts in (601, 4137):
+    for table in tabs:
+        ii, jj = table[0], table[1]
+        A = rng.normal(size=(int(ii.max()) + 1, npts))
+        B = rng.normal(size=(int(jj.max()) + 1, npts))
+        outs = set()
+        for budget in (1 << 12, 64 * len(ii) * 8, 1 << 19, 1 << 40):
+            kernels._BLOCK_BYTES = budget
+            outs.add(kernels.wedge_fields(A, B, ii, jj, table.signs).tobytes())
+        if len(outs) > 1:
+            differ.append([npts, len(ii)])
+print(json.dumps({"entries": [len(t[0]) for t in tabs], "differ": differ}))
+"""
+
+
+def test_kernel_bits_do_not_depend_on_blocks_under_two_blas_threads(run_child):
+    """A point's bits do not depend on where the kernel's blocks fall, also
+    at widths that are not multiples of 64 points and with OpenBLAS running
+    two threads, whose whole-row product may split a call where no block
+    would.  Run in a child, which sets the thread count before numpy loads."""
+    run = run_child(_BLOCK_BITS)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["entries"] == [len(table[0]) for table in KERNEL_TABLES]
+    assert got["differ"] == []
+
+
+
+def test_constant_wedge_column_blocks_are_the_whole_product_bitwise():
+    """``wedge_const``'s left matmul M @ coeffs, cut into column blocks of
+    64, 512 or 2048 points, gives the whole product's bits on every grid
+    of 64 to 32768 points (powers of two), for the program's constant
+    forms phi, *phi, a flux background B and 2B, and every field degree
+    each takes.  At an odd width, such as 1025 points, the last column
+    can differ."""
+    rng = np.random.default_rng(56)
+    B = Flux.from_entries({(1, 2): 1, (4, 7): 1}).background_form()
+    consts = (phi_for(FLOAT), star_phi_for(FLOAT), B, B * 2.0)
+    for e in range(6, 16):
+        grid = TorusGrid((1,), 2 ** e)
+        for k in range(6):
+            f = FormField(grid, k, rng.normal(size=(grid.npts, len(blades(7, k)))))
+            for c in (c for c in consts if k + c.k <= 7):
+                M = tables.wedge_const_matrix(7, k, c.k, tuple(float(x) for x in c.coeffs))
+                whole = torus.wedge_const(f, c).coeffs.tobytes()
+                for width in (64, 512, 2048):
+                    parts = [M @ f.coeffs[:, lo:lo + width] for lo in range(0, grid.npts, width)]
+                    assert np.concatenate(parts, axis=1).tobytes() == whole, (c.k, k, e, width)
 
 class _ColumnSpy(np.ndarray):
     """A kernel input that records the point range of each gather from it:
@@ -254,16 +302,15 @@ class _ColumnSpy(np.ndarray):
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 12], ids=["default", "4KiB"])
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("dtype", [np.float64])
 def test_block_widths_are_multiples_of_64_points_within_the_budget(monkeypatch, dtype,
                                                                    budget):
-    """For every table in either dtype, under the module's budget and a
-    4 KiB one, the kernel cuts the points into blocks that start at
+    """For every table, under the module's budget and a 4 KiB one, the kernel cuts the points into blocks that start at
     multiples of 64, each as wide as the first but a shorter last one.
     The width is the widest multiple of 64 points whose products fit in
     ``_BLOCK_BYTES``, or 64 when none does; one block that holds every
     point fits the budget.  Under the module's budget (512 KiB), every
-    float64 table of up to 128 entries is one block at 512 points."""
+    table of up to 128 entries is one block at 512 points."""
     if budget is None:
         budget = kernels._BLOCK_BYTES
         assert budget == 1 << 19
@@ -272,16 +319,16 @@ def test_block_widths_are_multiples_of_64_points_within_the_budget(monkeypatch, 
     itemsize = np.dtype(dtype).itemsize
     for npts in (512, 4096):
         for table in KERNEL_TABLES:
-            ii, jj, _, ss = table
+            ii, jj, _, _ = table
             row = len(ii) * itemsize  # bytes of one point's entry products
-            A, B = _kernel_inputs(rng, table, npts, dtype)
+            A, B = _kernel_inputs(rng, table, npts)
             A = A.view(_ColumnSpy)
             A.spans = []
-            kernels.wedge_fields(A, B, ii, jj, table.signs, len(table.signs))
+            kernels.wedge_fields(A, B, ii, jj, table.signs)
             los, his = zip(*A.spans)
             widths = [hi - lo for lo, hi in A.spans]
             assert los[0] == 0 and his[-1] == npts and list(los[1:]) == list(his[:-1])
-            if npts == 512 and budget == 1 << 19 and dtype is np.float64 and len(ii) <= 128:
+            if npts == 512 and budget == 1 << 19 and len(ii) <= 128:
                 assert len(widths) == 1, len(ii)
             if len(widths) == 1:
                 assert npts * row <= budget, (npts, len(ii))
@@ -366,10 +413,9 @@ def test_square_and_cube_fields_are_the_full_table_kernel(grid):
     full tables, 1e-15 relative to the largest coefficient."""
     E = random_field(grid, 2, np.random.default_rng(grid.npts))
     E2 = wedge_field(E, E)
-    ii, jj, _, ss = tables.wedge_arrays(7, 2, 2)
-    full2 = kernels.wedge_fields(E.coeffs, E.coeffs, ii, jj, ss, 35)
-    ii, jj, _, ss = tables.wedge_arrays(7, 2, 4)
-    full3 = kernels.wedge_fields(E.coeffs, full2, ii, jj, ss, 7)
+    t22, t24 = tables.wedge_arrays(7, 2, 2), tables.wedge_arrays(7, 2, 4)
+    full2 = kernels.wedge_fields(E.coeffs, E.coeffs, t22[0], t22[1], t22.signs)
+    full3 = kernels.wedge_fields(E.coeffs, full2, t24[0], t24[1], t24.signs)
     for got, want in ((E2.coeffs, full2), (cube_field(E, E2).coeffs, full3),
                       (cube(E, E2).coeffs, full3)):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -381,8 +427,8 @@ def test_distinct_and_odd_field_operands_take_the_full_table(monkeypatch):
     E, F, b, c = (random_field(grid, k, rng) for k in (2, 2, 1, 3))
 
     def full(f, g):
-        ii, jj, _, ss = tables.wedge_arrays(7, f.k, g.k)
-        return kernels.wedge_fields(f.coeffs, g.coeffs, ii, jj, ss, len(blades(7, f.k + g.k)))
+        table = tables.wedge_arrays(7, f.k, g.k)
+        return kernels.wedge_fields(f.coeffs, g.coeffs, table[0], table[1], table.signs)
 
     def refuse(*args):
         raise AssertionError("power table used")
@@ -416,6 +462,29 @@ def test_cube_field_inputs_and_constant_operands():
         assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
     assert np.max(np.abs(np.array(cube(C, C2).coeffs) - want[:, 0])) \
         <= 1e-15 * np.max(np.abs(want))
+
+
+def test_wedge_field_and_wedge_const_refuse_mixed_grids_and_degrees_past_7():
+    """``wedge_field`` refuses operands on different grids, and degrees
+    that sum past 7; ``wedge_const`` refuses a constant form whose degree
+    sums with the field's past 7, on either side."""
+    rng = np.random.default_rng(57)
+    grid = TorusGrid((1, 2), 4)
+    b, E, c, w, h = (random_field(grid, k, rng) for k in (1, 2, 3, 4, 6))
+    for other in (TorusGrid((1, 3), 4), TorusGrid((1, 2), 8)):
+        for f, k in ((b, 2), (E, 2), (E, 4)):
+            with pytest.raises(InputError, match="different grids"):
+                wedge_field(f, random_field(other, k, rng))
+            with pytest.raises(InputError, match="different grids"):
+                wedge_field(random_field(other, k, rng), f)
+    for f, g in ((w, w), (c, random_field(grid, 5, rng)), (E, h), (h, E), (b, random_field(grid, 7, rng))):
+        with pytest.raises(InputError, match="exceeds 7"):
+            wedge_field(f, g)
+    for f, form in ((w, star_phi_for(FLOAT)), (c, random_field(grid, 5, rng).pointwise(0)),
+                    (h, KForm.zero(7, 2, FLOAT))):
+        for left in (False, True):
+            with pytest.raises(InputError, match="exceeds 7"):
+                torus.wedge_const(f, form, left=left)
 
 
 def _d_per_axis(f: FormField) -> np.ndarray:
