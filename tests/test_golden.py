@@ -8,6 +8,11 @@ and the moment checks' maxima, are rounding residue.  The report's
 ``versions`` block names the environment, and run.json holds wall times
 and page faults, so both are compared by their keys and list lengths only.
 
+A config value may be ``Output(case)``, an earlier case's output
+directory: that case runs first, into the subdirectory of that name, and
+every case runs from its own output directory, so the value reads the
+same in the report wherever the test runs.
+
 A change that moves an expected value rewrites the files in the same
 commit and lists each moved key in CHANGES.md.  From the repository root,
 
@@ -18,6 +23,7 @@ rewrites the named cases, or every case, from the current sources.
 
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +36,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CALIBRATED = {"1,2": 1, "4,7": 1}
 GRID16 = {"axes": [1, 2], "N": 4}
 GRID512 = {"axes": [1, 2, 3], "N": 8}
+
+
+class Output(str):
+    """A config value naming an earlier case's output directory."""
+
 
 # case: (command, config, exit code)
 CASES = {
@@ -49,16 +60,34 @@ CASES = {
     "instanton16_obstructed": ("instanton", {"flux": {"1,2": 1}, "grid": GRID16}, 3),
     "continue16_obstructed": ("continue", {"flux": {"1,2": 1, "4,7": 2, "5,6": -1},
                                            "grid": GRID16}, 3),
+    # README's flow example
+    "flow16": ("flow", {"flux": CALIBRATED, "grid": GRID16, "dt": 1e-3, "steps": 200,
+                        "scheme": "rk4", "record_every": 10, "seed": 7,
+                        "initial_scale": 0.02}, 0),
+    # theta falls below theta_min at step 2, which truncates the run
+    "flow16_degenerate": ("flow", {"flux": CALIBRATED, "grid": GRID16, "dt": 0.05,
+                                   "steps": 400, "scheme": "euler", "theta_min": 5.0,
+                                   "record_every": 7, "seed": 1, "initial_scale": 0.5}, 3),
+    "cylinder16": ("cylinder", {"trajectory": Output("flow16")}, 0),
+    "verify": ("verify", {"float_samples": 20}, 0),
 }
 ROUNDING = 1e-14
 
 
 def _run(name: str, out: Path) -> int:
+    """Run a case from its output directory, after the cases it names."""
     command, config, _ = CASES[name]
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "config.json"
-    path.write_text(json.dumps(config))
-    return cli.main([command, "--config", str(path), "--out", str(out)])
+    for value in config.values():
+        if isinstance(value, Output) and _run(value, out / value) != CASES[value][2]:
+            raise AssertionError(f"{name}: its input case {value} exited wrongly")
+    (out / "config.json").write_text(json.dumps(config))
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        return cli.main([command, "--config", "config.json", "--out", "."])
+    finally:
+        os.chdir(cwd)
 
 
 def _keys(x):
