@@ -10,8 +10,11 @@ Three layers, importable separately:
              flow, instanton solve, Newton continuation, kernel probe.
              They evaluate ddt's formulas on whole fields: exalg.wedge
              and hodge hand a torus.FormField to the field kernels.
+             flow.flow_steps is the one flow engine, a generator of
+             steps; flow_run collects it.
 
-The ddt7 console script (ddt7.cli) drives all of it from JSON configs.
+The ddt7 console script (ddt7.cli) drives all of it from JSON configs;
+it alone reads the clock, for the run record and the printed wall time.
 """
 
 from .errors import (DegenerateMetricError, InputError, NumericalError,
@@ -35,9 +38,10 @@ from .torus import (Flux, FormField, GaugePotential, TorusGrid, codiff,
                     random_field, random_potential, residual_field,
                     save_field, save_flux, theta3, zero_potential)
 from .flow import (DEFAULT_SCHEDULE, ContinuationResult, ContinuationStep,
-                   FlowConfig, Trajectory, ascent_field, continuation,
-                   cylinder_check, cylinder_check_samples, flow_run,
-                   flow_step, instanton_solve, kernel_probe)
+                   FlowConfig, FlowStep, Trajectory, ascent_field,
+                   continuation, cylinder_check, cylinder_check_samples,
+                   flow_run, flow_step, flow_steps, instanton_solve,
+                   kernel_probe)
 from .kernels import backend_name
 
 __version__ = "0.1.0"

@@ -16,8 +16,10 @@ run, ``moment`` each draw's wall time (``elapsed_s``) in order,
 ``continue`` per schedule entry one record per Newton step of its inner
 solve, forcing tolerance, step length and min theta_s, and ``flow`` one
 record per row of trajectory.csv (step 0 is the start): the step's wall
-time and the grid point of least theta, with that theta.  Nothing of the
-record enters the report.
+time and the grid point of least theta, with that theta.  This module
+takes every wall time, around the calls it drives; nothing of the record
+enters the report.  ``flow`` writes each csv row, sample and record entry
+as its step comes, and ``cylinder`` reads each sample file once.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input (also an
 unreadable or unwritable path), 3 numerical failure (Newton divergence,
@@ -39,8 +41,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import flow, g2, prover, torus
-from .errors import InputError, NumericalError, ObstructionError
-from .exalg import Endo, KForm, blades, det_endo, sharp2
+from .errors import (DegenerateMetricError, InputError, NumericalError,
+                     ObstructionError)
+from .exalg import KForm, blades
 from .kernels import backend_name
 from .scalars import FLOAT
 from .torus import Flux, GaugePotential, TorusGrid
@@ -279,32 +282,30 @@ def _canonical_mutation(spelling: str):
                      f"{', '.join(m[1] for m in entries)}")
 
 
-def _identity_times(reports) -> list:
-    """verify's run record: each identity's wall time, in the order run."""
-    return [{"identity": r.identity, "elapsed_s": r.elapsed_s} for r in reports]
-
-
 def cmd_verify(cfg: dict, out_dir: str, report: dict,
                record: dict) -> tuple[int, list]:
     if cfg["mutate"] is not None:
         identity, site, value = _canonical_mutation(str(cfg["mutate"]))
-        mutated_id = prover.mutate(identity, site, value)
-        rep = prover.verify(mutated_id)
+        ids = [prover.mutate(identity, site, value)]
         report["mutation"] = {"identity": identity, "site": site,
                               "value": str(value)}
-        report["identities"] = [rep.to_dict()]
-        record["identities"] = _identity_times([rep])
-        ok = rep.reduced_to_zero
-        state = "reduced to zero" if ok else "nonzero witness found"
-        return (0 if ok else 1), [f"{mutated_id}: {state}"]
-    # checked before the catalog's multi-second run
-    if cfg["float_samples"] < 1:
+    elif cfg["float_samples"] < 1:  # checked before the catalog's multi-second run
         raise InputError("float_samples must be at least 1")
-    reports = prover.verify_all()
+    else:
+        ids = prover.catalog_ids()
+    reports, record["identities"] = [], []
+    for identity in ids:
+        start = time.perf_counter()
+        reports.append(prover.verify(identity))
+        record["identities"].append({"identity": identity,
+                                     "elapsed_s": time.perf_counter() - start})
+    report["identities"] = [asdict(r) for r in reports]
+    if cfg["mutate"] is not None:
+        ok = reports[0].reduced_to_zero
+        state = "reduced to zero" if ok else "nonzero witness found"
+        return (0 if ok else 1), [f"{ids[0]}: {state}"]
     suite = prover.float_suite(cfg["float_samples"], seed=cfg["seed"],
                                tol=cfg["tol"])
-    report["identities"] = [r.to_dict() for r in reports]
-    record["identities"] = _identity_times(reports)
     report["float_suite"] = suite
     ok = all(r.reduced_to_zero for r in reports) and suite["pass"]
     lines = [f"{r.identity}: {'pass' if r.reduced_to_zero else 'FAIL'}"
@@ -333,9 +334,9 @@ def cmd_decompose(cfg: dict, out_dir: str, report: dict,
         rng = np.random.default_rng(cfg["seed"])
         coeffs = [float(x) for x in rng.uniform(-1.0, 1.0, 21)]
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
-    dec, norms, th, checks = prover.decomposition_checks(F)
+    dec, norms, th, checks, det = prover.decomposition_checks(F)
     checks = {k: float(v) for k, v in checks.items()}
-    det = float(det_endo(Endo.identity(7, FLOAT) + sharp2(F)))
+    det = float(det)
     ok = all(v <= tol for v in checks.values()) and det > 0.0
     report.update(
         coefficients=coeffs,
@@ -424,9 +425,8 @@ def cmd_continue(cfg: dict, out_dir: str, report: dict,
     report["obstructed"] = result.obstructed
     record["steps"] = [{"s": st.s, "newton": [asdict(it) for it in st.iterates]}
                        for st in result.steps]
-    if result.steps:
-        report.update(_save_potential(out_dir, result.steps[-1].potential.a,
-                                      flux))
+    if result.potential is not None:
+        report.update(_save_potential(out_dir, result.potential.a, flux))
     lines = [f"s = {st.s:g}: residual {st.residual_norm:.3e} "
              f"after {st.newton_iterations} newton steps"
              for st in result.steps]
@@ -460,49 +460,53 @@ def cmd_flow(cfg: dict, out_dir: str, report: dict,
         rng = np.random.default_rng(cfg["seed"])
         pot0 = torus.random_coclosed_potential(
             grid, flux, rng, cfg["initial_scale"], kmax)
-    traj = flow.flow_run(pot0, run_cfg)
-    record["steps"] = [
-        {"step": i, "elapsed_s": float(secs), "theta_min": float(th),
-         "theta_min_point": flow._grid_point(grid, int(at))}
-        for i, (secs, th, at) in enumerate(zip(
-            traj.step_seconds, traj.theta_min_per_step, traj.theta_argmin))]
-
     os.makedirs(out_dir, exist_ok=True)
+    torus.save_flux(os.path.join(out_dir, "flux.txt"), flux)
+    termination, functional, sample_times, sample_files = "completed", [], [], []
+    record["steps"] = []
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fh:
         fh.write("t,functional,residual_l2,theta_min\n")
-        for t, q, r, th in zip(traj.times, traj.functional,
-                               traj.residual_l2, traj.theta_min_per_step):
-            fh.write(f"{float(t)!r},{float(q)!r},{float(r)!r},{float(th)!r}\n")
-    sample_files = []
-    for i, pot in enumerate(traj.samples):
-        name = f"sample_{i:04d}.t7f"
-        torus.save_field(os.path.join(out_dir, name), pot.a)
-        sample_files.append(name)
-    torus.save_flux(os.path.join(out_dir, "flux.txt"), flux)
+        start = time.perf_counter()  # each step is timed over its resume
+        try:
+            for last in flow.flow_steps(pot0, run_cfg):
+                record["steps"].append({
+                    "step": last.step, "elapsed_s": time.perf_counter() - start,
+                    "theta_min": last.theta_min,
+                    "theta_min_point": flow._grid_point(grid, last.theta_argmin)})
+                fh.write(f"{last.time!r},{last.functional!r},{last.residual_l2!r},"
+                         f"{last.theta_min!r}\n")
+                functional.append(last.functional)
+                if last.potential is not None:
+                    sample_files.append(f"sample_{len(sample_files):04d}.t7f")
+                    torus.save_field(os.path.join(out_dir, sample_files[-1]),
+                                     last.potential.a)
+                    sample_times.append(last.time)
+                start = time.perf_counter()
+        except DegenerateMetricError as e:
+            termination = str(e)
 
-    deltas = np.diff(traj.functional)
-    scale = max(1.0, float(np.max(np.abs(traj.functional))))
+    deltas = np.diff(functional)
+    scale = max(1.0, float(np.max(np.abs(functional))))
     min_delta = float(np.min(deltas)) if deltas.size else 0.0
     monotone = bool(min_delta >= -1e-9 * scale)
     report.update(
         flux_upper=list(flux.upper),
-        termination=traj.termination,
-        steps_taken=int(len(traj.times) - 1),
+        termination=termination,
+        steps_taken=last.step,
         monotone={"min_step_delta": min_delta, "scale": scale,
                   "non_decreasing": monotone},
-        final={"functional": float(traj.functional[-1]),
-               "residual_l2": float(traj.residual_l2[-1]),
-               "theta_min": float(traj.theta_min_per_step[-1])},
-        sample_times=[float(t) for t in traj.sample_times],
+        final={"functional": last.functional, "residual_l2": last.residual_l2,
+               "theta_min": last.theta_min},
+        sample_times=sample_times,
         sample_files=sample_files,
         flux_file="flux.txt",
         trajectory_csv="trajectory.csv",
     )
-    return (0 if traj.termination == "completed" else 3), [
-        f"{report['steps_taken']} steps, functional "
-        f"{float(traj.functional[0])!r} -> {float(traj.functional[-1])!r}, "
+    return (0 if termination == "completed" else 3), [
+        f"{last.step} steps, functional "
+        f"{functional[0]!r} -> {last.functional!r}, "
         f"non-decreasing: {monotone}",
-        traj.termination]
+        termination]
 
 
 # --- cylinder -----------------------------------------------------------------------
@@ -540,8 +544,8 @@ def cmd_cylinder(cfg: dict, out_dir: str, report: dict,
         raise InputError(f"{report_path}: sample_times must be numbers and "
                          "sample_files and flux_file names")
     flux = torus.load_flux(os.path.join(src, flux_file))
-    pots = [GaugePotential(torus.load_field(os.path.join(src, name)), flux)
-            for name in files]
+    pots = (GaugePotential(torus.load_field(os.path.join(src, name)), flux)
+            for name in files)
     result = flow.cylinder_check_samples(times, pots)
     ok = tol is None or (result["max_res1"] <= tol
                          and result["max_res2"] <= tol)

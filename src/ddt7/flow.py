@@ -10,12 +10,13 @@ s^4 (2 pi)^3 F^3/6, whatever the potential.
 The flow integrates da/dt = eta(E)/theta(E) pointwise over the grid
 (explicit euler or rk4).  eta is A1's transport *R - i(i(*R)E)E of the
 residual R = R(E) (see ``ddt``): a stage forms E ^ E, theta and R from it,
-then one star of R and two interior products.  ``flow_run`` hands each
-step the (E, R, theta) of its diagnostics as the first stage.  theta is
-guarded: the ascent metric degenerates where the calibration weight
-vanishes, so any grid point with theta <= theta_min aborts the run with
-the offending point attached; theta_min and dt must be finite and
-positive.
+then one star of R and two interior products.  ``flow_steps``, the one flow
+engine, yields each step as it comes, so its memory does not grow with the
+run, and hands each step the (E, R, theta) of its diagnostics as the first
+stage; ``flow_run`` collects it.  theta is guarded: the ascent metric
+degenerates where the calibration weight vanishes, so any grid point with
+theta <= theta_min aborts the run with the offending point attached;
+theta_min and dt must be finite and positive.
 
 Fields inside a solver are unchecked op results (see ``torus``).  Each
 solver checks what leaves it: the potential after every flow step and the
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -45,9 +45,9 @@ from .torus import (Flux, FormField, GaugePotential, TorusGrid, _apply_modes,
                     hodge_field, wedge_const, wedge_field, zero_potential)
 
 __all__ = [
-    "FlowConfig", "Trajectory", "ContinuationStep", "ContinuationResult",
-    "DEFAULT_SCHEDULE", "ascent_field",
-    "flow_step", "flow_run", "cylinder_check", "cylinder_check_samples",
+    "FlowConfig", "FlowStep", "Trajectory", "ContinuationStep",
+    "ContinuationResult", "DEFAULT_SCHEDULE", "ascent_field",
+    "flow_step", "flow_steps", "flow_run", "cylinder_check", "cylinder_check_samples",
     "instanton_solve", "continuation", "kernel_probe",
 ]
 
@@ -114,47 +114,44 @@ class FlowConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Flow diagnostics: per-step scalars plus potentials at sample times.
+class FlowStep:
+    """A flow step (step 0 is the start): its trajectory.csv row, the flat
+    index of least theta (``_grid_point`` names it), its potential if sampled."""
 
-    Each step also has the flat grid index where theta is least
-    (``theta_argmin``, the point ``_grid_point`` names) and its wall
-    seconds (``step_seconds``: the step and its diagnostics; step 0 is the
-    start's diagnostics), which the run record reads."""
+    step: int
+    time: float
+    functional: float
+    residual_l2: float
+    theta_min: float
+    theta_argmin: int
+    potential: GaugePotential | None
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Flow diagnostics: per-step scalars plus potentials at sample times."""
 
     times: np.ndarray
     functional: np.ndarray
     residual_l2: np.ndarray
     theta_min_per_step: np.ndarray
-    theta_argmin: np.ndarray
-    step_seconds: np.ndarray
     sample_times: tuple
     samples: tuple
     termination: str
     config: FlowConfig
 
-    def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.functional) == len(self.residual_l2)
-                == len(self.theta_min_per_step) == len(self.theta_argmin)
-                == len(self.step_seconds) == n):
-            raise InputError("trajectory arrays disagree in length")
-
 
 def flow_step(pot: GaugePotential, dt: float, scheme: str = "euler",
               theta_min: float = 1e-3) -> GaugePotential:
     """One explicit time step of da/dt = eta/theta."""
-    _positive("dt", dt)
-    _positive("theta_min", theta_min)
+    FlowConfig(dt=dt, scheme=scheme, theta_min=theta_min)  # checks the three
     return _step(pot, dt, scheme, theta_min, None)
 
 
 def _step(pot: GaugePotential, dt: float, scheme: str, theta_min: float,
           first) -> GaugePotential:
-    """``flow_step``, given the first stage's (E, R(E), theta) when known.
-    The new potential is checked for inf and NaN."""
-    if scheme not in ("euler", "rk4"):
-        raise InputError("scheme must be euler or rk4")
+    """``flow_step``, given the first stage's (E, R(E), theta) when known
+    and checked arguments.  The new potential is checked for inf and NaN."""
     grid, a0 = pot.grid, pot.a.coeffs
     with _finite(f"{scheme} step of dt = {dt:g}"):
         k1 = _ascent(pot, theta_min, first).coeffs
@@ -212,46 +209,44 @@ def _diagnostics(pot: GaugePotential):
             (E, R, theta), worst)
 
 
-def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
-    """Integrate the ascent flow.
-
-    Scalars (functional, unscaled residual norm, min theta) are recorded at
-    every step; the potential itself is stored every record_every steps and
-    at the endpoint.  A degenerate-metric error inside a step truncates the
-    trajectory and is reported in the termination string.  Non-finite
-    values raise NumericalError naming the step.
-    """
-    times, funcs, resids, thetas, sample_times, samples = [], [], [], [], [], []
-    worsts, seconds = [], []
-    pot = pot0
-    termination = "completed"
-    stage = None
+def flow_steps(pot0: GaugePotential, cfg: FlowConfig):
+    """Integrate the ascent flow: one ``FlowStep`` per step as it is taken,
+    with the potential every record_every steps and at the endpoint.  A
+    degenerate metric inside a step ends the flow with a
+    ``DegenerateMetricError`` whose message is the run's termination;
+    non-finite values raise NumericalError naming the step."""
+    pot, stage = pot0, None
     for step in range(cfg.steps + 1):
-        t0 = time.perf_counter()
         if step:
             try:
                 pot = _step(pot, cfg.dt, cfg.scheme, cfg.theta_min, stage)
             except DegenerateMetricError as e:
-                termination = f"left almost-calibrated set at step {step}: {e}"
-                break
+                raise DegenerateMetricError(
+                    f"left almost-calibrated set at step {step}: {e}",
+                    point=e.point, theta=e.theta) from None
             except NumericalError as e:
                 raise NumericalError(f"flow step {step}: {e}") from None
-        t = step * cfg.dt
         with _finite(f"flow step {step}"):
             q, r, tmin, stage, worst = _diagnostics(pot)
-        seconds.append(time.perf_counter() - t0)
-        times.append(t)
-        funcs.append(q)
-        resids.append(r)
-        thetas.append(tmin)
-        worsts.append(worst)
-        if step % cfg.record_every == 0 or step == cfg.steps:
-            sample_times.append(t)
-            samples.append(pot)
-    return Trajectory(np.array(times), np.array(funcs), np.array(resids),
-                      np.array(thetas), np.array(worsts, dtype=np.int64),
-                      np.array(seconds), tuple(sample_times), tuple(samples),
-                      termination, cfg)
+        sampled = step % cfg.record_every == 0 or step == cfg.steps
+        yield FlowStep(step, step * cfg.dt, q, r, tmin, worst, pot if sampled else None)
+
+
+def flow_run(pot0: GaugePotential, cfg: FlowConfig) -> Trajectory:
+    """``flow_steps`` collected: every step's scalars and the sampled
+    potentials.  A degenerate-metric error truncates the trajectory and is
+    its termination string."""
+    rows, termination = [], "completed"
+    try:
+        for row in flow_steps(pot0, cfg):
+            rows.append(row)
+    except DegenerateMetricError as e:
+        termination = str(e)
+    samples = [row for row in rows if row.potential is not None]
+    return Trajectory(*(np.array([getattr(row, key) for row in rows])
+                        for key in ("time", "functional", "residual_l2", "theta_min")),
+                      tuple(row.time for row in samples),
+                      tuple(row.potential for row in samples), termination, cfg)
 
 
 def cylinder_check_samples(sample_times, potentials) -> dict:
@@ -262,13 +257,15 @@ def cylinder_check_samples(sample_times, potentials) -> dict:
     residual 6-forms are reported.  Along an exact flow both vanish, so
     the norms measure the O(spacing^2) differencing error: halving the
     sample spacing must shrink them by about 4.
+
+    ``potentials`` may be any iterable; the times are checked before it is
+    read, and three potentials are held at a time.
     """
-    potentials = tuple(potentials)
-    if len(potentials) < 3:
-        raise InputError("cylinder check needs at least 3 stored samples")
     ts = np.asarray(sample_times, dtype=np.float64)
-    if len(ts) != len(potentials):
-        raise InputError("sample times and potentials disagree in length")
+    if len(ts) < 3:
+        raise InputError("cylinder check needs at least 3 stored samples")
+    if not np.all(np.isfinite(ts)):
+        raise InputError("sample times must be finite")
     gaps = np.diff(ts)
     if np.any(gaps <= 0):
         raise InputError("sample times must be strictly increasing")
@@ -276,14 +273,18 @@ def cylinder_check_samples(sample_times, potentials) -> dict:
         raise InputError("cylinder check needs uniformly spaced samples")
     h = float(gaps[0])
     rows = []
-    for i in range(1, len(potentials) - 1):
-        pot = potentials[i]
-        adot = (1.0 / (2.0 * h)) * (potentials[i + 1].a - potentials[i - 1].a)
+    later = iter(potentials)
+    before, pot = next(later, None), next(later, None)
+    for t, after in zip(ts[1:-1], later):
+        adot = (1.0 / (2.0 * h)) * (after.a - before.a)
         E = curvature(pot)
         E2, aEphi = wedge_field(E, E), ddt._adot_E_phi(E, adot)
         r1, r2 = ddt._res1(E, E2, adot, aEphi), ddt._res2(E2, aEphi)
-        rows.append({"t": float(ts[i]), "res1_l2": field_l2(r1),
+        rows.append({"t": float(t), "res1_l2": field_l2(r1),
                      "res2_l2": field_l2(r2)})
+        before, pot = pot, after
+    if len(rows) < len(ts) - 2 or next(later, None) is not None:
+        raise InputError("sample times and potentials disagree in length")
     return {
         "spacing": h,
         "samples": rows,
@@ -349,7 +350,6 @@ _OBSTRUCTION = "cohomological obstruction"  # its termination's first words
 @dataclass(frozen=True, eq=False)
 class ContinuationStep:
     s: float
-    potential: GaugePotential
     residual_history: tuple  # the residual norm at the start and after each step
     iterates: tuple = ()  # one _NewtonIterate per accepted Newton step
 
@@ -366,6 +366,7 @@ class ContinuationStep:
 class ContinuationResult:
     steps: tuple
     termination: str
+    potential: GaugePotential | None  # the last entry's; None when none ran
 
     @property
     def completed(self) -> bool:
@@ -579,9 +580,10 @@ def _line_search(system: _ScaledSystem, a: FormField, dx: FormField,
 
 def _schedule_entry(system: _ScaledSystem, a: FormField, tol: float,
                     max_newton: int, cube_mean: float):
-    """Gauss-Newton from a at s = system.s, as (ContinuationStep, stop), stop
-    the run's termination or None when the entry converged; the step is None
-    when the start has min theta_s <= 0.  No W outlives the entry."""
+    """Gauss-Newton from a at s = system.s, as (ContinuationStep, the
+    entry's last iterate, stop), stop the run's termination or None when
+    the entry converged; the step and iterate are None when the start has
+    min theta_s <= 0.  No W outlives the entry."""
     s = system.s
     try:
         with _finite(f"continuation at s = {s:g}"):
@@ -589,19 +591,18 @@ def _schedule_entry(system: _ScaledSystem, a: FormField, tol: float,
             rnorm = _finite_value(math.sqrt(_sq_norm(parts)), "residual norm")
             mean_norm = s ** 4 * cube_mean
             if rnorm > tol and mean_norm > tol:
-                return (ContinuationStep(s, GaugePotential(a, system.flux), (rnorm,)),
+                return (ContinuationStep(s, (rnorm,)), a,
                         f"{_OBSTRUCTION} at s = {s:g}: the flux cube F^3 is nonzero, "
                         "so the residual's mean s^4 (2 pi)^3 F^3/6 has norm "
                         f"{mean_norm:.3e} > tol at every potential")
             _theta_guard(system.grid, theta, 0.0)
     except DegenerateMetricError as e:
-        return None, f"left almost-calibrated set at s = {s:g}: {e}"
+        return None, None, f"left almost-calibrated set at s = {s:g}: {e}"
     theta_min = float(np.min(theta))
     history, iterates, cap_note = [rnorm], [], ""
 
     def done(stop):
-        return (ContinuationStep(s, GaugePotential(a, system.flux),
-                                 tuple(history), tuple(iterates)), stop)
+        return ContinuationStep(s, tuple(history), tuple(iterates)), a, stop
     while rnorm > tol:
         if len(iterates) == max_newton:
             return done(f"newton divergence at s = {s:g}: residual "
@@ -646,7 +647,8 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
 
     The first entry that does not converge ends the run.  Each entry that
     ran keeps a ``ContinuationStep`` with a ``_NewtonIterate`` per Newton
-    step, but for one whose start has min theta_s <= 0.  Termination is
+    step, but for one whose start has min theta_s <= 0; the result keeps
+    the potential of the last of them.  Termination is
     "completed" or names that start's grid point and value
     (``_theta_guard``), a line search that no halving passed (the step is
     not taken), Newton divergence after max_newton steps (these two also
@@ -661,6 +663,8 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
     schedule = tuple(float(s) for s in schedule)
+    if not all(map(math.isfinite, schedule)):
+        raise InputError("continuation schedule entries must be finite")
     if not schedule or schedule[0] != 0.0:
         raise InputError("continuation schedule must start at 0")
     if any(s1 >= s2 for s1, s2 in zip(schedule, schedule[1:])):
@@ -670,17 +674,18 @@ def continuation(flux: Flux, schedule=None, tol: float = 1e-10,
     if initial is not None and initial.grid != grid:
         raise InputError("initial potential lives on a different grid")
     a = (initial if initial is not None else base).a
-    steps = []
+    steps, last = [], None
     for s in schedule:
-        step, stop = _schedule_entry(_ScaledSystem(flux, grid, s), a, tol,
-                                     max_newton, cube_mean)
+        step, a_s, stop = _schedule_entry(_ScaledSystem(flux, grid, s), a, tol,
+                                          max_newton, cube_mean)
         if step is not None:
             steps.append(step)
+            last = GaugePotential(a_s, flux)
         if stop is not None:
-            return ContinuationResult(tuple(steps), stop)
+            return ContinuationResult(tuple(steps), stop, last)
         if warm_start:
-            a = step.potential.a
-    return ContinuationResult(tuple(steps), "completed")
+            a = a_s
+    return ContinuationResult(tuple(steps), "completed", last)
 
 
 # --- per-mode kernel/image probe ----------------------------------------------

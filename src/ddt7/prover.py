@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,18 +67,7 @@ class IdentityReport:
     reduced_to_zero: bool
     witness: dict | None
     monomial_count_before_cancellation: int
-    elapsed_s: float
     components: int = 1
-
-    def to_dict(self) -> dict:
-        """The report's fields without ``elapsed_s``: the same for every run."""
-        return {
-            "identity": self.identity,
-            "reduced_to_zero": self.reduced_to_zero,
-            "witness": self.witness,
-            "monomial_count_before_cancellation": self.monomial_count_before_cancellation,
-            "components": self.components,
-        }
 
 
 @dataclass(frozen=True)
@@ -562,7 +550,6 @@ def verify(identity_id: str) -> IdentityReport:
     """Expand the identity over its polynomial ring and decide zero."""
     spec = _lookup(identity_id)
     ring = PolyRing(spec.variables, spec.bound)
-    t0 = time.perf_counter()
     components = spec.build(ring, ring.var, spec.consts)
     count = 0
     witness = None
@@ -574,7 +561,6 @@ def verify(identity_id: str) -> IdentityReport:
     return IdentityReport(identity=identity_id, reduced_to_zero=witness is None,
                           witness=witness,
                           monomial_count_before_cancellation=count,
-                          elapsed_s=time.perf_counter() - t0,
                           components=len(components))
 
 
@@ -635,7 +621,8 @@ def decomposition_checks(F: KForm):
     """Split a 2-form F and check the split seven ways, in F's ring: FLOAT
     at one point, BATCH at every point of a batch.
 
-    Returns (decompose2(F), {u_sq, f7_sq, f14_sq}, theta(F), residuals).  Form
+    Returns (decompose2(F), {u_sq, f7_sq, f14_sq}, theta(F), residuals,
+    det(I + F#)); the eighth check is that the determinant is positive.  Form
     gaps are relative to the larger side, the annihilator and orthogonality
     checks to max(|F|, 1), and the theta and calibration splits to
     max(|direct value|, 1).
@@ -657,7 +644,7 @@ def decomposition_checks(F: KForm):
         "calibration_split": abs(calib - (2.0 * f7sq - f14sq)) / np.maximum(abs(calib), 1.0),
     }
     norms = {"u_sq": u2, "f7_sq": f7sq, "f14_sq": f14sq}
-    return dec, norms, th, residuals
+    return dec, norms, th, residuals, det_endo(Endo.identity(7, F.ring) + sharp2(F))
 
 
 def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
@@ -681,10 +668,10 @@ def float_suite(samples: int, seed: int = 0, tol: float = 1e-10) -> dict:
         columns = rng.uniform(-1.0, 1.0, (n, ends[-1] + 21)).T.copy()
         for spec, lo, hi in zip(specs, [0] + ends, ends):
             worst[spec.id] = max(worst[spec.id], float(_float_gaps(spec, columns[lo:hi]).max()))
-        F = KForm(7, 2, tuple(columns[ends[-1]:]), BATCH)
-        for name, v in decomposition_checks(F)[3].items():
+        *_, residuals, det = decomposition_checks(KForm(7, 2, tuple(columns[ends[-1]:]), BATCH))
+        for name, v in residuals.items():
             deco[name] = max(deco.get(name, 0.0), float(np.max(v)))
-        det_min = min(det_min, float(np.min(det_endo(Endo.identity(7, BATCH) + sharp2(F)))))
+        det_min = min(det_min, float(np.min(det)))
     n_fail = sum(1 for v in worst.values() if v > tol) \
         + sum(1 for v in deco.values() if v > tol) \
         + (0 if det_min > 0.0 else 1)

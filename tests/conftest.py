@@ -27,7 +27,7 @@ def _run_child(code: str, address_limit: int | None = None):
                           text=True, timeout=600, env=env)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def run_child():
     """``_run_child``: code in a child interpreter, optionally address-limited."""
     return _run_child

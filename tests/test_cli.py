@@ -3,6 +3,7 @@ and byte-level determinism; a seeded table of malformed configs and
 snapshots run in-process through ``cli.main`` against the exit-code
 contract."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -94,14 +95,14 @@ def test_verify_full_catalog_and_determinism(tmp_path):
 
 def test_verify_run_record_leaves_the_report_as_it_was(tmp_path):
     """A mutation's run.json names the identity run with its wall time; the
-    report holds the identity's ``to_dict()`` alone, the same bytes twice."""
+    report holds the identity's report fields alone, the same bytes twice."""
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert cli.main(["verify", "--mutate", "A4", "--out", str(out)]) == 1
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     rep = read_report(outs[0])
     mutated = prover.mutate(*cli._canonical_mutation("A4"))
-    assert rep["identities"] == [prover.verify(mutated).to_dict()]
+    assert rep["identities"] == [dataclasses.asdict(prover.verify(mutated))]
     (timed,) = json.loads((outs[0] / "run.json").read_text())["identities"]
     assert set(timed) == {"identity", "elapsed_s"}
     assert timed["identity"] == mutated and timed["elapsed_s"] > 0
@@ -285,6 +286,65 @@ def test_flow_writes_a_run_record_beside_unchanged_outputs(tmp_path):
         point = run["steps"][round(t / 1e-3)]["theta_min_point"]
         assert point == {"1": int(worst[0]), "2": int(worst[1])}
     assert "elapsed_s" not in (outs[0] / "report.json").read_text()
+
+
+def test_a_flow_that_fails_midway_leaves_its_rows_and_samples(tmp_path, capsys):
+    """The rows and samples written before a numerical failure stay; the
+    report and run record are not written, and the exit is 3."""
+    cfg = write_config(tmp_path, "f.json", {
+        "flux": {"1,2": 1, "4,7": 1}, "dt": 1e308, "steps": 5, "scheme": "rk4",
+        "record_every": 1})
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure: flow step 1: " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["flux.txt", "sample_0000.t7f",
+                                                     "trajectory.csv"]
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+
+
+# axes 1-5, N = 8: 32,768 points, where a 1-form is 1.75 MiB
+LONG_FLOW = {"flux": {"1,2": 1, "4,7": 1}, "grid": {"axes": [1, 2, 3, 4, 5], "N": 8},
+             "scheme": "euler", "steps": 40}
+ONE_FORM_MIB = 32768 * 7 * 8 / 2 ** 20
+
+
+def _peak_rss_mib(run_child, command, config, out) -> float:
+    """The run record's peak resident set of one command run in a child
+    interpreter with one BLAS thread."""
+    run = run_child("import sys\nfrom ddt7 import cli\n"
+                    f"sys.exit(cli.main([{command!r}, '--config', {config!r}, "
+                    f"'--out', {str(out)!r}]))\n")
+    assert run.returncode == 0, run.stderr
+    return json.loads((out / "run.json").read_text())["process"]["peak_rss_mib"]
+
+
+@pytest.fixture(scope="module")
+def long_flow_peaks(tmp_path_factory, run_child):
+    """{record_every: (peak of the 40-step flow, peak of cylinder over its
+    output)}, sampling every step and every 10th step."""
+    peaks = {}
+    for every in (1, 10):
+        tmp = tmp_path_factory.mktemp(f"every{every}")
+        flow_cfg = write_config(tmp, "flow.json", dict(LONG_FLOW, record_every=every))
+        cyl_cfg = write_config(tmp, "cyl.json", {"trajectory": str(tmp / "flow")})
+        peaks[every] = (_peak_rss_mib(run_child, "flow", flow_cfg, tmp / "flow"),
+                        _peak_rss_mib(run_child, "cylinder", cyl_cfg, tmp / "cyl"))
+    return peaks
+
+
+def test_flow_peak_does_not_grow_with_its_samples(long_flow_peaks):
+    """Each sample is written as its step comes: 41 samples peak within
+    three 1-forms of 5.  Holding them all until the end cost about 60 MiB."""
+    (flow_1, _), (flow_10, _) = long_flow_peaks[1], long_flow_peaks[10]
+    assert abs(flow_1 - flow_10) <= 3 * ONE_FORM_MIB, (flow_1, flow_10)
+
+
+def test_cylinder_peak_does_not_grow_with_its_samples(long_flow_peaks):
+    """The check reads each sample file as it reaches it and holds three:
+    over 41 samples it peaks within eight 1-forms of its run over 5.
+    Loading every file first cost about 70 MiB."""
+    (_, cyl_1), (_, cyl_10) = long_flow_peaks[1], long_flow_peaks[10]
+    assert abs(cyl_1 - cyl_10) <= 8 * ONE_FORM_MIB, (cyl_1, cyl_10)
 
 
 def test_continue_stops_where_theta_s_is_not_positive(tmp_path):

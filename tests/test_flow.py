@@ -15,7 +15,8 @@ from ddt7.errors import (DegenerateMetricError, InputError, NonFiniteError,
 from ddt7.exalg import Endo, KForm, blades, wedge
 from ddt7.flow import (DEFAULT_SCHEDULE, FlowConfig, ascent_field,
                        continuation, cylinder_check, cylinder_check_samples,
-                       flow_run, flow_step, instanton_solve, kernel_probe)
+                       flow_run, flow_step, flow_steps, instanton_solve,
+                       kernel_probe)
 from ddt7.torus import (Flux, FormField, GaugePotential, TorusGrid,
                         coclosed_project, codiff, curvature, field_l2,
                         field_mean, kl_functional, random_coclosed_potential,
@@ -205,6 +206,40 @@ def test_flow_is_monotone_and_samples_line_up():
     assert np.all(traj.theta_min_per_step > 0)
 
 
+@pytest.mark.parametrize("cfg, scale", [
+    (FlowConfig(dt=1e-3, steps=23, scheme="rk4", record_every=5), 0.02),
+    (FlowConfig(dt=0.05, steps=400, theta_min=5.0, record_every=7), 0.5)],
+    ids=["completed", "degenerate"])
+def test_flow_steps_rows_are_flow_runs_arrays_and_samples(cfg, scale):
+    """``flow_run`` is ``flow_steps`` collected: the same scalars bit for
+    bit, a potential on exactly the sampled steps, and the termination as
+    the error that ends the steps (the second flow leaves the guarded set
+    at step 2)."""
+    pot0 = random_coclosed_potential(GRID, CALIBRATED, np.random.default_rng(1), scale)
+    traj = flow_run(pot0, cfg)
+    rows, end = [], None
+    try:
+        for row in flow_steps(pot0, cfg):
+            rows.append(row)
+    except DegenerateMetricError as e:
+        end = e
+    assert [row.step for row in rows] == list(range(len(traj.times)))
+    for key, column in (("time", traj.times), ("functional", traj.functional),
+                        ("residual_l2", traj.residual_l2),
+                        ("theta_min", traj.theta_min_per_step)):
+        assert np.array_equal([getattr(row, key) for row in rows], column), key
+    sampled = [row for row in rows if row.potential is not None]
+    assert tuple(row.time for row in sampled) == traj.sample_times
+    for row, want in zip(sampled, traj.samples, strict=True):
+        assert np.array_equal(row.potential.a.values, want.a.values)
+    if end is None:
+        assert traj.termination == "completed" and rows[-1].step == cfg.steps
+    else:
+        assert traj.termination == str(end)
+        assert traj.termination.startswith("left almost-calibrated set at step 2: ")
+        assert end.point is not None and end.theta <= cfg.theta_min
+
+
 @pytest.mark.parametrize("scheme, d_per_step", [("euler", 1), ("rk4", 4)])
 def test_flow_run_reuses_the_diagnostics_for_the_first_stage(monkeypatch, scheme,
                                                              d_per_step):
@@ -349,6 +384,45 @@ def test_cylinder_check_input_validation():
         cylinder_check_samples([0.0, 0.1, 0.1], [pot] * 3)
     with pytest.raises(InputError):
         cylinder_check_samples([0.0, 0.1, 0.2], [pot] * 2)
+    with pytest.raises(InputError):
+        cylinder_check_samples([0.0, 0.1, 0.2], [pot] * 4)
+
+
+def _unread():
+    """Potentials that fail the test when the first one is read."""
+    raise AssertionError("a sample was read")
+    yield
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.1, math.nan], [0.0, math.nan, 0.2],
+                                   [0.0, math.inf, math.inf]])
+def test_cylinder_check_refuses_non_finite_times_before_reading(times):
+    """A NaN last time used to give spacing 0.1 and finite norms, a NaN
+    middle one NaN norms, and two infinite ones spacing inf with numpy's
+    invalid-value warning."""
+    with pytest.raises(InputError, match="sample times must be finite"):
+        cylinder_check_samples(times, _unread())
+
+
+def test_cylinder_check_reads_its_samples_once_and_holds_three():
+    """Over a generator the check reads each potential once, in order, with
+    at most three alive, and equals the check over a list."""
+    rng = np.random.default_rng(4)
+    fields = [coclosed_project(random_field(GRID, 1, rng, 0.02)) for _ in range(9)]
+    times = [0.1 * i for i in range(9)]
+    alive, refs = [], []
+
+    def lazily():
+        for f in fields:
+            pot = GaugePotential(f, CALIBRATED)
+            refs.append(weakref.ref(pot))
+            alive.append(sum(r() is not None for r in refs))
+            yield pot
+            del pot
+    got = cylinder_check_samples(times, lazily())
+    assert len(refs) == 9 and max(alive) <= 3
+    assert got == cylinder_check_samples(times, [GaugePotential(f, CALIBRATED)
+                                                 for f in fields])
 
 
 def test_cylinder_residual_is_second_order_in_spacing():
@@ -639,7 +713,7 @@ def test_a_failing_line_search_ends_the_entry(monkeypatch):
     (st,) = res.steps
     assert st.newton_iterations == 0 and st.iterates == ()
     assert st.residual_history == (st.residual_norm,)
-    assert np.array_equal(st.potential.a.coeffs, start.a.coeffs)
+    assert np.array_equal(res.potential.a.coeffs, start.a.coeffs)
 
 
 def test_no_weight_outlives_its_entry(monkeypatch):
@@ -739,6 +813,35 @@ def test_the_obstruction_is_read_against_tol():
     # the decision takes no Newton step, so it holds with none allowed
     res = continuation(OBSTRUCTED, grid=GRID, max_newton=0)
     assert res.obstructed and [st.s for st in res.steps] == [0.0, 1.0 / 64]
+
+
+@pytest.mark.parametrize("schedule", [(0.0, math.nan), (0.0, 0.5, math.inf)])
+def test_continuation_refuses_non_finite_entries_before_running(monkeypatch, schedule):
+    """Both passed the order checks, ran the finite entries, and ended in
+    ``NumericalError`` at the bad one."""
+    def unrun(*args):
+        raise AssertionError("an entry ran")
+    monkeypatch.setattr(flow, "_schedule_entry", unrun)
+    with pytest.raises(InputError, match="entries must be finite"):
+        continuation(CALIBRATED, schedule=schedule, grid=GRID)
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_continuation_result_holds_the_last_entrys_potential(monkeypatch, warm_start):
+    """The result's potential is the last entry's final iterate, over the
+    flux; no entry keeps one."""
+    entry, finals = flow._schedule_entry, []
+
+    def kept(*args):
+        out = entry(*args)
+        finals.append(out[1])
+        return out
+    monkeypatch.setattr(flow, "_schedule_entry", kept)
+    res = continuation(CALIBRATED, schedule=(0.0, 0.25, 1.0), grid=GRID,
+                       initial=_noisy_start(GRID, 1e-2, 5), warm_start=warm_start)
+    assert res.completed and len(finals) == 3
+    assert res.potential.a is finals[-1] and res.potential.flux == CALIBRATED
+    assert not hasattr(res.steps[-1], "potential")
 
 
 def test_continuation_validation():

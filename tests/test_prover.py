@@ -214,9 +214,10 @@ def test_evaluate_float_equals_the_per_sample_point():
 def test_decomposition_checks_at_one_float_point_equal_the_reference():
     coeffs = [float(x) for x in np.random.default_rng(0).uniform(-1.0, 1.0, 21)]
     F = KForm.from_coeffs(7, 2, coeffs, FLOAT)
-    _, norms, th, checks = prover.decomposition_checks(F)
+    _, norms, th, checks, det = prover.decomposition_checks(F)
     _, want_norms, want_th, want_checks = _ref_decomposition_checks(F)
     assert (norms, th, checks) == (want_norms, want_th, want_checks)
+    assert det == det_endo(Endo.identity(7, FLOAT) + sharp2(F))
     assert list(checks) == list(want_checks)
 
 
@@ -240,10 +241,7 @@ def test_every_canonical_mutation_fails_in_every_batched_sample():
 
 
 def test_reports_are_deterministic():
-    a = prover.verify("A1").to_dict()
-    b = prover.verify("A1").to_dict()
-    assert a == b
-    assert "elapsed_s" not in a
+    assert prover.verify("A1") == prover.verify("A1")
     assert prover.float_suite(4, seed=9) == prover.float_suite(4, seed=9)
 
 

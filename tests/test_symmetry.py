@@ -339,10 +339,11 @@ CONTINUATION_FLUXES = {"calibrated": FLUXES["calibrated"],
 @pytest.mark.parametrize("flux", list(CONTINUATION_FLUXES), ids=list(CONTINUATION_FLUXES))
 def test_continuation_is_equivariant(flux):
     """Every 9th usable element at 16 points (8 of 64): from the pulled-back
-    perturbed start, continuation over the pulled-back flux gives the
-    pulled-back potential at every s to the Newton tolerance, with the same
-    Newton counts and the same termination.  The calibrated flux completes
-    and the other stops at its nonzero cube."""
+    perturbed start, continuation over the pulled-back flux gives the same
+    residual history at every s (to 1e-12, below the Newton tolerance), the
+    same Newton counts and termination, and the pulled-back final potential
+    to the Newton tolerance.  The calibrated flux completes and the other
+    stops at its nonzero cube."""
     flux = CONTINUATION_FLUXES[flux]
     start = _potential(GRID16, flux)
     ref = flow.continuation(flux, grid=GRID16, initial=start, warm_start=False)
@@ -352,9 +353,11 @@ def test_continuation_is_equivariant(flux):
         assert got.termination == ref.termination
         assert ([st.newton_iterations for st in got.steps]
                 == [st.newton_iterations for st in ref.steps])
-        gaps = [field_l2(mine.potential.a - pull_back_field(perm, signs, theirs.potential.a))
-                for mine, theirs in zip(got.steps, ref.steps)]
-        assert max(gaps) <= 1e-10, (perm.tolist(), signs.tolist(), gaps)
+        for mine, theirs in zip(got.steps, ref.steps):
+            assert np.allclose(mine.residual_history, theirs.residual_history,
+                               rtol=1e-10, atol=1e-12), (perm.tolist(), signs.tolist(), mine.s)
+        gap = field_l2(got.potential.a - pull_back_field(perm, signs, ref.potential.a))
+        assert gap <= 1e-10, (perm.tolist(), signs.tolist(), gap)
 
 
 def test_the_flux_obstructions_are_invariant():
